@@ -6,8 +6,7 @@ rational arithmetic, and cross-checks them numerically in Schrodinger form.
 """
 
 from .core import DivisionError, Poly, Problem, QuasiFunction, Rational
-from .diffop import DiffOp, apply, commutator, compose, conjugate, \
-    hamiltonian, op_equals
+from .diffop import DiffOp, hamiltonian
 from .principal import (
     Breakdown, DegreeError, FactorEntry, LadderPair, OracleDegenerate,
     brute_force_eigen_oracle, direct_match_table, equivalent_forms_check,

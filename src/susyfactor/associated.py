@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Poly, Problem, QuasiFunction
+from .core import Poly, Problem, QuasiFunction, rational_sqrt
 from .diffop import DiffOp, hamiltonian
 from .principal import (Breakdown, FactorEntry, _entry, factor_table,
                         ladder_pair, principal_eigenfunction)
@@ -284,13 +284,27 @@ def standard_hermitian_relation(prob: Problem, l: int) -> bool:
     return lhs.equals(rhs, prob)
 
 
+def _integer_roots(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
+    """Integer roots of a t^2 + b t + c = 0 (not identically zero), ascending."""
+    if a == 0:
+        return [] if b == 0 or (c / b).denominator != 1 else [int(-c / b)]
+    root = rational_sqrt(b * b - 4 * a * c)
+    if root is None:
+        return []
+    roots = {(-b - root) / (2 * a), (-b + root) / (2 * a)}
+    return sorted(int(t) for t in roots if t.denominator == 1)
+
+
 def classify_expanded(op: DiffOp) -> tuple[Problem, int, int, Fraction]:
     """Recover (p, q, m, l, lambda_lm) from an operator H^a_m - lambda_lm.
 
-    The second- and first-order coefficients give p and q directly; the
-    association level is the integer m whose characteristic p-denominator
-    pattern matches the zeroth-order part, and l follows from the
-    eigenvalue formula.
+    The second- and first-order coefficients give p and q directly.  The
+    zeroth-order part is N/p with N = (m/2) U + (m^2/4) V - lambda p,
+    U = p p'' + (q - p') p' and V = p'^2, so every coefficient of N's
+    remainder mod p, and of N above x^deg p, is a quadratic in m that must
+    vanish; m is the smallest non-negative integer root they share for
+    which lambda = assoc_lambda(l, m), quadratic in l, has an integer root
+    l >= m.  No bound applies to l or m.
     """
     c2 = op.coeff(2)
     c1 = op.coeff(1)
@@ -309,21 +323,30 @@ def classify_expanded(op: DiffOp) -> tuple[Problem, int, int, Fraction]:
     # numerator of the zeroth-order part over p
     num = c0.c * p ** int(c0.s + 1)
     pprime = p.derivative()
-    ppp = prob.ppp
-    for m in range(0, 129):
-        am = Fraction(m, 2) * (p * ppp + (q - pprime) * pprime) \
-            + Fraction(m * m, 4) * pprime * pprime
-        res = num - am
-        try:
-            quot = res.exact_div(p)
-        except ArithmeticError:
+    U = p * prob.ppp + (q - pprime) * pprime
+    V = pprime * pprime
+    rn, ru, rv = (f.divmod(p)[1] for f in (num, U, V))
+    d = p.degree
+    # 4 x (coefficient of N) as (m^2, m, 1) coefficients
+    conds = [(-rv[k], -2 * ru[k], 4 * rn[k]) for k in range(d)] \
+        + [(-V[k], -2 * U[k], 4 * num[k])
+           for k in range(d + 1, max(num.degree, d) + 1)]
+    live = [cond for cond in conds if any(cond)]
+    if not live:
+        # p = a (x - r)^2 with q(r) = 0: H^a_m - H_0 is a constant
+        raise ClassifyError("m unidentifiable")
+    for m in _integer_roots(*live[0]):
+        if m < 0 or any(a * m * m + b * m + c for a, b, c in live):
             continue
-        if quot.degree > 0:
-            continue
-        lam = -quot[0]
-        for l in range(m, 4097):
-            if assoc_lambda(prob, l, m) == lam:
-                return prob, m, l, lam
+        lam = -(num - U * Fraction(m, 2) - V * Fraction(m * m, 4))[d] / p[d]
+        # assoc_lambda(l, m) - lam as a quadratic in l
+        a = -prob.ppp / 2
+        b = prob.ppp / 2 - prob.qp
+        c = m * prob.qp + Fraction(m * (m - 1), 2) * prob.ppp - lam
+        ls = [m] if not (a or b or c) else \
+            [l for l in _integer_roots(a, b, c) if l >= m]
+        if ls:
+            return prob, m, ls[0], lam
     raise ClassifyError("no integer association level fits")
 
 

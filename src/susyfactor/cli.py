@@ -10,12 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
-from .core import Poly, Problem, QuasiFunction
+from .core import Poly, Problem
 from .diffop import DiffOp
 from . import associated, degenerate, numeric, principal
 
@@ -28,15 +26,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _fraction(text: str) -> Fraction:
+    """An exact rational from user input; a zero denominator is bad input."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
+
+
 def _parse_poly(text: str) -> Poly:
     """Comma-separated rational coefficients, highest degree first."""
-    coeffs = [Fraction(tok.strip()) for tok in text.split(",")]
+    coeffs = [_fraction(tok) for tok in text.split(",")]
     return Poly(list(reversed(coeffs)))
 
 
 def _family_problem(spec: str) -> Problem:
     name, _, argstr = spec.partition(":")
-    args = [Fraction(tok) for tok in argstr.split(",")] if argstr else []
+    args = [_fraction(tok) for tok in argstr.split(",")] if argstr else []
     x = Poly.x()
     if name == "legendre":
         return Problem(Poly([1, 0, -1]), Poly([0, -2]))
@@ -120,34 +126,25 @@ def cmd_factorize(args) -> int:
     return 0
 
 
-def _eigen_forms(prob: Problem, l: int, m: int) -> dict[str, QuasiFunction]:
-    out = {}
-    if m == 0:
-        phi, _ = principal.principal_eigenfunction(prob, l)
-        out["ladder"] = QuasiFunction(phi)
-        out["rodrigues"] = associated.assoc_top_down(prob, l, 0).value
-    out["bottomup"] = associated.assoc_bottom_up(prob, l, m).value
-    out["topdown"] = associated.assoc_top_down(prob, l, m).value
-    return out
-
-
 def cmd_eigenfunction(args) -> int:
     prob = _problem_from_args(args)
     l, m = args.l, args.m
-    forms = _eigen_forms(prob, l, m)
     form = args.form
     if form == "ladder" and m != 0:
         form = "bottomup"
     if form == "rodrigues" and m != 0:
         form = "topdown"
-    value = forms[form]
-    alt = forms["bottomup" if form in ("topdown", "rodrigues")
-                else "topdown"]
-    ratio = value.proportional(alt, prob)
-    normsq = associated.assoc_bottom_up(prob, l, m).normsq
+    # at m = 0 the ladder form is the bottom-up one and the Rodrigues form
+    # the top-down one; build the emitted form and its alternate only
+    build, other = associated.assoc_bottom_up, associated.assoc_top_down
+    if form in ("topdown", "rodrigues"):
+        build, other = other, build
+    built = build(prob, l, m)
+    value = built.value
+    ratio = value.proportional(other(prob, l, m).value, prob)
     _emit({"l": l, "m": m, "form": form,
            "coefficients": [_fmt(c) for c in value.c.coeffs],
-           "s": _fmt(value.s), "normsq": _fmt(normsq),
+           "s": _fmt(value.s), "normsq": _fmt(built.normsq),
            "proportional_to_alternate": ratio is not None,
            "ratio": _fmt(ratio) if ratio is not None else None}, args)
     return 0
@@ -164,39 +161,29 @@ def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
             res = res.add(DiffOp.mul_by(perturb), prob)
         return res.is_zero()
 
-    def job(l):
-        sub = {}
+    for l in range(levels + 1):
         if l >= 1:
-            sub[f"shape_invariance_minus_{l}"] = sic("minus", l)
-        sub[f"shape_invariance_plus_{l}"] = sic("plus", l)
-        sub[f"symmetry_{l}"] = (
+            checks[f"shape_invariance_minus_{l}"] = sic("minus", l)
+        checks[f"shape_invariance_plus_{l}"] = sic("plus", l)
+        checks[f"symmetry_{l}"] = (
             plus[l + 1].alpha == -minus[l + 1].alpha
             and plus[l + 1].beta == -minus[l + 1].beta
             and plus[l + 1].E == minus[l + 1].E
             and plus[l + 1].lam - minus[l].lam == prob.ppp - prob.qp)
         r1, r2 = principal.three_term_check(prob, l)
-        sub[f"three_term_{l}"] = r1.is_zero() and r2.is_zero()
-        sub[f"equivalent_forms_{l}"] = all(
+        checks[f"three_term_{l}"] = r1.is_zero() and r2.is_zero()
+        checks[f"equivalent_forms_{l}"] = all(
             principal.equivalent_forms_check(prob, l).values())
         if l <= 4:
-            sub[f"standard_hermitian_{l}"] = \
+            checks[f"standard_hermitian_{l}"] = \
                 associated.standard_hermitian_relation(prob, l)
-        sub[f"assoc_shape_invariance_{l + 1}"] = \
+        checks[f"assoc_shape_invariance_{l + 1}"] = \
             associated.assoc_shape_invariance(prob, l + 1).is_zero()
         for m in range(l + 1):
-            sub[f"associated_{l}_{m}"] = all(
+            checks[f"associated_{l}_{m}"] = all(
                 associated.verify_associated(prob, l, m).values())
-            sub[f"pHm_{l}_{m}"] = associated.pHm_factorization(prob, l, m)[2]
-        return sub
-
-    workers = max(1, int(os.environ.get("SUSYFACTOR_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for sub in pool.map(job, range(levels + 1)):
-                checks.update(sub)
-    else:
-        for l in range(levels + 1):
-            checks.update(job(l))
+            checks[f"pHm_{l}_{m}"] = \
+                associated.pHm_factorization(prob, l, m)[2]
     rep = degenerate.detect(prob)
     if rep.is_degenerate:
         for l in range(levels + 1):
@@ -208,7 +195,8 @@ def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
 
 def cmd_verify(args) -> int:
     prob = _problem_from_args(args)
-    perturb = Fraction(args.perturb_delta) if args.perturb_delta else Fraction(0)
+    perturb = _fraction(args.perturb_delta) if args.perturb_delta \
+        else Fraction(0)
     checks = _verify_suite(prob, args.levels, perturb)
     ok = all(checks.values())
     _emit({"checks": checks, "all_pass": ok}, args)
@@ -397,7 +385,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except (associated.RangeError, associated.ClassifyError,
-            numeric.SingularGrid, ValueError) as ex:
+            numeric.SingularGrid, principal.DegreeError, ValueError) as ex:
         print(json.dumps({"error": type(ex).__name__, "message": str(ex)}),
               file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -32,6 +33,16 @@ def _as_fraction(v) -> Fraction:
     if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"not an exact scalar: {v!r}")
+
+
+def rational_sqrt(v: Fraction) -> Fraction | None:
+    """The exact square root of a rational, or None when it is not rational."""
+    if v < 0:
+        return None
+    n, d = isqrt(v.numerator), isqrt(v.denominator)
+    if n * n == v.numerator and d * d == v.denominator:
+        return Fraction(n, d)
+    return None
 
 
 class Poly:
@@ -349,11 +360,3 @@ class QuasiFunction:
 
     def __repr__(self):
         return f"QuasiFunction({self.c!r}, s={self.s}, e={self.e})"
-
-
-def quasi_derive(f: QuasiFunction, prob: Problem) -> QuasiFunction:
-    return f.derive(prob)
-
-
-def quasi_canonicalize(f: QuasiFunction, prob: Problem) -> QuasiFunction:
-    return f.canonicalize(prob)

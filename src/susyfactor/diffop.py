@@ -150,26 +150,6 @@ class DiffOp:
         return "DiffOp(" + " + ".join(parts) + ")"
 
 
-def compose(a: DiffOp, b: DiffOp, prob: Problem) -> DiffOp:
-    return a.compose(b, prob)
-
-
-def commutator(a: DiffOp, b: DiffOp, prob: Problem) -> DiffOp:
-    return a.commutator(b, prob)
-
-
-def conjugate(op: DiffOp, s, e, prob: Problem) -> DiffOp:
-    return op.conjugate(s, e, prob)
-
-
-def apply(op: DiffOp, f: QuasiFunction, prob: Problem) -> QuasiFunction:
-    return op.apply(f, prob)
-
-
-def op_equals(a: DiffOp, b: DiffOp, prob: Problem) -> bool:
-    return a.equals(b, prob)
-
-
 def hamiltonian(prob: Problem) -> DiffOp:
     """H0 = -p d^2/dx^2 - q d/dx."""
     return DiffOp([QuasiFunction.zero(),

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .core import Poly, Problem, QuasiFunction
+from .core import Poly, Problem, QuasiFunction, rational_sqrt
 from .associated import assoc_lambda
 from .principal import (factor_table, principal_eigenfunction,
                         superpotential_w0, superpotential_wl)
@@ -74,16 +74,6 @@ def coordinate_maps(prob: Problem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return y, z
 
 
-def _rational_sqrt(v: Fraction) -> Optional[Fraction]:
-    if v < 0:
-        return None
-    from math import isqrt
-    n, d = isqrt(v.numerator), isqrt(v.denominator)
-    if n * n == v.numerator and d * d == v.denominator:
-        return Fraction(n, d)
-    return None
-
-
 def weight_function(prob: Problem):
     """Closed-form callable for w = exp(int (q - p')/p), or None.
 
@@ -105,7 +95,7 @@ def weight_function(prob: Problem):
         return lambda x: np.exp(slope * np.asarray(x, float)) \
             * np.abs(np.asarray(x, float) - rf) ** expo
     disc = p[1] * p[1] - 4 * p[2] * p[0]
-    root = _rational_sqrt(disc)
+    root = rational_sqrt(disc)
     if root is None:
         return None
     r1 = (-p[1] - root) / (2 * p[2])
@@ -168,6 +158,24 @@ class NumericProfile:
     s_phi_lm: np.ndarray
 
 
+def _assoc_schrodinger(prob: Problem, phi: Poly, m: int, x: np.ndarray,
+                       w: np.ndarray):
+    """z-form (psi, V^a_m, k_m) at the nodes x, given Phi_l and the weight.
+
+    psi = sqrt(w) |p|^((2|m|+1)/4) Phi_l^(|m|) and
+    V^a_m = k_m (k_m - p')/(4 p) + k_m'/2.
+    """
+    dphi = phi
+    for _ in range(abs(m)):
+        dphi = dphi.derivative()
+    pv = prob.p(x)
+    psi = np.sqrt(w) * np.abs(pv) ** ((2 * abs(m) + 1) / 4.0) * dphi(x)
+    k, kp = assoc_superpotential(prob, m)
+    kv = k(x)
+    V = kv * (kv - prob.p.derivative()(x)) / (4.0 * pv) + 0.5 * kp(x)
+    return psi, V, kv
+
+
 def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
     x = grid.nodes
     pv = prob.p(x)
@@ -178,16 +186,10 @@ def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
     wl = superpotential_wl(prob, "minus", l)
     vl = potential_poly(prob, l)
     vsl = superpartner_poly(prob, l)
-    k, kp = assoc_superpotential(prob, m)
-    kv = k(x)
-    wam = -kv / (2.0 * sqrtp)
-    vam = kv * (kv - prob.p.derivative()(x)) / (4.0 * pv) + 0.5 * kp(x)
     phi, _ = principal_eigenfunction(prob, l)
-    dphi = phi
-    for _ in range(abs(m)):
-        dphi = dphi.derivative()
+    s_phi, vam, kv = _assoc_schrodinger(prob, phi, m, x, w)
+    wam = -kv / (2.0 * sqrtp)
     psi = np.sqrt(w) * phi(x)
-    s_phi = np.sqrt(w) * np.abs(pv) ** ((2 * abs(m) + 1) / 4.0) * dphi(x)
     return NumericProfile(grid, w, y, z, wl(x), vl(x), vsl(x), wam, vam,
                           psi, s_phi)
 
@@ -228,8 +230,10 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
     if p.degree == 2:
         disc = p[1] * p[1] - 4 * p[2] * p[0]
         if disc > 0:
-            r1 = float((-p[1] - _sqrt_frac(disc)) / (2 * p[2]))
-            r2 = float((-p[1] + _sqrt_frac(disc)) / (2 * p[2]))
+            root = rational_sqrt(disc)
+            root = float(root) if root is not None else float(disc) ** 0.5
+            r1 = float((-p[1] - root) / (2 * p[2]))
+            r2 = float((-p[1] + root) / (2 * p[2]))
             lo, hi = min(r1, r2), max(r1, r2)
             mid = 0.5 * (lo + hi)
             if p(mid) > 0:
@@ -240,11 +244,6 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
         r = float(-p[0] / p[1])
         return (r, cutoff(r, 1.0)) if p[1] > 0 else (cutoff(r, -1.0), r)
     return cutoff(0.0, -1.0), cutoff(0.0, 1.0)
-
-
-def _sqrt_frac(v: Fraction) -> float:
-    r = _rational_sqrt(v)
-    return float(r) if r is not None else float(v) ** 0.5
 
 
 def _residual_arrays(prob: Problem, l: int, m: int, n: int, form: str,
@@ -262,7 +261,6 @@ def _residual_arrays(prob: Problem, l: int, m: int, n: int, form: str,
     x = _x_of_coordinate(prob, u, x0, form)
     w = weight_numeric(prob, Grid(x, float(np.min(x)), float(np.max(x)),
                                   "mapped"))
-    pv = np.abs(prob.p(x))
     phi, _ = principal_eigenfunction(prob, l)
     if form == "y":
         if m != 0:
@@ -272,16 +270,8 @@ def _residual_arrays(prob: Problem, l: int, m: int, n: int, form: str,
         ent = factor_table(prob, "minus", l)[l]
         E = float(ent.E)
     else:
-        am = abs(m)
-        dphi = phi
-        for _ in range(am):
-            dphi = dphi.derivative()
-        psi = np.sqrt(w) * pv ** ((2 * am + 1) / 4.0) * dphi(x)
-        k, kp = assoc_superpotential(prob, am)
-        kv = k(x)
-        V = kv * (kv - prob.p.derivative()(x)) / (4.0 * prob.p(x)) \
-            + 0.5 * kp(x)
-        E = float(assoc_lambda(prob, l, am))
+        psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), x, w)
+        E = float(assoc_lambda(prob, l, m))
     h = u[1] - u[0]
     res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
         + (V[1:-1] - E) * psi[1:-1]

@@ -65,10 +65,11 @@ def _lambda_minus(prob: Problem, l: int) -> Fraction:
 
 def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry]:
     """Levels 0..max_level (minus) or -1..max_level (plus) by recurrence."""
-    if max_level < 0:
-        raise ValueError("max_level must be >= 0")
     if branch not in ("minus", "plus"):
         raise ValueError(f"unknown branch {branch!r}")
+    lowest = -1 if branch == "plus" else 0
+    if max_level < lowest:
+        raise ValueError(f"max_level must be >= {lowest}")
     half_ppp = Fraction(prob.ppp, 2)
     half_pp0 = Fraction(prob.pp0, 2)
     entries: list[FactorEntry] = []

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from susyfactor.core import Poly, Problem, QuasiFunction
+from susyfactor.diffop import DiffOp
 from susyfactor import associated
 from susyfactor.principal import factor_table
 
@@ -122,7 +124,6 @@ def test_pHm_factorization(family):
 
 
 def test_classify_round_trip(family):
-    from susyfactor.diffop import DiffOp
     for l, m in [(3, 0), (4, 2), (5, 1)]:
         ham = associated.assoc_hamiltonian(family, m)
         lam = associated.assoc_lambda(family, l, m)
@@ -134,3 +135,76 @@ def test_classify_round_trip(family):
         got_prob, got_m, got_l, got_lam = associated.classify_expanded(op)
         assert (got_prob.p, got_prob.q) == (family.p, family.q)
         assert (got_m, got_l, got_lam) == (m, l, lam)
+
+
+def _expanded(prob, l, m):
+    ham = associated.assoc_hamiltonian(prob, m)
+    return ham.sub(DiffOp.mul_by(associated.assoc_lambda(prob, l, m)), prob)
+
+
+def _scan_classify(op):
+    """Reference: the brute-force scan over m <= 128, l <= 4096."""
+    c2, c1, c0 = op.coeff(2), op.coeff(1), op.coeff(0)
+    p, q = -c2.c, -c1.c
+    prob = Problem(p, q)
+    if p.degree == 0:
+        raise associated.ClassifyError("degenerate: m unidentifiable")
+    num = c0.c * p ** int(c0.s + 1)
+    pprime = p.derivative()
+    for m in range(0, 129):
+        am = Fraction(m, 2) * (p * prob.ppp + (q - pprime) * pprime) \
+            + Fraction(m * m, 4) * pprime * pprime
+        try:
+            quot = (num - am).exact_div(p)
+        except ArithmeticError:
+            continue
+        if quot.degree > 0:
+            continue
+        lam = -quot[0]
+        for l in range(m, 4097):
+            if associated.assoc_lambda(prob, l, m) == lam:
+                return prob, m, l, lam
+    raise associated.ClassifyError("no integer association level fits")
+
+
+def _outcome(fn, op):
+    try:
+        prob, m, l, lam = fn(op)
+    except associated.ClassifyError as ex:
+        return str(ex)
+    return prob.p, prob.q, m, l, lam
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@settings(deadline=None)
+@given(rationals, rationals, rationals, rationals, rationals,
+       st.integers(0, 30), st.integers(0, 30))
+def test_classify_closed_form_matches_scan(p0, p1, p2, q0, q1, l, m):
+    p = Poly([p0, p1, p2])
+    assume(p.degree >= 1)
+    assume(m <= l)
+    prob = Problem(p, Poly([q0, q1]))
+    op = _expanded(prob, l, m)
+    got = _outcome(associated.classify_expanded, op)
+    if got == "m unidentifiable":
+        # only p = a (x - r)^2 with q(r) = 0 leaves m undetermined
+        r = -p1 / (2 * p2) if p.degree == 2 else None
+        assert r is not None and p1 * p1 == 4 * p2 * p0 and prob.q(r) == 0
+    else:
+        assert got == _outcome(_scan_classify, op)
+
+
+@pytest.mark.parametrize("l, m", [(5000, 160), (4097, 3)])
+def test_classify_past_the_old_scan_caps(l, m):
+    for prob in (legendre(), laguerre(1)):
+        got = associated.classify_expanded(_expanded(prob, l, m))
+        assert got[1:] == (m, l, associated.assoc_lambda(prob, l, m))
+
+
+def test_classify_m_unidentifiable_on_double_root():
+    # p = x^2, q = x/4: H^a_m - H_0 is a constant for every m
+    prob = Problem(Poly([0, 0, 1]), Poly([0, Fraction(1, 4)]))
+    with pytest.raises(associated.ClassifyError, match="m unidentifiable"):
+        associated.classify_expanded(_expanded(prob, 6, 4))

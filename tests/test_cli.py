@@ -70,16 +70,6 @@ def test_verify_passes_and_negative_control(monkeypatch):
     assert json.loads(bad.stdout)["all_pass"] is False
 
 
-def test_verify_threaded(monkeypatch):
-    import os
-    env = dict(os.environ, SUSYFACTOR_THREADS="4")
-    r = subprocess.run([sys.executable, "-m", "susyfactor.cli", "verify",
-                        "--family", "jacobi:2,3", "--levels", "3"],
-                       capture_output=True, text=True, env=env)
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["all_pass"] is True
-
-
 def test_numeric_residual_json():
     r = run_cli("numeric", "residual", "--family", "legendre", "--l", "4",
                 "--form", "y", "--nodes", "2000")
@@ -137,3 +127,29 @@ def test_bad_input_exit_2():
     assert r.returncode == 2
     r = run_cli("factorize", "--family", "nosuchfamily")
     assert r.returncode == 2
+
+
+def test_degree_error_exit_2():
+    # p = 1 - x^2, q = 3: raising loses degree at level 3
+    r = run_cli("verify", "--p", "-1,0,1", "--q", "3,0", "--levels", "3")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "DegreeError"
+
+
+def test_zero_denominator_exit_2():
+    r = run_cli("factorize", "--p", "1/0", "--q", "0,1")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ValueError"
+    r = run_cli("factorize", "--family", "jacobi:1/0,1")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["error"] == "ValueError"
+
+
+def test_plus_breakdown_at_level_0_keeps_partial_table():
+    r = run_cli("factorize", "--p", "1", "--q", "0,1", "--branch", "plus")
+    assert r.returncode == 2
+    err = json.loads(r.stderr)
+    assert err["error"] == "breakdown" and err["level"] == 0
+    partial = json.loads(r.stdout)
+    assert [(e["branch"], e["l"]) for e in partial["entries"]] == \
+        [("plus", -1)]
