@@ -17,16 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .core import Poly, Problem, QuasiFunction, rational_sqrt
 from .diffop import DiffOp, hamiltonian
-from .principal import (Breakdown, FactorEntry, _entry, factor_table,
-                        ladder_pair, principal_eigenfunction)
+from .principal import (Breakdown, _entry, ladder_pair,
+                        principal_eigenfunction)
 
 
 class RangeError(ValueError):
     """Association level outside |m| <= l."""
+
+
+def _check_range(l: int, m: int) -> None:
+    if abs(m) > l:
+        raise RangeError(f"|m| = {abs(m)} exceeds l = {l}")
 
 
 class ClassifyError(ValueError):
@@ -94,8 +98,7 @@ def assoc_delta_plus(prob: Problem, n: int) -> Fraction:
 
 
 def assoc_entry(prob: Problem, l: int, m: int) -> AssocEntry:
-    if abs(m) > l:
-        raise RangeError(f"|m| = {abs(m)} exceeds l = {l}")
+    _check_range(l, m)
     deltas = tuple(assoc_delta_plus(prob, n) for n in range(1, abs(m) + 1))
     return AssocEntry(l, m, assoc_lambda(prob, l, m), deltas)
 
@@ -109,8 +112,7 @@ def _norm_prefactor(prob: Problem, l: int, m: int) -> Fraction:
 
 def assoc_bottom_up(prob: Problem, l: int, m: int) -> AssocFunction:
     """Phi_lm = p^(|m|/2) (d/dx)^|m| Phi_l, times (-1)^m for m < 0."""
-    if abs(m) > l:
-        raise RangeError(f"|m| = {abs(m)} exceeds l = {l}")
+    _check_range(l, m)
     phi, normsq = principal_eigenfunction(prob, l)
     c = phi
     for _ in range(abs(m)):
@@ -129,8 +131,7 @@ def assoc_top_down(prob: Problem, l: int, m: int) -> AssocFunction:
     e = 1, every derivative stays closed, and e returns to 0 only at the
     final division step.
     """
-    if abs(m) > l:
-        raise RangeError(f"|m| = {abs(m)} exceeds l = {l}")
+    _check_range(l, m)
     am = abs(m)
     f = QuasiFunction(Poly.const(1), l, 1)
     for _ in range(l - am):
@@ -235,8 +236,7 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
        (-sqrt(p) d/dx + W^a_m)(sqrt(p) d/dx + W^a_m) with
        W^a_m = -[(m - 1/2) p' + q]/(2 sqrt p).
     """
-    if abs(m) > l:
-        raise RangeError(f"|m| = {abs(m)} exceeds l = {l}")
+    _check_range(l, m)
     m = abs(m)
     pprime = prob.p.derivative()
     lower, _ = assoc_ladders(prob, 2 * m)
@@ -316,8 +316,8 @@ def classify_expanded(op: DiffOp) -> tuple[Problem, int, int, Fraction]:
         raise ClassifyError("differential parts do not fit the p/q pattern")
     prob = Problem(p, q)
     c0 = op.coeff(0)
-    if c0.e != 0 or c0.s.denominator != 1 or c0.s > 0:
-        raise ClassifyError("constant part is not rational in p")
+    if c0.e != 0 or c0.s.denominator != 1 or not -1 <= c0.s <= 0:
+        raise ClassifyError("constant part is not a polynomial over p")
     if p.degree == 0:
         raise ClassifyError("degenerate: m unidentifiable")
     # numerator of the zeroth-order part over p
@@ -359,8 +359,7 @@ def pHm_factorization(prob: Problem, l: int, m: int) -> tuple[Fraction, Fraction
 
     returned together with the symbolic verdict of that identity.
     """
-    if abs(m) > l:
-        raise RangeError(f"|m| = {abs(m)} exceeds l = {l}")
+    _check_range(l, m)
     m = abs(m)
     if m == 0:
         C = Fraction(0)

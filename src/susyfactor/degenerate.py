@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Poly, Problem
-from .diffop import DiffOp
+from .core import Poly, Problem, QuasiFunction
 from .associated import assoc_bottom_up, assoc_delta_plus, assoc_lambda
 from .principal import _entry, ladder_pair, principal_eigenfunction
 
@@ -91,17 +90,15 @@ def collapse_check(prob: Problem, l: int, m: int, depth: int = 10) -> dict[str, 
 
     phi_lm = assoc_bottom_up(prob, l, m).value
     phi_base, _ = principal_eigenfunction(prob, l - m)
-    from .core import QuasiFunction
     ratio = QuasiFunction(phi_lm.c).proportional(QuasiFunction(phi_base), prob)
     fun_ok = ratio is not None
 
     delta_ok = all(assoc_delta_plus(prob, n) == -prob.qp
                    for n in range(1, depth + 1))
 
-    base = ladder_pair(prob, "minus", 0)
-    ladder_ok = all(
-        ladder_pair(prob, "minus", j).lower.equals(base.lower, prob)
-        and ladder_pair(prob, "minus", j).raise_.equals(base.raise_, prob)
-        for j in range(1, depth + 1))
+    base, *pairs = [ladder_pair(prob, "minus", j) for j in range(depth + 1)]
+    ladder_ok = all(pair.lower.equals(base.lower, prob)
+                    and pair.raise_.equals(base.raise_, prob)
+                    for pair in pairs)
     return {"eigenvalue": lam_ok, "eigenfunction": fun_ok,
             "deltas": delta_ok, "ladders": ladder_ok}

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 from scipy.integrate import quad, solve_ivp
 
-from .core import Poly, Problem, QuasiFunction, rational_sqrt
-from .associated import assoc_lambda
+from .core import Poly, Problem, rational_sqrt
+from .associated import _check_range, assoc_lambda
 from .principal import (factor_table, principal_eigenfunction,
                         superpotential_w0, superpotential_wl)
 
@@ -177,6 +177,7 @@ def _assoc_schrodinger(prob: Problem, phi: Poly, m: int, x: np.ndarray,
 
 
 def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
+    _check_range(l, m)
     x = grid.nodes
     pv = prob.p(x)
     _check_sign_definite(pv)
@@ -289,6 +290,7 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     """
     if form not in ("y", "z"):
         raise ValueError("form must be 'y' or 'z'")
+    _check_range(l, m)
     res, psi, V, E, h = _residual_arrays(prob, l, m, nodes, form, span, inset)
     a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
     rel = float(np.max(np.abs(res))) / (a_norm * float(np.max(np.abs(psi))))

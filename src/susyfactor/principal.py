@@ -15,14 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import prod
 
-from .core import Poly, Problem, QuasiFunction, Rational
+from .core import Poly, Problem, QuasiFunction
 from .diffop import DiffOp, hamiltonian
 
 
 class Breakdown(ArithmeticError):
-    """A recurrence divisor vanished: the factorization degenerates here."""
+    """The factorization degenerates here: a recurrence divisor vanished,
+    or the squared norm E_l of the level's eigenfunction is zero."""
 
     def __init__(self, level: int, message: str = ""):
         self.level = level
@@ -185,22 +186,31 @@ def ladder_pair(prob: Problem, branch: str, l: int) -> LadderPair:
     return LadderPair(lower, raise_)
 
 
+def _raise_chain(prob: Problem, table: list[FactorEntry]) -> list[Poly]:
+    """Phi_0 .. Phi_L of a minus table up to level L, raised on Poly by
+    Phi_j = -p Phi_{j-1}' + (W0 + W_j) Phi_{j-1}.  A raise adds at most one
+    degree, so a degree lost anywhere shows at level L."""
+    w0 = superpotential_w0(prob)
+    phis = [Poly.const(1)]
+    for ent in table[1:]:
+        phi, wj = phis[-1], Poly([ent.beta, ent.alpha])
+        phis.append(-prob.p * phi.derivative() + (w0 + wj) * phi)
+    top = len(table) - 1
+    if phis[-1].degree != top:
+        raise DegreeError(f"expected degree {top}, got {phis[-1].degree}")
+    for ent in table[1:]:
+        if ent.E == 0:
+            raise Breakdown(ent.level, f"E vanishes at level {ent.level}")
+    return phis
+
+
 def principal_eigenfunction(prob: Problem, l: int) -> tuple[Poly, Fraction]:
     """Unnormalized Phi_l = B_l ... B_1 applied to 1, with norm^2 = prod E_j."""
     if l < 0:
         raise ValueError("level must be >= 0")
     table = factor_table(prob, "minus", l)
-    phi = QuasiFunction.one()
-    normsq = Fraction(1)
-    for j in range(1, l + 1):
-        bj = ladder_pair(prob, "minus", j).raise_
-        phi = bj.apply(phi, prob)
-        normsq *= table[j].E
-    if phi.s != 0 or phi.e != 0:
-        raise DegreeError("raising left the polynomial class")
-    if phi.c.degree != l:
-        raise DegreeError(f"expected degree {l}, got {phi.c.degree}")
-    return phi.c, normsq
+    normsq = prod((ent.E for ent in table[1:]), start=Fraction(1))
+    return _raise_chain(prob, table)[-1], normsq
 
 
 def brute_force_eigen_oracle(prob: Problem, l: int) -> tuple[Poly, Fraction]:
@@ -253,7 +263,7 @@ def shape_invariance_check(prob: Problem, branch: str, l: int) -> DiffOp:
     return lhs.sub(rhs, prob).sub(DiffOp.mul_by(delta), prob)
 
 
-def three_term_check(prob: Problem, l: int) -> tuple[QuasiFunction, QuasiFunction]:
+def three_term_check(prob: Problem, l: int) -> tuple[Poly, Poly]:
     """Residuals of the two three-term recurrences in the unnormalized
     convention: with norm^2 tracked outside, both read
 
@@ -264,23 +274,15 @@ def three_term_check(prob: Problem, l: int) -> tuple[QuasiFunction, QuasiFunctio
     """
     if l < 0:
         raise ValueError("level must be >= 0")
-    phi_next = QuasiFunction(principal_eigenfunction(prob, l + 1)[0])
-    phi = QuasiFunction(principal_eigenfunction(prob, l)[0])
-    if l == 0:
-        phi_prev = QuasiFunction.zero()
-        E = Fraction(0)
-    else:
-        phi_prev = QuasiFunction(principal_eigenfunction(prob, l - 1)[0])
-        E = _entry(prob, "minus", l).E
-    wl = superpotential_wl(prob, "minus", l)
-    wl_next = superpotential_wl(prob, "minus", l + 1)
+    table = factor_table(prob, "minus", l + 1)
+    phis = _raise_chain(prob, table)
+    phi = phis[l]
+    phi_prev = phis[l - 1] * table[l].E if l else Poly([])
+    wl, wl_next = (Poly([e.beta, e.alpha]) for e in table[l:])
     w0 = superpotential_w0(prob)
-    mid1 = QuasiFunction(wl_next + wl).mul(phi, prob)
-    res1 = phi_next.sub(mid1, prob).add(phi_prev.scale(E), prob)
-    op2 = DiffOp([QuasiFunction(wl_next - wl + 2 * w0),
-                  QuasiFunction(prob.p * (-2))])
-    res2 = phi_next.sub(op2.apply(phi, prob), prob).sub(
-        phi_prev.scale(E), prob)
+    res1 = phis[l + 1] - (wl_next + wl) * phi + phi_prev
+    res2 = phis[l + 1] + 2 * prob.p * phi.derivative() \
+        - (wl_next - wl + 2 * w0) * phi - phi_prev
     return res1, res2
 
 

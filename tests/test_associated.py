@@ -208,3 +208,12 @@ def test_classify_m_unidentifiable_on_double_root():
     prob = Problem(Poly([0, 0, 1]), Poly([0, Fraction(1, 4)]))
     with pytest.raises(associated.ClassifyError, match="m unidentifiable"):
         associated.classify_expanded(_expanded(prob, 6, 4))
+
+
+def test_classify_rejects_constant_part_below_p_inverse():
+    # the zeroth-order coefficient p^-2 is no N/p with N a polynomial
+    x = Poly.x()
+    op = DiffOp([QuasiFunction(Poly([1]), -2, 0), QuasiFunction(2 * x),
+                 QuasiFunction(-(1 - x * x))])
+    with pytest.raises(associated.ClassifyError):
+        associated.classify_expanded(op)

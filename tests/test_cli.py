@@ -1,7 +1,13 @@
+import contextlib
 import csv
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as st
+
+from susyfactor import cli
 
 
 def run_cli(*args, **kw):
@@ -136,6 +142,23 @@ def test_degree_error_exit_2():
     assert json.loads(r.stderr)["error"] == "DegreeError"
 
 
+def test_vanishing_norm_is_breakdown_exit_2():
+    # p = x^2 + x, q = -3x: E_1 = 0 although the table itself builds
+    r = run_cli("verify", "--p", "1,1,0", "--q", "-3,0", "--levels", "1")
+    assert r.returncode == 2
+    assert json.loads(r.stderr) == {"error": "breakdown", "level": 1}
+
+
+def test_numeric_m_above_l_is_range_error():
+    for task in (("residual", "--form", "z", "--nodes", "200"),
+                 ("potentials",)):
+        r = run_cli("numeric", task[0], "--family", "legendre", "--l", "2",
+                    "--m", "5", *task[1:])
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert json.loads(r.stderr)["error"] == "RangeError"
+
+
 def test_zero_denominator_exit_2():
     r = run_cli("factorize", "--p", "1/0", "--q", "0,1")
     assert r.returncode == 2
@@ -153,3 +176,58 @@ def test_plus_breakdown_at_level_0_keeps_partial_table():
     partial = json.loads(r.stdout)
     assert [(e["branch"], e["l"]) for e in partial["entries"]] == \
         [("plus", -1)]
+
+
+PRESETS = ["legendre", "jacobi:2,3", "jacobi:1/2,1/2", "laguerre:1",
+           "hermite", "hypergeom:1/3,1/5,7/2", "confluent:3"]
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def _coeff_arg(cs):
+    return ",".join(str(c) for c in cs)
+
+
+_problem_args = st.one_of(
+    st.sampled_from(PRESETS).map(lambda f: ["--family", f]),
+    st.tuples(st.lists(_coeffs, min_size=1, max_size=3),
+              st.lists(_coeffs, min_size=1, max_size=2)).map(
+        lambda pq: ["--p", _coeff_arg(pq[0]), "--q", _coeff_arg(pq[1])]))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(
+        ["factorize", "eigenfunction", "verify", "classify", "numeric"]))
+    l, m = str(draw(st.integers(-2, 6))), str(draw(st.integers(-8, 8)))
+    if command == "numeric":
+        family = draw(st.sampled_from(PRESETS))
+        return ["numeric", "residual", "--family", family, "--l", l,
+                "--m", m, "--form", draw(st.sampled_from("yz")),
+                "--nodes", "150"]
+    argv = [command, *draw(_problem_args)]
+    if command == "factorize":
+        return argv + ["--levels", l, "--branch",
+                       draw(st.sampled_from(["minus", "plus", "both"]))]
+    if command == "eigenfunction":
+        return argv + ["--l", l, "--m", m, "--form", draw(st.sampled_from(
+            ["ladder", "rodrigues", "topdown", "bottomup"]))]
+    if command == "verify":
+        return argv + ["--levels", str(draw(st.integers(-2, 2)))]
+    return argv + (["--l", l, "--m", m] if draw(st.booleans()) else [])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@given(_argvs())
+@settings(max_examples=120, deadline=None)
+def test_cli_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code in (0, 1):
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        json.loads(err.getvalue().strip().splitlines()[-1])

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,3 +133,23 @@ def test_sl_full_susy_round_trip():
 
     grid = numeric.Grid.uniform(0.5, 5.0, 400)
     assert numeric.sl_full_susy_residual(P, Q, R, Q1, lam1, grid) < 1e-10
+
+
+def test_square_well_fixture():
+    # tests/data/psi-save3.dat: column 0 is t in [0, 1], column n is
+    # sqrt(2) sin(n pi t), n = 1..10.  For Jacobi(1/2, 1/2) on x = cos(pi t)
+    # the z-form eigenfunction is sin((l + 1) pi t) and z = pi (1/2 - t).
+    data = np.loadtxt(Path(__file__).parent / "data" / "psi-save3.dat")
+    t = data[1:-1, 0]                       # p vanishes at t = 0 and t = 1
+    x = np.cos(np.pi * t)
+    grid = numeric.Grid(x, float(x[-1]), float(x[0]), "mapped")
+    mid = len(t) // 2
+    for l in (0, 1, 4, 9):
+        prof = numeric.potentials(jacobi(Fraction(1, 2), Fraction(1, 2)),
+                                  l, 0, grid)
+        col = data[1:-1, l + 1]
+        scale = np.dot(prof.s_phi_lm, col) / np.dot(col, col)
+        dev = np.max(np.abs(prof.s_phi_lm / scale - col)) / np.max(np.abs(col))
+        assert dev <= 1e-9
+        z = np.pi * (0.5 - t)
+        assert np.max(np.abs(prof.z - (z - z[mid]))) <= 1e-12

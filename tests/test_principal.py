@@ -66,6 +66,21 @@ def test_eigenfunction_matches_oracle(family):
         assert ratio is not None
 
 
+@pytest.mark.parametrize("p, q", [
+    (Poly([0, 1, 1]), Poly([0, -3])),                        # x^2 + x, -3x
+    (Poly([Fraction(3, 2), -1]), Poly([-2, Fraction(4, 3)])),
+])
+def test_vanishing_norm_is_breakdown(p, q):
+    # E_1 = 0 with a nonzero alpha_1: the table builds, the norm vanishes
+    prob = Problem(p, q)
+    assert principal.factor_table(prob, "minus", 1)[1].E == 0
+    with pytest.raises(principal.Breakdown) as exc:
+        principal.principal_eigenfunction(prob, 1)
+    assert exc.value.level == 1
+    with pytest.raises(principal.Breakdown):
+        principal.three_term_check(prob, 0)
+
+
 def test_oracle_degenerate_detection():
     prob = Problem(Poly([1, 0, -1]), Poly([0, 6]))
     with pytest.raises(principal.OracleDegenerate):

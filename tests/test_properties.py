@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from susyfactor.core import Poly, Problem, QuasiFunction
@@ -97,3 +98,40 @@ def test_ladder_eigenfunction_matches_oracle(prob, l):
     res = hamiltonian(prob).apply(QuasiFunction(phi), prob).sub(
         QuasiFunction(phi * lam), prob)
     assert res.is_zero()
+
+
+def _raise_by_ladders(prob, l):
+    """The former raise: B_j = ladder_pair(j).raise_ applied to a
+    QuasiFunction level by level, rebuilding the table at every level."""
+    table = principal.factor_table(prob, "minus", l)
+    phi = QuasiFunction.one()
+    normsq = Fraction(1)
+    for j in range(1, l + 1):
+        phi = principal.ladder_pair(prob, "minus", j).raise_.apply(phi, prob)
+        normsq *= table[j].E
+    return phi, normsq
+
+
+@given(problems(), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_poly_raise_matches_ladder_raise(prob, l):
+    try:
+        table = principal.factor_table(prob, "minus", l)
+    except principal.Breakdown:
+        assume(False)
+    old_phi, old_normsq = _raise_by_ladders(prob, l)
+    zeros = [e.level for e in table[1:] if e.E == 0]
+    if zeros:
+        with pytest.raises((principal.Breakdown, principal.DegreeError)) \
+                as exc:
+            principal.principal_eigenfunction(prob, l)
+        if isinstance(exc.value, principal.Breakdown):
+            assert exc.value.level == zeros[0]
+        return
+    try:
+        phi, normsq = principal.principal_eigenfunction(prob, l)
+    except principal.DegreeError:
+        assert old_phi.s != 0 or old_phi.e != 0 or old_phi.c.degree != l
+        return
+    assert (old_phi.s, old_phi.e) == (0, 0)
+    assert old_phi.c == phi and old_normsq == normsq
