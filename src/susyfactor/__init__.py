@@ -8,7 +8,7 @@ rational arithmetic, and cross-checks them numerically in Schrodinger form.
 from .core import DivisionError, Poly, Problem, QuasiFunction, Rational
 from .diffop import DiffOp, hamiltonian
 from .principal import (
-    Breakdown, DegreeError, FactorEntry, LadderPair, OracleDegenerate,
+    Breakdown, DegreeError, FactorEntry, LadderPair, Ladders, OracleDegenerate,
     brute_force_eigen_oracle, direct_match_table, equivalent_forms_check,
     factor_table, hypergeom_like_hl, ladder_pair, principal_eigenfunction,
     shape_invariance_check, superpotential_w0, superpotential_wl,

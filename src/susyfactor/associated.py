@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .core import Poly, Problem, QuasiFunction, rational_sqrt
 from .diffop import DiffOp, hamiltonian
-from .principal import (Breakdown, _entry, ladder_pair,
+from .principal import (Breakdown, Ladders, _own, factor_table,
                         principal_eigenfunction)
 
 
@@ -110,10 +110,11 @@ def _norm_prefactor(prob: Problem, l: int, m: int) -> Fraction:
     return out
 
 
-def assoc_bottom_up(prob: Problem, l: int, m: int) -> AssocFunction:
+def assoc_bottom_up(prob: Problem, l: int, m: int,
+                    lad: Ladders | None = None) -> AssocFunction:
     """Phi_lm = p^(|m|/2) (d/dx)^|m| Phi_l, times (-1)^m for m < 0."""
     _check_range(l, m)
-    phi, normsq = principal_eigenfunction(prob, l)
+    phi, normsq = principal_eigenfunction(prob, l, lad)
     c = phi
     for _ in range(abs(m)):
         c = c.derivative()
@@ -123,13 +124,15 @@ def assoc_bottom_up(prob: Problem, l: int, m: int) -> AssocFunction:
     return AssocFunction(value, l, m, normsq * _norm_prefactor(prob, l, m))
 
 
-def assoc_top_down(prob: Problem, l: int, m: int) -> AssocFunction:
+def assoc_top_down(prob: Problem, l: int, m: int,
+                   lad: Ladders | None = None) -> AssocFunction:
     """(-1)^(l-|m|) w^-1 p^(-|m|/2) (d/dx)^(l-|m|) (w p^l), sign-flipped
     for negative m.
 
     Runs entirely inside the quasi-function class: the weight enters as
     e = 1, every derivative stays closed, and e returns to 0 only at the
-    final division step.
+    final division step.  Phi_l is never raised: the squared norm is the
+    table's prod E_j, and a vanishing E_j is Breakdown(j).
     """
     _check_range(l, m)
     am = abs(m)
@@ -141,11 +144,32 @@ def assoc_top_down(prob: Problem, l: int, m: int) -> AssocFunction:
         value = value.scale(-1)
     if m < 0 and m % 2 != 0:
         value = value.scale(-1)
-    _, normsq = principal_eigenfunction(prob, l)
+    normsq = _own(prob, l, lad).normsq(l)
     return AssocFunction(value, l, m, normsq * _norm_prefactor(prob, l, m))
 
 
-def verify_associated(prob: Problem, l: int, m: int) -> dict[str, bool]:
+def _bottom_up(lad: Ladders, l: int, m: int) -> AssocFunction:
+    """assoc_bottom_up, kept in the context per (l, m)."""
+    return lad.memo(("bottom-up", l, m),
+                    lambda: assoc_bottom_up(lad.prob, l, m, lad))
+
+
+def _ladders(lad: Ladders, m: int) -> tuple[DiffOp, DiffOp]:
+    return lad.memo(("h", m), lambda: assoc_ladders(lad.prob, m))
+
+
+def _hamiltonian(lad: Ladders, m: int) -> DiffOp:
+    return lad.memo(("H^a", m), lambda: assoc_hamiltonian(lad.prob, m))
+
+
+def _hh(lad: Ladders, m: int) -> DiffOp:
+    """h_m h_m^dagger."""
+    lower, raise_ = _ladders(lad, m)
+    return lad.memo(("h h+", m), lambda: lower.compose(raise_, lad.prob))
+
+
+def verify_associated(prob: Problem, l: int, m: int,
+                      lad: Ladders | None = None) -> dict[str, bool]:
     """Eigen-verification at level (l, m).
 
     a: h_m h_m^dagger equals the expanded H^a_m.
@@ -154,22 +178,24 @@ def verify_associated(prob: Problem, l: int, m: int) -> dict[str, bool]:
        eigenvalue on Phi_{l,-m}.
     d: Phi_{l,-m} = (-1)^m Phi_{lm}.
     """
+    lad = _own(prob, l, lad)
     am = abs(m)
     lam = assoc_lambda(prob, l, m)
-    lower, raise_ = assoc_ladders(prob, am)
-    ham = assoc_hamiltonian(prob, am)
-    a_ok = lower.compose(raise_, prob).equals(ham, prob)
+    ham = _hamiltonian(lad, am)
+    a_ok = lad.memo(("check a", am), lambda: _hh(lad, am).equals(ham, prob))
 
-    phi = assoc_bottom_up(prob, l, am).value
+    phi = _bottom_up(lad, l, am).value
     b_ok = ham.apply(phi, prob).eq(phi.scale(lam), prob)
 
     if am == 0:
         c_ok = b_ok
         phi_neg = phi
     else:
-        nlo, nhi = assoc_ladders(prob, -am)
-        neg_ham = nhi.compose(nlo, prob)
-        phi_neg = assoc_bottom_up(prob, l, -am).value
+        def descending():
+            nlo, nhi = _ladders(lad, -am)
+            return nhi.compose(nlo, prob)
+        neg_ham = lad.memo(("descending", am), descending)
+        phi_neg = _bottom_up(lad, l, -am).value
         c_ok = neg_ham.apply(phi_neg, prob).eq(phi_neg.scale(lam), prob)
 
     sign = -1 if am % 2 else 1
@@ -178,14 +204,15 @@ def verify_associated(prob: Problem, l: int, m: int) -> dict[str, bool]:
             "negative_level": c_ok, "sign_relation": d_ok}
 
 
-def assoc_shape_invariance(prob: Problem, n: int) -> DiffOp:
+def assoc_shape_invariance(prob: Problem, n: int,
+                           lad: Ladders | None = None) -> DiffOp:
     """Residual of h_{n-1}^dagger h_{n-1} - h_n h_n^dagger - Delta^+_n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    lo_prev, hi_prev = assoc_ladders(prob, n - 1)
-    lo, hi = assoc_ladders(prob, n)
+    lad = _own(prob, 0, lad)
+    lo_prev, hi_prev = _ladders(lad, n - 1)
     lhs = hi_prev.compose(lo_prev, prob)
-    rhs = lo.compose(hi, prob)
+    rhs = _hh(lad, n)
     return lhs.sub(rhs, prob).sub(DiffOp.mul_by(assoc_delta_plus(prob, n)),
                                   prob)
 
@@ -207,13 +234,14 @@ def assoc_three_term(prob: Problem, l: int, m: int) -> tuple[QuasiFunction, Quas
     """
     if not 0 <= m < l:
         raise RangeError(f"need 0 <= m < l, got m={m}, l={l}")
-    phi_up = assoc_bottom_up(prob, l, m + 1).value
-    phi = assoc_bottom_up(prob, l, m).value
+    lad = Ladders(prob, l)
+    phi_up = assoc_bottom_up(prob, l, m + 1, lad).value
+    phi = assoc_bottom_up(prob, l, m, lad).value
     if m == 0:
-        phi_dn = assoc_bottom_up(prob, l, -1).value
+        phi_dn = assoc_bottom_up(prob, l, -1, lad).value
         res = phi_up.add(phi_dn, prob)
         return res, res
-    phi_dn = assoc_bottom_up(prob, l, m - 1).value
+    phi_dn = assoc_bottom_up(prob, l, m - 1, lad).value
     wgt = assoc_lambda(prob, l, m - 1)
     pprime = prob.p.derivative()
     half = Fraction(1, 2)
@@ -252,7 +280,7 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
     varphi = QuasiFunction(phi.c, phi.s - Fraction(m, 2), phi.e)
     b_ok = op.apply(varphi, prob).eq(varphi.scale(lam), prob)
     sub = Problem(prob.p, prob.q + m * pprime)
-    b_ok = b_ok and _entry(sub, "minus", l - m).lam == lam
+    b_ok = b_ok and factor_table(sub, "minus", l - m)[-1].lam == lam
 
     s = Fraction(2 * m + 1, 4)
     conj = op.conjugate(s, Fraction(1, 2), prob)
@@ -266,19 +294,23 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
             "supersymmetrized": c_ok}
 
 
-def standard_hermitian_relation(prob: Problem, l: int) -> bool:
+def standard_hermitian_relation(prob: Problem, l: int,
+                                lad: Ladders | None = None) -> bool:
     """Quarter-power bridge between the two factorized Hermitian forms:
 
     conjugating B_l A_l by w^(1/2) equals conjugating p * (p^(1/4) w^(1/2)
     conjugate of H0) by p^(-1/4), shifted by -p lambda_l + E_l.
     """
-    ent = _entry(prob, "minus", l)
-    pair = ladder_pair(prob, "minus", l)
-    lhs = pair.raise_.compose(pair.lower, prob).conjugate(
-        0, Fraction(1, 2), prob)
-    inner = hamiltonian(prob).conjugate(Fraction(1, 4), Fraction(1, 2), prob)
-    rhs = inner.lmul(QuasiFunction(prob.p), prob).conjugate(
-        Fraction(-1, 4), 0, prob)
+    lad = _own(prob, l, lad)
+    ent = lad.entry("minus", l)
+    lhs = lad.ba("minus", l).conjugate(0, Fraction(1, 2), prob)
+
+    def conjugated_h0():
+        inner = hamiltonian(prob).conjugate(Fraction(1, 4), Fraction(1, 2),
+                                            prob)
+        return inner.lmul(QuasiFunction(prob.p), prob).conjugate(
+            Fraction(-1, 4), 0, prob)
+    rhs = lad.memo("conjugated H0", conjugated_h0)
     rhs = rhs.sub(DiffOp.mul_by(QuasiFunction(prob.p * ent.lam)), prob)
     rhs = rhs.add(DiffOp.mul_by(ent.E), prob)
     return lhs.equals(rhs, prob)
@@ -350,14 +382,17 @@ def classify_expanded(op: DiffOp) -> tuple[Problem, int, int, Fraction]:
     raise ClassifyError("no integer association level fits")
 
 
-def pHm_factorization(prob: Problem, l: int, m: int) -> tuple[Fraction, Fraction, bool]:
+def pHm_factorization(prob: Problem, l: int, m: int, lad: Ladders | None = None
+                      ) -> tuple[Fraction, Fraction, bool]:
     """Factor p H^a_m through the shifted principal ladders.
 
     C_lm = (m/4)(p'(0) q' - p'' q(0)) / c_{l-1} and E_lm close the balance
 
         p H^a_m - lambda_lm p + E_lm = (B_l + C)(A_l + C),
 
-    returned together with the symbolic verdict of that identity.
+    returned together with the symbolic verdict of that identity.  The right
+    side is formed exactly as B_l A_l + C (A_l + B_l) + C^2, since a
+    constant commutes with both ladders.
     """
     _check_range(l, m)
     m = abs(m)
@@ -368,16 +403,18 @@ def pHm_factorization(prob: Problem, l: int, m: int) -> tuple[Fraction, Fraction
         if cm == 0:
             raise Breakdown(l)
         C = Fraction(m, 4) * (prob.pp0 * prob.qp - prob.ppp * prob.q0) / cm
-    ent = _entry(prob, "minus", l)
+    lad = _own(prob, l, lad)
+    ent = lad.entry("minus", l)
     E_lm = ent.E + C * (C + 2 * ent.beta) \
         + m * (prob.qp + Fraction(m - 2, 2) * prob.ppp) * prob.p0 \
         - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) * prob.pp0
     lam = assoc_lambda(prob, l, m)
-    lhs = assoc_hamiltonian(prob, m).lmul(QuasiFunction(prob.p), prob)
+    lhs = lad.memo(("p H^a", m), lambda: _hamiltonian(lad, m).lmul(
+        QuasiFunction(prob.p), prob))
     lhs = lhs.sub(DiffOp.mul_by(QuasiFunction(prob.p * lam)), prob)
     lhs = lhs.add(DiffOp.mul_by(E_lm), prob)
-    pair = ladder_pair(prob, "minus", l)
-    shift = DiffOp.mul_by(C)
-    rhs = pair.raise_.add(shift, prob).compose(pair.lower.add(shift, prob),
-                                               prob)
+    pair = lad.pair("minus", l)
+    rhs = lad.ba("minus", l).add(
+        pair.lower.add(pair.raise_, prob).scale(C), prob)
+    rhs = rhs.add(DiffOp.mul_by(C * C), prob)
     return C, E_lm, lhs.equals(rhs, prob)

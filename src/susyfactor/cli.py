@@ -135,13 +135,15 @@ def cmd_eigenfunction(args) -> int:
     if form == "rodrigues" and m != 0:
         form = "topdown"
     # at m = 0 the ladder form is the bottom-up one and the Rodrigues form
-    # the top-down one; build the emitted form and its alternate only
-    build, other = associated.assoc_bottom_up, associated.assoc_top_down
+    # the top-down one; bottom-up goes first, as it is the one that raises
+    # (and checks) Phi_l, and top-down reads its norm from the same context
+    lad = principal.Ladders(prob, max(l, 0))
+    built = associated.assoc_bottom_up(prob, l, m, lad)
+    other = associated.assoc_top_down(prob, l, m, lad)
     if form in ("topdown", "rodrigues"):
-        build, other = other, build
-    built = build(prob, l, m)
+        built, other = other, built
     value = built.value
-    ratio = value.proportional(other(prob, l, m).value, prob)
+    ratio = value.proportional(other.value, prob)
     _emit({"l": l, "m": m, "form": form,
            "coefficients": [_fmt(c) for c in value.c.coeffs],
            "s": _fmt(value.s), "normsq": _fmt(built.normsq),
@@ -151,12 +153,18 @@ def cmd_eigenfunction(args) -> int:
 
 
 def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
+    """Every identity at levels 0..levels, all read from one context."""
+    if levels < 0:
+        raise ValueError(f"--levels must be >= 0, got {levels}")
     checks: dict[str, bool] = {}
-    minus = principal.factor_table(prob, "minus", levels + 1)
-    plus = principal.factor_table(prob, "plus", levels + 1)
+    collapses = degenerate.detect(prob).is_degenerate
+    top = max(levels + 1, degenerate.COLLAPSE_DEPTH) if collapses \
+        else levels + 1
+    lad = principal.Ladders(prob, top)
+    minus, plus = lad.table("minus"), lad.table("plus")
 
     def sic(branch, l):
-        res = principal.shape_invariance_check(prob, branch, l)
+        res = principal.shape_invariance_check(prob, branch, l, lad)
         if perturb:
             res = res.add(DiffOp.mul_by(perturb), prob)
         return res.is_zero()
@@ -170,26 +178,25 @@ def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
             and plus[l + 1].beta == -minus[l + 1].beta
             and plus[l + 1].E == minus[l + 1].E
             and plus[l + 1].lam - minus[l].lam == prob.ppp - prob.qp)
-        r1, r2 = principal.three_term_check(prob, l)
+        r1, r2 = principal.three_term_check(prob, l, lad)
         checks[f"three_term_{l}"] = r1.is_zero() and r2.is_zero()
         checks[f"equivalent_forms_{l}"] = all(
-            principal.equivalent_forms_check(prob, l).values())
+            principal.equivalent_forms_check(prob, l, lad).values())
         if l <= 4:
             checks[f"standard_hermitian_{l}"] = \
-                associated.standard_hermitian_relation(prob, l)
+                associated.standard_hermitian_relation(prob, l, lad)
         checks[f"assoc_shape_invariance_{l + 1}"] = \
-            associated.assoc_shape_invariance(prob, l + 1).is_zero()
+            associated.assoc_shape_invariance(prob, l + 1, lad).is_zero()
         for m in range(l + 1):
             checks[f"associated_{l}_{m}"] = all(
-                associated.verify_associated(prob, l, m).values())
+                associated.verify_associated(prob, l, m, lad).values())
             checks[f"pHm_{l}_{m}"] = \
-                associated.pHm_factorization(prob, l, m)[2]
-    rep = degenerate.detect(prob)
-    if rep.is_degenerate:
+                associated.pHm_factorization(prob, l, m, lad)[2]
+    if collapses:
         for l in range(levels + 1):
             for m in range(l + 1):
-                checks[f"collapse_{l}_{m}"] = all(
-                    degenerate.collapse_check(prob, l, m).values())
+                checks[f"collapse_{l}_{m}"] = all(degenerate.collapse_check(
+                    prob, l, m, lad=lad).values())
     return checks
 
 

@@ -14,8 +14,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Poly, Problem, QuasiFunction
-from .associated import assoc_bottom_up, assoc_delta_plus, assoc_lambda
-from .principal import _entry, ladder_pair, principal_eigenfunction
+from .associated import _bottom_up, assoc_delta_plus, assoc_lambda
+from .principal import Ladders, principal_eigenfunction
+
+# how many principal ladder pairs collapse_check compares by default
+COLLAPSE_DEPTH = 10
 
 
 @dataclass(frozen=True)
@@ -74,31 +77,39 @@ def quasi_hermite_generate(l: int) -> tuple[Poly, Fraction]:
     return h, Fraction(-2 * l)
 
 
-def collapse_check(prob: Problem, l: int, m: int, depth: int = 10) -> dict[str, bool]:
+def collapse_check(prob: Problem, l: int, m: int, depth: int = COLLAPSE_DEPTH,
+                   lad: Optional[Ladders] = None) -> dict[str, bool]:
     """How the associated hierarchy collapses when p is constant.
 
     eigenvalue:   lambda_lm = lambda^-_(l-m)
     eigenfunction: the polynomial part of Phi_lm is proportional to Phi_(l-m)
     deltas:       every Delta^+_n equals -q'
     ladders:      the principal ladder pair is the same at every level
+
+    A given context must reach level max(l, depth); the last two verdicts
+    depend on neither l nor m and are kept in it.
     """
     if not detect(prob).is_degenerate:
         raise ValueError("problem is not degenerate")
     if not 0 <= m <= l:
         raise ValueError("need 0 <= m <= l")
-    lam_ok = assoc_lambda(prob, l, m) == _entry(prob, "minus", l - m).lam
+    if lad is None:
+        lad = Ladders(prob, max(l, depth))
+    lam_ok = assoc_lambda(prob, l, m) == lad.entry("minus", l - m).lam
 
-    phi_lm = assoc_bottom_up(prob, l, m).value
-    phi_base, _ = principal_eigenfunction(prob, l - m)
+    phi_lm = _bottom_up(lad, l, m).value
+    phi_base, _ = principal_eigenfunction(prob, l - m, lad)
     ratio = QuasiFunction(phi_lm.c).proportional(QuasiFunction(phi_base), prob)
     fun_ok = ratio is not None
 
-    delta_ok = all(assoc_delta_plus(prob, n) == -prob.qp
-                   for n in range(1, depth + 1))
+    delta_ok = lad.memo(("collapse deltas", depth), lambda: all(
+        assoc_delta_plus(prob, n) == -prob.qp for n in range(1, depth + 1)))
 
-    base, *pairs = [ladder_pair(prob, "minus", j) for j in range(depth + 1)]
-    ladder_ok = all(pair.lower.equals(base.lower, prob)
-                    and pair.raise_.equals(base.raise_, prob)
-                    for pair in pairs)
+    def same_ladders():
+        base, *pairs = [lad.pair("minus", j) for j in range(depth + 1)]
+        return all(pair.lower.equals(base.lower, prob)
+                   and pair.raise_.equals(base.raise_, prob)
+                   for pair in pairs)
+    ladder_ok = lad.memo(("collapse ladders", depth), same_ladders)
     return {"eigenvalue": lam_ok, "eigenfunction": fun_ok,
             "deltas": delta_ok, "ladders": ladder_ok}

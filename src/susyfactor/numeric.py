@@ -21,12 +21,28 @@ from fractions import Fraction
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .core import Poly, Problem, rational_sqrt
 from .associated import _check_range, assoc_lambda
 from .principal import (factor_table, principal_eigenfunction,
                         superpotential_w0, superpotential_wl)
+
+
+def __getattr__(name: str):
+    """quad and solve_ivp from scipy.integrate, imported on first use
+    (PEP 562): the import is most of the package's start-up time and only
+    numeric work needs it.  The first lookup binds the name here."""
+    if name not in ("quad", "solve_ivp"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import integrate
+    globals()[name] = value = getattr(integrate, name)
+    return value
+
+
+def _scipy(name: str):
+    """This module's quad or solve_ivp as bound now, read once per call of
+    the function that needs it, so a wrapper set on it sees every call."""
+    return globals().get(name) or __getattr__(name)
 
 
 class SingularGrid(ValueError):
@@ -54,6 +70,7 @@ def _check_sign_definite(vals: np.ndarray):
 
 def _cumulative_quad(f: Callable, nodes: np.ndarray, anchor_index: int) -> np.ndarray:
     """Antiderivative of f on the nodes, zero at the anchor node."""
+    quad = _scipy("quad")
     pieces = np.empty(len(nodes))
     pieces[0] = 0.0
     for i in range(1, len(nodes)):
@@ -197,6 +214,7 @@ def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
 
 def _x_of_coordinate(prob: Problem, u: np.ndarray, x0: float, form: str) -> np.ndarray:
     """Invert u(x) (u = y or z) by integrating dx/du from the anchor x0."""
+    solve_ivp = _scipy("solve_ivp")
     if form == "y":
         rhs = lambda t, xv: prob.p(xv)
     else:
@@ -255,6 +273,7 @@ def _residual_arrays(prob: Problem, l: int, m: int, n: int, form: str,
     x0 = 0.5 * (lo + hi)
     integ = (lambda t: 1.0 / prob.p(t)) if form == "y" \
         else (lambda t: 1.0 / np.sqrt(abs(prob.p(t))))
+    quad = _scipy("quad")
     u_hi = quad(integ, x0, hi_i, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     u_lo = quad(integ, x0, lo_i, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
     u_hi, u_lo = min(u_hi, span), max(u_lo, -span)
@@ -281,15 +300,21 @@ def _residual_arrays(prob: Problem, l: int, m: int, n: int, form: str,
 
 def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
                          form: str = "y", span: float = 5.0,
-                         inset: float = 1e-3) -> tuple[float, float]:
+                         inset: float = 1e-3) -> tuple[float, float | None]:
     """(relative residual, empirical convergence order) of the rescaled
     eigenfunction on a uniform grid in the y or z coordinate.
 
     Relative means |res|_inf / (|A|_inf |Psi|_inf) with
-    |A|_inf = 4/h^2 + max|V - E|; the order comes from halving h.
+    |A|_inf = 4/h^2 + max|V - E|; the order comes from halving h.  When
+    both residuals vanish the scheme is exact on this input, and its formal
+    order 2 is reported; when only one does, no rate exists and the order
+    is None.  A residual needs an interior node, so nodes must be >= 3.
     """
     if form not in ("y", "z"):
         raise ValueError("form must be 'y' or 'z'")
+    if nodes < 3:
+        raise ValueError(f"nodes (--nodes) must be >= 3 to leave a residual "
+                         f"point, got {nodes}")
     _check_range(l, m)
     res, psi, V, E, h = _residual_arrays(prob, l, m, nodes, form, span, inset)
     a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
@@ -297,8 +322,11 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     res2, *_ = _residual_arrays(prob, l, m, 2 * nodes - 1, form, span, inset)
     r1 = float(np.max(np.abs(res)))
     r2 = float(np.max(np.abs(res2)))
-    order = np.log2(r1 / r2) if r2 > 0 else 2.0
-    return rel, float(order)
+    if r1 > 0 and r2 > 0:
+        order = float(np.log2(r1 / r2))
+    else:
+        order = 2.0 if r1 == r2 == 0 else None
+    return rel, order
 
 
 def orthogonality_matrix(prob: Problem, nmax: int,
@@ -322,6 +350,7 @@ def orthogonality_matrix(prob: Problem, nmax: int,
         wfn = np.vectorize(grid_fn)
     polys = [principal_eigenfunction(prob, i)[0] for i in range(nmax + 1)]
     out = np.empty((nmax + 1, nmax + 1))
+    quad = _scipy("quad")
     import warnings
     from scipy.integrate import IntegrationWarning
     with warnings.catch_warnings():

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 
 from .core import Poly, Problem, QuasiFunction
 from .diffop import DiffOp, hamiltonian
@@ -164,21 +163,114 @@ def direct_match_table(prob: Problem, max_level: int) -> list[FactorEntry]:
     return out
 
 
-def _entry(prob: Problem, branch: str, l: int) -> FactorEntry:
-    table = factor_table(prob, branch, max(l, 0))
-    offset = 1 if branch == "plus" else 0
-    return table[l + offset]
+class Ladders:
+    """One problem's ladder data, each piece built on first use and kept.
+
+    The factor tables run to level ``top`` (minus 0..top, plus -1..top) and
+    are built one branch at a time, so a caller touching only one branch
+    raises only that branch's Breakdown.  Ladder pairs, their products
+    A_l B_l and B_l A_l, and the Phi chain hang off the tables; ``memo``
+    keeps whatever else the checks of the principal, associated and
+    degenerate layers share, such as the per-m associated operators.  The
+    verify suite builds one per request; a standalone check builds its own,
+    so both run the same code.
+    """
+
+    def __init__(self, prob: Problem, top: int):
+        self.prob = prob
+        self.top = top
+        self.w0 = superpotential_w0(prob)
+        self._tables: dict[str, list[FactorEntry]] = {}
+        self._phis = [Poly.const(1)]
+        self._norms = [Fraction(1)]    # prefix products of E_j
+        self._memo: dict = {}
+
+    def memo(self, key, build):
+        """The value kept under key, built by build() on first use."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
+    def table(self, branch: str) -> list[FactorEntry]:
+        if branch not in self._tables:
+            self._tables[branch] = factor_table(self.prob, branch, self.top)
+        return self._tables[branch]
+
+    def entry(self, branch: str, l: int) -> FactorEntry:
+        lowest = -1 if branch == "plus" else 0
+        table = self.table(branch)
+        if not lowest <= l <= self.top:
+            raise ValueError(f"level {l} outside {lowest}..{self.top}")
+        return table[l - lowest]
+
+    def wl(self, branch: str, l: int) -> Poly:
+        """W_l = alpha_l x + beta_l from the branch table."""
+        ent = self.entry(branch, l)
+        return Poly([ent.beta, ent.alpha])
+
+    def pair(self, branch: str, l: int) -> LadderPair:
+        return self.memo(("pair", branch, l),
+                         lambda: ladder_pair(self.prob, branch, l, self))
+
+    def ab(self, branch: str, l: int) -> DiffOp:
+        """A_l B_l."""
+        pair = self.pair(branch, l)
+        return self.memo(("AB", branch, l),
+                         lambda: pair.lower.compose(pair.raise_, self.prob))
+
+    def ba(self, branch: str, l: int) -> DiffOp:
+        """B_l A_l."""
+        pair = self.pair(branch, l)
+        return self.memo(("BA", branch, l),
+                         lambda: pair.raise_.compose(pair.lower, self.prob))
+
+    def _raise(self, j: int) -> None:
+        """Append Phi_j = -p Phi_{j-1}' + (W0 + W_j) Phi_{j-1}."""
+        phi = self._phis[j - 1]
+        self._phis.append(-self.prob.p * phi.derivative()
+                          + (self.w0 + self.wl("minus", j)) * phi)
+
+    def phi(self, l: int) -> Poly:
+        """Phi_l, raised on Poly once per level.
+
+        Each request checks what one raise from 1 to l would: Phi_l keeps
+        degree l (a raise adds at most one degree, so a degree lost anywhere
+        shows at l), then no E_j, j <= l, vanishes.
+        """
+        for j in range(len(self._phis), l + 1):
+            self._raise(j)
+        if self._phis[l].degree != l:
+            raise DegreeError(
+                f"expected degree {l}, got {self._phis[l].degree}")
+        self.normsq(l)
+        return self._phis[l]
+
+    def normsq(self, l: int) -> Fraction:
+        """prod E_j over j = 1..l; the first vanishing E_j is Breakdown(j)."""
+        norms = self._norms
+        for j in range(len(norms), l + 1):
+            E = self.entry("minus", j).E
+            if E == 0:
+                raise Breakdown(j, f"E vanishes at level {j}")
+            norms.append(norms[-1] * E)
+        return norms[l]
+
+
+def _own(prob: Problem, l: int, lad: Ladders | None) -> Ladders:
+    """lad, or a fresh context whose tables reach level l."""
+    return lad if lad is not None else Ladders(prob, max(l, 0))
 
 
 def superpotential_wl(prob: Problem, branch: str, l: int) -> Poly:
     """W_l = alpha_l x + beta_l from the branch table."""
-    ent = _entry(prob, branch, l)
-    return Poly([ent.beta, ent.alpha])
+    return _own(prob, l, None).wl(branch, l)
 
 
-def ladder_pair(prob: Problem, branch: str, l: int) -> LadderPair:
-    wl = QuasiFunction(superpotential_wl(prob, branch, l))
-    w0 = QuasiFunction(superpotential_w0(prob))
+def ladder_pair(prob: Problem, branch: str, l: int,
+                lad: Ladders | None = None) -> LadderPair:
+    lad = _own(prob, l, lad)
+    wl = QuasiFunction(lad.wl(branch, l))
+    w0 = QuasiFunction(lad.w0)
     pd = DiffOp([QuasiFunction.zero(), QuasiFunction(prob.p)])
     lower = pd.add(DiffOp.mul_by(wl).sub(DiffOp.mul_by(w0), prob), prob)
     raise_ = pd.scale(-1).add(DiffOp.mul_by(wl).add(DiffOp.mul_by(w0), prob),
@@ -186,31 +278,17 @@ def ladder_pair(prob: Problem, branch: str, l: int) -> LadderPair:
     return LadderPair(lower, raise_)
 
 
-def _raise_chain(prob: Problem, table: list[FactorEntry]) -> list[Poly]:
-    """Phi_0 .. Phi_L of a minus table up to level L, raised on Poly by
-    Phi_j = -p Phi_{j-1}' + (W0 + W_j) Phi_{j-1}.  A raise adds at most one
-    degree, so a degree lost anywhere shows at level L."""
-    w0 = superpotential_w0(prob)
-    phis = [Poly.const(1)]
-    for ent in table[1:]:
-        phi, wj = phis[-1], Poly([ent.beta, ent.alpha])
-        phis.append(-prob.p * phi.derivative() + (w0 + wj) * phi)
-    top = len(table) - 1
-    if phis[-1].degree != top:
-        raise DegreeError(f"expected degree {top}, got {phis[-1].degree}")
-    for ent in table[1:]:
-        if ent.E == 0:
-            raise Breakdown(ent.level, f"E vanishes at level {ent.level}")
-    return phis
+def principal_eigenfunction(prob: Problem, l: int, lad: Ladders | None = None
+                            ) -> tuple[Poly, Fraction]:
+    """Unnormalized Phi_l = B_l ... B_1 applied to 1, with norm^2 = prod E_j.
 
-
-def principal_eigenfunction(prob: Problem, l: int) -> tuple[Poly, Fraction]:
-    """Unnormalized Phi_l = B_l ... B_1 applied to 1, with norm^2 = prod E_j."""
+    A degree lost while raising is DegreeError; after that check, the first
+    vanishing E_j is Breakdown(j).
+    """
     if l < 0:
         raise ValueError("level must be >= 0")
-    table = factor_table(prob, "minus", l)
-    normsq = prod((ent.E for ent in table[1:]), start=Fraction(1))
-    return _raise_chain(prob, table)[-1], normsq
+    lad = _own(prob, l, lad)
+    return lad.phi(l), lad.normsq(l)
 
 
 def brute_force_eigen_oracle(prob: Problem, l: int) -> tuple[Poly, Fraction]:
@@ -245,25 +323,24 @@ def brute_force_eigen_oracle(prob: Problem, l: int) -> tuple[Poly, Fraction]:
     return Poly(v), lam
 
 
-def shape_invariance_check(prob: Problem, branch: str, l: int) -> DiffOp:
+def shape_invariance_check(prob: Problem, branch: str, l: int,
+                           lad: Ladders | None = None) -> DiffOp:
     """Residual of the shape-invariance condition; zero operator when it holds.
 
     minus: A_l B_l - B_{l-1} A_{l-1} - delta_l
     plus:  B_l A_l - A_{l-1} B_{l-1} - delta (with delta = E_l - E_{l-1})
     """
-    here = ladder_pair(prob, branch, l)
-    prev = ladder_pair(prob, branch, l - 1)
-    delta = _entry(prob, branch, l).delta
+    lad = _own(prob, l, lad)
+    delta = lad.entry(branch, l).delta
     if branch == "minus":
-        lhs = here.lower.compose(here.raise_, prob)
-        rhs = prev.raise_.compose(prev.lower, prob)
+        lhs, rhs = lad.ab(branch, l), lad.ba(branch, l - 1)
     else:
-        lhs = here.raise_.compose(here.lower, prob)
-        rhs = prev.lower.compose(prev.raise_, prob)
+        lhs, rhs = lad.ba(branch, l), lad.ab(branch, l - 1)
     return lhs.sub(rhs, prob).sub(DiffOp.mul_by(delta), prob)
 
 
-def three_term_check(prob: Problem, l: int) -> tuple[Poly, Poly]:
+def three_term_check(prob: Problem, l: int,
+                     lad: Ladders | None = None) -> tuple[Poly, Poly]:
     """Residuals of the two three-term recurrences in the unnormalized
     convention: with norm^2 tracked outside, both read
 
@@ -274,21 +351,20 @@ def three_term_check(prob: Problem, l: int) -> tuple[Poly, Poly]:
     """
     if l < 0:
         raise ValueError("level must be >= 0")
-    table = factor_table(prob, "minus", l + 1)
-    phis = _raise_chain(prob, table)
-    phi = phis[l]
-    phi_prev = phis[l - 1] * table[l].E if l else Poly([])
-    wl, wl_next = (Poly([e.beta, e.alpha]) for e in table[l:])
-    w0 = superpotential_w0(prob)
-    res1 = phis[l + 1] - (wl_next + wl) * phi + phi_prev
-    res2 = phis[l + 1] + 2 * prob.p * phi.derivative() \
-        - (wl_next - wl + 2 * w0) * phi - phi_prev
+    lad = _own(prob, l + 1, lad)
+    phi_next, phi = lad.phi(l + 1), lad.phi(l)
+    phi_prev = lad.phi(l - 1) * lad.entry("minus", l).E if l else Poly([])
+    wl, wl_next = lad.wl("minus", l), lad.wl("minus", l + 1)
+    res1 = phi_next - (wl_next + wl) * phi + phi_prev
+    res2 = phi_next + 2 * prob.p * phi.derivative() \
+        - (wl_next - wl + 2 * lad.w0) * phi - phi_prev
     return res1, res2
 
 
-def hypergeom_like_hl(prob: Problem, l: int) -> DiffOp:
+def hypergeom_like_hl(prob: Problem, l: int,
+                      lad: Ladders | None = None) -> DiffOp:
     """H_l = -p d^2/dx^2 + (2 W_l - p') d/dx (minus branch)."""
-    wl = superpotential_wl(prob, "minus", l)
+    wl = _own(prob, l, lad).wl("minus", l)
     return DiffOp([QuasiFunction.zero(),
                    QuasiFunction(2 * wl - prob.p.derivative()),
                    QuasiFunction(-prob.p)])
@@ -317,7 +393,8 @@ def _solve_weight_exponents(prob: Problem, target: Poly):
     return None
 
 
-def equivalent_forms_check(prob: Problem, l: int) -> dict[str, bool]:
+def equivalent_forms_check(prob: Problem, l: int,
+                           lad: Ladders | None = None) -> dict[str, bool]:
     """The equivalent operator forms of the factorized eigen-problem.
 
     a: H0 equals H_l - 2 (W_l - W0) d/dx.
@@ -326,28 +403,30 @@ def equivalent_forms_check(prob: Problem, l: int) -> dict[str, bool]:
     d: conjugating H0 by u_l^-1 (u_l'/u_l = -(W_l - W0)/p) gives
        H_l + lambda^-_l - E^-_l / p.
     """
+    lad = _own(prob, l, lad)
     H0 = hamiltonian(prob)
-    ent_minus = _entry(prob, "minus", l)
-    ent_plus = _entry(prob, "plus", l) if l >= -1 else None
-    wl = superpotential_wl(prob, "minus", l)
-    w0 = superpotential_w0(prob)
-    delta_w = wl - w0
-    Hl = hypergeom_like_hl(prob, l)
+    ent_minus = lad.entry("minus", l)
+    ent_plus = lad.entry("plus", l)
+    delta_w = lad.wl("minus", l) - lad.w0
+    Hl = hypergeom_like_hl(prob, l, lad)
 
     first_order = DiffOp([QuasiFunction.zero(),
                           QuasiFunction(delta_w * (-2))])
     a_ok = H0.equals(Hl.add(first_order, prob), prob)
 
     lam_plus = ent_minus.lam + prob.ppp - prob.qp
-    phi = QuasiFunction(principal_eigenfunction(prob, l)[0])
-    pair0 = ladder_pair(prob, "minus", 0)
-    a0b0 = pair0.lower.compose(pair0.raise_, prob)
-    over_p = a0b0.lmul(QuasiFunction(Poly.const(1), -1, 0), prob)
-    b_ok = all(c.s >= 0 and c.s.denominator == 1 for c in over_p.coeffs) \
+    phi = QuasiFunction(principal_eigenfunction(prob, l, lad)[0])
+
+    def a0b0_over_p():
+        over_p = lad.ab("minus", 0).lmul(QuasiFunction(Poly.const(1), -1, 0),
+                                         prob)
+        return over_p, all(c.s >= 0 and c.s.denominator == 1
+                           for c in over_p.coeffs)
+    over_p, polynomial = lad.memo("A0B0/p", a0b0_over_p)
+    b_ok = polynomial \
         and over_p.apply(phi, prob).eq(phi.scale(lam_plus), prob)
 
-    c_ok = ent_plus is not None \
-        and ent_plus.lam - ent_minus.lam == prob.ppp - prob.qp
+    c_ok = ent_plus.lam - ent_minus.lam == prob.ppp - prob.qp
 
     exps = _solve_weight_exponents(prob, -delta_w)
     if exps is None:

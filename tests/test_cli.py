@@ -85,6 +85,34 @@ def test_numeric_residual_json():
     assert 1.7 <= out["order"] <= 2.3
 
 
+def test_numeric_residual_small_grids():
+    # a residual needs an interior node; below that, --nodes is rejected
+    for nodes in range(7):
+        r = run_cli("numeric", "residual", "--family", "legendre", "--l", "1",
+                    "--nodes", str(nodes))
+        if nodes < 3:
+            assert r.returncode == 2 and r.stdout == ""
+            err = json.loads(r.stderr)
+            assert err["error"] == "ValueError"
+            assert "--nodes" in err["message"]
+            continue
+        assert r.returncode == 0 and r.stderr == ""
+        out = json.loads(r.stdout, parse_constant=_reject_constant)
+        # at nodes = 3 only the coarse grid's residual vanishes: no rate
+        if nodes == 3:
+            assert out["residual"] == 0 and out["order"] is None
+        else:
+            assert isinstance(out["order"], float)
+
+
+def test_verify_negative_levels_exit_2():
+    for levels in ("-1", "-2"):
+        r = run_cli("verify", "--family", "legendre", "--levels", levels)
+        assert r.returncode == 2 and r.stdout == ""
+        err = json.loads(r.stderr)
+        assert err["error"] == "ValueError" and "--levels" in err["message"]
+
+
 def test_numeric_maps_csv_header():
     r = run_cli("numeric", "maps", "--family", "legendre", "--nodes", "9")
     lines = r.stdout.strip().splitlines()

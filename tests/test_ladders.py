@@ -1,0 +1,149 @@
+"""The verify suite on one shared Ladders context against standalone checks."""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from susyfactor.core import Poly, Problem
+from susyfactor.diffop import DiffOp
+from susyfactor import associated, cli, degenerate, principal
+
+# small integers make vanishing norms and degenerate problems common
+coefficients = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@st.composite
+def problems(draw):
+    p = Poly(draw(st.lists(coefficients, min_size=1, max_size=3)))
+    assume(not p.is_zero())
+    q = draw(st.lists(coefficients, min_size=2, max_size=2))
+    if draw(st.booleans()):
+        # q' = -(k/2) p'': an even k stops the plus table at level k/2 and
+        # the minus table one level later, an odd k loses a degree while
+        # raising to level (k + 3)/2
+        q[1] = -draw(st.integers(0, 12)) * p[2]
+    return Problem(p, Poly(q))
+
+
+def _standalone_suite(prob, levels, perturb):
+    """The suite as separate calls, each check building its own context."""
+    checks = {}
+    minus = principal.factor_table(prob, "minus", levels + 1)
+    plus = principal.factor_table(prob, "plus", levels + 1)
+
+    def sic(branch, l):
+        res = principal.shape_invariance_check(prob, branch, l)
+        if perturb:
+            res = res.add(DiffOp.mul_by(perturb), prob)
+        return res.is_zero()
+
+    for l in range(levels + 1):
+        if l >= 1:
+            checks[f"shape_invariance_minus_{l}"] = sic("minus", l)
+        checks[f"shape_invariance_plus_{l}"] = sic("plus", l)
+        checks[f"symmetry_{l}"] = (
+            plus[l + 1].alpha == -minus[l + 1].alpha
+            and plus[l + 1].beta == -minus[l + 1].beta
+            and plus[l + 1].E == minus[l + 1].E
+            and plus[l + 1].lam - minus[l].lam == prob.ppp - prob.qp)
+        r1, r2 = principal.three_term_check(prob, l)
+        checks[f"three_term_{l}"] = r1.is_zero() and r2.is_zero()
+        checks[f"equivalent_forms_{l}"] = all(
+            principal.equivalent_forms_check(prob, l).values())
+        if l <= 4:
+            checks[f"standard_hermitian_{l}"] = \
+                associated.standard_hermitian_relation(prob, l)
+        checks[f"assoc_shape_invariance_{l + 1}"] = \
+            associated.assoc_shape_invariance(prob, l + 1).is_zero()
+        for m in range(l + 1):
+            checks[f"associated_{l}_{m}"] = all(
+                associated.verify_associated(prob, l, m).values())
+            checks[f"pHm_{l}_{m}"] = \
+                associated.pHm_factorization(prob, l, m)[2]
+    if degenerate.detect(prob).is_degenerate:
+        for l in range(levels + 1):
+            for m in range(l + 1):
+                checks[f"collapse_{l}_{m}"] = all(
+                    degenerate.collapse_check(prob, l, m).values())
+    return checks
+
+
+def _outcome(run, *args):
+    try:
+        return run(*args)
+    except (principal.Breakdown, principal.DegreeError) as ex:
+        return type(ex).__name__, getattr(ex, "level", None), str(ex)
+
+
+@given(problems(), st.integers(0, 4), st.sampled_from([0, 1]))
+@settings(max_examples=40, deadline=None)
+def test_shared_context_matches_standalone_checks(prob, levels, perturb):
+    perturb = Fraction(perturb)
+    assert _outcome(cli._verify_suite, prob, levels, perturb) == \
+        _outcome(_standalone_suite, prob, levels, perturb)
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_table_per_branch_and_one_raise_per_level(monkeypatch):
+    tables, raises = [], []
+    factor_table, raise_ = principal.factor_table, principal.Ladders._raise
+
+    def counted_table(prob, branch, max_level):
+        tables.append((branch, max_level))
+        return factor_table(prob, branch, max_level)
+
+    def counted_raise(self, j):
+        raises.append(j)
+        raise_(self, j)
+    monkeypatch.setattr(principal, "factor_table", counted_table)
+    monkeypatch.setattr(principal.Ladders, "_raise", counted_raise)
+
+    code, out, _ = _run(["verify", "--family", "jacobi:2,3", "--levels", "8"])
+    assert code == 0 and json.loads(out)["all_pass"] is True
+    assert sorted(tables) == [("minus", 9), ("plus", 9)]
+    assert raises == list(range(1, 10))
+
+    # the top-down form reads the norm from the table, raising nothing
+    tables.clear()
+    raises.clear()
+    code, out, _ = _run(["eigenfunction", "--family", "jacobi:2,3",
+                         "--l", "12", "--m", "3", "--form", "topdown"])
+    assert code == 0 and json.loads(out)["proportional_to_alternate"]
+    assert tables == [("minus", 12)]
+    assert raises == list(range(1, 13))
+
+
+def test_collapse_shares_the_context(monkeypatch):
+    # constant p: the suite's tables reach collapse_check's depth at once
+    tables = []
+    factor_table = principal.factor_table
+
+    def counted_table(prob, branch, max_level):
+        tables.append((branch, max_level))
+        return factor_table(prob, branch, max_level)
+    monkeypatch.setattr(principal, "factor_table", counted_table)
+    code, out, _ = _run(["verify", "--family", "hermite", "--levels", "2"])
+    checks = json.loads(out)["checks"]
+    assert code == 0 and checks["collapse_2_1"] is True
+    assert sorted(tables) == [("minus", degenerate.COLLAPSE_DEPTH),
+                              ("plus", degenerate.COLLAPSE_DEPTH)]
+
+
+def test_top_down_norm_breakdown_without_raising():
+    # p = x^2 + x, q = -3x: E_1 = 0, and no raise is needed to see it
+    prob = Problem(Poly([0, 1, 1]), Poly([0, -3]))
+    with pytest.raises(principal.Breakdown) as exc:
+        associated.assoc_top_down(prob, 1, 0)
+    assert exc.value.level == 1

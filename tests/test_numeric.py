@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,25 @@ def test_coordinate_maps_legendre():
     x = grid.nodes
     assert np.max(np.abs(y - np.arctanh(x))) < 1e-10
     assert np.max(np.abs(z - np.arcsin(x))) < 1e-10
+
+
+def test_scipy_loads_on_first_use(monkeypatch):
+    code = ("import sys, susyfactor.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.strip() == "False"
+    # numeric's functions read the module attribute at call time, so a
+    # wrapper set on it sees every call
+    calls = []
+    quad = numeric.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+    monkeypatch.setattr(numeric, "quad", counted)
+    numeric.coordinate_maps(legendre(), numeric.Grid.uniform(-0.5, 0.5, 5))
+    assert len(calls) == 2 * 4
 
 
 def test_singular_grid_raises():
