@@ -11,8 +11,7 @@ from .principal import (
     Breakdown, DegreeError, FactorEntry, LadderPair, Ladders, OracleDegenerate,
     brute_force_eigen_oracle, direct_match_table, equivalent_forms_check,
     factor_table, hypergeom_like_hl, ladder_pair, principal_eigenfunction,
-    shape_invariance_check, superpotential_w0, superpotential_wl,
-    three_term_check,
+    shape_invariance_check, superpotential_w0, three_term_check,
 )
 from .associated import (
     AssocEntry, AssocFunction, ClassifyError, RangeError, assoc_bottom_up,
@@ -24,12 +23,6 @@ from .associated import (
 from .degenerate import (
     DegeneracyReport, collapse_check, detect, hermite_generate,
     hermite_operator, quasi_hermite_generate,
-)
-from .numeric import (
-    Grid, NumericProfile, SingularGrid, aux_ground_check, coordinate_maps,
-    orthogonality_matrix, potentials, schrodinger_residual,
-    sl_full_susy_residual, sl_transform_typeI, sl_transform_typeII,
-    weight_function, weight_numeric,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Exact values serialize as fraction strings ("n/d"); floats carry 17
 significant digits.  Exit codes: 0 success, 1 failed identity, 2
-input/domain error (breakdown, range, singular grid, unparsable input).
+input/domain error (breakdown, range, singular grid, unparsable input,
+an unreadable or unwritable file).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .core import Poly, Problem
 from .diffop import DiffOp
-from . import associated, degenerate, numeric, principal
+from . import associated, degenerate, principal
 
 
 def _fmt(v) -> str:
@@ -210,7 +211,8 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def _grid_from_args(prob, args) -> numeric.Grid:
+def _grid_from_args(prob, args):
+    from . import numeric
     if args.lo is not None and args.hi is not None:
         lo, hi = args.lo, args.hi
     else:
@@ -221,19 +223,26 @@ def _grid_from_args(prob, args) -> numeric.Grid:
 
 
 def _read_pqr_csv(path):
+    import numpy as np
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    import numpy as np
-    x = np.array([float(r["x"]) for r in rows])
-    cols = {}
-    for key in ("P", "Q", "R"):
-        vals = np.array([float(r[key]) for r in rows])
-        cols[key] = lambda t, xv=x, vv=vals: np.interp(t, xv, vv)
-    return x, cols["P"], cols["Q"], cols["R"]
+    if not rows or any(None in map(r.get, "xPQR") for r in rows):
+        raise ValueError(f"--csv {path}: need rows with columns x,P,Q,R")
+    x, *cols = (np.array([float(r[key]) for r in rows]) for key in "xPQR")
+    P, Q, R = (lambda t, vv=vals: np.interp(t, x, vv) for vals in cols)
+    return x, P, Q, R
 
 
 def cmd_numeric(args) -> int:
+    from . import numeric
     task = args.task
+    if task == "residual":
+        rel, order = numeric.schrodinger_residual(
+            _problem_from_args(args), args.l, args.m, nodes=args.nodes,
+            form=args.form, inset=args.inset)
+        _emit({"residual": rel, "order": order, "form": args.form,
+               "nodes": args.nodes}, args)
+        return 0
     if task in ("sl1", "sl2", "slcheck") and args.csv:
         x, P, Q, R = _read_pqr_csv(args.csv)
         grid = numeric.Grid(x, float(x[0]), float(x[-1]))
@@ -252,12 +261,6 @@ def cmd_numeric(args) -> int:
                   zip(grid.nodes, prof.w, prof.y, prof.z, prof.W_l,
                       prof.V_l, prof.V_s_l, prof.W_a_m, prof.V_a_m,
                       prof.psi_l, prof.s_phi_lm), args)
-    elif task == "residual":
-        rel, order = numeric.schrodinger_residual(
-            prob, args.l, args.m, nodes=args.nodes, form=args.form,
-            inset=args.inset)
-        _emit({"residual": rel, "order": order, "form": args.form,
-               "nodes": args.nodes}, args)
     elif task == "sl1":
         out = numeric.sl_transform_typeI(P, Q, R, grid, E=args.energy,
                                          Lambda=args.eigenvalue)
@@ -391,8 +394,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "breakdown", "level": ex.level}),
               file=sys.stderr)
         return 2
-    except (associated.RangeError, associated.ClassifyError,
-            numeric.SingularGrid, principal.DegreeError, ValueError) as ex:
+    except (principal.DegreeError, ValueError, OSError) as ex:
         print(json.dumps({"error": type(ex).__name__, "message": str(ex)}),
               file=sys.stderr)
         return 2

@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import Poly, Problem, rational_sqrt
 from .associated import _check_range, assoc_lambda
-from .principal import (factor_table, principal_eigenfunction,
-                        superpotential_w0, superpotential_wl)
+from .principal import (Ladders, _own, principal_eigenfunction,
+                        superpotential_w0)
 
 
 def __getattr__(name: str):
@@ -60,6 +60,8 @@ class Grid:
     def uniform(cls, lo: float, hi: float, n: int) -> "Grid":
         if not lo < hi:
             raise ValueError("need lo < hi")
+        if n < 1:
+            raise ValueError(f"nodes (--nodes) must be >= 1, got {n}")
         return cls(np.linspace(lo, hi, n), lo, hi)
 
 
@@ -148,15 +150,16 @@ def assoc_superpotential(prob: Problem, m: int) -> tuple[Poly, Poly]:
     return k, k.derivative()
 
 
-def potential_poly(prob: Problem, l: int) -> Poly:
+def potential_poly(prob: Problem, l: int, lad: Ladders | None = None) -> Poly:
     """V_l = -p W_l' + W_l^2 as an exact polynomial."""
-    wl = superpotential_wl(prob, "minus", l)
+    wl = _own(prob, l, lad).wl("minus", l)
     return -prob.p * wl.derivative() + wl * wl
 
 
-def superpartner_poly(prob: Problem, l: int) -> Poly:
+def superpartner_poly(prob: Problem, l: int,
+                      lad: Ladders | None = None) -> Poly:
     """V^s_l = p W_l' + W_l^2."""
-    wl = superpotential_wl(prob, "minus", l)
+    wl = _own(prob, l, lad).wl("minus", l)
     return prob.p * wl.derivative() + wl * wl
 
 
@@ -201,10 +204,11 @@ def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
     sqrtp = np.sqrt(np.abs(pv))
     w = weight_numeric(prob, grid)
     y, z = coordinate_maps(prob, grid)
-    wl = superpotential_wl(prob, "minus", l)
-    vl = potential_poly(prob, l)
-    vsl = superpartner_poly(prob, l)
-    phi, _ = principal_eigenfunction(prob, l)
+    lad = Ladders(prob, l)
+    wl = lad.wl("minus", l)
+    vl = potential_poly(prob, l, lad)
+    vsl = superpartner_poly(prob, l, lad)
+    phi, _ = principal_eigenfunction(prob, l, lad)
     s_phi, vam, kv = _assoc_schrodinger(prob, phi, m, x, w)
     wam = -kv / (2.0 * sqrtp)
     psi = np.sqrt(w) * phi(x)
@@ -265,39 +269,6 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
     return cutoff(0.0, -1.0), cutoff(0.0, 1.0)
 
 
-def _residual_arrays(prob: Problem, l: int, m: int, n: int, form: str,
-                     span: float, inset: float):
-    lo, hi = _natural_domain(prob)
-    width = hi - lo
-    lo_i, hi_i = lo + inset * width, hi - inset * width
-    x0 = 0.5 * (lo + hi)
-    integ = (lambda t: 1.0 / prob.p(t)) if form == "y" \
-        else (lambda t: 1.0 / np.sqrt(abs(prob.p(t))))
-    quad = _scipy("quad")
-    u_hi = quad(integ, x0, hi_i, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    u_lo = quad(integ, x0, lo_i, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    u_hi, u_lo = min(u_hi, span), max(u_lo, -span)
-    u = np.linspace(u_lo, u_hi, n)
-    x = _x_of_coordinate(prob, u, x0, form)
-    w = weight_numeric(prob, Grid(x, float(np.min(x)), float(np.max(x)),
-                                  "mapped"))
-    phi, _ = principal_eigenfunction(prob, l)
-    if form == "y":
-        if m != 0:
-            raise ValueError("the y-form realizes the principal level m=0")
-        psi = np.sqrt(w) * phi(x)
-        V = potential_poly(prob, l)(x)
-        ent = factor_table(prob, "minus", l)[l]
-        E = float(ent.E)
-    else:
-        psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), x, w)
-        E = float(assoc_lambda(prob, l, m))
-    h = u[1] - u[0]
-    res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
-        + (V[1:-1] - E) * psi[1:-1]
-    return res, psi, V, E, h
-
-
 def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
                          form: str = "y", span: float = 5.0,
                          inset: float = 1e-3) -> tuple[float, float | None]:
@@ -316,12 +287,44 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
         raise ValueError(f"nodes (--nodes) must be >= 3 to leave a residual "
                          f"point, got {nodes}")
     _check_range(l, m)
-    res, psi, V, E, h = _residual_arrays(prob, l, m, nodes, form, span, inset)
+    if form == "y" and m != 0:
+        raise ValueError("the y-form realizes the principal level m=0")
+    lo, hi = _natural_domain(prob)
+    width = hi - lo
+    lo_i, hi_i = lo + inset * width, hi - inset * width
+    x0 = 0.5 * (lo + hi)
+    integ = (lambda t: 1.0 / prob.p(t)) if form == "y" \
+        else (lambda t: 1.0 / np.sqrt(abs(prob.p(t))))
+    quad = _scipy("quad")
+    u_hi = quad(integ, x0, hi_i, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    u_lo = quad(integ, x0, lo_i, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+    u_hi, u_lo = min(u_hi, span), max(u_lo, -span)
+    # the halved grid holds every node of the coarse one, and solve_ivp's
+    # steps do not depend on t_eval, so one inversion serves both grids
+    u = np.linspace(u_lo, u_hi, 2 * nodes - 1)
+    x = _x_of_coordinate(prob, u, x0, form)
+    lad = Ladders(prob, l)
+    phi, _ = principal_eigenfunction(prob, l, lad)
+    if form == "y":
+        vl = potential_poly(prob, l, lad)
+        E = float(lad.entry("minus", l).E)
+    else:
+        E = float(assoc_lambda(prob, l, m))
+    r = []
+    for uk, xk in ((u, x), (u[::2], x[::2])):    # halved grid, then n nodes
+        w = weight_numeric(prob, Grid(xk, float(np.min(xk)),
+                                      float(np.max(xk)), "mapped"))
+        if form == "y":
+            psi, V = np.sqrt(w) * phi(xk), vl(xk)
+        else:
+            psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), xk, w)
+        h = uk[1] - uk[0]
+        res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
+            + (V[1:-1] - E) * psi[1:-1]
+        r.append(float(np.max(np.abs(res))))
+    r2, r1 = r
     a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
-    rel = float(np.max(np.abs(res))) / (a_norm * float(np.max(np.abs(psi))))
-    res2, *_ = _residual_arrays(prob, l, m, 2 * nodes - 1, form, span, inset)
-    r1 = float(np.max(np.abs(res)))
-    r2 = float(np.max(np.abs(res2)))
+    rel = r1 / (a_norm * float(np.max(np.abs(psi))))
     if r1 > 0 and r2 > 0:
         order = float(np.log2(r1 / r2))
     else:
@@ -348,7 +351,9 @@ def orthogonality_matrix(prob: Problem, nmax: int,
         grid_fn = lambda x: weight_numeric(
             prob, Grid(np.asarray([lo, x]), lo, hi))[-1]
         wfn = np.vectorize(grid_fn)
-    polys = [principal_eigenfunction(prob, i)[0] for i in range(nmax + 1)]
+    lad = Ladders(prob, nmax)
+    polys = [principal_eigenfunction(prob, i, lad)[0]
+             for i in range(nmax + 1)]
     out = np.empty((nmax + 1, nmax + 1))
     quad = _scipy("quad")
     import warnings

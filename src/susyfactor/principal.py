@@ -261,11 +261,6 @@ def _own(prob: Problem, l: int, lad: Ladders | None) -> Ladders:
     return lad if lad is not None else Ladders(prob, max(l, 0))
 
 
-def superpotential_wl(prob: Problem, branch: str, l: int) -> Poly:
-    """W_l = alpha_l x + beta_l from the branch table."""
-    return _own(prob, l, None).wl(branch, l)
-
-
 def ladder_pair(prob: Problem, branch: str, l: int,
                 lad: Ladders | None = None) -> LadderPair:
     lad = _own(prob, l, lad)

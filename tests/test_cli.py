@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -87,7 +88,7 @@ def test_numeric_residual_json():
 
 def test_numeric_residual_small_grids():
     # a residual needs an interior node; below that, --nodes is rejected
-    for nodes in range(7):
+    for nodes in range(-2, 7):
         r = run_cli("numeric", "residual", "--family", "legendre", "--l", "1",
                     "--nodes", str(nodes))
         if nodes < 3:
@@ -136,6 +137,24 @@ def test_numeric_sl2_csv_ingestion(tmp_path):
     for row in rows:
         x = float(row["x"])
         assert abs(float(row["W_rho"]) + 1 / (2 * x)) < 1e-9
+
+
+def test_numeric_file_errors_exit_2(tmp_path):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text("x,P,Q,R\n")
+    no_r = tmp_path / "no_r.csv"
+    no_r.write_text("x,P,Q\n0.5,1,2\n1.0,1,1\n")
+    cases = [(["--csv", str(tmp_path / "missing.csv")], "FileNotFoundError"),
+             (["--csv", str(header_only)], "ValueError"),
+             (["--csv", str(no_r)], "ValueError"),
+             (["--family", "legendre", "--output", str(tmp_path)],
+              "IsADirectoryError")]
+    for extra, error in cases:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["numeric", "sl2", *extra])
+        assert code == 2 and out.getvalue() == ""
+        assert json.loads(err.getvalue())["error"] == error
 
 
 def test_numeric_singular_grid_exit_2():
@@ -206,6 +225,7 @@ def test_plus_breakdown_at_level_0_keeps_partial_table():
         [("plus", -1)]
 
 
+CSV_TASKS = ["maps", "potentials", "sl1", "sl2"]
 PRESETS = ["legendre", "jacobi:2,3", "jacobi:1/2,1/2", "laguerre:1",
            "hermite", "hypergeom:1/3,1/5,7/2", "confluent:3"]
 _coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -228,10 +248,11 @@ def _argvs(draw):
         ["factorize", "eigenfunction", "verify", "classify", "numeric"]))
     l, m = str(draw(st.integers(-2, 6))), str(draw(st.integers(-8, 8)))
     if command == "numeric":
-        family = draw(st.sampled_from(PRESETS))
-        return ["numeric", "residual", "--family", family, "--l", l,
-                "--m", m, "--form", draw(st.sampled_from("yz")),
-                "--nodes", "150"]
+        task = draw(st.sampled_from(["residual", *CSV_TASKS, "slcheck"]))
+        nodes = 150 if task == "residual" else draw(st.integers(-2, 40))
+        return ["numeric", task, "--family", draw(st.sampled_from(PRESETS)),
+                "--l", l, "--m", m, "--form", draw(st.sampled_from("yz")),
+                "--nodes", str(nodes)]
     argv = [command, *draw(_problem_args)]
     if command == "factorize":
         return argv + ["--levels", l, "--branch",
@@ -255,7 +276,11 @@ def test_cli_contract(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2)
-    if code in (0, 1):
+    if code == 0 and argv[1] in CSV_TASKS:
+        header, *rows = csv.reader(out.getvalue().splitlines())
+        assert rows and all(len(row) == len(header) for row in rows)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+    elif code in (0, 1):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         json.loads(err.getvalue().strip().splitlines()[-1])

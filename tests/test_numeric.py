@@ -1,6 +1,9 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,8 +11,9 @@ import numpy as np
 import pytest
 
 from susyfactor.core import Poly, Problem
-from susyfactor.principal import factor_table
-from susyfactor import numeric
+from susyfactor.associated import assoc_lambda
+from susyfactor.principal import factor_table, principal_eigenfunction
+from susyfactor import cli, numeric, principal
 
 from conftest import hermite, jacobi, laguerre, legendre
 
@@ -24,11 +28,12 @@ def test_coordinate_maps_legendre():
 
 
 def test_scipy_loads_on_first_use(monkeypatch):
+    # the exact commands load neither scipy nor numpy
     code = ("import sys, susyfactor.cli; "
-            "print('scipy.integrate' in sys.modules)")
+            "print('scipy.integrate' in sys.modules, 'numpy' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
-    assert r.stdout.strip() == "False"
+    assert r.stdout.strip() == "False False"
     # numeric's functions read the module attribute at call time, so a
     # wrapper set on it sees every call
     calls = []
@@ -101,6 +106,99 @@ def test_schrodinger_residual_assoc_z():
                                               form="z")
     assert rel < 1e-6
     assert 1.7 <= order <= 2.3
+
+
+def _residual_two_grids(prob, l, m, nodes, form, span=5.0, inset=1e-3):
+    """schrodinger_residual with u -> x inverted once per grid, as it was
+    before the halved grid's inversion served both grids."""
+    phi, _ = principal_eigenfunction(prob, l)
+    E = float(factor_table(prob, "minus", l)[l].E if form == "y"
+              else assoc_lambda(prob, l, m))
+
+    def residual(n):
+        lo, hi = numeric._natural_domain(prob)
+        width = hi - lo
+        x0 = 0.5 * (lo + hi)
+        integ = (lambda t: 1.0 / prob.p(t)) if form == "y" \
+            else (lambda t: 1.0 / np.sqrt(abs(prob.p(t))))
+        u_hi, u_lo = (numeric.quad(integ, x0, end, epsabs=1e-12,
+                                   epsrel=1e-12, limit=200)[0]
+                      for end in (hi - inset * width, lo + inset * width))
+        u = np.linspace(max(u_lo, -span), min(u_hi, span), n)
+        x = numeric._x_of_coordinate(prob, u, x0, form)
+        w = numeric.weight_numeric(
+            prob, numeric.Grid(x, float(np.min(x)), float(np.max(x))))
+        if form == "y":
+            psi = np.sqrt(w) * phi(x)
+            V = numeric.potential_poly(prob, l)(x)
+        else:
+            psi, V, _ = numeric._assoc_schrodinger(prob, phi, m, x, w)
+        h = u[1] - u[0]
+        res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
+            + (V[1:-1] - E) * psi[1:-1]
+        return float(np.max(np.abs(res))), psi, V, h
+
+    r1, psi, V, h = residual(nodes)
+    r2 = residual(2 * nodes - 1)[0]
+    a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
+    rel = r1 / (a_norm * float(np.max(np.abs(psi))))
+    if r1 > 0 and r2 > 0:
+        return rel, float(np.log2(r1 / r2))
+    return rel, 2.0 if r1 == r2 == 0 else None
+
+
+def test_residual_one_inversion_matches_two(family):
+    # the n-node grid is the even nodes of the halved one, so inverting
+    # once must give the same floats as inverting each grid on its own
+    for l in range(7):
+        for form, ms in (("y", {0}), ("z", {0, l // 2, l})):
+            for m in sorted(ms):
+                for nodes in (3, 4, 7, 1000, 2501):
+                    got = numeric.schrodinger_residual(family, l, m, nodes,
+                                                       form)
+                    assert got == _residual_two_grids(family, l, m, nodes,
+                                                      form), (form, l, m,
+                                                              nodes)
+
+
+def test_numeric_requests_build_each_input_once(monkeypatch):
+    counts, raised = Counter(), []
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((principal, "factor_table"),
+                        (numeric, "principal_eigenfunction"),
+                        (numeric, "_natural_domain"), (numeric, "quad"),
+                        (numeric, "solve_ivp")):
+        count(owner, name)
+    raise_ = principal.Ladders._raise
+
+    def counted_raise(lad, j):
+        raised.append(j)
+        raise_(lad, j)
+    monkeypatch.setattr(principal.Ladders, "_raise", counted_raise)
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["numeric", "residual", "--family", "jacobi:2,3",
+                         "--l", "5"]) == 0
+    assert counts == {"factor_table": 1, "principal_eigenfunction": 1,
+                      "_natural_domain": 1, "quad": 2, "solve_ivp": 2}
+    assert raised == [1, 2, 3, 4, 5]
+
+    counts.clear()
+    numeric.potentials(jacobi(2, 3), 3, 1, numeric.Grid.uniform(-0.9, 0.9, 9))
+    assert counts["factor_table"] == 1
+
+    counts.clear()
+    raised.clear()
+    numeric.orthogonality_matrix(jacobi(2, 3), 5)
+    assert counts["factor_table"] == 1 and raised == [1, 2, 3, 4, 5]
 
 
 def test_orthogonality(family):
