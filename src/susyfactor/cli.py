@@ -87,13 +87,15 @@ def _emit(obj, args):
         print(text)
 
 
-def _emit_csv(header, rows, args):
+def _emit_csv(header, columns, args):
+    """One CSV row per node; each column is formatted at once, with the
+    same 17 significant digits as _fmt."""
     out = open(args.output, "w", newline="") if getattr(args, "output", None) \
         else sys.stdout
     writer = csv.writer(out)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(float(v)) for v in row])
+    writer.writerows(zip(*(map("%.17g".__mod__, col.tolist())
+                           for col in columns)))
     if out is not sys.stdout:
         out.close()
 
@@ -253,24 +255,24 @@ def cmd_numeric(args) -> int:
         P, Q, R = prob.p, prob.q, Poly([])
     if task == "maps":
         y, z = numeric.coordinate_maps(prob, grid)
-        _emit_csv(["x", "y", "z"], zip(grid.nodes, y, z), args)
+        _emit_csv(["x", "y", "z"], (grid.nodes, y, z), args)
     elif task == "potentials":
         prof = numeric.potentials(prob, args.l, args.m, grid)
         _emit_csv(["x", "w", "y", "z", "W_l", "V_l", "V_s_l", "W_a_m",
                    "V_a_m", "psi_l", "s_phi_lm"],
-                  zip(grid.nodes, prof.w, prof.y, prof.z, prof.W_l,
-                      prof.V_l, prof.V_s_l, prof.W_a_m, prof.V_a_m,
-                      prof.psi_l, prof.s_phi_lm), args)
+                  (grid.nodes, prof.w, prof.y, prof.z, prof.W_l,
+                   prof.V_l, prof.V_s_l, prof.W_a_m, prof.V_a_m,
+                   prof.psi_l, prof.s_phi_lm), args)
     elif task == "sl1":
         out = numeric.sl_transform_typeI(P, Q, R, grid, E=args.energy,
                                          Lambda=args.eigenvalue)
         _emit_csv(["x", "rho", "G", "U", "u"],
-                  zip(grid.nodes, out["rho"], out["G"], out["U"], out["u"]),
+                  (grid.nodes, out["rho"], out["G"], out["U"], out["u"]),
                   args)
     elif task == "sl2":
         out = numeric.sl_transform_typeII(P, Q, R, grid)
         _emit_csv(["x", "W_rho", "V_rho", "v"],
-                  zip(grid.nodes, out["W_rho"], out["V_rho"], out["v"]),
+                  (grid.nodes, out["W_rho"], out["V_rho"], out["v"]),
                   args)
     elif task == "slcheck":
         q1 = _parse_poly(args.q1) if args.q1 else Poly([])

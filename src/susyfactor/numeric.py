@@ -7,6 +7,11 @@ finite-difference residuals of the rescaled eigenfunctions, and the
 Sturm-Liouville supersymmetrizations of a generic operator
 -P d^2 - Q d - R.
 
+On Poly input (deg p <= 2) the maps y and z, their inverses u -> x,
+int Q/P and the weight of a p without rational roots are elementary closed
+forms; scipy's quad runs only for sampled (--csv) input, for
+orthogonality_matrix and for aux_ground_check.
+
 Residual convention: ``schrodinger_residual`` reports the standard
 relative linear-algebra residual |res|_inf / (|A|_inf |Psi|_inf) where
 |A|_inf is estimated as 4/h^2 + max|V - E| for the discretized operator,
@@ -16,6 +21,7 @@ grid halving.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -31,7 +37,9 @@ from .principal import (Ladders, _own, principal_eigenfunction,
 def __getattr__(name: str):
     """quad and solve_ivp from scipy.integrate, imported on first use
     (PEP 562): the import is most of the package's start-up time and only
-    numeric work needs it.  The first lookup binds the name here."""
+    numeric work needs it.  The first lookup binds the name here.  Only quad
+    is called; solve_ivp stays resolvable for callers that wrap both names
+    (perfbench/tracer.py)."""
     if name not in ("quad", "solve_ivp"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy import integrate
@@ -40,8 +48,8 @@ def __getattr__(name: str):
 
 
 def _scipy(name: str):
-    """This module's quad or solve_ivp as bound now, read once per call of
-    the function that needs it, so a wrapper set on it sees every call."""
+    """This module's quad as bound now, read once per call of the function
+    that needs it, so a wrapper set on it sees every call."""
     return globals().get(name) or __getattr__(name)
 
 
@@ -82,15 +90,113 @@ def _cumulative_quad(f: Callable, nodes: np.ndarray, anchor_index: int) -> np.nd
     return out - out[anchor_index]
 
 
+# Closed-form Liouville maps.  With deg p <= 2 the antiderivatives of 1/p,
+# num/p and 1/sqrt|p| are elementary; the branch (log, atan, atanh, asin,
+# asinh, acosh, a power) is fixed exactly over Fraction by deg p and the
+# discriminant D, and by the side of the roots of p the anchor x0 lies on.
+# Each map is 0 at x0 and works pointwise, as does its inverse u -> x; the
+# odd functions keep a map odd about x0 where p is even about x0.
+
+def _anchored(fwd: Callable, inv: Callable,
+              x0: float) -> tuple[Callable, Callable]:
+    u0 = fwd(x0)
+    return (lambda x: fwd(np.asarray(x, float)) - u0,
+            lambda u: inv(np.asarray(u, float) + u0))
+
+
+def _y_map(p: Poly, x0: float) -> tuple[Callable, Callable]:
+    """(y, x(y)) with y = int_x0^x dt/p(t)."""
+    if p.degree == 0:
+        c = float(p[0])
+        return _anchored(lambda x: x / c, lambda y: c * y, x0)
+    a, b = float(p[p.degree]), float(p[p.degree - 1])
+    if p.degree == 1:                   # y = log|p|/a
+        s = math.copysign(1.0, a * x0 + b)
+        return _anchored(lambda x: np.log(np.abs(a * x + b)) / a,
+                         lambda y: (s * np.exp(a * y) - b) / a, x0)
+    disc = p[1] * p[1] - 4 * p[2] * p[0]
+    if disc == 0:                       # p = a (x - r)^2
+        r = float(-p[1] / (2 * p[2]))
+        return _anchored(lambda x: -1.0 / (a * (x - r)),
+                         lambda y: r - 1.0 / (a * y), x0)
+    sq = math.sqrt(abs(disc))           # t = (2ax + b)/sqrt|D|
+    if disc < 0:
+        fwd = lambda t: 2.0 * np.arctan(t) / sq
+        inv = lambda y: np.tan(0.5 * sq * y)
+    elif a * p(x0) < 0:                 # between the roots
+        fwd = lambda t: -2.0 * np.arctanh(t) / sq
+        inv = lambda y: -np.tanh(0.5 * sq * y)
+    else:                               # beyond both roots
+        fwd = lambda t: -2.0 * np.arctanh(1.0 / t) / sq
+        inv = lambda y: -1.0 / np.tanh(0.5 * sq * y)
+    return _anchored(lambda x: fwd((2 * a * x + b) / sq),
+                     lambda y: (sq * inv(y) - b) / (2 * a), x0)
+
+
+def _z_map(p: Poly, x0: float) -> tuple[Callable, Callable]:
+    """(z, x(z)) with z = int_x0^x dt/sqrt|p(t)|."""
+    if p.degree == 0:
+        k = math.sqrt(abs(p[0]))
+        return _anchored(lambda x: x / k, lambda z: k * z, x0)
+    a, b = float(p[p.degree]), float(p[p.degree - 1])
+    if p.degree == 1:                   # z = 2 s sqrt|p|/a
+        s = math.copysign(1.0, a * x0 + b)
+        return _anchored(lambda x: 2.0 * s * np.sqrt(np.abs(a * x + b)) / a,
+                         lambda z: (s * (0.5 * a * z) ** 2 - b) / a, x0)
+    disc = p[1] * p[1] - 4 * p[2] * p[0]
+    ra, sa = math.sqrt(abs(a)), math.copysign(1.0, a)
+    if disc == 0:                       # |p| = |a| (x - r)^2
+        r = float(-p[1] / (2 * p[2]))
+        s = math.copysign(1.0, x0 - r)
+        return _anchored(lambda x: s * np.log(np.abs(x - r)) / ra,
+                         lambda z: r + s * np.exp(s * ra * z), x0)
+    sq = math.sqrt(abs(disc))           # t = (2ax + b)/sqrt|D|
+    if disc < 0:
+        fwd, inv = np.arcsinh, np.sinh
+    elif a * p(x0) < 0:                 # between the roots
+        fwd, inv = np.arcsin, np.sin
+    else:
+        # beyond both roots; acosh of |t| keeps 2ax + b < 0 free of
+        # cancellation
+        s = math.copysign(1.0, 2 * a * x0 + b)
+        fwd = lambda t: s * np.arccosh(np.abs(t))
+        inv = lambda v: s * np.cosh(v)
+    return _anchored(lambda x: sa * fwd((2 * a * x + b) / sq) / ra,
+                     lambda z: (sq * inv(sa * ra * z) - b) / (2 * a), x0)
+
+
+def _over_p(p: Poly, num: Poly, x0: float) -> Callable:
+    """F with F' = num/p and F(x0) = 0, for deg p <= 2.
+
+    num = quo p + alpha p' + beta exactly, so
+    F = int quo + alpha log|p/p(x0)| + beta y.
+    """
+    quo, rem = num.divmod(p)
+    poly = Poly([0, *(c / (k + 1) for k, c in enumerate(quo.coeffs))])
+    dp = p.derivative()
+    alpha = rem[dp.degree] / dp[dp.degree] if p.degree else Fraction(0)
+    beta = rem[0] - alpha * dp[0]
+    alpha, beta = float(alpha), float(beta)
+    y = _y_map(p, x0)[0]
+
+    def F(x):
+        x = np.asarray(x, float)
+        out = poly(x) - poly(x0)
+        if alpha:
+            out = out + alpha * np.log(np.abs(p(x) / p(x0)))
+        if beta:
+            out = out + beta * y(x)
+        return out
+    return F
+
+
 def coordinate_maps(prob: Problem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """(y, z) with y = int dx/p and z = int dx/sqrt(p), anchored mid-grid."""
     x = grid.nodes
     pv = prob.p(x)
     _check_sign_definite(pv)
-    mid = len(x) // 2
-    y = _cumulative_quad(lambda t: 1.0 / prob.p(t), x, mid)
-    z = _cumulative_quad(lambda t: 1.0 / np.sqrt(abs(prob.p(t))), x, mid)
-    return y, z
+    x0 = x[len(x) // 2]
+    return _y_map(prob.p, x0)[0](x), _z_map(prob.p, x0)[0](x)
 
 
 def weight_function(prob: Problem):
@@ -138,10 +244,8 @@ def weight_numeric(prob: Problem, grid: Grid) -> np.ndarray:
     fn = weight_function(prob)
     if fn is not None:
         return fn(x)
-    num = prob.q - prob.p.derivative()
-    mid = len(x) // 2
-    logw = _cumulative_quad(lambda t: num(t) / prob.p(t), x, mid)
-    return np.exp(logw)
+    return np.exp(_over_p(prob.p, prob.q - prob.p.derivative(),
+                          x[len(x) // 2])(x))
 
 
 def assoc_superpotential(prob: Problem, m: int) -> tuple[Poly, Poly]:
@@ -216,27 +320,6 @@ def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
                           psi, s_phi)
 
 
-def _x_of_coordinate(prob: Problem, u: np.ndarray, x0: float, form: str) -> np.ndarray:
-    """Invert u(x) (u = y or z) by integrating dx/du from the anchor x0."""
-    solve_ivp = _scipy("solve_ivp")
-    if form == "y":
-        rhs = lambda t, xv: prob.p(xv)
-    else:
-        rhs = lambda t, xv: np.sqrt(abs(prob.p(xv)))
-    out = np.empty_like(u)
-    pos = u >= 0
-    for mask, targets in ((pos, u[pos]), (~pos, u[~pos][::-1])):
-        if targets.size == 0:
-            continue
-        sol = solve_ivp(rhs, (0.0, targets[-1]), [x0], t_eval=targets,
-                        method="DOP853", rtol=1e-13, atol=1e-14)
-        if not sol.success:
-            raise SingularGrid("coordinate inversion failed")
-        vals = sol.y[0]
-        out[mask] = vals if mask is pos else vals[::-1]
-    return out
-
-
 def _natural_domain(prob: Problem) -> tuple[float, float]:
     """Working x-interval: between the roots of p, or weight-truncated."""
     p = prob.p
@@ -244,10 +327,12 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
 
     def cutoff(start: float, direction: float) -> float:
         t = start + direction
-        for _ in range(200):
-            if wfn is None or wfn(t) < 1e-16:
-                return t
-            t += direction * max(1.0, 0.1 * abs(t))
+        # a weight that overflows to inf is not below the cut
+        with np.errstate(over="ignore"):
+            for _ in range(200):
+                if wfn is None or wfn(t) < 1e-16:
+                    return t
+                t += direction * max(1.0, 0.1 * abs(t))
         return start + direction * 50.0
 
     if p.degree == 2:
@@ -291,18 +376,15 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
         raise ValueError("the y-form realizes the principal level m=0")
     lo, hi = _natural_domain(prob)
     width = hi - lo
-    lo_i, hi_i = lo + inset * width, hi - inset * width
     x0 = 0.5 * (lo + hi)
-    integ = (lambda t: 1.0 / prob.p(t)) if form == "y" \
-        else (lambda t: 1.0 / np.sqrt(abs(prob.p(t))))
-    quad = _scipy("quad")
-    u_hi = quad(integ, x0, hi_i, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    u_lo = quad(integ, x0, lo_i, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    u_hi, u_lo = min(u_hi, span), max(u_lo, -span)
-    # the halved grid holds every node of the coarse one, and solve_ivp's
-    # steps do not depend on t_eval, so one inversion serves both grids
+    u_of_x, x_of_u = (_y_map if form == "y" else _z_map)(prob.p, x0)
+    # y falls with x where p < 0, so clip each end on its own side
+    u_lo, u_hi = (float(np.clip(u_of_x(end), -span, span))
+                  for end in (lo + inset * width, hi - inset * width))
+    # the halved grid holds every node of the coarse one, and x(u) is
+    # pointwise, so one inversion serves both grids
     u = np.linspace(u_lo, u_hi, 2 * nodes - 1)
-    x = _x_of_coordinate(prob, u, x0, form)
+    x = x_of_u(u)
     lad = Ladders(prob, l)
     phi, _ = principal_eigenfunction(prob, l, lad)
     if form == "y":
@@ -310,6 +392,9 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
         E = float(lad.entry("minus", l).E)
     else:
         E = float(assoc_lambda(prob, l, m))
+    # (-p, -q) has the same Phi_l and w with V -> -V and lambda -> -lambda,
+    # so where p < 0 the z form reads sign(p) (V - E)
+    sign = math.copysign(1.0, prob.p(x0)) if form == "z" else 1.0
     r = []
     for uk, xk in ((u, x), (u[::2], x[::2])):    # halved grid, then n nodes
         w = weight_numeric(prob, Grid(xk, float(np.min(xk)),
@@ -320,7 +405,7 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
             psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), xk, w)
         h = uk[1] - uk[0]
         res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
-            + (V[1:-1] - E) * psi[1:-1]
+            + sign * (V[1:-1] - E) * psi[1:-1]
         r.append(float(np.max(np.abs(res))))
     r2, r1 = r
     a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
@@ -336,23 +421,35 @@ def orthogonality_matrix(prob: Problem, nmax: int,
                          inset: float = 0.0) -> np.ndarray:
     """Gram matrix int w Phi_i Phi_j dx over the natural domain."""
     lo, hi = _natural_domain(prob)
+    cut_lo, cut_hi = (abs(prob.p(end)) > 1e-9 for end in (lo, hi))
     width = hi - lo
     lo, hi = lo + inset * width, hi - inset * width
     wfn = weight_function(prob)
     if wfn is not None:
-        # weight-truncated ends must also suppress the polynomial growth
-        while abs(prob.p(hi)) > 1e-9 and hi < 1e4 \
+        # weight-truncated ends must also suppress the polynomial growth;
+        # an end at a root of p stays where it is
+        while cut_hi and hi < 1e4 \
                 and wfn(hi) * max(1.0, abs(hi)) ** (2 * nmax) > 1e-20:
             hi += max(1.0, 0.05 * abs(hi))
-        while abs(prob.p(lo)) > 1e-9 and lo > -1e4 \
+        while cut_lo and lo > -1e4 \
                 and wfn(lo) * max(1.0, abs(lo)) ** (2 * nmax) > 1e-20:
             lo -= max(1.0, 0.05 * abs(lo))
-    if wfn is None:
-        grid_fn = lambda x: weight_numeric(
-            prob, Grid(np.asarray([lo, x]), lo, hi))[-1]
-        wfn = np.vectorize(grid_fn)
+    else:
+        logw = _over_p(prob.p, prob.q - prob.p.derivative(), 0.5 * (lo + hi))
+        wfn = lambda x: np.exp(logw(x))
     lad = Ladders(prob, nmax)
-    polys = [principal_eigenfunction(prob, i, lad)[0]
+
+    def horner(phi: Poly) -> Callable:
+        # Poly.__call__'s steps on float coefficients converted once
+        cs = [float(c) for c in reversed(phi.coeffs)]
+
+        def f(x):
+            acc = x * 0.0
+            for c in cs:
+                acc = acc * x + c
+            return acc
+        return f
+    polys = [horner(principal_eigenfunction(prob, i, lad)[0])
              for i in range(nmax + 1)]
     out = np.empty((nmax + 1, nmax + 1))
     quad = _scipy("quad")
@@ -402,6 +499,11 @@ def _fn(obj: PolyOrFn) -> Callable:
     return obj
 
 
+def _closed_form(P: PolyOrFn) -> bool:
+    """Whether the maps of P have the closed forms above (else quadrature)."""
+    return isinstance(P, Poly) and P.degree <= 2
+
+
 def _dfn(obj: PolyOrFn, h: float = 1e-6) -> Callable:
     if isinstance(obj, Poly):
         d = obj.derivative()
@@ -424,13 +526,18 @@ def sl_transform_typeI(P: PolyOrFn, Q: PolyOrFn, R: PolyOrFn, grid: Grid,
     Pv = Pf(x) * np.ones_like(x)
     _check_sign_definite(Pv)
     mid = len(x) // 2
-    rho = np.exp(_cumulative_quad(lambda t: Qf(t) / Pf(t), x, mid)) / Pv
+    closed = _closed_form(P)
+    if closed and isinstance(Q, Poly):
+        rho = np.exp(_over_p(P, Q, x[mid])(x)) / Pv
+    else:
+        rho = np.exp(_cumulative_quad(lambda t: Qf(t) / Pf(t), x, mid)) / Pv
     G = 0.5 * (_dfn(P)(x) - Qf(x))
     Gp = 0.5 * (_dfn(P, 1e-4)(x) - _dfn(Q, 1e-4)(x)) if not (
         isinstance(P, Poly) and isinstance(Q, Poly)) \
         else 0.5 * (P.derivative().derivative()(x) - Q.derivative()(x))
     U = -Pv * Gp + G ** 2 - Rf(x) * np.ones_like(x) - Lambda * Pv + E
-    u = _cumulative_quad(lambda t: 1.0 / Pf(t), x, mid)
+    u = _y_map(P, x[mid])[0](x) if closed \
+        else _cumulative_quad(lambda t: 1.0 / Pf(t), x, mid)
     return {"rho": rho, "G": G, "U": U, "u": u}
 
 
@@ -457,7 +564,8 @@ def sl_transform_typeII(P: PolyOrFn, Q: PolyOrFn, R: PolyOrFn,
     Wp = (wr(x + hstep) - wr(x - hstep)) / (2 * hstep)
     V = -sq * Wp + W ** 2 - Rf(x) * np.ones_like(x)
     mid = len(x) // 2
-    v = _cumulative_quad(lambda t: 1.0 / np.sqrt(abs(Pf(t))), x, mid)
+    v = _z_map(P, x[mid])[0](x) if _closed_form(P) \
+        else _cumulative_quad(lambda t: 1.0 / np.sqrt(abs(Pf(t))), x, mid)
     return {"W_rho": W, "V_rho": V, "v": v}
 
 
