@@ -9,8 +9,8 @@ ride on the sign relations that identify their ladders with the positive
 ones.
 
 Conventions mirror the principal module: ladders are unnormalized, all
-proportionality statements are cross-multiplied, and the squared-norm
-prefactor (a product of lambda_lj) is tracked separately.
+proportionality statements are cross-multiplied, and the normsq prefactor
+(a product of lambda_lj) is tracked separately.
 """
 
 from __future__ import annotations
@@ -131,8 +131,8 @@ def assoc_top_down(prob: Problem, l: int, m: int,
 
     Runs entirely inside the quasi-function class: the weight enters as
     e = 1, every derivative stays closed, and e returns to 0 only at the
-    final division step.  Phi_l is never raised: the squared norm is the
-    table's prod E_j, and a vanishing E_j is Breakdown(j).
+    final division step.  Phi_l is never raised: normsq is the table's
+    prod E_j, and a vanishing E_j is Breakdown(j).
     """
     _check_range(l, m)
     am = abs(m)

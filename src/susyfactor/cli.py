@@ -230,8 +230,11 @@ def _read_pqr_csv(path):
         rows = list(csv.DictReader(fh))
     if not rows or any(None in map(r.get, "xPQR") for r in rows):
         raise ValueError(f"--csv {path}: need rows with columns x,P,Q,R")
-    x, *cols = (np.array([float(r[key]) for r in rows]) for key in "xPQR")
-    P, Q, R = (lambda t, vv=vals: np.interp(t, x, vv) for vals in cols)
+    x, P, Q, R = (np.array([float(r[key]) for r in rows]) for key in "xPQR")
+    # second-order differences of the samples need three increasing nodes
+    if len(x) < 3 or not np.all(np.diff(x) > 0):
+        raise ValueError(f"--csv {path}: need 3 or more rows with "
+                         f"increasing x")
     return x, P, Q, R
 
 

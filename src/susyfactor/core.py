@@ -21,10 +21,6 @@ Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
-class DivisionError(ArithmeticError):
-    """Exact polynomial division was requested on a non-divisible pair."""
-
-
 def _as_fraction(v) -> Fraction:
     if isinstance(v, Fraction):
         return v
@@ -162,25 +158,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 rem[k - d + j] -= f * b
         return Poly(q), Poly(rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise DivisionError(f"{self} is not divisible by {other}")
-        return q
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.coeffs[-1])
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self * (1 / self.coeffs[-1])
 
     def __repr__(self):
         if self.is_zero():

@@ -45,10 +45,6 @@ class DiffOp:
         return cls([QuasiFunction.one()])
 
     @classmethod
-    def ddx(cls) -> "DiffOp":
-        return cls([QuasiFunction.zero(), QuasiFunction.one()])
-
-    @classmethod
     def mul_by(cls, f) -> "DiffOp":
         """The zeroth-order operator 'multiply by f'."""
         return cls([_as_qf(f)])

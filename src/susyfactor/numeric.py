@@ -7,10 +7,11 @@ finite-difference residuals of the rescaled eigenfunctions, and the
 Sturm-Liouville supersymmetrizations of a generic operator
 -P d^2 - Q d - R.
 
-On Poly input (deg p <= 2) the maps y and z, their inverses u -> x,
-int Q/P and the weight of a p without rational roots are elementary closed
-forms; scipy's quad runs only for sampled (--csv) input, for
-orthogonality_matrix and for aux_ground_check.
+Nothing here integrates numerically.  On Poly input (deg p <= 2) the maps
+y and z, their inverses u -> x, int Q/P and the weights are closed forms,
+and int w Phi_i Phi_j is mu0 times a rational matrix from Pearson's moment
+recurrence.  Other input is read as samples at the grid nodes, integrated
+exactly on their piecewise-linear interpolants.
 
 Residual convention: ``schrodinger_residual`` reports the standard
 relative linear-algebra residual |res|_inf / (|A|_inf |Psi|_inf) where
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -36,21 +37,14 @@ from .principal import (Ladders, _own, principal_eigenfunction,
 
 def __getattr__(name: str):
     """quad and solve_ivp from scipy.integrate, imported on first use
-    (PEP 562): the import is most of the package's start-up time and only
-    numeric work needs it.  The first lookup binds the name here.  Only quad
-    is called; solve_ivp stays resolvable for callers that wrap both names
+    (PEP 562).  The first lookup binds the name here.  Neither is called
+    here; both stay resolvable for callers that wrap them by name
     (perfbench/tracer.py)."""
     if name not in ("quad", "solve_ivp"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from scipy import integrate
     globals()[name] = value = getattr(integrate, name)
     return value
-
-
-def _scipy(name: str):
-    """This module's quad as bound now, read once per call of the function
-    that needs it, so a wrapper set on it sees every call."""
-    return globals().get(name) or __getattr__(name)
 
 
 class SingularGrid(ValueError):
@@ -78,16 +72,38 @@ def _check_sign_definite(vals: np.ndarray):
         raise SingularGrid("p vanishes or changes sign on the grid")
 
 
-def _cumulative_quad(f: Callable, nodes: np.ndarray, anchor_index: int) -> np.ndarray:
-    """Antiderivative of f on the nodes, zero at the anchor node."""
-    quad = _scipy("quad")
-    pieces = np.empty(len(nodes))
-    pieces[0] = 0.0
-    for i in range(1, len(nodes)):
-        pieces[i] = quad(f, nodes[i - 1], nodes[i], epsabs=1e-12,
-                         epsrel=1e-12)[0]
-    out = np.cumsum(pieces)
+def _cumulative(pieces: np.ndarray, anchor_index: int) -> np.ndarray:
+    """Running sum of per-interval integrals, zero at the anchor node."""
+    out = np.concatenate(([0.0], np.cumsum(pieces)))
     return out - out[anchor_index]
+
+
+# Sampled input, joined linearly between nodes.  On an interval of width h
+# with d = dP/P0, int dx/sqrt|P| = 2h/(sqrt|P0| + sqrt|P1|) and, writing
+# Q = alpha P + beta, int Q/P = h (Q0 L(d) + dQ M(d))/P0 with
+# L = log1p(d)/d and M = (1 - L)/d, which cancels below |d| = 1e-2, where
+# both come from their series.  Derivatives are second-order differences.
+
+def _samples(f, x: np.ndarray) -> np.ndarray:
+    """f at the nodes x: samples as given, or a callable evaluated once."""
+    return np.asarray(f(x) if callable(f) else f, float) * np.ones_like(x)
+
+
+def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.gradient(f, x, edge_order=2)
+
+
+def _over_p_pieces(x: np.ndarray, P: np.ndarray,
+                   Q: np.ndarray) -> np.ndarray:
+    """int Q/P over each interval of the nodes, for the piecewise-linear
+    interpolants of the samples P (of one sign) and Q."""
+    d = np.diff(P) / P[:-1]
+    small = np.abs(d) < 1e-2
+    t, s = np.where(small, 1.0, d), np.where(small, -d, 0.0)
+    L = np.where(small, sum(s ** k / (k + 1) for k in range(9)),
+                 np.log1p(t) / t)
+    M = np.where(small, sum(s ** k / (k + 2) for k in range(9)), (1 - L) / t)
+    return np.diff(x) * (Q[:-1] * L + np.diff(Q) * M) / P[:-1]
 
 
 # Closed-form Liouville maps.  With deg p <= 2 the antiderivatives of 1/p,
@@ -361,10 +377,11 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     eigenfunction on a uniform grid in the y or z coordinate.
 
     Relative means |res|_inf / (|A|_inf |Psi|_inf) with
-    |A|_inf = 4/h^2 + max|V - E|; the order comes from halving h.  When
-    both residuals vanish the scheme is exact on this input, and its formal
-    order 2 is reported; when only one does, no rate exists and the order
-    is None.  A residual needs an interior node, so nodes must be >= 3.
+    |A|_inf = 4/h^2 + max|V - E|; the order comes from halving h.  When the
+    relative residual is <= 16 eps on both grids the scheme is exact on this
+    input, and its formal order 2 is reported; otherwise, when only one
+    residual vanishes, no rate exists and the order is None.  A residual
+    needs an interior node, so nodes must be >= 3.
     """
     if form not in ("y", "z"):
         raise ValueError("form must be 'y' or 'z'")
@@ -395,7 +412,7 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     # (-p, -q) has the same Phi_l and w with V -> -V and lambda -> -lambda,
     # so where p < 0 the z form reads sign(p) (V - E)
     sign = math.copysign(1.0, prob.p(x0)) if form == "z" else 1.0
-    r = []
+    r, rels = [], []
     for uk, xk in ((u, x), (u[::2], x[::2])):    # halved grid, then n nodes
         w = weight_numeric(prob, Grid(xk, float(np.min(xk)),
                                       float(np.max(xk)), "mapped"))
@@ -407,82 +424,110 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
         res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
             + sign * (V[1:-1] - E) * psi[1:-1]
         r.append(float(np.max(np.abs(res))))
+        a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
+        rels.append(r[-1] / (a_norm * float(np.max(np.abs(psi)))))
+    if max(rels) <= 16 * np.finfo(float).eps:
+        return rels[1], 2.0
     r2, r1 = r
-    a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
-    rel = r1 / (a_norm * float(np.max(np.abs(psi))))
-    if r1 > 0 and r2 > 0:
-        order = float(np.log2(r1 / r2))
-    else:
-        order = 2.0 if r1 == r2 == 0 else None
-    return rel, order
+    return rels[1], float(np.log2(r1 / r2)) if r1 > 0 and r2 > 0 else None
 
 
-def orthogonality_matrix(prob: Problem, nmax: int,
-                         inset: float = 0.0) -> np.ndarray:
-    """Gram matrix int w Phi_i Phi_j dx over the natural domain."""
-    lo, hi = _natural_domain(prob)
-    cut_lo, cut_hi = (abs(prob.p(end)) > 1e-9 for end in (lo, hi))
-    width = hi - lo
-    lo, hi = lo + inset * width, hi - inset * width
-    wfn = weight_function(prob)
-    if wfn is not None:
-        # weight-truncated ends must also suppress the polynomial growth;
-        # an end at a root of p stays where it is
-        while cut_hi and hi < 1e4 \
-                and wfn(hi) * max(1.0, abs(hi)) ** (2 * nmax) > 1e-20:
-            hi += max(1.0, 0.05 * abs(hi))
-        while cut_lo and lo > -1e4 \
-                and wfn(lo) * max(1.0, abs(lo)) ** (2 * nmax) > 1e-20:
-            lo -= max(1.0, 0.05 * abs(lo))
-    else:
-        logw = _over_p(prob.p, prob.q - prob.p.derivative(), 0.5 * (lo + hi))
-        wfn = lambda x: np.exp(logw(x))
+# Pearson's equation (p w)' = q w (Nikiforov & Uvarov, Special Functions of
+# Mathematical Physics, 1988), integrated against (x^k)' by parts, gives
+#   (k p2 + q1) mu_{k+1} = -(k p1 + q0) mu_k - k p0 mu_{k-1}
+# for mu_k = int x^k w once x^k p w vanishes at both ends; so
+# int w Phi_i Phi_j = mu0 G_ij, G rational, mu0 a Gauss, Gamma or Beta value.
+
+def _positive(a: Fraction, b: Fraction, disc: Fraction) -> bool:
+    """a + b sqrt(disc) > 0, decided over Fraction (disc > 0)."""
+    s = a * a - b * b * disc
+    return a > 0 and (b >= 0 or s > 0) or b > 0 and (a >= 0 or s < 0)
+
+
+def _weight_mass(prob: Problem, top: int) -> float:
+    """mu0 = int w over the side of the roots of p that _natural_domain
+    takes, with w written as weight_function writes it: exp(c2 x^2 + c1 x),
+    e^(s x) |x - r|^e, or prod |x - r_i|^e_i over the real roots r_i of p.
+
+    Raises ValueError unless x^top w is integrable at both ends.
+    """
+    p, num = prob.p, prob.q - prob.p.derivative()
+    if p.degree == 0:
+        c2, c1 = num[1] / (2 * p[0]), num[0] / p[0]
+        if c2 >= 0:
+            raise ValueError(f"w = exp({c2} x^2 + ...) is not integrable")
+        return math.sqrt(math.pi / -c2) * math.exp(-c1 * c1 / (4 * c2))
+    if p.degree == 1:
+        r = -p[0] / p[1]
+        s, e = num[1] / p[1], num(r) / p[1]
+        if s * p[1] >= 0 or e <= -1:
+            raise ValueError(f"w = e^({s} x) |x - {r}|^({e}) is not "
+                             f"integrable where p > 0")
+        return math.exp(math.lgamma(e + 1) - (e + 1) * math.log(abs(s))
+                        + s * r)
+    disc = p[1] * p[1] - 4 * p[2] * p[0]
+    if disc <= 0:
+        raise ValueError("p has no two real roots to bound an interval")
+    # the upper and lower roots of p carry the exponents a +- c sqrt D of w
+    a = num[1] / (2 * p[2])
+    c = (num[0] - a * p[1]) / disc * (1 if p[2] > 0 else -1)
+    sq = math.sqrt(disc)
+    e_hi, e_lo = float(a) + float(c) * sq, float(a) - float(c) * sq
+    log_width = (2 * a + 1) * math.log(sq / abs(p[2]))
+    for end, sign, e in (("upper", 1, e_hi), ("lower", -1, e_lo)):
+        # beyond the roots (p2 > 0) only the upper one bounds the interval
+        if (sign > 0 or p[2] < 0) and not _positive(a + 1, sign * c, disc):
+            raise ValueError(f"w ~ |x - r|^({e:.6g}) is not integrable at "
+                             f"the {end} root of p")
+    if p[2] > 0 and top + 2 * a >= -1:
+        raise ValueError(f"x^{top} w ~ x^({top + 2 * a}) at infinity")
+    # width^(2a+1) B(s, t): between the roots B(e_lo + 1, e_hi + 1), beyond
+    # them B(e_hi + 1, -2a - 1)
+    s, t = (e_lo + 1, e_hi + 1) if p[2] < 0 else (e_hi + 1, -2 * a - 1)
+    return math.exp(log_width + math.lgamma(s) + math.lgamma(t)
+                    - math.lgamma(s + t))
+
+
+def _pearson_gram(prob: Problem, nmax: int) -> tuple[float, list]:
+    """(mu0, G) with int w Phi_i Phi_j = mu0 G_ij for i, j <= nmax."""
+    mu0 = _weight_mass(prob, 2 * nmax)
+    p, q = prob.p, prob.q
+    m = [Fraction(1)]                   # mu_k / mu0
+    # with both ends integrable, k p2 + q1 < 0 for every k < 2 nmax
+    for k in range(2 * nmax):
+        m.append(-((k * p[1] + q[0]) * m[k] + k * p[0] * m[k - 1])
+                 / (k * p[2] + q[1]))
     lad = Ladders(prob, nmax)
+    phis = [lad.phi(i).coeffs for i in range(nmax + 1)]
+    gram = [[sum(ca * cb * m[a + b] for a, ca in enumerate(fi)
+                 for b, cb in enumerate(fj)) for fj in phis] for fi in phis]
+    return mu0, gram
 
-    def horner(phi: Poly) -> Callable:
-        # Poly.__call__'s steps on float coefficients converted once
-        cs = [float(c) for c in reversed(phi.coeffs)]
 
-        def f(x):
-            acc = x * 0.0
-            for c in cs:
-                acc = acc * x + c
-            return acc
-        return f
-    polys = [horner(principal_eigenfunction(prob, i, lad)[0])
-             for i in range(nmax + 1)]
-    out = np.empty((nmax + 1, nmax + 1))
-    quad = _scipy("quad")
-    import warnings
-    from scipy.integrate import IntegrationWarning
-    with warnings.catch_warnings():
-        # the absolute tolerance is deliberately tighter than large diagonal
-        # entries can satisfy; the roundoff report is expected
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for i in range(nmax + 1):
-            for j in range(i, nmax + 1):
-                val = quad(lambda x: wfn(x) * polys[i](x) * polys[j](x),
-                           lo, hi, epsabs=1e-12, epsrel=1e-12, limit=400)[0]
-                out[i, j] = out[j, i] = val
-    return out
+def orthogonality_matrix(prob: Problem, nmax: int) -> np.ndarray:
+    """Gram matrix int w Phi_i Phi_j dx over the natural domain, i, j <= nmax.
+
+    Exact up to the float value of mu0 = int w: the off-diagonal entries are
+    0.0.  Raises ValueError where the integrals do not exist.
+    """
+    mu0, gram = _pearson_gram(prob, nmax)
+    return mu0 * np.array([[float(g) for g in row] for row in gram])
 
 
 def aux_ground_check(prob: Problem, grid: Grid) -> float:
     """Numeric consistency of the auxiliary level below the ground state.
 
-    Psi = w^(-1/2) int w/p dx solves (p d/dx - W0) Psi = sqrt(w); returns
-    the maximum relative deviation on interior nodes.
+    Psi = w^(-1/2) int w/p dx solves (p d/dx - W0) Psi = sqrt(w); the
+    integral is a cumulative trapezoid on the nodes.  Returns the maximum
+    relative deviation on interior nodes.
     """
     x = grid.nodes
     _check_sign_definite(prob.p(x))
     w = weight_numeric(prob, grid)
-    wfn = weight_function(prob)
-    if wfn is None:
-        wfn = lambda t: np.interp(t, x, w)
-    mid = len(x) // 2
-    integral = _cumulative_quad(lambda t: wfn(t) / prob.p(t), x, mid)
+    f = w / prob.p(x)
+    integral = _cumulative(0.5 * np.diff(x) * (f[1:] + f[:-1]), len(x) // 2)
     psi = integral / np.sqrt(w)
-    dpsi = np.gradient(psi, x, edge_order=2)
+    dpsi = _gradient(psi, x)
     w0 = superpotential_w0(prob)(x)
     lhs = prob.p(x) * dpsi - w0 * psi
     ref = np.sqrt(w)
@@ -490,30 +535,13 @@ def aux_ground_check(prob: Problem, grid: Grid) -> float:
     return float(np.max(err) / np.max(np.abs(ref)))
 
 
-PolyOrFn = Union[Poly, Callable]
+def _exact(P, Q) -> bool:
+    """Whether P and Q are taken exactly; otherwise both are samples."""
+    return isinstance(P, Poly) and P.degree <= 2 and isinstance(Q, Poly)
 
 
-def _fn(obj: PolyOrFn) -> Callable:
-    if isinstance(obj, Poly):
-        return lambda x: obj(np.asarray(x, float))
-    return obj
-
-
-def _closed_form(P: PolyOrFn) -> bool:
-    """Whether the maps of P have the closed forms above (else quadrature)."""
-    return isinstance(P, Poly) and P.degree <= 2
-
-
-def _dfn(obj: PolyOrFn, h: float = 1e-6) -> Callable:
-    if isinstance(obj, Poly):
-        d = obj.derivative()
-        return lambda x: d(np.asarray(x, float))
-    return lambda x: (obj(np.asarray(x, float) + h)
-                      - obj(np.asarray(x, float) - h)) / (2 * h)
-
-
-def sl_transform_typeI(P: PolyOrFn, Q: PolyOrFn, R: PolyOrFn, grid: Grid,
-                       E: float = 0.0, Lambda: float = 0.0) -> dict:
+def sl_transform_typeI(P, Q, R, grid: Grid, E: float = 0.0,
+                       Lambda: float = 0.0) -> dict:
     """Supersymmetrize -P d^2 - Q d - R toward the momentum -i P d/dx.
 
     Returns rho = P^-1 exp(int Q/P), the partial superpotential
@@ -522,27 +550,24 @@ def sl_transform_typeI(P: PolyOrFn, Q: PolyOrFn, R: PolyOrFn, grid: Grid,
     The transformed eigenfunction is rho^(1/2) psi with eigenvalue E.
     """
     x = grid.nodes
-    Pf, Qf, Rf = _fn(P), _fn(Q), _fn(R)
-    Pv = Pf(x) * np.ones_like(x)
+    Pv, Qv, Rv = (_samples(f, x) for f in (P, Q, R))
     _check_sign_definite(Pv)
     mid = len(x) // 2
-    closed = _closed_form(P)
-    if closed and isinstance(Q, Poly):
+    if _exact(P, Q):
         rho = np.exp(_over_p(P, Q, x[mid])(x)) / Pv
+        G = 0.5 * (P.derivative()(x) - Qv)
+        Gp = 0.5 * (P.derivative().derivative()(x) - Q.derivative()(x))
+        u = _y_map(P, x[mid])[0](x)
     else:
-        rho = np.exp(_cumulative_quad(lambda t: Qf(t) / Pf(t), x, mid)) / Pv
-    G = 0.5 * (_dfn(P)(x) - Qf(x))
-    Gp = 0.5 * (_dfn(P, 1e-4)(x) - _dfn(Q, 1e-4)(x)) if not (
-        isinstance(P, Poly) and isinstance(Q, Poly)) \
-        else 0.5 * (P.derivative().derivative()(x) - Q.derivative()(x))
-    U = -Pv * Gp + G ** 2 - Rf(x) * np.ones_like(x) - Lambda * Pv + E
-    u = _y_map(P, x[mid])[0](x) if closed \
-        else _cumulative_quad(lambda t: 1.0 / Pf(t), x, mid)
+        rho = np.exp(_cumulative(_over_p_pieces(x, Pv, Qv), mid)) / Pv
+        G = 0.5 * (_gradient(Pv, x) - Qv)
+        Gp = _gradient(G, x)
+        u = _cumulative(_over_p_pieces(x, Pv, np.ones_like(x)), mid)
+    U = -Pv * Gp + G ** 2 - Rv - Lambda * Pv + E
     return {"rho": rho, "G": G, "U": U, "u": u}
 
 
-def sl_transform_typeII(P: PolyOrFn, Q: PolyOrFn, R: PolyOrFn,
-                        grid: Grid) -> dict:
+def sl_transform_typeII(P, Q, R, grid: Grid) -> dict:
     """Supersymmetrize -P d^2 - Q d - R toward the momentum -i sqrt(P) d/dx.
 
     Returns W_rho = -(Q - P'/2)/(2 sqrt P), the potential
@@ -551,26 +576,25 @@ def sl_transform_typeII(P: PolyOrFn, Q: PolyOrFn, R: PolyOrFn,
     eigenvalue.
     """
     x = grid.nodes
-    Pf, Qf, Rf = _fn(P), _fn(Q), _fn(R)
-    Pv = Pf(x) * np.ones_like(x)
+    Pv, Qv, Rv = (_samples(f, x) for f in (P, Q, R))
     _check_sign_definite(Pv)
     sq = np.sqrt(np.abs(Pv))
-
-    def wr(t):
-        return -(Qf(t) - 0.5 * _dfn(P)(t)) / (2.0 * np.sqrt(abs(Pf(t))))
-
-    W = wr(x)
-    hstep = 1e-5
-    Wp = (wr(x + hstep) - wr(x - hstep)) / (2 * hstep)
-    V = -sq * Wp + W ** 2 - Rf(x) * np.ones_like(x)
     mid = len(x) // 2
-    v = _z_map(P, x[mid])[0](x) if _closed_form(P) \
-        else _cumulative_quad(lambda t: 1.0 / np.sqrt(abs(Pf(t))), x, mid)
+    exact = _exact(P, Q)
+    dP = P.derivative()(x) if exact else _gradient(Pv, x)
+    # W = -k/(2 sqrt|P|) with k = Q - P'/2: W' = (k P'/(2P) - k')/(2 sqrt|P|)
+    k = Qv - 0.5 * dP
+    dk = (Q - P.derivative() * Fraction(1, 2)).derivative()(x) if exact \
+        else _gradient(k, x)
+    v = _z_map(P, x[mid])[0](x) if exact \
+        else _cumulative(2.0 * np.diff(x) / (sq[1:] + sq[:-1]), mid)
+    W = -k / (2.0 * sq)
+    Wp = (k * dP / (2.0 * Pv) - dk) / (2.0 * sq)
+    V = -sq * Wp + W ** 2 - Rv
     return {"W_rho": W, "V_rho": V, "v": v}
 
 
-def sl_full_susy_residual(P: PolyOrFn, Q: PolyOrFn, R: PolyOrFn,
-                          Q1: PolyOrFn, Lambda1: float, grid: Grid) -> float:
+def sl_full_susy_residual(P, Q, R, Q1, Lambda1: float, grid: Grid) -> float:
     """Max residual of P(W' + W^2) + Q W + R + Lambda1 with W = Q1/(2P).
 
     A vanishing residual certifies that -Q1 d/dx is the first-order piece
@@ -578,20 +602,14 @@ def sl_full_susy_residual(P: PolyOrFn, Q: PolyOrFn, R: PolyOrFn,
     candidate, it does not solve for Q1.
     """
     x = grid.nodes
-    Pf, Qf, Rf, Q1f = _fn(P), _fn(Q), _fn(R), _fn(Q1)
-    Pv = Pf(x) * np.ones_like(x)
+    Pv, Qv, Rv, Q1v = (_samples(f, x) for f in (P, Q, R, Q1))
     _check_sign_definite(Pv)
-
-    def w(t):
-        return Q1f(t) / (2.0 * Pf(t))
-
-    W = w(x)
+    W = Q1v / (2.0 * Pv)
     if isinstance(P, Poly) and isinstance(Q1, Poly):
         # exact quotient rule: W' = (Q1' P - Q1 P') / (2 P^2)
         num = Q1.derivative() * P - Q1 * P.derivative()
         Wp = num(x) / (2.0 * Pv ** 2)
     else:
-        hstep = 1e-5
-        Wp = (w(x + hstep) - w(x - hstep)) / (2 * hstep)
-    res = Pv * (Wp + W ** 2) + Qf(x) * W + Rf(x) * np.ones_like(x) + Lambda1
+        Wp = _gradient(W, x)
+    res = Pv * (Wp + W ** 2) + Qv * W + Rv + Lambda1
     return float(np.max(np.abs(res)))

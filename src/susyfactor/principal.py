@@ -7,8 +7,10 @@ cross-check tables, shape-invariance residuals, three-term recurrences and
 the equivalent operator forms.
 
 Ladders are kept unnormalized: the usual 1/sqrt(E_l) factors would leave
-the rational field, so the squared norm prod E_j is tracked separately and
-all proportionality statements are cross-multiplied.
+the rational field, so normsq = prod E_j is tracked separately and all
+proportionality statements are cross-multiplied.  normsq is the squared
+norm int w Phi_l^2 / int w only when p'' = 0; in general that ratio is
+prod E_j (q' - p''/2)/(q' + (l - 1/2) p'').
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .diffop import DiffOp, hamiltonian
 
 class Breakdown(ArithmeticError):
     """The factorization degenerates here: a recurrence divisor vanished,
-    or the squared norm E_l of the level's eigenfunction is zero."""
+    or E_l, a factor of the level's normsq prod E_j, is zero."""
 
     def __init__(self, level: int, message: str = ""):
         self.level = level
@@ -275,7 +277,8 @@ def ladder_pair(prob: Problem, branch: str, l: int,
 
 def principal_eigenfunction(prob: Problem, l: int, lad: Ladders | None = None
                             ) -> tuple[Poly, Fraction]:
-    """Unnormalized Phi_l = B_l ... B_1 applied to 1, with norm^2 = prod E_j.
+    """Unnormalized Phi_l = B_l ... B_1 applied to 1, with normsq = prod E_j
+    (the squared norm int w Phi_l^2 / int w only when p'' = 0).
 
     A degree lost while raising is DegreeError; after that check, the first
     vanishing E_j is Breakdown(j).
@@ -337,7 +340,7 @@ def shape_invariance_check(prob: Problem, branch: str, l: int,
 def three_term_check(prob: Problem, l: int,
                      lad: Ladders | None = None) -> tuple[Poly, Poly]:
     """Residuals of the two three-term recurrences in the unnormalized
-    convention: with norm^2 tracked outside, both read
+    convention: with normsq tracked outside, both read
 
         Phi_{l+1} = (W_{l+1} + W_l) Phi_l - E_l Phi_{l-1}
         Phi_{l+1} = (-2 p d/dx + W_{l+1} - W_l + 2 W0) Phi_l + E_l Phi_{l-1}

@@ -154,11 +154,8 @@ def _scan_classify(op):
     for m in range(0, 129):
         am = Fraction(m, 2) * (p * prob.ppp + (q - pprime) * pprime) \
             + Fraction(m * m, 4) * pprime * pprime
-        try:
-            quot = (num - am).exact_div(p)
-        except ArithmeticError:
-            continue
-        if quot.degree > 0:
+        quot, rem = (num - am).divmod(p)
+        if not rem.is_zero() or quot.degree > 0:
             continue
         lam = -quot[0]
         for l in range(m, 4097):

@@ -144,9 +144,16 @@ def test_numeric_file_errors_exit_2(tmp_path):
     header_only.write_text("x,P,Q,R\n")
     no_r = tmp_path / "no_r.csv"
     no_r.write_text("x,P,Q\n0.5,1,2\n1.0,1,1\n")
+    # derivatives of samples need three or more increasing nodes
+    two_rows = tmp_path / "two_rows.csv"
+    two_rows.write_text("x,P,Q,R\n0.5,1,2,0\n1.0,1,1,0\n")
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("x,P,Q,R\n0.5,1,2,0\n1.0,1,1,0\n1.0,1,1,0\n")
     cases = [(["--csv", str(tmp_path / "missing.csv")], "FileNotFoundError"),
              (["--csv", str(header_only)], "ValueError"),
              (["--csv", str(no_r)], "ValueError"),
+             (["--csv", str(two_rows)], "ValueError"),
+             (["--csv", str(repeated)], "ValueError"),
              (["--family", "legendre", "--output", str(tmp_path)],
               "IsADirectoryError")]
     for extra, error in cases:

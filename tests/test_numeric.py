@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from susyfactor.core import Poly, Problem
@@ -21,7 +21,7 @@ from susyfactor.associated import assoc_lambda
 from susyfactor.principal import factor_table, principal_eigenfunction
 from susyfactor import cli, numeric, principal
 
-from conftest import hermite, jacobi, laguerre, legendre
+from conftest import hermite, hypergeom, jacobi, laguerre, legendre
 
 
 # The quadrature path the closed-form maps replaced, kept as their reference:
@@ -80,7 +80,7 @@ def _residual_on(prob, l, m, form, grids):
     phi, _ = principal_eigenfunction(prob, l)
     E = float(factor_table(prob, "minus", l)[l].E if form == "y"
               else assoc_lambda(prob, l, m))
-    r = []
+    r, rels = [], []
     for u, x in grids:
         w = numeric.weight_numeric(
             prob, numeric.Grid(x, float(np.min(x)), float(np.max(x))))
@@ -94,12 +94,14 @@ def _residual_on(prob, l, m, form, grids):
         res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
             + sign * (V[1:-1] - E) * psi[1:-1]
         r.append(float(np.max(np.abs(res))))
+        a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
+        rels.append(r[-1] / (a_norm * float(np.max(np.abs(psi)))))
     r2, r1 = r
-    a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
-    rel = r1 / (a_norm * float(np.max(np.abs(psi))))
+    if max(rels) <= 16 * np.finfo(float).eps:
+        return rels[1], 2.0
     if r1 > 0 and r2 > 0:
-        return rel, float(np.log2(r1 / r2))
-    return rel, 2.0 if r1 == r2 == 0 else None
+        return rels[1], float(np.log2(r1 / r2))
+    return rels[1], None
 
 
 def _rel_dev(got, want):
@@ -115,36 +117,41 @@ def test_coordinate_maps_legendre():
     assert np.max(np.abs(z - np.arcsin(x))) < 1e-10
 
 
-def test_scipy_loads_on_first_use(monkeypatch):
+_EVERY_NUMERIC_FUNCTION = """
+import sys
+import numpy as np
+from susyfactor import numeric
+from susyfactor.core import Poly, Problem
+leg = Problem(Poly([1, 0, -1]), Poly([0, -2]))
+grid = numeric.Grid.uniform(-0.5, 0.5, 9)
+numeric.coordinate_maps(leg, grid)
+numeric.weight_numeric(leg, grid)
+numeric.weight_numeric(Problem(Poly([2, 0, -1]), Poly([0, -3])), grid)
+numeric.potentials(leg, 3, 1, grid)
+numeric.schrodinger_residual(leg, 2, 0, 50, "y")
+numeric.schrodinger_residual(leg, 2, 1, 50, "z")
+numeric.orthogonality_matrix(leg, 4)
+numeric.aux_ground_check(leg, grid)
+sampled = (lambda t: 1.0 - t * t, -2.0 * grid.nodes, lambda t: 0.0 * t)
+for P, Q, R in ((leg.p, leg.q, Poly([])), sampled):
+    numeric.sl_transform_typeI(P, Q, R, grid)
+    numeric.sl_transform_typeII(P, Q, R, grid)
+    numeric.sl_full_susy_residual(P, Q, R, Poly([1, 2]), 0.0, grid)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_scipy_loads_on_first_use():
     # the exact commands load neither scipy nor numpy
     code = ("import sys, susyfactor.cli; "
             "print('scipy.integrate' in sys.modules, 'numpy' in sys.modules)")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
     assert r.stdout.strip() == "False False"
-    # the maps are closed-form: they leave scipy unloaded
-    code = ("import sys; from susyfactor import numeric; "
-            "from susyfactor.core import Poly, Problem; "
-            "numeric.coordinate_maps(Problem(Poly([1, 0, -1]), Poly([0, -2])),"
-            " numeric.Grid.uniform(-0.5, 0.5, 5)); "
-            "print('scipy.integrate' in sys.modules)")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                       text=True, check=True)
-    assert r.stdout.strip() == "False"
-    # numeric's functions read the module attribute at call time, so a
-    # wrapper set on it sees every call; sampled (callable) input still
-    # goes through quad
-    calls = []
-    wrapped = numeric.quad
-
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return wrapped(*args, **kwargs)
-    monkeypatch.setattr(numeric, "quad", counted)
-    numeric.sl_transform_typeII(lambda t: 1.0 - t * t, lambda t: -2.0 * t,
-                                lambda t: 0.0 * t,
-                                numeric.Grid.uniform(-0.5, 0.5, 5))
-    assert len(calls) == 4
+    # nothing in numeric integrates numerically, on Poly or sampled input
+    r = subprocess.run([sys.executable, "-c", _EVERY_NUMERIC_FUNCTION],
+                       capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
 
 
 def test_maps_match_quadrature(family):
@@ -161,6 +168,78 @@ def test_maps_match_quadrature(family):
     for got, want in ((y, y_ref), (z, z_ref), (sl1["u"], y_ref),
                       (sl2["v"], z_ref), (sl1["rho"], rho_ref)):
         assert _rel_dev(got, want) <= 1e-13
+
+
+def _sampled_inputs():
+    """(x, P, Q) samples: legendre on 401 and 21 nodes, the 2D radial
+    operator, and P = x on 62 geometric nodes down to x = 0.001."""
+    out = []
+    for n in (401, 21):
+        x = np.linspace(-0.9, 0.9, n)
+        out.append((x, 1.0 - x * x, -2.0 * x))
+    x = np.linspace(0.5, 3.0, 200)
+    out.append((x, np.ones_like(x), 1.0 / x))
+    x = np.geomspace(1e-3, 5.0, 62)
+    out.append((x, x, 2.0 - x))
+    return out
+
+
+def test_sampled_maps_match_quadrature():
+    # the per-interval closed forms against quad over np.interp
+    for x, P, Q in _sampled_inputs():
+        mid = len(x) // 2
+        Pf = lambda t: np.interp(t, x, P)
+        Qf = lambda t: np.interp(t, x, Q)
+        u_ref = _cumulative_quad_ref(lambda t: 1.0 / Pf(t), x, mid)
+        v_ref = _cumulative_quad_ref(lambda t: 1.0 / np.sqrt(abs(Pf(t))), x,
+                                     mid)
+        rho_ref = np.exp(_cumulative_quad_ref(lambda t: Qf(t) / Pf(t), x,
+                                              mid)) / P
+        grid = numeric.Grid(x, float(x[0]), float(x[-1]))
+        sl1 = numeric.sl_transform_typeI(P, Q, np.zeros_like(x), grid)
+        sl2 = numeric.sl_transform_typeII(P, Q, np.zeros_like(x), grid)
+        for got, want in ((sl1["u"], u_ref), (sl2["v"], v_ref),
+                          (sl1["rho"], rho_ref)):
+            assert _rel_dev(got, want) <= 1e-12, len(x)
+
+
+def test_sampled_input_matches_family(tmp_path):
+    # a CSV sampled from legendre against --family legendre on the same
+    # nodes, the ends included
+    x = np.linspace(-0.9, 0.9, 401)
+    path = tmp_path / "legendre.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "P", "Q", "R"])
+        writer.writerows(zip(x, 1.0 - x * x, -2.0 * x, 0.0 * x))
+
+    def table(*argv):
+        rc, out, err, caught = _cli_in_process("numeric", *argv)
+        assert (rc, err, caught) == (0, "", [])
+        header, *rows = csv.reader(out.splitlines())
+        return dict(zip(header, np.array(rows, float).T))
+
+    fam = ("--family", "legendre", "--lo", "-0.9", "--hi", "0.9",
+           "--nodes", "401")
+    for task, columns in (("sl1", ("rho", "G", "U", "u")),
+                          ("sl2", ("W_rho", "V_rho", "v"))):
+        sampled, exact = table(task, "--csv", str(path)), table(task, *fam)
+        assert np.array_equal(sampled["x"], exact["x"])
+        for name in columns:
+            assert np.max(np.abs(sampled[name] - exact[name])) <= 1e-3, \
+                (task, name)
+
+
+def test_sl_typeII_exact_potential(family):
+    # on Poly input V_rho is the z-form potential V^a_0, W' taken exactly
+    lo, hi = numeric._natural_domain(family)
+    width = hi - lo
+    grid = numeric.Grid.uniform(lo + 1e-3 * width, hi - 1e-3 * width, 400)
+    x = grid.nodes
+    out = numeric.sl_transform_typeII(family.p, family.q, Poly([]), grid)
+    _, V, _ = numeric._assoc_schrodinger(family, Poly([1]), 0, x,
+                                         np.ones_like(x))
+    assert _rel_dev(out["V_rho"], V) <= 1e-12
 
 
 _frac = st.fractions(-3, 3, max_denominator=5)
@@ -331,6 +410,19 @@ def test_residual_matches_quadrature(family):
                         assert abs(order - order_ref) <= 5e-3, case
 
 
+def test_residual_at_roundoff_reports_formal_order():
+    # Phi_2^(2) is a constant and V - E vanishes to rounding on both grids:
+    # the scheme is exact on this input, so the order is the formal 2, not
+    # the log-ratio of two roundoff residuals
+    rc, out, err, caught = _cli_in_process(
+        "numeric", "residual", "--p", "-1,0,2", "--q", "3,0", "--l", "2",
+        "--m", "2", "--form", "z")
+    res = json.loads(out)
+    assert (rc, err, caught) == (0, "", [])
+    assert res["residual"] <= 16 * np.finfo(float).eps
+    assert res["order"] == 2.0
+
+
 def test_residual_where_p_is_negative():
     # (-p, -q) has the same Phi_l, w and z with V -> -V and E -> -E, so its
     # z-form residual is the same number
@@ -420,10 +512,120 @@ def _gram_ref(prob, nmax):
 
 
 def test_orthogonality_float_horner_is_exact(family):
+    # mu0 G against quad: the off-diagonal entries are exactly zero, and the
+    # diagonal matches to quad's accuracy
     if family.p.degree == 2 and family.p[2] > 0:
         pytest.skip("indefinite weight: no orthogonality interval")
-    assert np.array_equal(numeric.orthogonality_matrix(family, 5),
-                          _gram_ref(family, 5))
+    g, ref = numeric.orthogonality_matrix(family, 5), _gram_ref(family, 5)
+    assert np.all(g[~np.eye(6, dtype=bool)] == 0.0)
+    assert np.max(np.abs(np.diag(g) / np.diag(ref) - 1)) <= 1e-12
+
+
+def test_orthogonality_rejects_ill_posed_weights():
+    # no real root or a double root: no orthogonality interval
+    for p in (Poly([1, 0, 1]), Poly([1, -2, 1]), Poly([-1, 0, -1])):
+        with pytest.raises(ValueError):
+            numeric.orthogonality_matrix(Problem(p, Poly([0, -3])), 3)
+    # hypergeom: w = x^(5/2) (x - 1)^(-89/30) beyond x = 1
+    with pytest.raises(ValueError, match="upper root"):
+        numeric.orthogonality_matrix(
+            hypergeom(Fraction(1, 3), Fraction(1, 5), Fraction(7, 2)), 5)
+    # x^(2 nmax) w must be integrable at infinity: w = x^-6 beyond x = 1
+    # allows nmax 2
+    prob = Problem(Poly([0, -1, 1]), Poly([5, -4]))
+    assert numeric.orthogonality_matrix(prob, 2).shape == (3, 3)
+    with pytest.raises(ValueError, match="infinity"):
+        numeric.orthogonality_matrix(prob, 3)
+    for p, q in ((Poly([1]), Poly([0, 2])), (Poly([0, 1]), Poly([1, 1])),
+                 (Poly([0, 1]), Poly([-1, -1]))):
+        with pytest.raises(ValueError, match="not integrable"):
+            numeric.orthogonality_matrix(Problem(p, q), 2)
+
+
+def _check_gram_identity(prob, nmax):
+    # G_ij = 0 for i != j and G_ll = prod E_j (q' - p''/2)/(q' + (l - 1/2) p'')
+    _, gram = numeric._pearson_gram(prob, nmax)
+    p2, q1 = prob.p[2], prob.q[1]
+    for i in range(nmax + 1):
+        assert all(gram[i][j] == 0 for j in range(nmax + 1) if j != i)
+        _, normsq = principal_eigenfunction(prob, i)
+        assert gram[i][i] == normsq * (q1 - p2) / (q1 + (2 * i - 1) * p2)
+
+
+def test_gram_identity_on_presets():
+    for prob in (legendre(), jacobi(2, 3), laguerre(1), hermite(),
+                 Problem(Poly([0, 1]), Poly([3, -1])),
+                 jacobi(Fraction(1, 2), Fraction(1, 2)),
+                 jacobi(Fraction(-1, 2), Fraction(1, 3))):
+        _check_gram_identity(prob, 5)
+
+
+@st.composite
+def _definite_weights(draw):
+    """(prob, nmax) with x^(2 nmax) w integrable on the natural domain, for
+    each shape of p: the exponents of w are drawn first and q built from
+    them."""
+    nmax = draw(st.integers(0, 4))
+    e1, e2 = (draw(st.fractions(Fraction(-5, 6), 4, max_denominator=6))
+              for _ in range(2))
+    a, r, k = draw(_pos), draw(_frac), draw(_pos)
+    c = draw(st.sampled_from((a, -a)))
+    x = Poly.x()
+    shape = draw(st.sampled_from(("constant", "linear", "between",
+                                  "beyond")))
+    if shape == "constant":             # w = exp(-k x^2/2 + ...)
+        return Problem(Poly([c]), Poly([r, -c * k])), nmax
+    if shape == "linear":               # w = e^(-k x/c) |x - r|^e1
+        return Problem(c * (x - r), Poly([c * (e1 + 1) + k * r, -k])), nmax
+    if shape == "between":              # w = (x - r)^e1 (r + k - x)^e2
+        # e1 + e2 = -1 is q' = p''/2, where Phi_1 vanishes (Chebyshev T)
+        assume(e1 + e2 != -1)
+        p = -a * (x - r) * (x - r - k)
+        num = Poly([e1 * a * k]) - a * (e1 + e2) * (x - r)
+    else:                               # w = (x - r)^e1 (x - r - k)^e2
+        e1 = -1 - 2 * nmax - e2 - draw(_pos)
+        p = a * (x - r) * (x - r - k)
+        num = Poly([-e1 * a * k]) + a * (e1 + e2) * (x - r)
+    return Problem(p, num + p.derivative()), nmax
+
+
+@given(_definite_weights())
+@settings(max_examples=150, deadline=None)
+def test_gram_identity_on_definite_weights(case):
+    _check_gram_identity(*case)
+
+
+def test_weight_mass_matches_quadrature():
+    # mu0 against quad of the weight over the natural domain, on each branch
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for prob in (legendre(), jacobi(2, 3), jacobi(Fraction(-1, 2),
+                                                      Fraction(1, 3)),
+                     laguerre(1), Problem(Poly([1, -1]), Poly([-3, -1])),
+                     hermite(), Problem(Poly([-2]), Poly([1, 3])),
+                     Problem(Poly([0, -1, 1]), Poly([5, -4]))):
+            lo, hi = numeric._natural_domain(prob)
+            lo = lo if abs(prob.p(lo)) < 1e-12 else -np.inf
+            hi = hi if abs(prob.p(hi)) < 1e-12 else np.inf
+            wfn = numeric.weight_function(prob)
+            ref = quad(wfn, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+            assert numeric._weight_mass(prob, 0) == pytest.approx(ref,
+                                                                  rel=1e-9)
+    # irrational roots +-sqrt 2: w = sqrt(2 - x^2) between them, and beyond
+    # them w = (x - sqrt 2)^e (x + sqrt 2)^(-4 - e), e = 3 sqrt 2/4 - 2
+    assert numeric._weight_mass(Problem(Poly([2, 0, -1]), Poly([0, -3])),
+                                0) == pytest.approx(math.pi, rel=1e-14)
+    r, e = math.sqrt(2), 3 * math.sqrt(2) / 4 - 2
+    ref = quad(lambda t: (t + r) ** (-4 - e), r, r + 1, weight="alg",
+               wvar=(e, 0))[0] + quad(lambda t: (t - r) ** e
+                                      * (t + r) ** (-4 - e), r + 1,
+                                      np.inf)[0]
+    beyond = Problem(Poly([-2, 0, 1]), Poly([3, -2]))
+    assert numeric._weight_mass(beyond, 2) == pytest.approx(ref, rel=1e-9)
+    with pytest.raises(ValueError, match="infinity"):
+        numeric._weight_mass(beyond, 3)
+    with pytest.raises(ValueError, match="upper root"):
+        numeric._weight_mass(Problem(Poly([-2, 0, 1]), Poly([2, -2])), 0)
 
 
 def _off_diagonal(g):
@@ -438,9 +640,7 @@ def test_orthogonality_weight_without_rational_roots():
     # rational closed form and comes from the closed-form int (q - p')/p
     prob = Problem(Poly([2, 0, -1]), Poly([0, -3]))
     assert numeric.weight_function(prob) is None
-    for inset in (0.0, 1e-8):
-        assert _off_diagonal(numeric.orthogonality_matrix(prob, 4,
-                                                          inset)) < 1e-8
+    assert _off_diagonal(numeric.orthogonality_matrix(prob, 4)) < 1e-8
     grid = numeric.Grid.uniform(-1.3, 1.3, 11)
     w = numeric.weight_numeric(prob, grid)
     expect = np.sqrt(2 - grid.nodes ** 2)
@@ -448,11 +648,11 @@ def test_orthogonality_weight_without_rational_roots():
 
 
 def test_orthogonality_inset_keeps_root_ends():
-    # an end at a root of p is not weight-truncated, so an inset must not
-    # push it past the root
+    # both ends are roots of p, where w = sqrt(1 - x^2) vanishes
     g = numeric.orthogonality_matrix(jacobi(Fraction(1, 2), Fraction(1, 2)),
-                                     4, inset=1e-8)
-    assert _off_diagonal(g) < 1e-6
+                                     4)
+    assert _off_diagonal(g) == 0.0
+    assert g[0, 0] == pytest.approx(math.pi / 2, rel=1e-15)
 
 
 def test_aux_ground_check_converges():
