@@ -168,6 +168,15 @@ def _hh(lad: Ladders, m: int) -> DiffOp:
     return lad.memo(("h h+", m), lambda: lower.compose(raise_, lad.prob))
 
 
+def _on_c(lad: Ladders, name: str, am: int, build) -> DiffOp:
+    """p^(-am/2) op p^(am/2) for op = build(), kept in the context under
+    (name, am): the operator that acts on C = Phi_l^(am) as op acts on
+    Phi_lm = p^(am/2) C.  Polynomial mode when it passes the polynomiality
+    test, else left on QuasiFunction."""
+    return lad.memo((name, am), lambda: build().conjugate(
+        Fraction(-am, 2), 0, lad.prob).as_poly(lad.prob))
+
+
 def verify_associated(prob: Problem, l: int, m: int,
                       lad: Ladders | None = None) -> dict[str, bool]:
     """Eigen-verification at level (l, m).
@@ -177,6 +186,10 @@ def verify_associated(prob: Problem, l: int, m: int,
     c: the descending ladders factor the same operator and reproduce the
        eigenvalue on Phi_{l,-m}.
     d: Phi_{l,-m} = (-1)^m Phi_{lm}.
+
+    Checks b and c run on C = Phi_l^(|m|): H^a_m and the descending
+    product h_{-m}^dagger h_{-m}, conjugated by p^(-|m|/2) once per |m|,
+    act on it as polynomial operators.
     """
     lad = _own(prob, l, lad)
     am = abs(m)
@@ -184,22 +197,22 @@ def verify_associated(prob: Problem, l: int, m: int,
     ham = _hamiltonian(lad, am)
     a_ok = lad.memo(("check a", am), lambda: _hh(lad, am).equals(ham, prob))
 
-    phi = _bottom_up(lad, l, am).value
-    b_ok = ham.apply(phi, prob).eq(phi.scale(lam), prob)
+    c = _bottom_up(lad, l, am).value.c
+    b_ok = _on_c(lad, "H^a on C", am, lambda: ham).is_eigen(c, lam, prob)
 
     if am == 0:
         c_ok = b_ok
-        phi_neg = phi
+        c_neg = c
     else:
         def descending():
             nlo, nhi = _ladders(lad, -am)
             return nhi.compose(nlo, prob)
-        neg_ham = lad.memo(("descending", am), descending)
-        phi_neg = _bottom_up(lad, l, -am).value
-        c_ok = neg_ham.apply(phi_neg, prob).eq(phi_neg.scale(lam), prob)
+        c_neg = _bottom_up(lad, l, -am).value.c
+        c_ok = _on_c(lad, "descending on C", am, descending).is_eigen(
+            c_neg, lam, prob)
 
     sign = -1 if am % 2 else 1
-    d_ok = phi_neg.eq(phi.scale(sign), prob)
+    d_ok = c_neg == c * sign
     return {"operator_expansion": a_ok, "eigen_equation": b_ok,
             "negative_level": c_ok, "sign_relation": d_ok}
 
@@ -278,7 +291,7 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
     lam = assoc_lambda(prob, l, m)
     phi = assoc_bottom_up(prob, l, m).value
     varphi = QuasiFunction(phi.c, phi.s - Fraction(m, 2), phi.e)
-    b_ok = op.apply(varphi, prob).eq(varphi.scale(lam), prob)
+    b_ok = op.is_eigen(varphi, lam, prob)
     sub = Problem(prob.p, prob.q + m * pprime)
     b_ok = b_ok and factor_table(sub, "minus", l - m)[-1].lam == lam
 
@@ -338,6 +351,7 @@ def classify_expanded(op: DiffOp) -> tuple[Problem, int, int, Fraction]:
     which lambda = assoc_lambda(l, m), quadratic in l, has an integer root
     l >= m.  No bound applies to l or m.
     """
+    op = op.as_qf()
     c2 = op.coeff(2)
     c1 = op.coeff(1)
     if op.order != 2 or c2.s != 0 or c2.e != 0 or c1.e != 0 or c1.s != 0:
@@ -410,8 +424,8 @@ def pHm_factorization(prob: Problem, l: int, m: int, lad: Ladders | None = None
         - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) * prob.pp0
     lam = assoc_lambda(prob, l, m)
     lhs = lad.memo(("p H^a", m), lambda: _hamiltonian(lad, m).lmul(
-        QuasiFunction(prob.p), prob))
-    lhs = lhs.sub(DiffOp.mul_by(QuasiFunction(prob.p * lam)), prob)
+        prob.p, prob).as_poly(prob))
+    lhs = lhs.sub(DiffOp.mul_by(prob.p * lam), prob)
     lhs = lhs.add(DiffOp.mul_by(E_lm), prob)
     pair = lad.pair("minus", l)
     rhs = lad.ba("minus", l).add(

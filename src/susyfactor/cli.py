@@ -250,7 +250,7 @@ def cmd_numeric(args) -> int:
         return 0
     if task in ("sl1", "sl2", "slcheck") and args.csv:
         x, P, Q, R = _read_pqr_csv(args.csv)
-        grid = numeric.Grid(x, float(x[0]), float(x[-1]))
+        grid = numeric.Grid(x)
         prob = None
     else:
         prob = _problem_from_args(args)

@@ -54,9 +54,6 @@ class SingularGrid(ValueError):
 @dataclass(frozen=True)
 class Grid:
     nodes: np.ndarray
-    lo: float
-    hi: float
-    spacing: str = "uniform"
 
     @classmethod
     def uniform(cls, lo: float, hi: float, n: int) -> "Grid":
@@ -64,7 +61,7 @@ class Grid:
             raise ValueError("need lo < hi")
         if n < 1:
             raise ValueError(f"nodes (--nodes) must be >= 1, got {n}")
-        return cls(np.linspace(lo, hi, n), lo, hi)
+        return cls(np.linspace(lo, hi, n))
 
 
 def _check_sign_definite(vals: np.ndarray):
@@ -218,8 +215,9 @@ def coordinate_maps(prob: Problem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 def weight_function(prob: Problem):
     """Closed-form callable for w = exp(int (q - p')/p), or None.
 
-    Built from the partial fractions of (q - p')/p when p factors over the
-    rationals.
+    Built from the partial fractions of (q - p')/p when p has real roots:
+    prod |x - r_i|^e_i for two distinct roots, rational or not, as
+    _weight_mass normalizes it.  None when p has no real root.
     """
     num = prob.q - prob.p.derivative()
     p = prob.p
@@ -236,9 +234,24 @@ def weight_function(prob: Problem):
         return lambda x: np.exp(slope * np.asarray(x, float)) \
             * np.abs(np.asarray(x, float) - rf) ** expo
     disc = p[1] * p[1] - 4 * p[2] * p[0]
+    if disc < 0:
+        return None
     root = rational_sqrt(disc)
     if root is None:
-        return None
+        # irrational roots r_1,2 = (-p1 -+ sqrt D)/(2 p2) carry the
+        # exponents a -+ k with a rational, so prod |x - r_i|^e_i is
+        # |p/p2|^a |(x - r2)/(x - r1)|^k
+        a = num[1] / (2 * p[2])
+        sq = math.sqrt(disc)
+        k = float(num[0] - a * p[1]) / sq
+        f1, f2 = (float(-p[1]) - sq) / float(2 * p[2]), \
+            (float(-p[1]) + sq) / float(2 * p[2])
+        monic, af = p * (1 / p[2]), float(a)
+
+        def w(x):
+            x = np.asarray(x, float)
+            return np.abs(monic(x)) ** af * np.abs((x - f2) / (x - f1)) ** k
+        return w
     r1 = (-p[1] - root) / (2 * p[2])
     r2 = (-p[1] + root) / (2 * p[2])
     if r1 == r2:
@@ -260,6 +273,7 @@ def weight_numeric(prob: Problem, grid: Grid) -> np.ndarray:
     fn = weight_function(prob)
     if fn is not None:
         return fn(x)
+    # p without real roots: w anchored to 1 at the mid node
     return np.exp(_over_p(prob.p, prob.q - prob.p.derivative(),
                           x[len(x) // 2])(x))
 
@@ -414,8 +428,7 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     sign = math.copysign(1.0, prob.p(x0)) if form == "z" else 1.0
     r, rels = [], []
     for uk, xk in ((u, x), (u[::2], x[::2])):    # halved grid, then n nodes
-        w = weight_numeric(prob, Grid(xk, float(np.min(xk)),
-                                      float(np.max(xk)), "mapped"))
+        w = weight_numeric(prob, Grid(xk))
         if form == "y":
             psi, V = np.sqrt(w) * phi(xk), vl(xk)
         else:

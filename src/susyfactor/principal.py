@@ -171,11 +171,11 @@ class Ladders:
     The factor tables run to level ``top`` (minus 0..top, plus -1..top) and
     are built one branch at a time, so a caller touching only one branch
     raises only that branch's Breakdown.  Ladder pairs, their products
-    A_l B_l and B_l A_l, and the Phi chain hang off the tables; ``memo``
-    keeps whatever else the checks of the principal, associated and
-    degenerate layers share, such as the per-m associated operators.  The
-    verify suite builds one per request; a standalone check builds its own,
-    so both run the same code.
+    A_l B_l and B_l A_l (all polynomial-mode operators), and the Phi chain
+    hang off the tables; ``memo`` keeps whatever else the checks of the
+    principal, associated and degenerate layers share, such as the per-m
+    associated operators.  The verify suite builds one per request; a
+    standalone check builds its own, so both run the same code.
     """
 
     def __init__(self, prob: Problem, top: int):
@@ -266,13 +266,9 @@ def _own(prob: Problem, l: int, lad: Ladders | None) -> Ladders:
 def ladder_pair(prob: Problem, branch: str, l: int,
                 lad: Ladders | None = None) -> LadderPair:
     lad = _own(prob, l, lad)
-    wl = QuasiFunction(lad.wl(branch, l))
-    w0 = QuasiFunction(lad.w0)
-    pd = DiffOp([QuasiFunction.zero(), QuasiFunction(prob.p)])
-    lower = pd.add(DiffOp.mul_by(wl).sub(DiffOp.mul_by(w0), prob), prob)
-    raise_ = pd.scale(-1).add(DiffOp.mul_by(wl).add(DiffOp.mul_by(w0), prob),
-                              prob)
-    return LadderPair(lower, raise_)
+    wl = lad.wl(branch, l)
+    return LadderPair(DiffOp([wl - lad.w0, prob.p]),
+                      DiffOp([wl + lad.w0, -prob.p]))
 
 
 def principal_eigenfunction(prob: Problem, l: int, lad: Ladders | None = None
@@ -363,9 +359,7 @@ def hypergeom_like_hl(prob: Problem, l: int,
                       lad: Ladders | None = None) -> DiffOp:
     """H_l = -p d^2/dx^2 + (2 W_l - p') d/dx (minus branch)."""
     wl = _own(prob, l, lad).wl("minus", l)
-    return DiffOp([QuasiFunction.zero(),
-                   QuasiFunction(2 * wl - prob.p.derivative()),
-                   QuasiFunction(-prob.p)])
+    return DiffOp([Poly(), 2 * wl - prob.p.derivative(), -prob.p])
 
 
 def _solve_weight_exponents(prob: Problem, target: Poly):
@@ -408,21 +402,18 @@ def equivalent_forms_check(prob: Problem, l: int,
     delta_w = lad.wl("minus", l) - lad.w0
     Hl = hypergeom_like_hl(prob, l, lad)
 
-    first_order = DiffOp([QuasiFunction.zero(),
-                          QuasiFunction(delta_w * (-2))])
+    first_order = DiffOp([Poly(), delta_w * (-2)])
     a_ok = H0.equals(Hl.add(first_order, prob), prob)
 
     lam_plus = ent_minus.lam + prob.ppp - prob.qp
-    phi = QuasiFunction(principal_eigenfunction(prob, l, lad)[0])
+    phi = principal_eigenfunction(prob, l, lad)[0]
 
     def a0b0_over_p():
-        over_p = lad.ab("minus", 0).lmul(QuasiFunction(Poly.const(1), -1, 0),
-                                         prob)
-        return over_p, all(c.s >= 0 and c.s.denominator == 1
-                           for c in over_p.coeffs)
+        # polynomial exactly when every coefficient leaves no remainder
+        quo = [c.divmod(prob.p) for c in lad.ab("minus", 0).coeffs]
+        return DiffOp([q for q, _ in quo]), all(r.is_zero() for _, r in quo)
     over_p, polynomial = lad.memo("A0B0/p", a0b0_over_p)
-    b_ok = polynomial \
-        and over_p.apply(phi, prob).eq(phi.scale(lam_plus), prob)
+    b_ok = polynomial and over_p.is_eigen(phi, lam_plus, prob)
 
     c_ok = ent_plus.lam - ent_minus.lam == prob.ppp - prob.qp
 

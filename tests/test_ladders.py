@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from susyfactor.core import Poly, Problem
+from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp
 from susyfactor import associated, cli, degenerate, principal
 
@@ -123,6 +123,33 @@ def test_one_table_per_branch_and_one_raise_per_level(monkeypatch):
     assert code == 0 and json.loads(out)["proportional_to_alternate"]
     assert tables == [("minus", 12)]
     assert raises == list(range(1, 13))
+
+
+def test_polynomial_checks_make_no_canonicalize_call(monkeypatch):
+    # with the per-m operators built, shape invariance, pHm and checks b-d
+    # of verify_associated run on Poly only
+    prob = cli._family_problem("jacobi:2,3")
+    top = 6
+    lad = principal.Ladders(prob, top)
+    for m in range(top + 1):
+        associated.verify_associated(prob, top, m, lad)
+        associated.pHm_factorization(prob, top, m, lad)
+    calls = []
+    canonicalize = QuasiFunction.canonicalize
+
+    def counted(self, prob):
+        calls.append(self)
+        return canonicalize(self, prob)
+    monkeypatch.setattr(QuasiFunction, "canonicalize", counted)
+    for l in range(top):
+        assert principal.shape_invariance_check(prob, "plus", l, lad).is_zero()
+        if l >= 1:
+            assert principal.shape_invariance_check(
+                prob, "minus", l, lad).is_zero()
+        for m in range(l + 1):
+            assert all(associated.verify_associated(prob, l, m, lad).values())
+            assert associated.pHm_factorization(prob, l, m, lad)[2]
+    assert calls == []
 
 
 def test_collapse_shares_the_context(monkeypatch):

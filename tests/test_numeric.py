@@ -82,8 +82,7 @@ def _residual_on(prob, l, m, form, grids):
               else assoc_lambda(prob, l, m))
     r, rels = [], []
     for u, x in grids:
-        w = numeric.weight_numeric(
-            prob, numeric.Grid(x, float(np.min(x)), float(np.max(x))))
+        w = numeric.weight_numeric(prob, numeric.Grid(x))
         if form == "y":
             psi = np.sqrt(w) * phi(x)
             V = numeric.potential_poly(prob, l)(x)
@@ -195,7 +194,7 @@ def test_sampled_maps_match_quadrature():
                                      mid)
         rho_ref = np.exp(_cumulative_quad_ref(lambda t: Qf(t) / Pf(t), x,
                                               mid)) / P
-        grid = numeric.Grid(x, float(x[0]), float(x[-1]))
+        grid = numeric.Grid(x)
         sl1 = numeric.sl_transform_typeI(P, Q, np.zeros_like(x), grid)
         sl2 = numeric.sl_transform_typeII(P, Q, np.zeros_like(x), grid)
         for got, want in ((sl1["u"], u_ref), (sl2["v"], v_ref),
@@ -636,15 +635,30 @@ def _off_diagonal(g):
 
 
 def test_orthogonality_weight_without_rational_roots():
-    # p = 2 - x^2 has the roots +-sqrt 2, so w = sqrt(2 - x^2) has no
-    # rational closed form and comes from the closed-form int (q - p')/p
+    # p = 2 - x^2 has the roots +-sqrt 2: w = sqrt(2 - x^2), normalized as
+    # prod |x - r_i|^e_i like the Gram matrix's mu0
     prob = Problem(Poly([2, 0, -1]), Poly([0, -3]))
-    assert numeric.weight_function(prob) is None
     assert _off_diagonal(numeric.orthogonality_matrix(prob, 4)) < 1e-8
     grid = numeric.Grid.uniform(-1.3, 1.3, 11)
     w = numeric.weight_numeric(prob, grid)
-    expect = np.sqrt(2 - grid.nodes ** 2)
-    assert np.max(np.abs(w / w[5] - expect / expect[5])) < 1e-14
+    assert np.max(np.abs(w / np.sqrt(2 - grid.nodes ** 2) - 1)) < 1e-14
+    # with k != 0: p = x^2 - 2, q = 3 - 2x, w = |x - sqrt 2|^e |x + sqrt 2|^f
+    beyond = Problem(Poly([-2, 0, 1]), Poly([3, -2]))
+    r, e = math.sqrt(2), 3 * math.sqrt(2) / 4 - 2
+    x = np.array([1.5, 2.0, 4.0])
+    assert np.max(np.abs(numeric.weight_function(beyond)(x)
+                         / ((x - r) ** e * (x + r) ** (-4 - e)) - 1)) < 1e-13
+
+
+def test_potentials_weight_without_rational_roots():
+    # w = sqrt(2 - x^2) is sqrt 2 at x = 0, as the Gram matrix normalizes it
+    rc, out, err, caught = _cli_in_process(
+        "numeric", "potentials", "--p", "-1,0,2", "--q", "-3,0", "--nodes",
+        "3", "--l", "1")
+    assert (rc, err, caught) == (0, "", [])
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert float(rows[1]["x"]) == 0.0
+    assert float(rows[1]["w"]) == pytest.approx(math.sqrt(2), rel=1e-15)
 
 
 def test_orthogonality_inset_keeps_root_ends():
@@ -705,7 +719,7 @@ def test_square_well_fixture():
     data = np.loadtxt(Path(__file__).parent / "data" / "psi-save3.dat")
     t = data[1:-1, 0]                       # p vanishes at t = 0 and t = 1
     x = np.cos(np.pi * t)
-    grid = numeric.Grid(x, float(x[-1]), float(x[0]), "mapped")
+    grid = numeric.Grid(x)
     mid = len(t) // 2
     for l in (0, 1, 4, 9):
         prof = numeric.potentials(jacobi(Fraction(1, 2), Fraction(1, 2)),
