@@ -53,38 +53,34 @@ class AssocFunction:
     normsq: Fraction
 
 
-def _sqrt_p_prime(prob: Problem) -> QuasiFunction:
-    """(sqrt p)' = p'/(2 sqrt p)."""
-    return QuasiFunction(prob.p.derivative() * Fraction(1, 2), Fraction(-1, 2), 0)
-
-
 def assoc_ladders(prob: Problem, m: int) -> tuple[DiffOp, DiffOp]:
     """(h_m, h_m^dagger); negative m gives the descending pair.
 
     h_0 = -sqrt(p) d/dx + (p'/2 - q)/sqrt(p), h_0^dagger = sqrt(p) d/dx;
-    level shift by -m (sqrt p)'.  For m < 0 the ladders are
+    level shift by -m (sqrt p)' = -m p'/(2 sqrt p).  Both are p^(-1/2)
+    times a polynomial operator.  For m < 0 the ladders are
     (-h_|m|^dagger, -h_|m|).
     """
     if m < 0:
         lo, hi = assoc_ladders(prob, -m)
         return hi.scale(-1), lo.scale(-1)
-    shift = _sqrt_p_prime(prob).scale(-m)
     half = Fraction(1, 2)
-    w0a2 = QuasiFunction(prob.p.derivative() * half - prob.q, -half, 0)
-    lower = DiffOp([w0a2.add(shift, prob), QuasiFunction(Poly.const(-1), half, 0)])
-    raise_ = DiffOp([shift, QuasiFunction(Poly.const(1), half, 0)])
+    pprime = prob.p.derivative()
+    shift = pprime * Fraction(-m, 2)
+    lower = DiffOp([pprime * half - prob.q + shift, -prob.p], -half)
+    raise_ = DiffOp([shift, prob.p], -half)
     return lower, raise_
 
 
 def assoc_hamiltonian(prob: Problem, m: int) -> DiffOp:
-    """H^a_m expanded: -p d^2 - q d + [(m/2)p''p + (m/2)(q-p')p' + (m^2/4)p'^2]/p."""
+    """H^a_m expanded: -p d^2 - q d + [(m/2)p''p + (m/2)(q-p')p' + (m^2/4)p'^2]/p.
+
+    Kept as p^-1 times a polynomial operator."""
     m = abs(m)
     pprime = prob.p.derivative()
     num = Fraction(m, 2) * (prob.p * prob.ppp + (prob.q - pprime) * pprime) \
         + Fraction(m * m, 4) * pprime * pprime
-    return DiffOp([QuasiFunction(num, -1, 0).canonicalize(prob),
-                   QuasiFunction(-prob.q),
-                   QuasiFunction(-prob.p)])
+    return DiffOp([num, -prob.q * prob.p, -prob.p * prob.p], -1)
 
 
 def assoc_lambda(prob: Problem, l: int, m: int) -> Fraction:
@@ -171,10 +167,9 @@ def _hh(lad: Ladders, m: int) -> DiffOp:
 def _on_c(lad: Ladders, name: str, am: int, build) -> DiffOp:
     """p^(-am/2) op p^(am/2) for op = build(), kept in the context under
     (name, am): the operator that acts on C = Phi_l^(am) as op acts on
-    Phi_lm = p^(am/2) C.  Polynomial mode when it passes the polynomiality
-    test, else left on QuasiFunction."""
+    Phi_lm = p^(am/2) C."""
     return lad.memo((name, am), lambda: build().conjugate(
-        Fraction(-am, 2), 0, lad.prob).as_poly(lad.prob))
+        Fraction(-am, 2), 0, lad.prob))
 
 
 def verify_associated(prob: Problem, l: int, m: int,
@@ -260,8 +255,7 @@ def assoc_three_term(prob: Problem, l: int, m: int) -> tuple[QuasiFunction, Quas
     half = Fraction(1, 2)
     mid1 = QuasiFunction((m - 1) * pprime + prob.q, -half, 0)
     res1 = phi_up.add(mid1.mul(phi, prob), prob).add(phi_dn.scale(wgt), prob)
-    op2 = DiffOp([QuasiFunction(prob.q - pprime, -half, 0),
-                  QuasiFunction(Poly.const(2), half, 0)])
+    op2 = DiffOp([prob.q - pprime, 2 * prob.p], -half)
     res2 = phi_up.sub(op2.apply(phi, prob), prob).sub(phi_dn.scale(wgt), prob)
     return res1, res2
 
@@ -283,9 +277,7 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
     lower, _ = assoc_ladders(prob, 2 * m)
     _, raise0 = assoc_ladders(prob, 0)
     op = lower.compose(raise0, prob)
-    target = DiffOp([QuasiFunction.zero(),
-                     QuasiFunction(-(prob.q + m * pprime)),
-                     QuasiFunction(-prob.p)])
+    target = DiffOp([Poly(), -(prob.q + m * pprime), -prob.p])
     a_ok = op.equals(target, prob)
 
     lam = assoc_lambda(prob, l, m)
@@ -297,11 +289,10 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
 
     s = Fraction(2 * m + 1, 4)
     conj = op.conjugate(s, Fraction(1, 2), prob)
-    wam = QuasiFunction(-((m - Fraction(1, 2)) * pprime + prob.q)
-                        * Fraction(1, 2), Fraction(-1, 2), 0)
     half = Fraction(1, 2)
-    left = DiffOp([wam, QuasiFunction(Poly.const(-1), half, 0)])
-    right = DiffOp([wam, QuasiFunction(Poly.const(1), half, 0)])
+    wam = ((m - half) * pprime + prob.q) * (-half)    # sqrt(p) W^a_m
+    left = DiffOp([wam, -prob.p], -half)
+    right = DiffOp([wam, prob.p], -half)
     c_ok = conj.equals(left.compose(right, prob), prob)
     return {"base_type_product": a_ok, "substituted_eigenvalue": b_ok,
             "supersymmetrized": c_ok}
@@ -321,10 +312,10 @@ def standard_hermitian_relation(prob: Problem, l: int,
     def conjugated_h0():
         inner = hamiltonian(prob).conjugate(Fraction(1, 4), Fraction(1, 2),
                                             prob)
-        return inner.lmul(QuasiFunction(prob.p), prob).conjugate(
+        return DiffOp(inner.coeffs, inner.k + 1).conjugate(
             Fraction(-1, 4), 0, prob)
     rhs = lad.memo("conjugated H0", conjugated_h0)
-    rhs = rhs.sub(DiffOp.mul_by(QuasiFunction(prob.p * ent.lam)), prob)
+    rhs = rhs.sub(DiffOp.mul_by(prob.p * ent.lam), prob)
     rhs = rhs.add(DiffOp.mul_by(ent.E), prob)
     return lhs.equals(rhs, prob)
 
@@ -340,10 +331,14 @@ def _integer_roots(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
     return sorted(int(t) for t in roots if t.denominator == 1)
 
 
-def classify_expanded(op: DiffOp) -> tuple[Problem, int, int, Fraction]:
-    """Recover (p, q, m, l, lambda_lm) from an operator H^a_m - lambda_lm.
+def classify_expanded(op: DiffOp, p: Poly
+                      ) -> tuple[Problem, int, int, Fraction]:
+    """Recover (q, m, l, lambda_lm) from an operator H^a_m - lambda_lm on p.
 
-    The second- and first-order coefficients give p and q directly.  The
+    The operator's p^k is a power of its own p, which its coefficients fix
+    only up to sign (p^-1 (-p^2) is -p for p and for -p), so p is given
+    and Problem(p, q) comes back.  Over p^-j, j >= 0, the second- and
+    first-order coefficients must be -p^(j+1) and -q p^j.  The
     zeroth-order part is N/p with N = (m/2) U + (m^2/4) V - lambda p,
     U = p p'' + (q - p') p' and V = p'^2, so every coefficient of N's
     remainder mod p, and of N above x^deg p, is a quadratic in m that must
@@ -351,23 +346,26 @@ def classify_expanded(op: DiffOp) -> tuple[Problem, int, int, Fraction]:
     which lambda = assoc_lambda(l, m), quadratic in l, has an integer root
     l >= m.  No bound applies to l or m.
     """
-    op = op.as_qf()
-    c2 = op.coeff(2)
-    c1 = op.coeff(1)
-    if op.order != 2 or c2.s != 0 or c2.e != 0 or c1.e != 0 or c1.s != 0:
+    if op.order != 2 or op.k.denominator != 1:
         raise ClassifyError("not a hypergeometric-like second-order operator")
-    p = -c2.c
-    q = -c1.c
-    if p.is_zero() or p.degree > 2 or q.degree > 1:
+    # op = p^-j (c0 + c1 d + c2 d^2)
+    j = max(-int(op.k), 0)
+    c0, c1, c2 = (c * p ** (int(op.k) + j) for c in op.coeffs)
+    q, r1 = (-c1).divmod(p ** j)
+    if c2 != -p ** (j + 1) or not r1.is_zero():
+        raise ClassifyError("not a hypergeometric-like second-order operator")
+    if q.degree > 1:
         raise ClassifyError("differential parts do not fit the p/q pattern")
     prob = Problem(p, q)
-    c0 = op.coeff(0)
-    if c0.e != 0 or c0.s.denominator != 1 or not -1 <= c0.s <= 0:
-        raise ClassifyError("constant part is not a polynomial over p")
+    # numerator of the zeroth-order part over p
+    if j == 0:
+        num = c0 * p
+    else:
+        num, r0 = c0.divmod(p ** (j - 1))
+        if not r0.is_zero():
+            raise ClassifyError("constant part is not a polynomial over p")
     if p.degree == 0:
         raise ClassifyError("degenerate: m unidentifiable")
-    # numerator of the zeroth-order part over p
-    num = c0.c * p ** int(c0.s + 1)
     pprime = p.derivative()
     U = p * prob.ppp + (q - pprime) * pprime
     V = pprime * pprime
@@ -423,8 +421,8 @@ def pHm_factorization(prob: Problem, l: int, m: int, lad: Ladders | None = None
         + m * (prob.qp + Fraction(m - 2, 2) * prob.ppp) * prob.p0 \
         - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) * prob.pp0
     lam = assoc_lambda(prob, l, m)
-    lhs = lad.memo(("p H^a", m), lambda: _hamiltonian(lad, m).lmul(
-        prob.p, prob).as_poly(prob))
+    ham = _hamiltonian(lad, m)
+    lhs = DiffOp(ham.coeffs, ham.k + 1)
     lhs = lhs.sub(DiffOp.mul_by(prob.p * lam), prob)
     lhs = lhs.add(DiffOp.mul_by(E_lm), prob)
     pair = lad.pair("minus", l)

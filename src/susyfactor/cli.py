@@ -109,8 +109,7 @@ def cmd_factorize(args) -> int:
         try:
             table = principal.factor_table(prob, branch, args.levels)
         except principal.Breakdown as ex:
-            table = principal.factor_table(prob, branch, ex.level - 1)
-            report["entries"] += [_entry_record(e) for e in table]
+            report["entries"] += [_entry_record(e) for e in ex.entries]
             _emit(report, args)
             print(json.dumps({"error": "breakdown", "level": ex.level,
                               "branch": branch}), file=sys.stderr)
@@ -215,7 +214,7 @@ def cmd_verify(args) -> int:
 
 def _grid_from_args(prob, args):
     from . import numeric
-    if args.lo is not None and args.hi is not None:
+    if args.lo is not None:
         lo, hi = args.lo, args.hi
     else:
         lo, hi = numeric._natural_domain(prob)
@@ -241,6 +240,13 @@ def _read_pqr_csv(path):
 def cmd_numeric(args) -> int:
     from . import numeric
     task = args.task
+    sampled = task in ("sl1", "sl2", "slcheck") and args.csv
+    if args.csv and not sampled:
+        raise ValueError(f"numeric {task} reads no --csv")
+    if (args.lo is None) != (args.hi is None):
+        raise ValueError("give --lo and --hi together")
+    if args.lo is not None and (task == "residual" or sampled):
+        raise ValueError("numeric residual and --csv input read no --lo/--hi")
     if task == "residual":
         rel, order = numeric.schrodinger_residual(
             _problem_from_args(args), args.l, args.m, nodes=args.nodes,
@@ -248,7 +254,7 @@ def cmd_numeric(args) -> int:
         _emit({"residual": rel, "order": order, "form": args.form,
                "nodes": args.nodes}, args)
         return 0
-    if task in ("sl1", "sl2", "slcheck") and args.csv:
+    if sampled:
         x, P, Q, R = _read_pqr_csv(args.csv)
         grid = numeric.Grid(x)
         prob = None
@@ -296,7 +302,8 @@ def cmd_classify(args) -> int:
         ham = associated.assoc_hamiltonian(prob, m)
         lam = associated.assoc_lambda(prob, args.l, m)
         op = ham.sub(DiffOp.mul_by(lam), prob)
-        got_prob, got_m, got_l, got_lam = associated.classify_expanded(op)
+        got_prob, got_m, got_l, got_lam = associated.classify_expanded(
+            op, prob.p)
         out["round_trip"] = {"m": got_m, "l": got_l, "lambda": _fmt(got_lam),
                              "match": (got_m, got_l) == (m, args.l)}
     _emit(out, args)

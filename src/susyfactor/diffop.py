@@ -1,45 +1,29 @@
-"""Differential operators with polynomial or quasi-function coefficients.
+"""Differential operators p^k * sum_j c_j (d/dx)^j.
+
+An operator keeps Poly coefficients c_j and one rational exponent k of the
+problem's p.  That one ring holds every operator the package builds:
+conjugating by p^s w^e only shifts d/dx by nu/p, with nu = s p' + e (q - p')
+a polynomial, and the standard momentum sqrt(p) d/dx is p^(-1/2) (p d/dx).
 
 Supports composition (Leibniz expansion), commutators, application to
-functions, exact equality, and conjugation by weight factors p^s w^e -- the
-bilateral wrapper transformations that turn asymmetric factorizations into
-supersymmetric ones.
-
-An operator has one of two coefficient rings.  Built from ``Poly`` (or
-scalar) coefficients it is in polynomial mode and keeps them as ``Poly``:
-compose, apply, add, sub, scale and equals then run in the polynomial ring,
-with no division by p.  Built with any ``QuasiFunction`` coefficient, every
-coefficient is a ``QuasiFunction`` c p^s w^e.  ``conjugate``, ``lmul`` by a
-``QuasiFunction`` and any operation mixing the two modes lift the
-polynomial operand once; ``as_poly`` returns to polynomial mode when every
-coefficient passes the polynomiality test (e = 0 and an integer s >= 0
-after canonicalizing).
+polynomials and quasi-functions, exact equality, and conjugation by weight
+factors p^s w^e -- the bilateral wrapper transformations that turn
+asymmetric factorizations into supersymmetric ones.  Two operators whose k
+differ by an integer are brought to the lower k by multiplying by p; a
+non-integer difference is incommensurate: ``equals`` is False and ``add``
+raises ValueError.
 """
 
 from __future__ import annotations
 
-import operator
-from collections import namedtuple
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Union
+from typing import Iterable
 
 from .core import Poly, Problem, QuasiFunction
 
-Function = Union[Poly, QuasiFunction]
 
-
-def _as_qf(c) -> QuasiFunction:
-    if isinstance(c, QuasiFunction):
-        return c
-    if isinstance(c, Poly):
-        return QuasiFunction(c)
-    if isinstance(c, (int, Fraction)):
-        return QuasiFunction(Poly.const(c))
-    raise TypeError(f"not an operator coefficient: {c!r}")
-
-
-def _as_poly(c) -> Poly:
+def _coefficient(c) -> Poly:
     if isinstance(c, Poly):
         return c
     if isinstance(c, (int, Fraction)):
@@ -47,36 +31,18 @@ def _as_poly(c) -> Poly:
     raise TypeError(f"not an operator coefficient: {c!r}")
 
 
-# the coefficient ring's arithmetic, so each operator loop is written once
-_Ring = namedtuple("_Ring", "mul add derive scale zero")
-
-
-def _ring(poly: bool, prob: Problem) -> _Ring:
-    if poly:
-        return _Ring(operator.mul, operator.add, Poly.derivative,
-                     operator.mul, Poly())
-    return _Ring(lambda a, b: a.mul(b, prob), lambda a, b: a.add(b, prob),
-                 lambda a: a.derive(prob), QuasiFunction.scale,
-                 QuasiFunction.zero())
-
-
 class DiffOp:
-    """sum_k coeffs[k] * (d/dx)^k, with Poly coefficients (polynomial mode,
-    ``poly`` true) or QuasiFunction coefficients."""
+    """p^k * sum_j coeffs[j] (d/dx)^j, with Poly coefficients."""
 
-    __slots__ = ("coeffs", "poly")
+    __slots__ = ("coeffs", "k")
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = list(coeffs)
-        self.poly = not any(isinstance(c, QuasiFunction) for c in cs)
-        cs = [(_as_poly if self.poly else _as_qf)(c) for c in cs]
+    def __init__(self, coeffs: Iterable = (), k=0):
+        cs = [_coefficient(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
-        self.coeffs: tuple[Function, ...] = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "DiffOp":
-        return cls()
+        self.coeffs: tuple[Poly, ...] = tuple(cs)
+        # the zero operator has k = 0, so it aligns with every operator
+        self.k = Fraction(k) if cs else Fraction(0)
 
     @classmethod
     def identity(cls) -> "DiffOp":
@@ -84,7 +50,7 @@ class DiffOp:
 
     @classmethod
     def mul_by(cls, f) -> "DiffOp":
-        """The zeroth-order operator 'multiply by f'."""
+        """The zeroth-order operator 'multiply by the polynomial f'."""
         return cls([f])
 
     @property
@@ -94,142 +60,164 @@ class DiffOp:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, k: int) -> Function:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Poly() if self.poly else QuasiFunction.zero()
+    def coeff(self, j: int) -> Poly:
+        if 0 <= j < len(self.coeffs):
+            return self.coeffs[j]
+        return Poly()
 
-    def as_qf(self) -> "DiffOp":
-        """self with QuasiFunction coefficients."""
-        if not self.poly:
-            return self
-        # a zero QuasiFunction keeps the zero operator out of polynomial mode
-        return DiffOp([QuasiFunction(c) for c in self.coeffs] or
-                      [QuasiFunction.zero()])
+    def _aligned(self, other: "DiffOp", prob: Problem):
+        """The coefficients of self and other over the lower of their p^k."""
+        ds = self.k - other.k
+        if ds.denominator != 1:
+            raise ValueError("operators on incommensurate p powers")
+        f = prob.p ** abs(int(ds))
+        a = tuple(c * f for c in self.coeffs) if ds > 0 else self.coeffs
+        b = tuple(c * f for c in other.coeffs) if ds < 0 else other.coeffs
+        return a, b, min(self.k, other.k)
 
-    def as_poly(self, prob: Problem) -> "DiffOp":
-        """self in polynomial mode when every coefficient, canonicalized,
-        has e = 0 and an integer s >= 0; otherwise self unchanged."""
-        if self.poly:
-            return self
-        cs = []
-        for c in self.coeffs:
-            c = c.canonicalize(prob)
-            if c.e != 0 or c.s.denominator != 1 or c.s < 0:
-                return self
-            cs.append(c.c * prob.p ** int(c.s))
-        return DiffOp(cs)
-
-    def _common(self, other: "DiffOp") -> tuple["DiffOp", "DiffOp"]:
-        """self and other in one ring: Poly when both are polynomial."""
-        if self.poly and other.poly:
-            return self, other
-        return self.as_qf(), other.as_qf()
+    def _reduced(self, prob: Problem) -> "DiffOp":
+        """self with every factor p common to the coefficients moved into
+        k.  A constant p divides everything, so there the integer part of
+        k moves into the coefficients instead."""
+        p, cs, k = prob.p, self.coeffs, self.k
+        if p.degree == 0:
+            n = k.numerator // k.denominator
+            return DiffOp([c * p[0] ** n for c in cs], k - n) if n else self
+        while cs:
+            quo = [c.divmod(p) for c in cs]
+            if any(not r.is_zero() for _, r in quo):
+                break
+            cs, k = [q for q, _ in quo], k + 1
+        return self if k == self.k else DiffOp(cs, k)
 
     def add(self, other: "DiffOp", prob: Problem) -> "DiffOp":
-        a, b = self._common(other)
-        add = _ring(a.poly, prob).add
-        n = max(len(a.coeffs), len(b.coeffs))
-        return DiffOp([add(a.coeff(k), b.coeff(k)) for k in range(n)])
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        a, b, k = self._aligned(other, prob)
+        out = list(a) + [Poly()] * (len(b) - len(a))
+        for j, c in enumerate(b):
+            out[j] = out[j] + c
+        return DiffOp(out, k)
 
     def sub(self, other: "DiffOp", prob: Problem) -> "DiffOp":
         return self.add(other.scale(-1), prob)
 
-    def scale(self, k) -> "DiffOp":
-        if self.poly:
-            return DiffOp([c * k for c in self.coeffs])
-        return DiffOp([c.scale(k) for c in self.coeffs])
-
-    def lmul(self, f, prob: Problem) -> "DiffOp":
-        """Left-multiply by the function f."""
-        return DiffOp.mul_by(f).compose(self, prob)
+    def scale(self, s) -> "DiffOp":
+        return DiffOp([c * s for c in self.coeffs], self.k)
 
     def compose(self, other: "DiffOp", prob: Problem) -> "DiffOp":
-        """Operator product self ∘ other via the Leibniz rule."""
-        a, b = self._common(other)
-        ring = _ring(a.poly, prob)
+        """Operator product self ∘ other: the left coefficients pass
+        p^(other.k) by conjugation, then the Leibniz rule expands."""
+        left = DiffOp(self.coeffs)
+        if other.k:
+            left = left.conjugate(-other.k, 0, prob)
         out: dict = {}
-        for j, aj in enumerate(a.coeffs):
+        for j, aj in enumerate(left.coeffs):
             if aj.is_zero():
                 continue
-            for k, bk in enumerate(b.coeffs):
-                if bk.is_zero():
+            for r, br in enumerate(other.coeffs):
+                if br.is_zero():
                     continue
-                d = bk
+                d = br
                 for i in range(j + 1):
-                    term = ring.scale(ring.mul(aj, d), comb(j, i))
-                    n = j - i + k
-                    out[n] = ring.add(out[n], term) if n in out else term
+                    term = aj * d * comb(j, i)
+                    n = j - i + r
+                    out[n] = out[n] + term if n in out else term
                     if i < j:
-                        d = ring.derive(d)
-        if not out:
-            return DiffOp([ring.zero])
-        return DiffOp([out.get(k, ring.zero) for k in range(max(out) + 1)])
+                        d = d.derivative()
+        top = max(out, default=-1)
+        return DiffOp([out.get(n, Poly()) for n in range(top + 1)],
+                      self.k + other.k + left.k)
 
     def commutator(self, other: "DiffOp", prob: Problem) -> "DiffOp":
         return self.compose(other, prob).sub(other.compose(self, prob), prob)
 
-    def apply(self, f, prob: Problem) -> Function:
-        """self f: a Poly when self is polynomial and f is a Poly (or a
-        scalar), else a QuasiFunction."""
-        poly = self.poly and not isinstance(f, QuasiFunction)
-        op = self if poly else self.as_qf()
-        ring = _ring(poly, prob)
-        out, d = ring.zero, (_as_poly if poly else _as_qf)(f)
-        for k, ck in enumerate(op.coeffs):
-            if not ck.is_zero():
-                out = ring.add(out, ring.mul(ck, d))
-            if k < op.order:
-                d = ring.derive(d)
+    def _on_poly(self, f: Poly) -> Poly:
+        """sum_j c_j f^(j): self f without its factor p^k."""
+        out, d = Poly(), f
+        for j, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                out = out + c * d
+            if j < self.order:
+                d = d.derivative()
         return out
+
+    def apply(self, f, prob: Problem) -> Poly | QuasiFunction:
+        """self f: a Poly when f is a Poly (or a scalar) and k is a
+        non-negative integer, else a canonical QuasiFunction."""
+        if isinstance(f, QuasiFunction):
+            # self (g c) = g (g^-1 self g) c for g = p^s w^e
+            op = self.conjugate(-f.s, -f.e, prob)
+            return QuasiFunction(op._on_poly(f.c), f.s + op.k,
+                                 f.e).canonicalize(prob)
+        out = self._on_poly(_coefficient(f))
+        if self.k.denominator == 1 and self.k >= 0:
+            return out * prob.p ** int(self.k)
+        return QuasiFunction(out, self.k, 0).canonicalize(prob)
 
     def is_eigen(self, f, lam, prob: Problem) -> bool:
         """self f = lam f exactly."""
-        out = self.apply(f, prob)
-        if isinstance(out, Poly):
-            return out == _as_poly(f) * lam
-        return out.eq(_as_qf(f).scale(lam), prob)
+        if isinstance(f, QuasiFunction):
+            return self.apply(f, prob).eq(f.scale(lam), prob)
+        f = _coefficient(f)
+        out, rhs = self._on_poly(f), f * lam
+        if self.k.denominator != 1:
+            # p^k times a polynomial is none unless both sides are 0
+            return out.is_zero() and rhs.is_zero()
+        if self.k > 0:
+            out = out * prob.p ** int(self.k)
+        elif self.k < 0:
+            rhs = rhs * prob.p ** int(-self.k)
+        return out == rhs
 
     def conjugate(self, s, e, prob: Problem) -> "DiffOp":
-        """(p^s w^e) self (p^s w^e)^(-1), exact in the quasi-function class.
+        """(p^s w^e) self (p^s w^e)^(-1), exact.
 
-        With g = p^s w^e the conjugation replaces d/dx by d/dx - g'/g,
-        where g'/g = [s p' + e (q - p')]/p.
+        With g = p^s w^e the conjugation replaces d/dx by D = d/dx - nu/p,
+        nu = p g'/g = s p' + e (q - p').  D^j = p^-j T_j with T_0 = 1 and
+        T_(j+1) = (p d/dx - j p' - nu) T_j, so each power lowers k by one;
+        the factors of p the coefficients share then go back into k.
         """
-        s = Fraction(s)
-        e = Fraction(e)
-        op = self.as_qf()
-        pprime = prob.p.derivative()
-        mu = QuasiFunction(s * pprime + e * (prob.q - pprime), -1, 0)
-        mu = mu.canonicalize(prob)
-        shifted_d = DiffOp([mu.scale(-1), QuasiFunction.one()])
-        out = DiffOp.zero()
-        power = DiffOp.identity()
-        for k, ck in enumerate(op.coeffs):
-            if not ck.is_zero():
-                out = out.add(power.lmul(ck, prob), prob)
-            if k < op.order:
-                power = power.compose(shifted_d, prob)
-        return out
+        p = prob.p
+        pprime = p.derivative()
+        nu = Fraction(s) * pprime + Fraction(e) * (prob.q - pprime)
+        if nu.is_zero():
+            return self._reduced(prob)
+        n = self.order
+        out = [Poly()] * (n + 1)
+        t = [Poly.const(1)]                  # T_j, by powers of d/dx
+        for j, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                c = c * p ** (n - j)
+                for i, ti in enumerate(t):
+                    out[i] = out[i] + c * ti
+            if j < n:
+                g = pprime * j + nu
+                nxt = [p * ti.derivative() - g * ti for ti in t] + [Poly()]
+                for i, ti in enumerate(t):
+                    nxt[i + 1] = nxt[i + 1] + p * ti
+                t = nxt
+        return DiffOp(out, self.k - n)._reduced(prob)
 
     def equals(self, other: "DiffOp", prob: Problem) -> bool:
-        a, b = self._common(other)
-        if a.poly:
-            return a.coeffs == b.coeffs
         try:
-            return a.sub(b, prob).is_zero()
+            a, b, _ = self._aligned(other, prob)
         except ValueError:
-            # coefficients live on incompatible p/w powers: cannot cancel
+            # incommensurate p powers cannot cancel
             return False
+        return a == b
 
     def __repr__(self):
         if self.is_zero():
             return "DiffOp(0)"
-        parts = [f"[{c!r}] d^{k}" for k, c in enumerate(self.coeffs)
-                 if not c.is_zero()]
-        return "DiffOp(" + " + ".join(parts) + ")"
+        parts = " + ".join(f"[{c!r}] d^{j}" for j, c in enumerate(self.coeffs)
+                           if not c.is_zero())
+        return f"DiffOp(p^{self.k} * ({parts}))" if self.k \
+            else f"DiffOp({parts})"
 
 
 def hamiltonian(prob: Problem) -> DiffOp:
-    """H0 = -p d^2/dx^2 - q d/dx, in polynomial mode."""
+    """H0 = -p d^2/dx^2 - q d/dx."""
     return DiffOp([Poly(), -prob.q, -prob.p])

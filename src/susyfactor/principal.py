@@ -18,16 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Poly, Problem, QuasiFunction
+from .core import Poly, Problem
 from .diffop import DiffOp, hamiltonian
 
 
 class Breakdown(ArithmeticError):
     """The factorization degenerates here: a recurrence divisor vanished,
-    or E_l, a factor of the level's normsq prod E_j, is zero."""
+    or E_l, a factor of the level's normsq prod E_j, is zero.  Raised by
+    factor_table, it carries the levels built below it in ``entries``."""
 
-    def __init__(self, level: int, message: str = ""):
+    def __init__(self, level: int, message: str = "", entries=()):
         self.level = level
+        self.entries = list(entries)
         super().__init__(message or f"factorization breaks down at level {level}")
 
 
@@ -83,7 +85,7 @@ def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry
         for l in range(1, max_level + 1):
             alpha_new = alpha - half_ppp
             if alpha_new == 0:
-                raise Breakdown(l)
+                raise Breakdown(l, entries=entries)
             beta_new = (alpha * beta - half_pp0 * (alpha_new + alpha)) / alpha_new
             delta = prob.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
             lam = lam + 2 * alpha_new
@@ -100,7 +102,7 @@ def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry
     for l in range(0, max_level + 1):
         alpha_new = alpha + half_ppp
         if alpha_new == 0:
-            raise Breakdown(l)
+            raise Breakdown(l, entries=entries)
         beta_new = (alpha * beta + half_pp0 * (alpha_new + alpha)) / alpha_new
         delta = -prob.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
         E = E + delta
@@ -171,7 +173,7 @@ class Ladders:
     The factor tables run to level ``top`` (minus 0..top, plus -1..top) and
     are built one branch at a time, so a caller touching only one branch
     raises only that branch's Breakdown.  Ladder pairs, their products
-    A_l B_l and B_l A_l (all polynomial-mode operators), and the Phi chain
+    A_l B_l and B_l A_l (all polynomial operators), and the Phi chain
     hang off the tables; ``memo`` keeps whatever else the checks of the
     principal, associated and degenerate layers share, such as the per-m
     associated operators.  The verify suite builds one per request; a
@@ -408,12 +410,8 @@ def equivalent_forms_check(prob: Problem, l: int,
     lam_plus = ent_minus.lam + prob.ppp - prob.qp
     phi = principal_eigenfunction(prob, l, lad)[0]
 
-    def a0b0_over_p():
-        # polynomial exactly when every coefficient leaves no remainder
-        quo = [c.divmod(prob.p) for c in lad.ab("minus", 0).coeffs]
-        return DiffOp([q for q, _ in quo]), all(r.is_zero() for _, r in quo)
-    over_p, polynomial = lad.memo("A0B0/p", a0b0_over_p)
-    b_ok = polynomial and over_p.is_eigen(phi, lam_plus, prob)
+    over_p = DiffOp(lad.ab("minus", 0).coeffs, -1)
+    b_ok = over_p.is_eigen(phi, lam_plus, prob)
 
     c_ok = ent_plus.lam - ent_minus.lam == prob.ppp - prob.qp
 
@@ -424,7 +422,7 @@ def equivalent_forms_check(prob: Problem, l: int,
         s, e = exps
         lhs = H0.conjugate(-s, -e, prob)
         rhs = Hl.add(DiffOp.mul_by(ent_minus.lam), prob).sub(
-            DiffOp.mul_by(QuasiFunction(Poly.const(ent_minus.E), -1, 0)), prob)
+            DiffOp([ent_minus.E], -1), prob)
         d_ok = lhs.equals(rhs, prob)
 
     return {"h0_vs_hl": a_ok, "partner_eigenvalue": b_ok,

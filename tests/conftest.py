@@ -1,8 +1,15 @@
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from susyfactor.core import Poly, Problem
+
+# the CLI runs in subprocesses import the package from this checkout too
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [
+    str(Path(__file__).resolve().parents[1] / "src"),
+    os.environ.get("PYTHONPATH")]))
 
 
 def legendre() -> Problem:

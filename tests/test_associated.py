@@ -130,9 +130,10 @@ def test_classify_round_trip(family):
         op = ham.sub(DiffOp.mul_by(lam), family)
         if family.p.degree == 0:
             with pytest.raises(associated.ClassifyError):
-                associated.classify_expanded(op)
+                associated.classify_expanded(op, family.p)
             continue
-        got_prob, got_m, got_l, got_lam = associated.classify_expanded(op)
+        got_prob, got_m, got_l, got_lam = associated.classify_expanded(
+            op, family.p)
         assert (got_prob.p, got_prob.q) == (family.p, family.q)
         assert (got_m, got_l, got_lam) == (m, l, lam)
 
@@ -142,14 +143,15 @@ def _expanded(prob, l, m):
     return ham.sub(DiffOp.mul_by(associated.assoc_lambda(prob, l, m)), prob)
 
 
-def _scan_classify(op):
+def _scan_classify(op, p):
     """Reference: the brute-force scan over m <= 128, l <= 4096."""
-    c2, c1, c0 = op.coeff(2), op.coeff(1), op.coeff(0)
-    p, q = -c2.c, -c1.c
+    # H^a_m - lambda is p^-1 (N - lambda p - q p d - p^2 d^2)
+    assert op.k == -1 and op.coeff(2) == -p * p
+    q = -op.coeff(1).divmod(p)[0]
     prob = Problem(p, q)
     if p.degree == 0:
         raise associated.ClassifyError("degenerate: m unidentifiable")
-    num = c0.c * p ** int(c0.s + 1)
+    num = op.coeff(0)
     pprime = p.derivative()
     for m in range(0, 129):
         am = Fraction(m, 2) * (p * prob.ppp + (q - pprime) * pprime) \
@@ -164,9 +166,9 @@ def _scan_classify(op):
     raise associated.ClassifyError("no integer association level fits")
 
 
-def _outcome(fn, op):
+def _outcome(fn, op, p):
     try:
-        prob, m, l, lam = fn(op)
+        prob, m, l, lam = fn(op, p)
     except associated.ClassifyError as ex:
         return str(ex)
     return prob.p, prob.q, m, l, lam
@@ -184,19 +186,19 @@ def test_classify_closed_form_matches_scan(p0, p1, p2, q0, q1, l, m):
     assume(m <= l)
     prob = Problem(p, Poly([q0, q1]))
     op = _expanded(prob, l, m)
-    got = _outcome(associated.classify_expanded, op)
+    got = _outcome(associated.classify_expanded, op, p)
     if got == "m unidentifiable":
         # only p = a (x - r)^2 with q(r) = 0 leaves m undetermined
         r = -p1 / (2 * p2) if p.degree == 2 else None
         assert r is not None and p1 * p1 == 4 * p2 * p0 and prob.q(r) == 0
     else:
-        assert got == _outcome(_scan_classify, op)
+        assert got == _outcome(_scan_classify, op, p)
 
 
 @pytest.mark.parametrize("l, m", [(5000, 160), (4097, 3)])
 def test_classify_past_the_old_scan_caps(l, m):
     for prob in (legendre(), laguerre(1)):
-        got = associated.classify_expanded(_expanded(prob, l, m))
+        got = associated.classify_expanded(_expanded(prob, l, m), prob.p)
         assert got[1:] == (m, l, associated.assoc_lambda(prob, l, m))
 
 
@@ -204,13 +206,13 @@ def test_classify_m_unidentifiable_on_double_root():
     # p = x^2, q = x/4: H^a_m - H_0 is a constant for every m
     prob = Problem(Poly([0, 0, 1]), Poly([0, Fraction(1, 4)]))
     with pytest.raises(associated.ClassifyError, match="m unidentifiable"):
-        associated.classify_expanded(_expanded(prob, 6, 4))
+        associated.classify_expanded(_expanded(prob, 6, 4), prob.p)
 
 
 def test_classify_rejects_constant_part_below_p_inverse():
     # the zeroth-order coefficient p^-2 is no N/p with N a polynomial
     x = Poly.x()
-    op = DiffOp([QuasiFunction(Poly([1]), -2, 0), QuasiFunction(2 * x),
-                 QuasiFunction(-(1 - x * x))])
-    with pytest.raises(associated.ClassifyError):
-        associated.classify_expanded(op)
+    p = 1 - x * x
+    op = DiffOp([1, 2 * x * p * p, -p * p * p], -2)
+    with pytest.raises(associated.ClassifyError, match="constant part"):
+        associated.classify_expanded(op, p)

@@ -232,6 +232,53 @@ def test_plus_breakdown_at_level_0_keeps_partial_table():
         [("plus", -1)]
 
 
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_breakdown_prints_the_entries_already_built(monkeypatch):
+    calls = []
+    factor_table = cli.principal.factor_table
+
+    def counted(prob, branch, max_level):
+        calls.append(branch)
+        return factor_table(prob, branch, max_level)
+    monkeypatch.setattr(cli.principal, "factor_table", counted)
+    # p = x^2, q = -4x: the plus table stops at level 2
+    code, out, err = _main(["factorize", "--p", "1,0,0", "--q", "-4,0",
+                            "--levels", "4", "--branch", "plus"])
+    assert code == 2 and calls == ["plus"]
+    assert json.loads(err) == {"error": "breakdown", "level": 2,
+                               "branch": "plus"}
+    assert [e["l"] for e in json.loads(out)["entries"]] == [-1, 0, 1]
+
+
+def test_numeric_rejects_flags_the_task_does_not_read(tmp_path):
+    legendre = ["--family", "legendre", "--nodes", "3"]
+    sampled = tmp_path / "pqr.csv"
+    sampled.write_text("x,P,Q,R\n0,1,0,0\n0.5,1,0,0\n1,1,0,0\n")
+    for argv in (["maps", *legendre, "--lo", "0"],
+                 ["maps", *legendre, "--hi", "0.5"],
+                 ["residual", *legendre, "--l", "2", "--lo", "0",
+                  "--hi", "0.5"],
+                 ["maps", *legendre, "--csv", "/nonexistent"],
+                 ["potentials", *legendre, "--csv", str(sampled)],
+                 ["residual", *legendre, "--csv", str(sampled)],
+                 ["sl2", "--csv", str(sampled), "--lo", "0", "--hi", "1"]):
+        code, out, err = _main(["numeric", *argv])
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"] == "ValueError"
+    # a whole pair still sets the grid of the tasks that read it
+    code, out, _ = _main(["numeric", "maps", *legendre, "--lo", "-0.5",
+                          "--hi", "0.5"])
+    assert code == 0
+    assert [float(row[0]) for row in csv.reader(out.splitlines()[1:])] \
+        == [-0.5, 0.0, 0.5]
+
+
 CSV_TASKS = ["maps", "potentials", "sl1", "sl2"]
 PRESETS = ["legendre", "jacobi:2,3", "jacobi:1/2,1/2", "laguerre:1",
            "hermite", "hypergeom:1/3,1/5,7/2", "confluent:3"]
@@ -279,15 +326,13 @@ def _reject_constant(name):
 @given(_argvs())
 @settings(max_examples=120, deadline=None)
 def test_cli_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    code, out, err = _main(argv)
     assert code in (0, 1, 2)
     if code == 0 and argv[1] in CSV_TASKS:
-        header, *rows = csv.reader(out.getvalue().splitlines())
+        header, *rows = csv.reader(out.splitlines())
         assert rows and all(len(row) == len(header) for row in rows)
         assert all(math.isfinite(float(v)) for row in rows for v in row)
     elif code in (0, 1):
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        json.loads(out, parse_constant=_reject_constant)
     else:
-        json.loads(err.getvalue().strip().splitlines()[-1])
+        json.loads(err.strip().splitlines()[-1])

@@ -1,11 +1,15 @@
 from fractions import Fraction
 
-from susyfactor.core import Poly, QuasiFunction
+import pytest
+
+from susyfactor import associated
+from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp, hamiltonian
 
-from conftest import laguerre, legendre
+from conftest import hermite, laguerre, legendre
+from test_poly_gauge import QFOp
 
-DDX = DiffOp([QuasiFunction.zero(), QuasiFunction.one()])
+DDX = DiffOp([0, 1])
 
 
 def test_identity_and_ddx():
@@ -14,12 +18,13 @@ def test_identity_and_ddx():
     assert DiffOp.identity().apply(f, prob).eq(f, prob)
     df = DDX.apply(f, prob)
     assert df.eq(QuasiFunction(Poly([2, 6])), prob)
+    assert DDX.apply(f.c, prob) == Poly([2, 6])
 
 
 def test_compose_leibniz():
     # d/dx o (x .) = (x .) o d/dx + 1
     prob = legendre()
-    x_mul = DiffOp.mul_by(QuasiFunction(Poly.x()))
+    x_mul = DiffOp.mul_by(Poly.x())
     lhs = DDX.compose(x_mul, prob)
     rhs = x_mul.compose(DDX, prob).add(DiffOp.identity(), prob)
     assert lhs.equals(rhs, prob)
@@ -27,8 +32,8 @@ def test_compose_leibniz():
 
 def test_compose_associative():
     prob = laguerre(1)
-    a = DiffOp([QuasiFunction(Poly([1, 1])), QuasiFunction(Poly([0, 2]))])
-    b = DiffOp([QuasiFunction(Poly([0, 1])), QuasiFunction.one()])
+    a = DiffOp([Poly([1, 1]), Poly([0, 2])], Fraction(1, 2))
+    b = DiffOp([Poly([0, 1]), 1], -1)
     c = hamiltonian(prob)
     lhs = a.compose(b, prob).compose(c, prob)
     rhs = a.compose(b.compose(c, prob), prob)
@@ -38,8 +43,8 @@ def test_compose_associative():
 def test_apply_matches_compose():
     prob = legendre()
     a = hamiltonian(prob)
-    b = DiffOp([QuasiFunction(Poly([1])), QuasiFunction(Poly([0, 1]))])
-    f = QuasiFunction(Poly([1, 0, -3]))
+    b = DiffOp([Poly([1]), Poly([0, 1])], Fraction(-1, 2))
+    f = QuasiFunction(Poly([1, 0, -3]), Fraction(1, 2))
     via_compose = a.compose(b, prob).apply(f, prob)
     direct = a.apply(b.apply(f, prob), prob)
     assert via_compose.eq(direct, prob)
@@ -47,7 +52,7 @@ def test_apply_matches_compose():
 
 def test_commutator_ddx_x():
     prob = legendre()
-    c = DDX.commutator(DiffOp.mul_by(QuasiFunction(Poly.x())), prob)
+    c = DDX.commutator(DiffOp.mul_by(Poly.x()), prob)
     assert c.equals(DiffOp.identity(), prob)
 
 
@@ -68,21 +73,20 @@ def test_conjugate_composes():
 
 
 def test_conjugate_by_weight_symmetrizes_first_order():
-    # w^(1/2) H w^(-1/2) has first-order coefficient p' - ... check it is
-    # self-adjoint in the flat measure: coeff1 == coeff2'
+    # w^(1/2) H w^(-1/2) is self-adjoint in the flat measure: with the
+    # shared p^k, coefficient 1 is the derivative of coefficient 2
     prob = laguerre(1)
     h = hamiltonian(prob).conjugate(0, Fraction(1, 2), prob)
-    c2 = h.coeff(2)
-    c1 = h.coeff(1)
-    d_c2 = c2.derive(prob)
-    assert c1.eq(d_c2, prob)
+    c2 = QuasiFunction(h.coeff(2), h.k)
+    c1 = QuasiFunction(h.coeff(1), h.k)
+    assert c1.eq(c2.derive(prob), prob)
 
 
 def test_equals_incompatible_is_false():
     prob = legendre()
-    a = DiffOp.mul_by(QuasiFunction(Poly([1]), Fraction(1, 2), 0))
-    b = DiffOp.identity()
-    assert not a.equals(b, prob)
+    a = DiffOp([1], Fraction(1, 2))
+    assert not a.equals(DiffOp.identity(), prob)
+    assert a.equals(DiffOp([1], Fraction(1, 2)), prob)
 
 
 def test_hamiltonian_on_constant():
@@ -91,56 +95,78 @@ def test_hamiltonian_on_constant():
     assert out.is_zero()
 
 
-# polynomial mode: Poly coefficients stay Poly, mixed operations lift
+# one ring: Poly coefficients and one exponent k of p
 
 def test_poly_coefficients_stay_poly():
     prob = legendre()
     h = hamiltonian(prob)
-    assert h.poly and all(isinstance(c, Poly) for c in h.coeffs)
-    sq = h.compose(h, prob)
-    assert sq.poly and isinstance(h.apply(Poly([1, 2, 3]), prob), Poly)
-    assert sq.as_qf().equals(h.as_qf().compose(h.as_qf(), prob), prob)
+    ops = [h, h.compose(h, prob), h.conjugate(Fraction(1, 3), 1, prob),
+           associated.assoc_ladders(prob, 3)[0].compose(h, prob)]
+    for op in ops:
+        assert all(isinstance(c, Poly) for c in op.coeffs)
+    assert h.k == 0 and ops[1].k == 0
+    assert ops[3].k.denominator == 2
+    assert isinstance(h.apply(Poly([1, 2, 3]), prob), Poly)
+    assert isinstance(DiffOp([1], -1).apply(Poly([1, 2]), prob),
+                      QuasiFunction)
 
 
-def test_mixed_operands_lift():
-    prob = laguerre(1)
+def test_k_aligns_by_integer_powers_of_p():
+    prob = laguerre(1)                       # p = x
+    assert DiffOp([Poly.x()], -1).equals(DiffOp.identity(), prob)
+    s = DiffOp([1], -1).add(DDX, prob)
+    assert s.k == -1 and s.coeffs == (Poly([1]), Poly.x())
     h = hamiltonian(prob)
-    assert not h.compose(DDX, prob).poly
-    assert not h.add(DDX, prob).poly
-    assert not h.lmul(QuasiFunction(Poly([1]), -1, 0), prob).poly
-    assert not h.conjugate(0, 0, prob).poly
-    assert isinstance(h.apply(QuasiFunction.one(), prob), QuasiFunction)
-    assert h.equals(h.as_qf(), prob)
+    assert DiffOp(h.coeffs, 1).equals(
+        DiffOp([c * prob.p for c in h.coeffs]), prob)
+    # constant p = 4: p^k is a number, but a non-integer difference in k
+    # stays incommensurate
+    const = Problem(Poly([4]), Poly([0, -2]))
+    assert DiffOp([1], 2).equals(DiffOp([16]), const)
+    assert DiffOp([1], -1).sub(DiffOp([Fraction(1, 4)]), const).is_zero()
+    assert not DiffOp([1], Fraction(1, 2)).equals(DiffOp([2]), const)
+    with pytest.raises(ValueError):
+        DiffOp([1], Fraction(1, 2)).add(DiffOp([2]), const)
+    assert DiffOp().add(DiffOp([1], Fraction(1, 2)), const).k == \
+        Fraction(1, 2)
 
 
-def test_as_poly_polynomiality_test():
+def test_conjugation_moves_common_p_into_k():
     prob = legendre()
     h = hamiltonian(prob)
-    # p^(1/2) conjugation leaves a polynomial operator only after undoing it
     half = h.conjugate(Fraction(1, 2), 0, prob)
-    assert half.as_poly(prob) is half
-    back = half.conjugate(Fraction(-1, 2), 0, prob).as_poly(prob)
-    assert back.poly and back.equals(h, prob)
-    # a coefficient c p^-1 with c divisible by p is polynomial
-    over_p = DiffOp.mul_by(QuasiFunction(Poly([1, 0, -1]) * Poly([0, 1]),
-                                         -1, 0))
-    assert over_p.as_poly(prob).coeffs == (Poly.x(),)
-    weighted = DiffOp.mul_by(QuasiFunction(Poly([1]), 0, Fraction(1, 2)))
-    assert not weighted.as_poly(prob).poly
+    back = half.conjugate(Fraction(-1, 2), 0, prob)
+    assert back.k == 0 and back.coeffs == h.coeffs
+    # H^a_m is p^-1 times a polynomial operator; on C it is polynomial
+    ham = associated.assoc_hamiltonian(prob, 2)
+    assert ham.k == -1
+    assert ham.conjugate(-1, 0, prob).k == 0
+    # constant p divides everything: the integer part of k is folded into
+    # the coefficients, the way QuasiFunction.canonicalize folds s
+    const = hermite()
+    h = hamiltonian(const)
+    w = h.conjugate(0, Fraction(1, 2), const)
+    assert w.k == 0
+    assert w.conjugate(0, Fraction(-1, 2), const).coeffs == h.coeffs
+    two = Problem(Poly([2]), Poly([0, -2]))
+    folded = DiffOp([1, 1], Fraction(-3, 2)).conjugate(0, 1, two)
+    assert 0 <= folded.k < 1
 
 
 def test_poly_mode_matches_quasi_function_mode():
     prob = laguerre(2)
-    a = DiffOp([Poly([1, 1]), Poly([0, 2]), Poly([3])])
-    b = DiffOp([Poly([0, 1]), Poly([1, 0, 1])])
-    f = Poly([2, -1, 0, 5])
-    for lhs, rhs in ((a.compose(b, prob), a.as_qf().compose(b.as_qf(), prob)),
-                     (a.commutator(b, prob),
-                      a.as_qf().commutator(b.as_qf(), prob)),
-                     (a.sub(b, prob).scale(3),
-                      a.as_qf().sub(b.as_qf(), prob).scale(3))):
-        assert lhs.poly and not rhs.poly
-        assert lhs.equals(rhs, prob) and lhs.as_qf().equals(rhs, prob)
-    assert QuasiFunction(a.apply(f, prob)).eq(
-        a.as_qf().apply(QuasiFunction(f), prob), prob)
+    a = DiffOp([Poly([1, 1]), Poly([0, 2]), Poly([3])], Fraction(-1, 2))
+    b = DiffOp([Poly([0, 1]), Poly([1, 0, 1])], Fraction(1, 2))
+    ra, rb = QFOp.of(a, prob), QFOp.of(b, prob)
+    f = QuasiFunction(Poly([2, -1, 0, 5]), Fraction(1, 2))
+    for lhs, rhs in (
+            (a.compose(b, prob), ra.compose(rb, prob)),
+            (a.commutator(b, prob),
+             ra.compose(rb, prob).sub(rb.compose(ra, prob), prob)),
+            (a.sub(b, prob).scale(3), ra.sub(rb, prob).scale(3)),
+            (a.conjugate(Fraction(1, 3), Fraction(1, 2), prob),
+             ra.conjugate(Fraction(1, 3), Fraction(1, 2), prob))):
+        assert all(isinstance(c, Poly) for c in lhs.coeffs)
+        assert QFOp.of(lhs, prob).equals(rhs, prob)
+    assert a.apply(f, prob).eq(ra.apply(f, prob), prob)
     assert a.compose(b, prob).is_eigen(Poly(), 7, prob)

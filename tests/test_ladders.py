@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp
-from susyfactor import associated, cli, degenerate, principal
+from susyfactor import associated, cli, degenerate, diffop, principal
+
+from conftest import FAMILIES
 
 # small integers make vanishing norms and degenerate problems common
 coefficients = st.one_of(
@@ -23,11 +26,18 @@ def problems(draw):
     p = Poly(draw(st.lists(coefficients, min_size=1, max_size=3)))
     assume(not p.is_zero())
     q = draw(st.lists(coefficients, min_size=2, max_size=2))
-    if draw(st.booleans()):
+    if draw(st.integers(0, 5)) == 5:
         # q' = -(k/2) p'': an even k stops the plus table at level k/2 and
         # the minus table one level later, an odd k loses a degree while
         # raising to level (k + 3)/2
         q[1] = -draw(st.integers(0, 12)) * p[2]
+    elif p[2]:
+        # off the lines where c_l = (l p'' + q')/2 vanishes or Phi_l loses
+        # a degree: 2 q'/p'' is no integer <= 1
+        ratio = q[1] / p[2]
+        assume(ratio.denominator != 1 or ratio > 1)
+    else:
+        assume(q[1] != 0)
     return Problem(p, Poly(q))
 
 
@@ -149,6 +159,20 @@ def test_polynomial_checks_make_no_canonicalize_call(monkeypatch):
         for m in range(l + 1):
             assert all(associated.verify_associated(prob, l, m, lad).values())
             assert associated.pHm_factorization(prob, l, m, lad)[2]
+    assert calls == []
+
+    # a whole suite on each preset: no DiffOp method canonicalizes
+    def from_diffop(self, prob):
+        frame = sys._getframe(1)
+        while frame is not None:
+            if frame.f_code.co_filename == diffop.__file__:
+                calls.append(frame.f_code.co_name)
+                break
+            frame = frame.f_back
+        return canonicalize(self, prob)
+    monkeypatch.setattr(QuasiFunction, "canonicalize", from_diffop)
+    for name, prob in FAMILIES.items():
+        assert all(cli._verify_suite(prob, 4, Fraction(0)).values()), name
     assert calls == []
 
 

@@ -1,37 +1,155 @@
-"""The verify suite in the polynomial gauge against the QuasiFunction path.
+"""The verify suite in the p^k gauge against a QuasiFunction reference.
 
-``_qf_suite`` is a copy of the suite with every operator kept on
-QuasiFunction coefficients: the ladders, their products, p H^a_m and the
-associated eigen-checks on Phi_lm = p^(m/2) C itself.  Its verdicts, and
-the first Breakdown or DegreeError, must match the engine's.
+``QFOp`` is the operator algebra with one QuasiFunction c p^s w^e per
+coefficient, the representation the package used before every operator
+became p^k times a polynomial operator.  ``_qf_suite`` is a copy of the
+suite built on it: the ladders, their products, p H^a_m and the associated
+eigen-checks on Phi_lm = p^(m/2) C itself.  Its verdicts, and the first
+Breakdown or DegreeError, must match the engine's.
 """
 
 from fractions import Fraction
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
 from susyfactor.core import Poly, QuasiFunction
-from susyfactor.diffop import DiffOp
 from susyfactor import associated, cli, degenerate, principal
 
 from test_ladders import _outcome, problems
 
 
 def _qf(f) -> QuasiFunction:
-    return f if isinstance(f, QuasiFunction) else QuasiFunction(f)
+    if isinstance(f, QuasiFunction):
+        return f
+    return QuasiFunction(f if isinstance(f, Poly) else Poly.const(f))
 
 
-def _mul(f) -> DiffOp:
-    return DiffOp.mul_by(_qf(f))
+class QFOp:
+    """sum_j coeffs[j] (d/dx)^j with QuasiFunction coefficients."""
+
+    def __init__(self, coeffs=()):
+        cs = [_qf(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @classmethod
+    def of(cls, op, prob):
+        """The engine's p^k sum c_j d^j, one coefficient c_j p^k at a time."""
+        return cls([QuasiFunction(c, op.k).canonicalize(prob)
+                    for c in op.coeffs])
+
+    @property
+    def order(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def coeff(self, j):
+        if 0 <= j < len(self.coeffs):
+            return self.coeffs[j]
+        return QuasiFunction.zero()
+
+    def add(self, other, prob):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return QFOp([self.coeff(j).add(other.coeff(j), prob)
+                     for j in range(n)])
+
+    def sub(self, other, prob):
+        return self.add(other.scale(-1), prob)
+
+    def scale(self, s):
+        return QFOp([c.scale(s) for c in self.coeffs])
+
+    def lmul(self, f, prob):
+        return QFOp([f]).compose(self, prob)
+
+    def compose(self, other, prob):
+        out = {}
+        for j, aj in enumerate(self.coeffs):
+            if aj.is_zero():
+                continue
+            for k, bk in enumerate(other.coeffs):
+                if bk.is_zero():
+                    continue
+                d = bk
+                for i in range(j + 1):
+                    term = aj.mul(d, prob).scale(comb(j, i))
+                    n = j - i + k
+                    out[n] = out[n].add(term, prob) if n in out else term
+                    if i < j:
+                        d = d.derive(prob)
+        return QFOp([out.get(n, QuasiFunction.zero())
+                     for n in range(max(out, default=-1) + 1)])
+
+    def apply(self, f, prob):
+        out, d = QuasiFunction.zero(), _qf(f)
+        for j, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                out = out.add(c.mul(d, prob), prob)
+            if j < self.order:
+                d = d.derive(prob)
+        return out
+
+    def is_eigen(self, f, lam, prob):
+        return self.apply(f, prob).eq(_qf(f).scale(lam), prob)
+
+    def conjugate(self, s, e, prob):
+        """(p^s w^e) self (p^s w^e)^-1: d/dx -> d/dx - g'/g, expanded by
+        composing powers of the shifted derivative."""
+        pprime = prob.p.derivative()
+        mu = QuasiFunction(Fraction(s) * pprime
+                           + Fraction(e) * (prob.q - pprime), -1, 0)
+        shifted_d = QFOp([mu.canonicalize(prob).scale(-1), 1])
+        out, power = QFOp(), QFOp([1])
+        for j, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                out = out.add(power.lmul(c, prob), prob)
+            if j < self.order:
+                power = power.compose(shifted_d, prob)
+        return out
+
+    def equals(self, other, prob):
+        try:
+            return self.sub(other, prob).is_zero()
+        except ValueError:
+            # coefficients on incommensurate p/w powers cannot cancel
+            return False
 
 
-def _hamiltonian(prob) -> DiffOp:
-    return DiffOp([QuasiFunction.zero(), _qf(-prob.q), _qf(-prob.p)])
+def _mul(f) -> QFOp:
+    return QFOp([f])
+
+
+def _hamiltonian(prob) -> QFOp:
+    return QFOp([0, -prob.q, -prob.p])
+
+
+def _assoc_ladders(prob, m):
+    if m < 0:
+        lo, hi = _assoc_ladders(prob, -m)
+        return hi.scale(-1), lo.scale(-1)
+    half = Fraction(1, 2)
+    shift = QuasiFunction(prob.p.derivative() * Fraction(-m, 2), -half)
+    w0a2 = QuasiFunction(prob.p.derivative() * half - prob.q, -half)
+    lower = QFOp([w0a2.add(shift, prob), QuasiFunction(Poly.const(-1), half)])
+    raise_ = QFOp([shift, QuasiFunction(Poly.const(1), half)])
+    return lower, raise_
+
+
+def _assoc_hamiltonian(prob, m):
+    pprime = prob.p.derivative()
+    num = Fraction(m, 2) * (prob.p * prob.ppp + (prob.q - pprime) * pprime) \
+        + Fraction(m * m, 4) * pprime * pprime
+    return QFOp([QuasiFunction(num, -1).canonicalize(prob), -prob.q,
+                 -prob.p])
 
 
 def _pair(prob, lad, branch, l):
     wl, w0 = _qf(lad.wl(branch, l)), _qf(lad.w0)
-    pd = DiffOp([QuasiFunction.zero(), _qf(prob.p)])
+    pd = QFOp([0, prob.p])
     lower = pd.add(_mul(wl).sub(_mul(w0), prob), prob)
     raise_ = pd.scale(-1).add(_mul(wl).add(_mul(w0), prob), prob)
     return lower, raise_
@@ -61,9 +179,8 @@ def _equivalent_forms(prob, lad, l):
     ent_minus, ent_plus = lad.entry("minus", l), lad.entry("plus", l)
     wl = lad.wl("minus", l)
     delta_w = wl - lad.w0
-    Hl = DiffOp([QuasiFunction.zero(), _qf(2 * wl - prob.p.derivative()),
-                 _qf(-prob.p)])
-    first_order = DiffOp([QuasiFunction.zero(), _qf(delta_w * (-2))])
+    Hl = QFOp([0, 2 * wl - prob.p.derivative(), -prob.p])
+    first_order = QFOp([0, delta_w * (-2)])
     a_ok = H0.equals(Hl.add(first_order, prob), prob)
     lam_plus = ent_minus.lam + prob.ppp - prob.qp
     phi = _qf(lad.phi(l))
@@ -96,8 +213,8 @@ def _standard_hermitian(prob, lad, l):
 
 
 def _assoc_shape(prob, n):
-    lo_prev, hi_prev = associated.assoc_ladders(prob, n - 1)
-    lo, hi = associated.assoc_ladders(prob, n)
+    lo_prev, hi_prev = _assoc_ladders(prob, n - 1)
+    lo, hi = _assoc_ladders(prob, n)
     return hi_prev.compose(lo_prev, prob).sub(lo.compose(hi, prob), prob).sub(
         _mul(associated.assoc_delta_plus(prob, n)), prob)
 
@@ -108,15 +225,15 @@ def _phi_lm(prob, lad, l, m):
 
 def _verify_associated(prob, lad, l, m):
     lam = associated.assoc_lambda(prob, l, m)
-    ham = associated.assoc_hamiltonian(prob, m)
-    lower, raise_ = associated.assoc_ladders(prob, m)
+    ham = _assoc_hamiltonian(prob, m)
+    lower, raise_ = _assoc_ladders(prob, m)
     a_ok = lower.compose(raise_, prob).equals(ham, prob)
     phi = _phi_lm(prob, lad, l, m)
     b_ok = ham.apply(phi, prob).eq(phi.scale(lam), prob)
     if m == 0:
         c_ok, phi_neg = b_ok, phi
     else:
-        nlo, nhi = associated.assoc_ladders(prob, -m)
+        nlo, nhi = _assoc_ladders(prob, -m)
         phi_neg = _phi_lm(prob, lad, l, -m)
         c_ok = nhi.compose(nlo, prob).apply(phi_neg, prob).eq(
             phi_neg.scale(lam), prob)
@@ -138,7 +255,7 @@ def _pHm(prob, lad, l, m):
         - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) \
         * prob.pp0
     lam = associated.assoc_lambda(prob, l, m)
-    lhs = associated.assoc_hamiltonian(prob, m).lmul(_qf(prob.p), prob)
+    lhs = _assoc_hamiltonian(prob, m).lmul(_qf(prob.p), prob)
     lhs = lhs.sub(_mul(prob.p * lam), prob).add(_mul(E_lm), prob)
     lower, raise_ = _pair(prob, lad, "minus", l)
     rhs = _ba(prob, lad, "minus", l).add(
@@ -209,24 +326,23 @@ def test_polynomial_gauge_matches_quasi_function_path(prob, levels, perturb):
 
 @given(problems(), st.integers(0, 4), st.integers(-1, 1))
 @settings(max_examples=40, deadline=None)
-def test_ring_decision_keeps_the_eigen_verdict(prob, l, shift):
-    """p^(-k/2) H^a_m p^(k/2) acting on C = Phi_l^(m): in the gauge
-    (k = m) the polynomiality test passes, off it (k = m -+ 1) it may not,
-    and either way the verdict is the one of the QuasiFunction operator on
-    C lifted."""
+def test_conjugated_hamiltonian_matches_the_reference(prob, l, shift):
+    """p^(-k/2) H^a_m p^(k/2) acting on C = Phi_l^(m): for k = m (the
+    gauge) and k = m -+ 1 the engine's operator is the reference's, and so
+    is its verdict on C; in the gauge it is a polynomial operator."""
     lad = principal.Ladders(prob, l)
     try:
         lad.phi(l)
     except (principal.Breakdown, principal.DegreeError):
         return
     for m in range(l + 1):
-        k = m + shift
-        op = associated.assoc_hamiltonian(prob, m).conjugate(
-            Fraction(-k, 2), 0, prob)
+        s = Fraction(-(m + shift), 2)
+        op = associated.assoc_hamiltonian(prob, m).conjugate(s, 0, prob)
+        ref = _assoc_hamiltonian(prob, m).conjugate(s, 0, prob)
         c = associated.assoc_bottom_up(prob, l, m, lad).value.c
         lam = associated.assoc_lambda(prob, l, m)
-        gauged = op.as_poly(prob)
-        assert gauged.is_eigen(c, lam, prob) == \
-            op.apply(_qf(c), prob).eq(_qf(c).scale(lam), prob)
+        assert QFOp.of(op, prob).equals(ref, prob)
+        assert op.is_eigen(c, lam, prob) == ref.is_eigen(c, lam, prob)
         if shift == 0:
-            assert gauged.poly and gauged.is_eigen(c, lam, prob)
+            assert op.k.denominator == 1 and op.k >= 0
+            assert op.is_eigen(c, lam, prob)

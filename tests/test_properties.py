@@ -61,12 +61,12 @@ def test_quasi_product_rule(prob, a, b):
     assert lhs.eq(rhs, prob)
 
 
-@given(problems(), polys(1), polys(1), polys(1))
+@given(problems(), polys(1), polys(1), polys(1),
+       st.lists(st.sampled_from([0, Fraction(1, 2), -1]), min_size=3,
+                max_size=3))
 @settings(max_examples=30)
-def test_diffop_compose_associative(prob, a, b, c):
-    A = DiffOp([QuasiFunction(a), QuasiFunction.one()])
-    B = DiffOp([QuasiFunction(b), QuasiFunction.one()])
-    C = DiffOp([QuasiFunction(c), QuasiFunction.one()])
+def test_diffop_compose_associative(prob, a, b, c, ks):
+    A, B, C = (DiffOp([f, 1], k) for f, k in zip((a, b, c), ks))
     lhs = A.compose(B, prob).compose(C, prob)
     rhs = A.compose(B.compose(C, prob), prob)
     assert lhs.equals(rhs, prob)
