@@ -1,7 +1,11 @@
 """Exact arithmetic substrate: rationals, univariate polynomials, quasi-functions.
 
-Every symbolic computation in this package runs over ``fractions.Fraction``
-(aliased ``Rational``).  A :class:`QuasiFunction` is a product
+Every symbolic computation in this package is exact.  Scalars are
+``fractions.Fraction`` (aliased ``Rational``).  A :class:`Poly` holds its
+rational coefficients fraction-free, as integer numerators over one
+positive integer denominator, so its arithmetic runs on Python ints with
+one gcd per result; ``Poly.coeffs`` is the ``Fraction`` view.  A
+:class:`QuasiFunction` is a product
 ``c(x) * p(x)**s * w(x)**e`` where ``c`` is a polynomial, ``p`` is the
 quadratic coefficient of the operator at hand and ``w`` is its weight,
 defined only through the logarithmic derivative ``w'/w = (q - p')/p``.
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -42,53 +46,105 @@ def rational_sqrt(v: Fraction) -> Fraction | None:
 
 
 class Poly:
-    """Univariate polynomial with Rational coefficients, ascending order."""
+    """Univariate polynomial with rational coefficients, ascending order.
 
-    __slots__ = ("coeffs",)
+    Held fraction-free: integer numerators ``num`` over one positive integer
+    denominator ``den``, in canonical form (``gcd(den, *num) == 1`` and no
+    trailing zero numerator), so ``==`` and ``hash`` compare structure.  The
+    arithmetic runs on Python ints with one gcd normalization per result.
+    ``coeffs`` is the ``Fraction`` view, built on first read and kept.
+    """
+
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        # the lcm of lowest-terms denominators leaves no factor common to
+        # every numerator, so this is already canonical
+        den = lcm(*(c.denominator for c in cs))
+        self.num: tuple[int, ...] = tuple(
+            c.numerator * (den // c.denominator) for c in cs)
+        self.den: int = den
+        self._coeffs: tuple[Fraction, ...] | None = tuple(cs)
+
+    @classmethod
+    def _make(cls, num: list[int], den: int) -> "Poly":
+        """The canonical Poly num/den, for any den > 0.
+
+        A classmethod, as the other helpers of the arithmetic are: per-method
+        timing wrappers (perfbench's tracer) then count the operations only.
+        """
+        while num and not num[-1]:
+            num.pop()
+        if not num:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *num)
+            if g != 1:
+                num = [n // g for n in num]
+                den //= g
+        out = object.__new__(cls)
+        out.num, out.den, out._coeffs = tuple(num), den, None
+        return out
 
     @classmethod
     def const(cls, v) -> "Poly":
-        return cls([_as_fraction(v)])
+        v = _as_fraction(v)
+        return cls._make([v.numerator], v.denominator)
 
     @classmethod
     def x(cls) -> "Poly":
         return cls([0, 1])
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Fraction(n, den) for n in self.num)
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __getitem__(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
+        if 0 <= k < len(self.num):
             return self.coeffs[k]
         return Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._make([-n for n in self.num], self.den)
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[k] + other[k] for k in range(n)])
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if da != db:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            a = [n * fa for n in a]
+            b = [n * fb for n in b]
+            da *= fa
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for k, n in enumerate(b):
+            out[k] += n
+        return Poly._make(out, da)
 
     __radd__ = __add__
 
@@ -99,17 +155,23 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+        if isinstance(other, int):
+            return Poly._make([n * other for n in self.num], self.den)
+        if isinstance(other, Fraction):
+            f = other.numerator
+            return Poly._make([n * f for n in self.num],
+                              self.den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.num, other.num
+        if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Poly._make(out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -130,34 +192,60 @@ class Poly:
         return out
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Poly._make([k * n for k, n in enumerate(self.num)][1:],
+                          self.den)
 
     def __call__(self, x):
         if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            if not self.num:
+                return Fraction(0)
+            # Horner on the numerators of x = a/b, times b^degree
+            a, b = x.numerator, x.denominator
+            acc, scale = 0, 1
+            for n in reversed(self.num):
+                acc = acc * a + n * scale
+                scale *= b
+            return Fraction(acc, self.den * b ** self.degree)
         acc = x * 0.0
         for c in reversed(self.coeffs):
             acc = acc * x + float(c)
         return acc
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        """(q, r) with self = q other + r and deg r < deg other.
+
+        Integer pseudo-division by the divisor's leading numerator: before
+        a coefficient is cleared, the working numerators are scaled by the
+        part of that numerator the coefficient lacks, so a leading +-1
+        never scales anything.
+        """
+        b = other.num
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
+        d, lead = len(b) - 1, b[-1]
+        sign = 1 if lead > 0 else -1
+        rem = list(self.num)
+        quo = [0] * max(0, len(rem) - d)
+        scale = 1
         for k in range(len(rem) - 1, d - 1, -1):
-            if rem[k] == 0:
+            r = rem[k]
+            if not r:
                 continue
-            f = rem[k] / lead
-            q[k - d] = f
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] -= f * b
-        return Poly(q), Poly(rem)
+            g = gcd(r, lead)
+            f = abs(lead) // g
+            if f != 1:
+                scale *= f
+                rem = [n * f for n in rem[:k]]
+                quo = [n * f for n in quo]
+            else:
+                del rem[k:]
+            c = r // g * sign
+            quo[k - d] = c
+            for j in range(d):
+                rem[k - d + j] -= c * b[j]
+        den = scale * self.den
+        return (Poly._make([n * other.den for n in quo], den),
+                Poly._make(rem, den))
 
     def __repr__(self):
         if self.is_zero():

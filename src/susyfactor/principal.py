@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import Poly, Problem
 from .diffop import DiffOp, hamiltonian
@@ -116,52 +117,59 @@ def direct_match_table(prob: Problem, max_level: int) -> list[FactorEntry]:
     """Both branches via closed forms; must equal factor_table entry-wise.
 
     Returned as minus levels 0..max_level followed by plus levels
-    -1..max_level.
+    -1..max_level.  The closed forms run on integers: with D the common
+    denominator of p'', q', p'(0), q(0), p(0), C_l = 2 D c_l = l P2 + Q1
+    and D d_l = l P1 + Q0, and each field is one integer numerator over
+    one integer denominator.
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    c = prob.c
-    d = prob.d
-    p0 = prob.p0
+    taylor = (prob.ppp, prob.qp, prob.pp0, prob.q0, prob.p0)
+    D = lcm(*(v.denominator for v in taylor))
+    P2, Q1, P1, Q0, P0 = (v.numerator * (D // v.denominator) for v in taylor)
+    D2, DD4 = 2 * D, 4 * D * D
     out: list[FactorEntry] = []
     # minus branch; level 0 comes from the shared initial data because the
     # closed form divides by c_{-1}, which may legitimately vanish there.
     prev_E = Fraction(0)
     for l in range(0, max_level + 1):
         if l == 0:
-            alpha = Fraction(prob.ppp - prob.qp, 2)
-            beta = Fraction(prob.pp0 - prob.q0, 2)
+            alpha = Fraction(P2 - Q1, D2)
+            beta = Fraction(P1 - Q0, D2)
             E = lam = Fraction(0)
         else:
-            cl, cm = c(l), c(l - 1)
+            cl, cm = l * P2 + Q1, (l - 1) * P2 + Q1
             if cm == 0:
                 raise Breakdown(l)
-            alpha = -cm
-            beta = ((l * cl - cm) * d(l - 1) - l * cm * d(l)) / (2 * cm)
-            E = l * (d(l - 1) / (4 * cm ** 2)
-                     * (2 * cm * d(l) - (cm + cl) * d(l - 1)) - p0) \
-                * ((l + 2) * cm - l * cl)
-            lam = l * ((l - 1) * cl - (l + 1) * cm)
+            dl, dm = l * P1 + Q0, (l - 1) * P1 + Q0
+            alpha = Fraction(-cm, D2)
+            beta = Fraction((l * cl - cm) * dm - l * cm * dl, D2 * cm)
+            E = Fraction(l * (dm * (2 * cm * dl - (cm + cl) * dm)
+                              - 2 * cm * cm * P0)
+                         * ((l + 2) * cm - l * cl), DD4 * cm * cm)
+            lam = Fraction(l * ((l - 1) * cl - (l + 1) * cm), D2)
         out.append(FactorEntry("minus", l, alpha, beta, E - prev_E, E, lam))
         prev_E = E
-    shift = prob.ppp - prob.qp
     prev_E = Fraction(0)
     for l in range(-1, max_level + 1):
         if l == -1:
-            alpha = Fraction(prob.qp - prob.ppp, 2)
-            beta = Fraction(prob.q0 - prob.pp0, 2)
+            alpha = Fraction(Q1 - P2, D2)
+            beta = Fraction(Q0 - P1, D2)
             E = lam = Fraction(0)
         else:
-            cl, cm = c(l), c(l - 1)
+            cl, cm = l * P2 + Q1, (l - 1) * P2 + Q1
             if cl == 0:
                 raise Breakdown(l)
-            alpha = cl
-            beta = (-(l + 1) * cl * d(l - 1) + ((l + 1) * cm + cl) * d(l)) \
-                / (2 * cl)
-            E = (l + 1) * (d(l) / (4 * cl ** 2)
-                           * ((cm + cl) * d(l) - 2 * cl * d(l - 1)) - p0) \
-                * ((l + 1) * cm - (l - 1) * cl)
-            lam = l * ((l - 1) * cl - (l + 1) * cm) + shift
+            dl, dm = l * P1 + Q0, (l - 1) * P1 + Q0
+            alpha = Fraction(cl, D2)
+            beta = Fraction(-(l + 1) * cl * dm + ((l + 1) * cm + cl) * dl,
+                            D2 * cl)
+            E = Fraction((l + 1) * (dl * ((cm + cl) * dl - 2 * cl * dm)
+                                    - 2 * cl * cl * P0)
+                         * ((l + 1) * cm - (l - 1) * cl), DD4 * cl * cl)
+            # lambda^+_l = lambda^-_l + p'' - q'
+            lam = Fraction(l * ((l - 1) * cl - (l + 1) * cm) + 2 * (P2 - Q1),
+                           D2)
         out.append(FactorEntry("plus", l, alpha, beta, E - prev_E, E, lam))
         prev_E = E
     return out

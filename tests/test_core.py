@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susyfactor.core import Poly, Problem, QuasiFunction
 
@@ -111,3 +113,134 @@ def test_proportional_exact_ratio():
     assert a.proportional(b, prob) == 3
     assert a.proportional(QuasiFunction(Poly([1, 1]), 1, 0), prob) is None
     assert a.proportional(QuasiFunction.zero(), prob) is None
+
+
+class RefPoly:
+    """The former Poly: a tuple of Fractions, one Fraction op per step."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __getitem__(self, k):
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPoly([self[k] + other[k] for k in range(n)])
+
+    def __sub__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return RefPoly([self[k] - other[k] for k in range(n)])
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefPoly([c * other for c in self.coeffs])
+        if not self.coeffs or not other.coeffs:
+            return RefPoly()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return RefPoly(out)
+
+    def derivative(self):
+        return RefPoly([k * c for k, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, x):
+        acc = Fraction(0)
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
+
+    def divmod(self, other):
+        d = len(other.coeffs) - 1
+        q = [Fraction(0)] * max(0, len(self.coeffs) - d)
+        rem = list(self.coeffs)
+        for k in range(len(rem) - 1, d - 1, -1):
+            if rem[k] == 0:
+                continue
+            f = rem[k] / other.coeffs[-1]
+            q[k - d] = f
+            for j, b in enumerate(other.coeffs):
+                rem[k - d + j] -= f * b
+        return RefPoly(q), RefPoly(rem)
+
+
+# wide numerators and denominators, so leading coefficients of both signs,
+# non-unit leads and shared factors all occur
+scalars = st.fractions(min_value=-50, max_value=50, max_denominator=36)
+coeff_lists = st.lists(scalars, max_size=7)
+
+
+def _canonical(p):
+    if not p.num:
+        return p.den == 1
+    return p.den > 0 and p.num[-1] != 0 and gcd(p.den, *p.num) == 1
+
+
+def _same(p, ref):
+    return _canonical(p) and p.coeffs == ref.coeffs \
+        and all(p[k] == ref[k] for k in range(-1, len(ref.coeffs) + 2))
+
+
+@given(coeff_lists, coeff_lists, scalars, st.integers(-30, 30))
+@settings(max_examples=300)
+def test_poly_matches_fraction_tuple_reference(a, b, s, n):
+    pa, pb, ra, rb = Poly(a), Poly(b), RefPoly(a), RefPoly(b)
+    assert _same(pa, ra) and _same(pb, rb)
+    assert _same(pa + pb, ra + rb)
+    assert _same(pa - pb, ra - rb)
+    assert _same(-pa, RefPoly() - ra)
+    assert _same(pa * pb, ra * rb)
+    assert _same(pa * s, ra * s) and _same(s * pa, ra * s)
+    assert _same(pa * n, ra * n) and _same(n * pa, ra * n)
+    assert _same(pa.derivative(), ra.derivative())
+    for x in (s, Fraction(n), n, Fraction(0)):
+        assert pa(x) == ra(x) and isinstance(pa(x), Fraction)
+    if b:
+        assert float(pa(float(b[0]))) == pytest.approx(
+            float(ra(b[0])), rel=1e-9, abs=1e-9)
+
+
+@given(coeff_lists, coeff_lists)
+@settings(max_examples=300)
+def test_poly_divmod_matches_reference(a, b):
+    pa, pb = Poly(a), Poly(b)
+    if pb.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            pa.divmod(pb)
+        return
+    q, r = pa.divmod(pb)
+    rq, rr = RefPoly(a).divmod(RefPoly(b))
+    assert _same(q, rq) and _same(r, rr)
+    assert q * pb + r == pa
+    assert r.is_zero() or r.degree < pb.degree
+    # a constant divisor leaves no remainder
+    c = Poly([b[-1] or 1])
+    q, r = pa.divmod(c)
+    assert r.is_zero() and q * c == pa and _canonical(q)
+
+
+@given(coeff_lists, coeff_lists, scalars)
+@settings(max_examples=200)
+def test_poly_equality_and_hash_are_structural(a, b, s):
+    pa, pb = Poly(a), Poly(b)
+    # the same value built along different paths
+    for other in ((pa + pb) - pb, pa * 1, (pa * 3) * Fraction(1, 3),
+                  Poly(list(a) + [0, 0]), Poly(str(c) for c in a)):
+        assert other == pa and hash(other) == hash(pa)
+        assert (other.num, other.den) == (pa.num, pa.den)
+    assert (pa == pb) == (RefPoly(a).coeffs == RefPoly(b).coeffs)
+    if s != 0:
+        assert (pa * s == pa) == (pa.is_zero() or s == 1)
+    assert (Poly([s]) == s) and (Poly([s]) == Poly.const(s))
+
+
+def test_poly_coefficient_view_is_built_once():
+    p = Poly([1, 2]) * Poly([Fraction(1, 3), 5])
+    assert p.num == (1, 17, 30) and p.den == 3
+    assert p.coeffs is p.coeffs
+    assert p[1] is p.coeffs[1] == Fraction(17, 3)

@@ -72,16 +72,30 @@ def test_diffop_compose_associative(prob, a, b, c, ks):
     assert lhs.equals(rhs, prob)
 
 
-@given(problems())
-@settings(max_examples=40)
-def test_tables_agree_on_random_problems(prob):
+def _first_breakdown(prob, max_level):
+    """The recurrence tables to max_level, minus then plus, or the level
+    of the first Breakdown in that order."""
     try:
-        rec = principal.factor_table(prob, "minus", 5) \
-            + principal.factor_table(prob, "plus", 5)
-        closed = principal.direct_match_table(prob, 5)
-    except principal.Breakdown:
-        assume(False)
-    assert rec == closed
+        return principal.factor_table(prob, "minus", max_level) \
+            + principal.factor_table(prob, "plus", max_level)
+    except principal.Breakdown as ex:
+        return ex.level
+
+
+@given(problems(), st.integers(0, 40), st.integers(-1, 12), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_tables_agree_on_random_problems(prob, max_level, k, forced):
+    if forced:
+        # q' = -k p'' puts c_k = (k p'' + q')/2 = 0 (every c_l when
+        # p'' = 0): the minus table stops at level k + 1, the plus at k
+        prob = Problem(prob.p, Poly([prob.q0, -k * prob.ppp]))
+    expect = _first_breakdown(prob, max_level)
+    if isinstance(expect, int):
+        with pytest.raises(principal.Breakdown) as exc:
+            principal.direct_match_table(prob, max_level)
+        assert exc.value.level == expect
+    else:
+        assert principal.direct_match_table(prob, max_level) == expect
 
 
 @given(problems(), st.integers(0, 5))
