@@ -16,9 +16,10 @@ from .principal import (
 from .associated import (
     AssocEntry, AssocFunction, ClassifyError, RangeError, assoc_bottom_up,
     assoc_delta_plus, assoc_entry, assoc_hamiltonian, assoc_ladders,
-    assoc_lambda, assoc_shape_invariance, assoc_three_term, assoc_top_down,
-    classify_expanded, pHm_factorization, principal_form_equivalence,
-    standard_hermitian_relation, verify_associated,
+    assoc_lambda, assoc_normsq, assoc_shape_invariance, assoc_three_term,
+    assoc_top_down, classify_expanded, pHm_factorization,
+    principal_form_equivalence, standard_hermitian_relation,
+    verify_associated,
 )
 from .degenerate import (
     DegeneracyReport, collapse_check, detect, hermite_generate,

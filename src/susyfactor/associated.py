@@ -10,13 +10,14 @@ ones.
 
 Conventions mirror the principal module: ladders are unnormalized, all
 proportionality statements are cross-multiplied, and the normsq prefactor
-(a product of lambda_lj) is tracked separately.
+(a product of lambda_lj) is built apart, by assoc_normsq, where it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import Poly, Problem, QuasiFunction, rational_sqrt
 from .diffop import DiffOp, hamiltonian
@@ -50,7 +51,6 @@ class AssocFunction:
     value: QuasiFunction
     l: int
     m: int
-    normsq: Fraction
 
 
 def assoc_ladders(prob: Problem, m: int) -> tuple[DiffOp, DiffOp]:
@@ -99,25 +99,40 @@ def assoc_entry(prob: Problem, l: int, m: int) -> AssocEntry:
     return AssocEntry(l, m, assoc_lambda(prob, l, m), deltas)
 
 
-def _norm_prefactor(prob: Problem, l: int, m: int) -> Fraction:
-    out = Fraction(1)
+def assoc_normsq(prob: Problem, l: int, m: int,
+                 lad: Ladders | None = None) -> Fraction:
+    """normsq of Phi_lm: prod E_j over j = 1..l times prod lambda_lj over
+    j < |m|.
+
+    The second product runs on integers: with D the lcm of the
+    denominators of p'' and q', lambda_lj = N_j / 2D with
+    N_j = -2 (l - j) Q1 - (l (l - 1) - j (j - 1)) P2.
+    """
+    _check_range(l, m)
+    ppp, qp = prob.ppp, prob.qp
+    D = lcm(ppp.denominator, qp.denominator)
+    P2 = ppp.numerator * (D // ppp.denominator)
+    Q1 = qp.numerator * (D // qp.denominator)
+    num = 1
     for j in range(abs(m)):
-        out *= assoc_lambda(prob, l, j)
-    return out
+        num *= -2 * (l - j) * Q1 - (l * (l - 1) - j * (j - 1)) * P2
+    return _own(prob, l, lad).normsq(l) * Fraction(num, (2 * D) ** abs(m))
 
 
 def assoc_bottom_up(prob: Problem, l: int, m: int,
                     lad: Ladders | None = None) -> AssocFunction:
-    """Phi_lm = p^(|m|/2) (d/dx)^|m| Phi_l, times (-1)^m for m < 0."""
+    """Phi_lm = p^(|m|/2) (d/dx)^|m| Phi_l, times (-1)^m for m < 0.
+
+    Raising Phi_l checks its degree and its norm: a vanishing E_j is
+    Breakdown(j)."""
     _check_range(l, m)
-    phi, normsq = principal_eigenfunction(prob, l, lad)
-    c = phi
+    c = principal_eigenfunction(prob, l, lad)[0]
     for _ in range(abs(m)):
         c = c.derivative()
     value = QuasiFunction(c, Fraction(abs(m), 2), 0)
     if m < 0 and m % 2 != 0:
         value = value.scale(-1)
-    return AssocFunction(value, l, m, normsq * _norm_prefactor(prob, l, m))
+    return AssocFunction(value, l, m)
 
 
 def assoc_top_down(prob: Problem, l: int, m: int,
@@ -125,23 +140,34 @@ def assoc_top_down(prob: Problem, l: int, m: int,
     """(-1)^(l-|m|) w^-1 p^(-|m|/2) (d/dx)^(l-|m|) (w p^l), sign-flipped
     for negative m.
 
-    Runs entirely inside the quasi-function class: the weight enters as
-    e = 1, every derivative stays closed, and e returns to 0 only at the
-    final division step.  Phi_l is never raised: normsq is the table's
-    prod E_j, and a vanishing E_j is Breakdown(j).
+    Nikiforov and Uvarov's Rodrigues recurrence on Poly: with w'/w =
+    (q - p')/p, (d/dx)^j (w p^l) = c_j w p^(l-j), where c_0 = 1 and
+
+        c_{j+1} = p c_j' + ((l - j) p' + q - p') c_j.
+
+    The full factors of p in c_{l-|m|} go into the exponent once, at the
+    end.  Phi_l is never raised, but its norm is read: a vanishing E_j is
+    Breakdown(j).
     """
     _check_range(l, m)
     am = abs(m)
-    f = QuasiFunction(Poly.const(1), l, 1)
-    for _ in range(l - am):
-        f = f.derive(prob)
-    value = QuasiFunction(f.c, f.s - Fraction(am, 2), 0)
+    pprime = prob.p.derivative()
+    tail = prob.q - pprime
+    c = Poly.const(1)
+    for j in range(l - am):
+        c = prob.p * c.derivative() + ((l - j) * pprime + tail) * c
+    # w^-1 cancels the weight.  With no derivative taken, c = 1 over p^|m|
+    # stays as it is: for constant p, canonicalizing would fold p^|m| into c.
+    f = QuasiFunction(c, am)
+    if l > am:
+        f = f.canonicalize(prob)
+    value = QuasiFunction(f.c, f.s - Fraction(am, 2))
     if (l - am) % 2 != 0:
         value = value.scale(-1)
     if m < 0 and m % 2 != 0:
         value = value.scale(-1)
-    normsq = _own(prob, l, lad).normsq(l)
-    return AssocFunction(value, l, m, normsq * _norm_prefactor(prob, l, m))
+    _own(prob, l, lad).normsq(l)
+    return AssocFunction(value, l, m)
 
 
 def _bottom_up(lad: Ladders, l: int, m: int) -> AssocFunction:

@@ -148,7 +148,8 @@ def cmd_eigenfunction(args) -> int:
     ratio = value.proportional(other.value, prob)
     _emit({"l": l, "m": m, "form": form,
            "coefficients": [_fmt(c) for c in value.c.coeffs],
-           "s": _fmt(value.s), "normsq": _fmt(built.normsq),
+           "s": _fmt(value.s),
+           "normsq": _fmt(associated.assoc_normsq(prob, l, m, lad)),
            "proportional_to_alternate": ratio is not None,
            "ratio": _fmt(ratio) if ratio is not None else None}, args)
     return 0

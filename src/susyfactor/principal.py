@@ -6,6 +6,13 @@ together with eigenfunction generation by repeated raising, closed-form
 cross-check tables, shape-invariance residuals, three-term recurrences and
 the equivalent operator forms.
 
+factor_table runs its recurrence on integers over the common denominator D
+of the Taylor data: alpha_l = a_l/2D, beta_l = B_l/(2D a_l) and
+E_l = X_l/(2D a_l)^2, where a_l, B_l and X_l = B_l^2 + a_l^2 Y_l follow
+from one integer update per level.  direct_match_table evaluates the
+closed forms at each level instead and shares no code with it, so the two
+remain independent checks of each other.
+
 Ladders are kept unnormalized: the usual 1/sqrt(E_l) factors would leave
 the rational field, so normsq = prod E_j is tracked separately and all
 proportionality statements are cross-multiplied.  normsq is the squared
@@ -64,52 +71,54 @@ def superpotential_w0(prob: Problem) -> Poly:
     return (prob.p.derivative() - prob.q) * Fraction(1, 2)
 
 
-def _lambda_minus(prob: Problem, l: int) -> Fraction:
-    return -l * prob.qp - Fraction(l * (l - 1), 2) * prob.ppp
-
-
 def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry]:
-    """Levels 0..max_level (minus) or -1..max_level (plus) by recurrence."""
+    """Levels 0..max_level (minus) or -1..max_level (plus) by recurrence.
+
+    The recurrence runs on integers.  With D the lcm of the denominators
+    of p'', q', p'(0), q(0), p(0), and P2, Q1, P1, Q0, P0 their numerators
+    over D, alpha_l = a_l / 2D, where a_l = -C_{l-1} (minus) or C_l (plus)
+    and C_l = l P2 + Q1; a vanishing a_l is Breakdown(l).  With s = +1
+    (minus) or -1 (plus), the ladder updates of beta and E read
+
+        beta_l = B_l / (2D a_l),    B_l = B_{l-1} - s P1 (a_l + a_{l-1}),
+        E_l - beta_l^2 = Y_l / (2D)^2,
+                                    Y_l = Y_{l-1} + 2 s P0 (a_l + a_{l-1}),
+
+    so E_l = X_l / (2D a_l)^2 with the integer X_l = B_l^2 + a_l^2 Y_l, and
+    lambda_l = L_l / D with L_l = L_{l-1} + a_l (minus) or L_{l-1} - a_{l-1}
+    (plus).  The lowest level seeds B = 2D a beta and Y = -(2D beta)^2
+    from its initial data, which holds even where that a vanishes.  Each
+    field of an entry is then one Fraction; direct_match_table stays an
+    independent closed form, the cross-check of this recurrence.
+    """
     if branch not in ("minus", "plus"):
         raise ValueError(f"unknown branch {branch!r}")
     lowest = -1 if branch == "plus" else 0
     if max_level < lowest:
         raise ValueError(f"max_level must be >= {lowest}")
-    half_ppp = Fraction(prob.ppp, 2)
-    half_pp0 = Fraction(prob.pp0, 2)
-    entries: list[FactorEntry] = []
-    if branch == "minus":
-        alpha = Fraction(prob.ppp - prob.qp, 2)
-        beta = Fraction(prob.pp0 - prob.q0, 2)
-        E = lam = Fraction(0)
-        entries.append(FactorEntry("minus", 0, alpha, beta, Fraction(0), E, lam))
-        for l in range(1, max_level + 1):
-            alpha_new = alpha - half_ppp
-            if alpha_new == 0:
-                raise Breakdown(l, entries=entries)
-            beta_new = (alpha * beta - half_pp0 * (alpha_new + alpha)) / alpha_new
-            delta = prob.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
-            lam = lam + 2 * alpha_new
-            E = E + delta
-            alpha, beta = alpha_new, beta_new
-            entries.append(FactorEntry("minus", l, alpha, beta, delta, E, lam))
-        return entries
-    # plus branch, starting at the auxiliary level -1
-    shift = prob.ppp - prob.qp
-    alpha = Fraction(prob.qp - prob.ppp, 2)
-    beta = Fraction(prob.q0 - prob.pp0, 2)
-    E = lam = Fraction(0)
-    entries.append(FactorEntry("plus", -1, alpha, beta, Fraction(0), E, lam))
-    for l in range(0, max_level + 1):
-        alpha_new = alpha + half_ppp
-        if alpha_new == 0:
+    taylor = (prob.ppp, prob.qp, prob.pp0, prob.q0, prob.p0)
+    D = lcm(*(v.denominator for v in taylor))
+    P2, Q1, P1, Q0, P0 = (v.numerator * (D // v.denominator) for v in taylor)
+    D2 = 2 * D
+    s = 1 if branch == "minus" else -1
+    # level `lowest`: alpha = s (p'' - q')/2, beta = s (p'(0) - q(0))/2
+    a, b = s * (P2 - Q1), s * (P1 - Q0)
+    B, Y, L = a * b, -b * b, 0
+    E = zero = Fraction(0)
+    entries = [FactorEntry(branch, lowest, Fraction(a, D2), Fraction(b, D2),
+                           zero, zero, zero)]
+    for l in range(lowest + 1, max_level + 1):
+        a_prev = a
+        a -= s * P2
+        if a == 0:
             raise Breakdown(l, entries=entries)
-        beta_new = (alpha * beta + half_pp0 * (alpha_new + alpha)) / alpha_new
-        delta = -prob.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
-        E = E + delta
-        lam = _lambda_minus(prob, l) + shift
-        alpha, beta = alpha_new, beta_new
-        entries.append(FactorEntry("plus", l, alpha, beta, delta, E, lam))
+        B -= s * P1 * (a + a_prev)
+        Y += 2 * s * P0 * (a + a_prev)
+        L += a if s == 1 else -a_prev
+        E_prev, E = E, Fraction(B * B + a * a * Y, D2 * D2 * a * a)
+        entries.append(FactorEntry(branch, l, Fraction(a, D2),
+                                   Fraction(B, D2 * a), E - E_prev, E,
+                                   Fraction(L, D)))
     return entries
 
 
@@ -245,16 +254,19 @@ class Ladders:
     def phi(self, l: int) -> Poly:
         """Phi_l, raised on Poly once per level.
 
-        Each request checks what one raise from 1 to l would: Phi_l keeps
-        degree l (a raise adds at most one degree, so a degree lost anywhere
-        shows at l), then no E_j, j <= l, vanishes.
+        Each request checks what one raise from 1 to l would: no E_j,
+        j <= l, vanishes (else Breakdown(j)), then Phi_l keeps degree l (a
+        raise adds at most one degree, so a degree lost anywhere shows at
+        l).  The norm goes first: a vanishing E_j can zero Phi_j itself
+        (on the line q' = p''/2, E_1 = 0 and Phi_1 = 0), and Breakdown names
+        that level where the degree count would not.
         """
         for j in range(len(self._phis), l + 1):
             self._raise(j)
+        self.normsq(l)
         if self._phis[l].degree != l:
             raise DegreeError(
                 f"expected degree {l}, got {self._phis[l].degree}")
-        self.normsq(l)
         return self._phis[l]
 
     def normsq(self, l: int) -> Fraction:
@@ -286,8 +298,8 @@ def principal_eigenfunction(prob: Problem, l: int, lad: Ladders | None = None
     """Unnormalized Phi_l = B_l ... B_1 applied to 1, with normsq = prod E_j
     (the squared norm int w Phi_l^2 / int w only when p'' = 0).
 
-    A degree lost while raising is DegreeError; after that check, the first
-    vanishing E_j is Breakdown(j).
+    The first vanishing E_j is Breakdown(j); with every E_j nonzero, a
+    degree lost while raising is DegreeError.
     """
     if l < 0:
         raise ValueError("level must be >= 0")

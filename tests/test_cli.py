@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from susyfactor import cli
@@ -194,6 +195,21 @@ def test_degree_error_exit_2():
     r = run_cli("verify", "--p", "-1,0,1", "--q", "3,0", "--levels", "3")
     assert r.returncode == 2
     assert json.loads(r.stderr)["error"] == "DegreeError"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigenfunction", "--family", "jacobi:-1/2,-1/2", "--l", "1"],
+    ["eigenfunction", "--family", "jacobi:-1/2,-1/2", "--l", "3",
+     "--form", "rodrigues"],
+    ["eigenfunction", "--family", "jacobi:1/2,-3/2", "--l", "2"],
+    ["verify", "--family", "jacobi:-1/2,-1/2", "--levels", "2"],
+])
+def test_zero_mode_on_the_chebyshev_line_is_breakdown(argv):
+    # q' = p''/2: E_1 = 0 and the raised Phi_1 is the zero polynomial, so
+    # the vanishing norm is reported, not a degree of -1
+    code, out, err = _main(argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "breakdown", "level": 1}
 
 
 def test_vanishing_norm_is_breakdown_exit_2():

@@ -19,7 +19,9 @@ def test_golden_outputs_unchanged():
 
 
 # sha256 of stdout as recorded on commit 8206ff9, whose Poly held a tuple of
-# Fractions; golden.json stops at l <= 7 and 12 levels
+# Fractions, and (the last four) on commit 9330ab6, whose factor table ran
+# on Fractions and whose top-down chain ran QuasiFunction.derive;
+# golden.json stops at l <= 7 and 12 levels
 LARGE = {
     "eigenfunction --family legendre --l 53 --m 0 --form ladder":
         "85fd2beb2b2076b96ae47812aba022b0fb11927e534ddb7023ba0075f418eb24",
@@ -32,6 +34,15 @@ LARGE = {
         "552cc2b7ed7bc8fe97b5d84003659c1483c14ef9b6d50c6ba84c38285ff4918d",
     "verify --family jacobi:2,3 --levels 12":
         "62b9a3a298362e619b9f1969b9fdb885bcf0f87af4b3972661e9a74922675525",
+    "factorize --family hypergeom:1/3,1/5,7/2 --levels 400 --branch both":
+        "bedc707e94435adedf04676def30f66434693999c8607658bae441ddfcef02b8",
+    "factorize --family laguerre:1 --levels 400 --branch plus":
+        "ec0e185a49fc7d78ea0e2cc314d2578b879343cdde6b87f2b5fba5597e1ba059",
+    "eigenfunction --family hypergeom:1/3,1/5,7/2 --l 41 --m 0 "
+    "--form rodrigues":
+        "4f42c5de892658e6ef74e117876d715a820463c714d8f1d53d1a8177ad80a788",
+    "eigenfunction --p 3 --q -2,1/2 --l 7 --m 3 --form topdown":
+        "6dc8ca64895981c61ac9bda5a5b2e6a54b657a924de88db4d6d8201bda53e9bb",
 }
 
 

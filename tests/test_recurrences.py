@@ -1,0 +1,164 @@
+"""The integer ladder recurrences against the Fraction and QuasiFunction
+code they replaced.
+
+``_fraction_factor_table`` is factor_table as it ran on Fractions, ten
+gcd-normalized operations per level; ``_derive_top_down`` is the top-down
+Phi_lm as it ran through QuasiFunction.derive, one canonicalization per
+derivative.  Entries, Breakdown levels, partial tables and functions must
+match the engine's exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from susyfactor.core import Poly, Problem, QuasiFunction
+from susyfactor import associated, principal
+from susyfactor.principal import Breakdown, FactorEntry
+
+from conftest import FAMILIES
+
+coefficients = st.one_of(
+    st.integers(-4, 4).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7))
+
+
+def _fraction_factor_table(prob, branch, max_level):
+    half_ppp = Fraction(prob.ppp, 2)
+    half_pp0 = Fraction(prob.pp0, 2)
+    entries = []
+    if branch == "minus":
+        alpha = Fraction(prob.ppp - prob.qp, 2)
+        beta = Fraction(prob.pp0 - prob.q0, 2)
+        E = lam = Fraction(0)
+        entries.append(FactorEntry("minus", 0, alpha, beta, Fraction(0), E,
+                                   lam))
+        for l in range(1, max_level + 1):
+            alpha_new = alpha - half_ppp
+            if alpha_new == 0:
+                raise Breakdown(l, entries=entries)
+            beta_new = (alpha * beta - half_pp0 * (alpha_new + alpha)) \
+                / alpha_new
+            delta = prob.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
+            lam = lam + 2 * alpha_new
+            E = E + delta
+            alpha, beta = alpha_new, beta_new
+            entries.append(FactorEntry("minus", l, alpha, beta, delta, E,
+                                       lam))
+        return entries
+    shift = prob.ppp - prob.qp
+    alpha = Fraction(prob.qp - prob.ppp, 2)
+    beta = Fraction(prob.q0 - prob.pp0, 2)
+    E = lam = Fraction(0)
+    entries.append(FactorEntry("plus", -1, alpha, beta, Fraction(0), E, lam))
+    for l in range(0, max_level + 1):
+        alpha_new = alpha + half_ppp
+        if alpha_new == 0:
+            raise Breakdown(l, entries=entries)
+        beta_new = (alpha * beta + half_pp0 * (alpha_new + alpha)) / alpha_new
+        delta = -prob.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
+        E = E + delta
+        lam = -l * prob.qp - Fraction(l * (l - 1), 2) * prob.ppp + shift
+        alpha, beta = alpha_new, beta_new
+        entries.append(FactorEntry("plus", l, alpha, beta, delta, E, lam))
+    return entries
+
+
+def _table_outcome(build, prob, branch, max_level):
+    try:
+        return build(prob, branch, max_level)
+    except Breakdown as ex:
+        return "Breakdown", ex.level, ex.entries
+
+
+@st.composite
+def table_problems(draw):
+    """Rational (p, q), a third of them on a line where some c_k vanishes."""
+    p = Poly(draw(st.lists(coefficients, min_size=1, max_size=3)))
+    assume(not p.is_zero())
+    q = draw(st.lists(coefficients, min_size=2, max_size=2))
+    if draw(st.integers(0, 2)) == 0:
+        # q' = -k p'' puts c_k = (k p'' + q')/2 = 0 (every c_l if p'' = 0);
+        # k = -1/2, the line q' = p''/2, makes E_1 vanish instead
+        k = draw(st.one_of(st.integers(-1, 12), st.just(Fraction(-1, 2))))
+        q[1] = -k * 2 * p[2]
+    return Problem(p, Poly(q))
+
+
+@given(table_problems(), st.sampled_from(["minus", "plus"]),
+       st.integers(-1, 30))
+@settings(max_examples=400, deadline=None)
+def test_integer_table_matches_fraction_recurrence(prob, branch, max_level):
+    assume(max_level >= (-1 if branch == "plus" else 0))
+    assert _table_outcome(principal.factor_table, prob, branch, max_level) \
+        == _table_outcome(_fraction_factor_table, prob, branch, max_level)
+
+
+@pytest.mark.parametrize("branch", ["minus", "plus"])
+def test_integer_table_matches_fraction_recurrence_at_400(family, branch):
+    assert principal.factor_table(family, branch, 400) == \
+        _fraction_factor_table(family, branch, 400)
+
+
+def test_vanishing_E_keeps_the_table():
+    # p = x^2 + x, q = -3x: E_1 = 0 and the recurrence goes on past it
+    prob = Problem(Poly([0, 1, 1]), Poly([0, -3]))
+    table = principal.factor_table(prob, "minus", 6)
+    assert table[1].E == 0
+    assert table == _fraction_factor_table(prob, "minus", 6)
+
+
+def _derive_top_down(prob, l, m):
+    am = abs(m)
+    f = QuasiFunction(Poly.const(1), l, 1)
+    for _ in range(l - am):
+        f = f.derive(prob)
+    value = QuasiFunction(f.c, f.s - Fraction(am, 2), 0)
+    if (l - am) % 2 != 0:
+        value = value.scale(-1)
+    if m < 0 and m % 2 != 0:
+        value = value.scale(-1)
+    return value
+
+
+@st.composite
+def chain_problems(draw):
+    """p constant (p(0) != 1), linear or quadratic, and any linear q."""
+    degree = draw(st.integers(0, 2))
+    lead = draw(coefficients.filter(lambda v: v != 0 and (degree or v != 1)))
+    p = Poly(draw(st.lists(coefficients, min_size=degree, max_size=degree))
+             + [lead])
+    q = Poly(draw(st.lists(coefficients, min_size=2, max_size=2)))
+    return Problem(p, q)
+
+
+@given(chain_problems(), st.integers(0, 9), st.data())
+@settings(max_examples=200, deadline=None)
+def test_rodrigues_chain_matches_derive_loop(prob, l, data):
+    m = data.draw(st.integers(-l, l))
+    try:
+        got = associated.assoc_top_down(prob, l, m).value
+    except Breakdown:
+        assume(False)
+    want = _derive_top_down(prob, l, m)
+    assert (got.c, got.s, got.e) == (want.c, want.s, want.e)
+
+
+def test_rodrigues_chain_matches_derive_loop_on_presets(family):
+    for l in (0, 1, 6, 13):
+        for m in range(-l, l + 1):
+            got = associated.assoc_top_down(family, l, m).value
+            want = _derive_top_down(family, l, m)
+            assert (got.c, got.s, got.e) == (want.c, want.s, want.e)
+
+
+@pytest.mark.parametrize("name", ["legendre", "hypergeom(1/3,1/5,7/2)"])
+def test_normsq_is_the_fraction_product(name):
+    prob = FAMILIES[name]
+    for l in range(9):
+        for m in range(-l, l + 1):
+            want = principal.principal_eigenfunction(prob, l)[1]
+            for j in range(abs(m)):
+                want *= associated.assoc_lambda(prob, l, j)
+            assert associated.assoc_normsq(prob, l, m) == want
