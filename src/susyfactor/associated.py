@@ -11,6 +11,7 @@ ones.
 Conventions mirror the principal module: ladders are unnormalized, all
 proportionality statements are cross-multiplied, and the normsq prefactor
 (a product of lambda_lj) is built apart, by assoc_normsq, where it is read.
+Every Phi_lm is p^s c with c a Poly, canonical as DiffOp([c], s).reduced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .core import Poly, Problem, QuasiFunction, rational_sqrt
+from .core import Poly, Problem, rational_sqrt
 from .diffop import DiffOp, hamiltonian
 from .principal import (Breakdown, Ladders, _own, factor_table,
                         principal_eigenfunction)
@@ -30,6 +31,8 @@ class RangeError(ValueError):
 
 
 def _check_range(l: int, m: int) -> None:
+    if l < 0:
+        raise RangeError(f"level must be >= 0, got l = {l}")
     if abs(m) > l:
         raise RangeError(f"|m| = {abs(m)} exceeds l = {l}")
 
@@ -39,18 +42,28 @@ class ClassifyError(ValueError):
 
 
 @dataclass(frozen=True)
-class AssocEntry:
-    l: int
-    m: int
-    lambda_lm: Fraction
-    deltas: tuple[Fraction, ...]   # Delta^+_1 .. Delta^+_|m|
-
-
-@dataclass(frozen=True)
 class AssocFunction:
-    value: QuasiFunction
+    """Phi_lm = p^s c."""
+
+    c: Poly
+    s: Fraction
     l: int
     m: int
+
+    def proportional(self, other: "AssocFunction", prob: Problem):
+        """Nonzero rational ratio self/other, or None if not proportional.
+
+        Both sides are reduced, so equal functions have equal s; the
+        polynomials are then cross-multiplied by their leading
+        coefficients.
+        """
+        a = DiffOp([self.c], self.s).reduced(prob)
+        b = DiffOp([other.c], other.s).reduced(prob)
+        if a.is_zero() or b.is_zero() or a.k != b.k:
+            return None
+        (ca,), (cb,) = a.coeffs, b.coeffs
+        ka, kb = ca.coeffs[-1], cb.coeffs[-1]
+        return ka / kb if ca * kb == cb * ka else None
 
 
 def assoc_ladders(prob: Problem, m: int) -> tuple[DiffOp, DiffOp]:
@@ -93,12 +106,6 @@ def assoc_delta_plus(prob: Problem, n: int) -> Fraction:
     return -prob.qp - (n - 1) * prob.ppp
 
 
-def assoc_entry(prob: Problem, l: int, m: int) -> AssocEntry:
-    _check_range(l, m)
-    deltas = tuple(assoc_delta_plus(prob, n) for n in range(1, abs(m) + 1))
-    return AssocEntry(l, m, assoc_lambda(prob, l, m), deltas)
-
-
 def assoc_normsq(prob: Problem, l: int, m: int,
                  lad: Ladders | None = None) -> Fraction:
     """normsq of Phi_lm: prod E_j over j = 1..l times prod lambda_lj over
@@ -129,10 +136,9 @@ def assoc_bottom_up(prob: Problem, l: int, m: int,
     c = principal_eigenfunction(prob, l, lad)[0]
     for _ in range(abs(m)):
         c = c.derivative()
-    value = QuasiFunction(c, Fraction(abs(m), 2), 0)
     if m < 0 and m % 2 != 0:
-        value = value.scale(-1)
-    return AssocFunction(value, l, m)
+        c = -c
+    return AssocFunction(c, Fraction(abs(m), 2), l, m)
 
 
 def assoc_top_down(prob: Problem, l: int, m: int,
@@ -157,17 +163,16 @@ def assoc_top_down(prob: Problem, l: int, m: int,
     for j in range(l - am):
         c = prob.p * c.derivative() + ((l - j) * pprime + tail) * c
     # w^-1 cancels the weight.  With no derivative taken, c = 1 over p^|m|
-    # stays as it is: for constant p, canonicalizing would fold p^|m| into c.
-    f = QuasiFunction(c, am)
+    # stays as it is: for constant p, reducing would fold p^|m| into c.
+    f = DiffOp([c], am)
     if l > am:
-        f = f.canonicalize(prob)
-    value = QuasiFunction(f.c, f.s - Fraction(am, 2))
-    if (l - am) % 2 != 0:
-        value = value.scale(-1)
-    if m < 0 and m % 2 != 0:
-        value = value.scale(-1)
+        f = f.reduced(prob)
+    c = f.coeff(0)
+    # (-1)^(l-|m|), times (-1)^m for negative m: (-1)^l
+    if (l if m < 0 else l - am) % 2:
+        c = -c
     _own(prob, l, lad).normsq(l)
-    return AssocFunction(value, l, m)
+    return AssocFunction(c, f.k - Fraction(am, 2), l, m)
 
 
 def _bottom_up(lad: Ladders, l: int, m: int) -> AssocFunction:
@@ -218,7 +223,7 @@ def verify_associated(prob: Problem, l: int, m: int,
     ham = _hamiltonian(lad, am)
     a_ok = lad.memo(("check a", am), lambda: _hh(lad, am).equals(ham, prob))
 
-    c = _bottom_up(lad, l, am).value.c
+    c = _bottom_up(lad, l, am).c
     b_ok = _on_c(lad, "H^a on C", am, lambda: ham).is_eigen(c, lam, prob)
 
     if am == 0:
@@ -228,7 +233,7 @@ def verify_associated(prob: Problem, l: int, m: int,
         def descending():
             nlo, nhi = _ladders(lad, -am)
             return nhi.compose(nlo, prob)
-        c_neg = _bottom_up(lad, l, -am).value.c
+        c_neg = _bottom_up(lad, l, -am).c
         c_ok = _on_c(lad, "descending on C", am, descending).is_eigen(
             c_neg, lam, prob)
 
@@ -251,7 +256,7 @@ def assoc_shape_invariance(prob: Problem, n: int,
                                   prob)
 
 
-def assoc_three_term(prob: Problem, l: int, m: int) -> tuple[QuasiFunction, QuasiFunction]:
+def assoc_three_term(prob: Problem, l: int, m: int) -> tuple[Poly, Poly]:
     """Residuals of the two three-term recurrences across (m-1, m, m+1).
 
     In the unnormalized convention both read (for 1 <= m < l)
@@ -261,28 +266,30 @@ def assoc_three_term(prob: Problem, l: int, m: int) -> tuple[QuasiFunction, Quas
         Phi_{l,m+1} - [2 sqrt(p) d/dx + (q - p')/sqrt(p)] Phi_lm
                     - lambda_{l,m-1} Phi_{l,m-1} = 0
 
+    With Phi_lm = p^(m/2) C_m, C_m = Phi_l^(m), both left sides are
+    p^((m-1)/2) times the returned polynomials
+
+        p C_{m+1} + ((m-1)p' + q) C_m + lambda_{l,m-1} C_{m-1}
+        p C_{m+1} - 2p C_m' - ((m-1)p' + q) C_m - lambda_{l,m-1} C_{m-1}.
+
     They rest on the lowering identity h_{m-1} Phi_lm =
     lambda_{l,m-1} Phi_{l,m-1}, which needs m >= 1; at the m = 0 boundary
     the hierarchy crosses zero through the sign relation only, so both
-    residuals reduce to Phi_{l,1} + Phi_{l,-1} with Phi_{l,-1} = -Phi_{l1}.
+    residuals reduce to C_1 + C_{-1}, the polynomials of Phi_{l,1} and
+    Phi_{l,-1} = -Phi_{l1}.
     """
     if not 0 <= m < l:
         raise RangeError(f"need 0 <= m < l, got m={m}, l={l}")
     lad = Ladders(prob, l)
-    phi_up = assoc_bottom_up(prob, l, m + 1, lad).value
-    phi = assoc_bottom_up(prob, l, m, lad).value
+    up = assoc_bottom_up(prob, l, m + 1, lad).c
     if m == 0:
-        phi_dn = assoc_bottom_up(prob, l, -1, lad).value
-        res = phi_up.add(phi_dn, prob)
+        res = up + assoc_bottom_up(prob, l, -1, lad).c
         return res, res
-    phi_dn = assoc_bottom_up(prob, l, m - 1, lad).value
-    wgt = assoc_lambda(prob, l, m - 1)
-    pprime = prob.p.derivative()
-    half = Fraction(1, 2)
-    mid1 = QuasiFunction((m - 1) * pprime + prob.q, -half, 0)
-    res1 = phi_up.add(mid1.mul(phi, prob), prob).add(phi_dn.scale(wgt), prob)
-    op2 = DiffOp([prob.q - pprime, 2 * prob.p], -half)
-    res2 = phi_up.sub(op2.apply(phi, prob), prob).sub(phi_dn.scale(wgt), prob)
+    c = assoc_bottom_up(prob, l, m, lad).c
+    dn = assoc_bottom_up(prob, l, m - 1, lad).c * assoc_lambda(prob, l, m - 1)
+    mid = ((m - 1) * prob.p.derivative() + prob.q) * c
+    res1 = prob.p * up + mid + dn
+    res2 = prob.p * (up - 2 * c.derivative()) - mid - dn
     return res1, res2
 
 
@@ -290,9 +297,9 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
     """h_{2m} h_0^dagger is again a base-type operator; check its faces.
 
     a: h_{2m} h_0^dagger = -p d^2 - (q + m p') d.
-    b: phi_lm = p^(-m/2) Phi_lm solves it with eigenvalue lambda_lm, which
-       equals the principal eigenvalue at level l - m of the substituted
-       problem (p, q + m p').
+    b: phi_lm = p^(-m/2) Phi_lm = Phi_l^(m) solves it with eigenvalue
+       lambda_lm, which equals the principal eigenvalue at level l - m of
+       the substituted problem (p, q + m p').
     c: conjugating by p^((2m+1)/4) w^(1/2) supersymmetrizes it into
        (-sqrt(p) d/dx + W^a_m)(sqrt(p) d/dx + W^a_m) with
        W^a_m = -[(m - 1/2) p' + q]/(2 sqrt p).
@@ -307,9 +314,7 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
     a_ok = op.equals(target, prob)
 
     lam = assoc_lambda(prob, l, m)
-    phi = assoc_bottom_up(prob, l, m).value
-    varphi = QuasiFunction(phi.c, phi.s - Fraction(m, 2), phi.e)
-    b_ok = op.is_eigen(varphi, lam, prob)
+    b_ok = op.is_eigen(assoc_bottom_up(prob, l, m).c, lam, prob)
     sub = Problem(prob.p, prob.q + m * pprime)
     b_ok = b_ok and factor_table(sub, "minus", l - m)[-1].lam == lam
 

@@ -41,9 +41,22 @@ def _parse_poly(text: str) -> Poly:
     return Poly(list(reversed(coeffs)))
 
 
+# each family's --family spelling, which fixes its parameter count
+_FAMILIES = {"legendre": "legendre", "jacobi": "jacobi:a,b",
+             "laguerre": "laguerre:a", "hermite": "hermite",
+             "hypergeom": "hypergeom:a,b,c", "confluent": "confluent:m"}
+
+
 def _family_problem(spec: str) -> Problem:
     name, _, argstr = spec.partition(":")
     args = [_fraction(tok) for tok in argstr.split(",")] if argstr else []
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {spec!r}")
+    params = _FAMILIES[name].partition(":")[2]
+    want = len(params.split(",")) if params else 0
+    if len(args) != want:
+        raise ValueError(f"family {spec!r}: expected {_FAMILIES[name]}, "
+                         f"with {want} parameter{'' if want == 1 else 's'}")
     x = Poly.x()
     if name == "legendre":
         return Problem(Poly([1, 0, -1]), Poly([0, -2]))
@@ -61,7 +74,6 @@ def _family_problem(spec: str) -> Problem:
     if name == "confluent":
         (m,) = args
         return Problem(x, Poly([m, -1]))
-    raise ValueError(f"unknown family {spec!r}")
 
 
 def _problem_from_args(args) -> Problem:
@@ -144,11 +156,10 @@ def cmd_eigenfunction(args) -> int:
     other = associated.assoc_top_down(prob, l, m, lad)
     if form in ("topdown", "rodrigues"):
         built, other = other, built
-    value = built.value
-    ratio = value.proportional(other.value, prob)
+    ratio = built.proportional(other, prob)
     _emit({"l": l, "m": m, "form": form,
-           "coefficients": [_fmt(c) for c in value.c.coeffs],
-           "s": _fmt(value.s),
+           "coefficients": [_fmt(c) for c in built.c.coeffs],
+           "s": _fmt(built.s),
            "normsq": _fmt(associated.assoc_normsq(prob, l, m, lad)),
            "proportional_to_alternate": ratio is not None,
            "ratio": _fmt(ratio) if ratio is not None else None}, args)
@@ -294,6 +305,8 @@ def cmd_numeric(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.m is not None and args.l is None:
+        raise ValueError("classify reads --m only together with --l")
     prob = _problem_from_args(args)
     rep = degenerate.detect(prob)
     out = {"degenerate": rep.is_degenerate, "subcase": rep.subcase,
@@ -322,8 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", help="p coefficients, highest degree first")
         p.add_argument("--q", help="q coefficients, highest degree first")
         p.add_argument("--family",
-                       help="legendre | jacobi:a,b | laguerre:a | hermite | "
-                            "hypergeom:a,b,c | confluent:m")
+                       help=" | ".join(_FAMILIES.values()))
         p.add_argument("--output", help="write result to this path")
 
     f = sub.add_parser("factorize", help="build a branch factor table")

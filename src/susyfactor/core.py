@@ -1,16 +1,17 @@
-"""Exact arithmetic substrate: rationals, univariate polynomials, quasi-functions.
+"""Exact arithmetic substrate: rationals, univariate polynomials, problems.
 
 Every symbolic computation in this package is exact.  Scalars are
 ``fractions.Fraction`` (aliased ``Rational``).  A :class:`Poly` holds its
 rational coefficients fraction-free, as integer numerators over one
 positive integer denominator, so its arithmetic runs on Python ints with
 one gcd per result; ``Poly.coeffs`` is the ``Fraction`` view.  A
-:class:`QuasiFunction` is a product
-``c(x) * p(x)**s * w(x)**e`` where ``c`` is a polynomial, ``p`` is the
-quadratic coefficient of the operator at hand and ``w`` is its weight,
-defined only through the logarithmic derivative ``w'/w = (q - p')/p``.
-The class is closed under differentiation, which is all the rest of the
-package needs; ``w`` itself is never expanded symbolically.
+:class:`Problem` is the pair (p, q) of the operator -p d^2/dx^2 - q d/dx.
+
+Every function the package builds is ``p(x)**s * c(x)``, with ``c`` a Poly
+and ``s`` a half-integer; the diffop module holds it as the zeroth-order
+operator ``DiffOp([c], s)``.  :class:`QuasiFunction`, ``c p^s w^e`` with
+the weight ``w`` known only through ``w'/w = (q - p')/p``, is built by no
+program path: it is the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -309,10 +310,12 @@ class Problem:
 
 
 class QuasiFunction:
-    """c(x) * p(x)**s * w(x)**e with exact data.
+    """c(x) * p(x)**s * w(x)**e with exact data: the tests' reference.
 
-    ``s`` and ``e`` are Rationals; half and quarter powers of p appear in
-    the wrapper transformations, half powers of w in the rescalings.  The
+    The package builds every function as p^s c (see the module docstring);
+    the tests run their operator algebra with one QuasiFunction per
+    coefficient, and the top-down chain through ``derive``, on this class
+    as an independent reference.  ``s`` and ``e`` are Rationals.  The
     zero function is canonically (0, 0, 0).  Canonical form never keeps a
     full factor of p inside c.
     """
@@ -332,10 +335,6 @@ class QuasiFunction:
     @classmethod
     def zero(cls) -> "QuasiFunction":
         return cls(Poly())
-
-    @classmethod
-    def one(cls) -> "QuasiFunction":
-        return cls(Poly.const(1))
 
     def is_zero(self) -> bool:
         return self.c.is_zero()
@@ -405,23 +404,6 @@ class QuasiFunction:
             return self.sub(other, prob).is_zero()
         except ValueError:
             return False
-
-    def proportional(self, other: "QuasiFunction", prob: Problem):
-        """Nonzero rational ratio self/other, or None if not proportional.
-
-        Cross-multiplied comparison: no roots or floats involved.
-        """
-        if self.is_zero() or other.is_zero():
-            return None
-        a = self.canonicalize(prob)
-        b = other.canonicalize(prob)
-        if a.e != b.e or a.s != b.s:
-            return None
-        ka = a.c.coeffs[-1]
-        kb = b.c.coeffs[-1]
-        if a.c * kb == b.c * ka:
-            return ka / kb
-        return None
 
     def __repr__(self):
         return f"QuasiFunction({self.c!r}, s={self.s}, e={self.e})"

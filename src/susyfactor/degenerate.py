@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import Poly, Problem, QuasiFunction
+from .core import Poly, Problem
 from .associated import _bottom_up, assoc_delta_plus, assoc_lambda
 from .principal import Ladders, principal_eigenfunction
 
@@ -97,10 +97,11 @@ def collapse_check(prob: Problem, l: int, m: int, depth: int = COLLAPSE_DEPTH,
         lad = Ladders(prob, max(l, depth))
     lam_ok = assoc_lambda(prob, l, m) == lad.entry("minus", l - m).lam
 
-    phi_lm = _bottom_up(lad, l, m).value
-    phi_base, _ = principal_eigenfunction(prob, l - m, lad)
-    ratio = QuasiFunction(phi_lm.c).proportional(QuasiFunction(phi_base), prob)
-    fun_ok = ratio is not None
+    # both have full degree (DegreeError otherwise): cross-multiply by the
+    # leading coefficients
+    c = _bottom_up(lad, l, m).c
+    base, _ = principal_eigenfunction(prob, l - m, lad)
+    fun_ok = c * base.coeffs[-1] == base * c.coeffs[-1]
 
     delta_ok = lad.memo(("collapse deltas", depth), lambda: all(
         assoc_delta_plus(prob, n) == -prob.qp for n in range(1, depth + 1)))

@@ -4,14 +4,16 @@ An operator keeps Poly coefficients c_j and one rational exponent k of the
 problem's p.  That one ring holds every operator the package builds:
 conjugating by p^s w^e only shifts d/dx by nu/p, with nu = s p' + e (q - p')
 a polynomial, and the standard momentum sqrt(p) d/dx is p^(-1/2) (p d/dx).
+Its zeroth-order members are the package's one function type: p^s c, with
+c a Poly and s a half-integer, is DiffOp([c], s), and ``reduced`` gives its
+canonical form.
 
-Supports composition (Leibniz expansion), commutators, application to
-polynomials and quasi-functions, exact equality, and conjugation by weight
-factors p^s w^e -- the bilateral wrapper transformations that turn
-asymmetric factorizations into supersymmetric ones.  Two operators whose k
-differ by an integer are brought to the lower k by multiplying by p; a
-non-integer difference is incommensurate: ``equals`` is False and ``add``
-raises ValueError.
+Supports composition (Leibniz expansion), exact equality, the eigen-check
+on polynomials, and conjugation by weight factors p^s w^e -- the bilateral
+wrapper transformations that turn asymmetric factorizations into
+supersymmetric ones.  Two operators whose k differ by an integer are
+brought to the lower k by multiplying by p; a non-integer difference is
+incommensurate: ``equals`` is False and ``add`` raises ValueError.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .core import Poly, Problem, QuasiFunction
+from .core import Poly, Problem
 
 
 def _coefficient(c) -> Poly:
@@ -43,10 +45,6 @@ class DiffOp:
         self.coeffs: tuple[Poly, ...] = tuple(cs)
         # the zero operator has k = 0, so it aligns with every operator
         self.k = Fraction(k) if cs else Fraction(0)
-
-    @classmethod
-    def identity(cls) -> "DiffOp":
-        return cls([Poly.const(1)])
 
     @classmethod
     def mul_by(cls, f) -> "DiffOp":
@@ -75,10 +73,11 @@ class DiffOp:
         b = tuple(c * f for c in other.coeffs) if ds < 0 else other.coeffs
         return a, b, min(self.k, other.k)
 
-    def _reduced(self, prob: Problem) -> "DiffOp":
+    def reduced(self, prob: Problem) -> "DiffOp":
         """self with every factor p common to the coefficients moved into
-        k.  A constant p divides everything, so there the integer part of
-        k moves into the coefficients instead."""
+        k: the canonical form of an operator, and of a function p^s c.  A
+        constant p divides everything, so there the integer part of k
+        moves into the coefficients instead."""
         p, cs, k = prob.p, self.coeffs, self.k
         if p.degree == 0:
             n = k.numerator // k.denominator
@@ -131,9 +130,6 @@ class DiffOp:
         return DiffOp([out.get(n, Poly()) for n in range(top + 1)],
                       self.k + other.k + left.k)
 
-    def commutator(self, other: "DiffOp", prob: Problem) -> "DiffOp":
-        return self.compose(other, prob).sub(other.compose(self, prob), prob)
-
     def _on_poly(self, f: Poly) -> Poly:
         """sum_j c_j f^(j): self f without its factor p^k."""
         out, d = Poly(), f
@@ -144,24 +140,8 @@ class DiffOp:
                 d = d.derivative()
         return out
 
-    def apply(self, f, prob: Problem) -> Poly | QuasiFunction:
-        """self f: a Poly when f is a Poly (or a scalar) and k is a
-        non-negative integer, else a canonical QuasiFunction."""
-        if isinstance(f, QuasiFunction):
-            # self (g c) = g (g^-1 self g) c for g = p^s w^e
-            op = self.conjugate(-f.s, -f.e, prob)
-            return QuasiFunction(op._on_poly(f.c), f.s + op.k,
-                                 f.e).canonicalize(prob)
-        out = self._on_poly(_coefficient(f))
-        if self.k.denominator == 1 and self.k >= 0:
-            return out * prob.p ** int(self.k)
-        return QuasiFunction(out, self.k, 0).canonicalize(prob)
-
-    def is_eigen(self, f, lam, prob: Problem) -> bool:
-        """self f = lam f exactly."""
-        if isinstance(f, QuasiFunction):
-            return self.apply(f, prob).eq(f.scale(lam), prob)
-        f = _coefficient(f)
+    def is_eigen(self, f: Poly, lam, prob: Problem) -> bool:
+        """self f = lam f exactly, for a polynomial f."""
         out, rhs = self._on_poly(f), f * lam
         if self.k.denominator != 1:
             # p^k times a polynomial is none unless both sides are 0
@@ -184,7 +164,7 @@ class DiffOp:
         pprime = p.derivative()
         nu = Fraction(s) * pprime + Fraction(e) * (prob.q - pprime)
         if nu.is_zero():
-            return self._reduced(prob)
+            return self.reduced(prob)
         n = self.order
         out = [Poly()] * (n + 1)
         t = [Poly.const(1)]                  # T_j, by powers of d/dx
@@ -199,7 +179,7 @@ class DiffOp:
                 for i, ti in enumerate(t):
                     nxt[i + 1] = nxt[i + 1] + p * ti
                 t = nxt
-        return DiffOp(out, self.k - n)._reduced(prob)
+        return DiffOp(out, self.k - n).reduced(prob)
 
     def equals(self, other: "DiffOp", prob: Problem) -> bool:
         try:

@@ -45,10 +45,6 @@ class DegreeError(ArithmeticError):
     """A generated eigenfunction lost its expected leading coefficient."""
 
 
-class OracleDegenerate(ArithmeticError):
-    """Two diagonal eigenvalues coincide; back-substitution is ill-posed."""
-
-
 @dataclass(frozen=True)
 class FactorEntry:
     branch: str            # "minus" or "plus"
@@ -305,38 +301,6 @@ def principal_eigenfunction(prob: Problem, l: int, lad: Ladders | None = None
         raise ValueError("level must be >= 0")
     lad = _own(prob, l, lad)
     return lad.phi(l), lad.normsq(l)
-
-
-def brute_force_eigen_oracle(prob: Problem, l: int) -> tuple[Poly, Fraction]:
-    """Independent eigenpair from the upper-triangular monomial action.
-
-    -p d^2 - q d maps degree-k monomials into degree <= k, so eigenvalues
-    sit on the diagonal and the eigenvector follows by back-substitution.
-    """
-    if l < 0:
-        raise ValueError("level must be >= 0")
-    p2, p1, p0 = prob.p[2], prob.p[1], prob.p[0]
-    q1, q0 = prob.q[1], prob.q[0]
-
-    def diag(k: int) -> Fraction:
-        return -k * (k - 1) * p2 - k * q1
-
-    lam = diag(l)
-    for k in range(l):
-        if diag(k) == lam:
-            raise OracleDegenerate(
-                f"diagonal eigenvalues coincide at degrees {k} and {l}")
-    v = [Fraction(0)] * (l + 1)
-    v[l] = Fraction(1)
-    for k in range(l - 1, -1, -1):
-        acc = Fraction(0)
-        j = k + 1
-        acc += (-j * (j - 1) * p1 - j * q0) * v[j]
-        if k + 2 <= l:
-            j = k + 2
-            acc += -j * (j - 1) * p0 * v[j]
-        v[k] = acc / (lam - diag(k))
-    return Poly(v), lam
 
 
 def shape_invariance_check(prob: Problem, branch: str, l: int,

@@ -13,11 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from susyfactor.core import Poly, Problem, QuasiFunction
+from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp, hamiltonian
 from susyfactor import associated, degenerate, numeric, principal
+from susyfactor.associated import AssocFunction
 
 from conftest import FAMILIES, confluent, hermite, hypergeom, jacobi, legendre
+from oracles import apply, brute_force_eigen_oracle, poly_ratio
 
 PRESETS = list(FAMILIES.values())
 
@@ -57,10 +59,10 @@ def test_criterion_02_exact_eigen_residuals():
         for l in range(9):
             for m in range(-l, l + 1):
                 h = associated.assoc_hamiltonian(prob, m)
-                phi = associated.assoc_bottom_up(prob, l, m).value
+                phi = associated.assoc_bottom_up(prob, l, m)
+                phi = DiffOp([phi.c], phi.s)
                 lam = associated.assoc_lambda(prob, l, m)
-                res = h.apply(phi, prob).sub(phi.scale(lam), prob)
-                ok &= res.is_zero()
+                ok &= apply(h, phi, prob).equals(phi.scale(lam), prob)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30
     _report(2, "eigen-equation residuals vanish exactly for 0<=|m|<=l<=8, "
@@ -72,13 +74,13 @@ def test_criterion_03_cross_path_consistency():
     ok = True
     for prob in PRESETS:
         for l in range(11):
-            forms = [associated.assoc_bottom_up(prob, l, 0).value,
-                     associated.assoc_top_down(prob, l, 0).value]
+            forms = [associated.assoc_bottom_up(prob, l, 0),
+                     associated.assoc_top_down(prob, l, 0)]
             phi, _ = principal.principal_eigenfunction(prob, l)
-            forms.append(QuasiFunction(phi))
+            forms.append(AssocFunction(phi, Fraction(0), l, 0))
             for m in range(1, l + 1):
-                forms = [associated.assoc_bottom_up(prob, l, m).value,
-                         associated.assoc_top_down(prob, l, m).value]
+                forms = [associated.assoc_bottom_up(prob, l, m),
+                         associated.assoc_top_down(prob, l, m)]
                 ok &= forms[0].proportional(forms[1], prob) is not None
             for i in range(len(forms)):
                 for j in range(i + 1, len(forms)):
@@ -129,10 +131,9 @@ def test_criterion_06_oracle_equivalence():
     for prob in PRESETS:
         for l in range(13):
             phi, _ = principal.principal_eigenfunction(prob, l)
-            psi, lam = principal.brute_force_eigen_oracle(prob, l)
+            psi, lam = brute_force_eigen_oracle(prob, l)
             ok &= lam == principal.factor_table(prob, "minus", l)[l].lam
-            ok &= QuasiFunction(phi).proportional(
-                QuasiFunction(psi), prob) is not None
+            ok &= poly_ratio(phi, psi) is not None
     _report(6, "ladder eigenfunctions match the brute-force linear-system "
                "oracle for l<=12, all presets", ok)
 
@@ -144,10 +145,9 @@ def test_criterion_07_degenerate_collapse():
     for l in range(11):
         for m in range(l + 1):
             ok &= associated.assoc_lambda(prob, l, m) == minus[l - m].lam
-            phi = associated.assoc_bottom_up(prob, l, m).value
+            phi = associated.assoc_bottom_up(prob, l, m)
             href, _ = degenerate.hermite_generate(l - m)
-            ok &= QuasiFunction(phi.c).proportional(
-                QuasiFunction(href), prob) is not None
+            ok &= poly_ratio(phi.c, href) is not None
     ok &= all(associated.assoc_delta_plus(prob, n) == -prob.qp
               for n in range(1, 11))
     qprob = Problem(Poly([1]), Poly([0, 2]))
@@ -155,11 +155,7 @@ def test_criterion_07_degenerate_collapse():
     for l in range(9):
         poly, lam = degenerate.quasi_hermite_generate(l)
         ok &= lam == -2 * l
-        out = hq.apply(QuasiFunction(poly), qprob)
-        if l == 0:
-            ok &= out.is_zero()
-        else:
-            ok &= out.proportional(QuasiFunction(poly), qprob) == lam
+        ok &= hq.is_eigen(poly, lam, qprob)
     _report(7, "constant-p collapse onto the Hermite family and "
                "quasi-Hermite eigenvalues -2l", ok)
 

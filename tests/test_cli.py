@@ -238,6 +238,35 @@ def test_zero_denominator_exit_2():
     assert json.loads(r.stderr)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("spec, want", [
+    ("legendre:3", "expected legendre, with 0 parameters"),
+    ("hermite:1", "expected hermite, with 0 parameters"),
+    ("jacobi:1", "expected jacobi:a,b, with 2 parameters"),
+    ("jacobi:1,2,3", "expected jacobi:a,b, with 2 parameters"),
+])
+def test_family_parameter_count_exit_2(spec, want):
+    code, out, err = _main(["factorize", "--family", spec])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": f"family {spec!r}: {want}"}
+
+
+def test_eigenfunction_negative_level_exit_2():
+    code, out, err = _main(["eigenfunction", "--family", "legendre",
+                            "--l", "-1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "RangeError",
+                               "message": "level must be >= 0, got l = -1"}
+
+
+def test_classify_rejects_m_without_l():
+    code, out, err = _main(["classify", "--family", "legendre", "--m", "2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "ValueError",
+        "message": "classify reads --m only together with --l"}
+
+
 def test_plus_breakdown_at_level_0_keeps_partial_table():
     r = run_cli("factorize", "--p", "1", "--q", "0,1", "--branch", "plus")
     assert r.returncode == 2

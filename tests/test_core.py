@@ -106,15 +106,6 @@ def test_add_incompatible_powers():
         b.add(c, prob)
 
 
-def test_proportional_exact_ratio():
-    prob = legendre()
-    a = QuasiFunction(Poly([3, 0, 6]), 1, 0)
-    b = QuasiFunction(Poly([1, 0, 2]), 1, 0)
-    assert a.proportional(b, prob) == 3
-    assert a.proportional(QuasiFunction(Poly([1, 1]), 1, 0), prob) is None
-    assert a.proportional(QuasiFunction.zero(), prob) is None
-
-
 class RefPoly:
     """The former Poly: a tuple of Fractions, one Fraction op per step."""
 

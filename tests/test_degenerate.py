@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from susyfactor.core import Poly, Problem, QuasiFunction
+from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp, hamiltonian
 from susyfactor import degenerate
 
@@ -39,8 +39,7 @@ def test_hermite_generate_matches_operator():
         poly, Lam = degenerate.hermite_generate(l)
         assert Lam == l
         assert poly.degree == l
-        out = h.apply(QuasiFunction(poly), prob)
-        assert out.eq(QuasiFunction(poly * (2 * Lam)), prob)
+        assert h.is_eigen(poly, 2 * Lam, prob)
 
 
 def test_hermite_generate_leading_coefficient():
@@ -54,11 +53,7 @@ def test_quasi_hermite_generate_eigenvalue():
     for l in range(8):
         poly, lam = degenerate.quasi_hermite_generate(l)
         assert lam == -2 * l
-        out = h.apply(QuasiFunction(poly), prob)
-        if l == 0:
-            assert out.is_zero()
-        else:
-            assert out.proportional(QuasiFunction(poly), prob) == lam
+        assert h.is_eigen(poly, lam, prob)
 
 
 def test_collapse_check_all_true():

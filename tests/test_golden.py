@@ -19,9 +19,11 @@ def test_golden_outputs_unchanged():
 
 
 # sha256 of stdout as recorded on commit 8206ff9, whose Poly held a tuple of
-# Fractions, and (the last four) on commit 9330ab6, whose factor table ran
-# on Fractions and whose top-down chain ran QuasiFunction.derive;
-# golden.json stops at l <= 7 and 12 levels
+# Fractions; (the next four) on commit 9330ab6, whose factor table ran on
+# Fractions and whose top-down chain ran QuasiFunction.derive; and (the last
+# four: negative m, and the bottom-up form at m != 0) on commit e3446e8,
+# whose eigenfunctions were QuasiFunctions.  golden.json stops at l <= 7 and
+# 12 levels, with no negative m and no bottom-up form at m != 0
 LARGE = {
     "eigenfunction --family legendre --l 53 --m 0 --form ladder":
         "85fd2beb2b2076b96ae47812aba022b0fb11927e534ddb7023ba0075f418eb24",
@@ -43,6 +45,15 @@ LARGE = {
         "4f42c5de892658e6ef74e117876d715a820463c714d8f1d53d1a8177ad80a788",
     "eigenfunction --p 3 --q -2,1/2 --l 7 --m 3 --form topdown":
         "6dc8ca64895981c61ac9bda5a5b2e6a54b657a924de88db4d6d8201bda53e9bb",
+    "eigenfunction --family legendre --l 53 --m -21 --form topdown":
+        "b7bd0be3c2d44525969490cc192b4828f0ad015c1a379dbc6fcedf93c9c02d7f",
+    "eigenfunction --family jacobi:2,3 --l 32 --m -11 --form bottomup":
+        "a9b464a4fb1e780e69508d7be840e49d4a0e7112c05364d40af193e8b8acd6cf",
+    "eigenfunction --family hermite --l 12 --m -5 --form ladder":
+        "473eac056e01fbb70a207094205bf48f5575b68866aaf365985fccb5d8308bcd",
+    "eigenfunction --family hypergeom:1/3,1/5,7/2 --l 40 --m 13 "
+    "--form bottomup":
+        "25bf3f506b261401b691688f6bef36499115cd0ac68e3ef712c0871ba3fedb5c",
 }
 
 

@@ -3,17 +3,16 @@
 import contextlib
 import io
 import json
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import susyfactor
 from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp
-from susyfactor import associated, cli, degenerate, diffop, principal
+from susyfactor import associated, cli, degenerate, principal
 
-from conftest import FAMILIES
 
 # small integers make vanishing norms and degenerate problems common
 coefficients = st.one_of(
@@ -135,45 +134,30 @@ def test_one_table_per_branch_and_one_raise_per_level(monkeypatch):
     assert raises == list(range(1, 13))
 
 
-def test_polynomial_checks_make_no_canonicalize_call(monkeypatch):
-    # with the per-m operators built, shape invariance, pHm and checks b-d
-    # of verify_associated run on Poly only
-    prob = cli._family_problem("jacobi:2,3")
-    top = 6
-    lad = principal.Ladders(prob, top)
-    for m in range(top + 1):
-        associated.verify_associated(prob, top, m, lad)
-        associated.pHm_factorization(prob, top, m, lad)
-    calls = []
-    canonicalize = QuasiFunction.canonicalize
+def test_no_program_path_builds_a_quasi_function(monkeypatch):
+    # QuasiFunction is the tests' reference only: with its constructor
+    # refusing, the suite (collapse_check on hermite included), every
+    # eigenfunction form at m < 0, m = 0 and m > 0 (constant p too) and
+    # the classify round trip still run and print the same
+    argv = [["verify", "--family", spec, "--levels", "4"]
+            for spec in ("legendre", "jacobi:2,3", "laguerre:1", "hermite",
+                         "hypergeom:1/3,1/5,7/2", "confluent:3")]
+    argv += [["eigenfunction", "--family", spec, "--l", "5", "--m", str(m),
+              "--form", form]
+             for spec in ("jacobi:2,3", "hermite") for m in (-3, 0, 3)
+             for form in ("ladder", "rodrigues", "topdown", "bottomup")]
+    argv.append(["classify", "--family", "legendre", "--l", "3", "--m", "1"])
+    before = [_run(a) for a in argv]
+    assert not hasattr(susyfactor, "QuasiFunction")
 
-    def counted(self, prob):
-        calls.append(self)
-        return canonicalize(self, prob)
-    monkeypatch.setattr(QuasiFunction, "canonicalize", counted)
-    for l in range(top):
-        assert principal.shape_invariance_check(prob, "plus", l, lad).is_zero()
-        if l >= 1:
-            assert principal.shape_invariance_check(
-                prob, "minus", l, lad).is_zero()
-        for m in range(l + 1):
-            assert all(associated.verify_associated(prob, l, m, lad).values())
-            assert associated.pHm_factorization(prob, l, m, lad)[2]
-    assert calls == []
-
-    # a whole suite on each preset: no DiffOp method canonicalizes
-    def from_diffop(self, prob):
-        frame = sys._getframe(1)
-        while frame is not None:
-            if frame.f_code.co_filename == diffop.__file__:
-                calls.append(frame.f_code.co_name)
-                break
-            frame = frame.f_back
-        return canonicalize(self, prob)
-    monkeypatch.setattr(QuasiFunction, "canonicalize", from_diffop)
-    for name, prob in FAMILIES.items():
-        assert all(cli._verify_suite(prob, 4, Fraction(0)).values()), name
-    assert calls == []
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a program path built a QuasiFunction")
+    monkeypatch.setattr(QuasiFunction, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        QuasiFunction(Poly.const(1))
+    for a, (code, out, _) in zip(argv, before):
+        assert code == 0, a
+        assert _run(a)[:2] == (0, out), a
 
 
 def test_collapse_shares_the_context(monkeypatch):

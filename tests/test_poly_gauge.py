@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from susyfactor.core import Poly, QuasiFunction
 from susyfactor import associated, cli, degenerate, principal
 
+from oracles import poly_ratio
 from test_ladders import _outcome, problems
 
 
@@ -220,7 +221,8 @@ def _assoc_shape(prob, n):
 
 
 def _phi_lm(prob, lad, l, m):
-    return associated.assoc_bottom_up(prob, l, m, lad).value
+    f = associated.assoc_bottom_up(prob, l, m, lad)
+    return QuasiFunction(f.c, f.s)
 
 
 def _verify_associated(prob, lad, l, m):
@@ -267,8 +269,7 @@ def _collapse(prob, lad, l, m, depth=degenerate.COLLAPSE_DEPTH):
     lam_ok = associated.assoc_lambda(prob, l, m) == lad.entry(
         "minus", l - m).lam
     phi_lm = _phi_lm(prob, lad, l, m)
-    fun_ok = _qf(phi_lm.c).proportional(_qf(lad.phi(l - m)), prob) \
-        is not None
+    fun_ok = poly_ratio(phi_lm.c, lad.phi(l - m)) is not None
     delta_ok = all(associated.assoc_delta_plus(prob, n) == -prob.qp
                    for n in range(1, depth + 1))
     base, *pairs = [_pair(prob, lad, "minus", j) for j in range(depth + 1)]
@@ -339,7 +340,7 @@ def test_conjugated_hamiltonian_matches_the_reference(prob, l, shift):
         s = Fraction(-(m + shift), 2)
         op = associated.assoc_hamiltonian(prob, m).conjugate(s, 0, prob)
         ref = _assoc_hamiltonian(prob, m).conjugate(s, 0, prob)
-        c = associated.assoc_bottom_up(prob, l, m, lad).value.c
+        c = associated.assoc_bottom_up(prob, l, m, lad).c
         lam = associated.assoc_lambda(prob, l, m)
         assert QFOp.of(op, prob).equals(ref, prob)
         assert op.is_eigen(c, lam, prob) == ref.is_eigen(c, lam, prob)

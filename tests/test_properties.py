@@ -7,6 +7,9 @@ from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp, hamiltonian
 from susyfactor import principal
 
+from oracles import OracleDegenerate, brute_force_eigen_oracle, poly_ratio
+from test_poly_gauge import QFOp
+
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3)
 
@@ -103,25 +106,23 @@ def test_tables_agree_on_random_problems(prob, max_level, k, forced):
 def test_ladder_eigenfunction_matches_oracle(prob, l):
     try:
         phi, _ = principal.principal_eigenfunction(prob, l)
-        psi, lam = principal.brute_force_eigen_oracle(prob, l)
-    except (principal.Breakdown, principal.OracleDegenerate,
-            principal.DegreeError):
+        psi, lam = brute_force_eigen_oracle(prob, l)
+    except (principal.Breakdown, OracleDegenerate, principal.DegreeError):
         assume(False)
-    assert QuasiFunction(phi).proportional(QuasiFunction(psi), prob) \
-        is not None
-    res = hamiltonian(prob).apply(QuasiFunction(phi), prob).sub(
-        QuasiFunction(phi * lam), prob)
-    assert res.is_zero()
+    assert poly_ratio(phi, psi) is not None
+    assert hamiltonian(prob).is_eigen(phi, lam, prob)
 
 
 def _raise_by_ladders(prob, l):
     """The former raise: B_j = ladder_pair(j).raise_ applied to a
-    QuasiFunction level by level, rebuilding the table at every level."""
+    QuasiFunction level by level, on the QFOp reference, rebuilding the
+    table at every level."""
     table = principal.factor_table(prob, "minus", l)
-    phi = QuasiFunction.one()
+    phi = QuasiFunction(Poly.const(1))
     normsq = Fraction(1)
     for j in range(1, l + 1):
-        phi = principal.ladder_pair(prob, "minus", j).raise_.apply(phi, prob)
+        raise_ = principal.ladder_pair(prob, "minus", j).raise_
+        phi = QFOp.of(raise_, prob).apply(phi, prob)
         normsq *= table[j].E
     return phi, normsq
 
