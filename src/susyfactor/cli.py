@@ -100,16 +100,16 @@ def _emit(obj, args):
 
 
 def _emit_csv(header, columns, args):
-    """One CSV row per node; each column is formatted at once, with the
-    same 17 significant digits as _fmt."""
-    out = open(args.output, "w", newline="") if getattr(args, "output", None) \
-        else sys.stdout
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(zip(*(map("%.17g".__mod__, col.tolist())
-                           for col in columns)))
-    if out is not sys.stdout:
-        out.close()
+    """A header row, then one row of `%.17g` values per node (as _fmt), comma
+    separated, ending in "\\r\\n"; one `%` per row, one write of the text."""
+    row = ",".join(["%.17g"] * len(columns)) + "\r\n"
+    text = ",".join(header) + "\r\n" + "".join(
+        map(row.__mod__, zip(*(col.tolist() for col in columns))))
+    if getattr(args, "output", None):
+        with open(args.output, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_factorize(args) -> int:
@@ -313,11 +313,11 @@ def cmd_classify(args) -> int:
            "scaling": [_fmt(v) for v in rep.scaling] if rep.scaling else None}
     if args.l is not None:
         m = args.m or 0
+        associated._check_range(args.l, m)
         ham = associated.assoc_hamiltonian(prob, m)
         lam = associated.assoc_lambda(prob, args.l, m)
-        op = ham.sub(DiffOp.mul_by(lam), prob)
         got_prob, got_m, got_l, got_lam = associated.classify_expanded(
-            op, prob.p)
+            ham.sub(DiffOp.mul_by(lam), prob), prob.p)
         out["round_trip"] = {"m": got_m, "l": got_l, "lambda": _fmt(got_lam),
                              "match": (got_m, got_l) == (m, args.l)}
     _emit(out, args)

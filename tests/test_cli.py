@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -381,3 +382,143 @@ def test_cli_contract(argv):
         json.loads(out, parse_constant=_reject_constant)
     else:
         json.loads(err.strip().splitlines()[-1])
+
+
+def _reference_bytes(header, columns) -> bytes:
+    """The reference emitter: csv.writer over `%.17g` columns."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(zip(*(map("%.17g".__mod__, col.tolist())
+                           for col in columns)))
+    return out.getvalue().encode()
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+            1.7976931348623157e308, -1.7976931348623157e308, 2.0, -3.0,
+            1e16, 1e17, 0.1, 1 / 3, 2.2250738585072014e-308]
+
+
+def _columns(k, nodes):
+    import numpy as np
+    rng = np.random.default_rng(1000 * k + nodes)
+    cols = []
+    for j in range(k):
+        col = rng.standard_normal(nodes) * 10.0 ** rng.integers(
+            -300, 300, nodes)
+        col[:: 7] = np.round(col[:: 7])       # floats with integer values
+        for i, v in enumerate(_SPECIAL):
+            col[(i * (j + 3)) % nodes] = v
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 11])
+@pytest.mark.parametrize("nodes", [1, 2000])
+def test_emit_csv_matches_the_csv_writer_bytes(k, nodes, tmp_path):
+    header = [f"c{j}" for j in range(k)]
+    columns = _columns(k, nodes)
+    want = _reference_bytes(header, columns)
+    out = io.StringIO(newline="")
+    with contextlib.redirect_stdout(out):
+        cli._emit_csv(header, columns, argparse.Namespace(output=None))
+    assert out.getvalue().encode() == want
+    path = tmp_path / "out.csv"
+    cli._emit_csv(header, columns, argparse.Namespace(output=str(path)))
+    # read back in binary, so "\r\n" is neither lost nor doubled
+    assert path.read_bytes() == want
+    assert want.count(b"\r\n") == nodes + 1 and b"\r\r" not in want
+
+
+def test_emit_csv_special_values():
+    import numpy as np
+    out = io.StringIO(newline="")
+    with contextlib.redirect_stdout(out):
+        cli._emit_csv(["x", "y"], [np.array(_SPECIAL[:10]),
+                                   np.arange(10.0)],
+                      argparse.Namespace(output=None))
+    assert out.getvalue() == (
+        "x,y\r\nnan,0\r\ninf,1\r\n-inf,2\r\n-0,3\r\n0,4\r\n"
+        "4.9406564584124654e-324,5\r\n-4.9406564584124654e-324,6\r\n"
+        "1.7976931348623157e+308,7\r\n"
+        "-1.7976931348623157e+308,8\r\n2,9\r\n")
+
+
+def _api_columns(task, spec, nodes):
+    """What `numeric <task>` prints, computed through the numeric API."""
+    from susyfactor import numeric
+    from susyfactor.core import Poly
+    prob = cli._family_problem(spec)
+    grid = cli._grid_from_args(prob, argparse.Namespace(
+        lo=None, hi=None, inset=1e-3, nodes=nodes))
+    if task == "maps":
+        return ["x", "y", "z"], (grid.nodes,
+                                 *numeric.coordinate_maps(prob, grid))
+    if task == "potentials":
+        prof = numeric.potentials(prob, 3, 1, grid)
+        return (["x", "w", "y", "z", "W_l", "V_l", "V_s_l", "W_a_m", "V_a_m",
+                 "psi_l", "s_phi_lm"],
+                (grid.nodes, prof.w, prof.y, prof.z, prof.W_l, prof.V_l,
+                 prof.V_s_l, prof.W_a_m, prof.V_a_m, prof.psi_l,
+                 prof.s_phi_lm))
+    if task == "sl1":
+        out = numeric.sl_transform_typeI(prob.p, prob.q, Poly([]), grid,
+                                         E=0.0, Lambda=0.0)
+        names = ["rho", "G", "U", "u"]
+    else:
+        out = numeric.sl_transform_typeII(prob.p, prob.q, Poly([]), grid)
+        names = ["W_rho", "V_rho", "v"]
+    return ["x", *names], (grid.nodes, *(out[n] for n in names))
+
+
+@pytest.mark.parametrize("task", CSV_TASKS)
+@pytest.mark.parametrize("spec", PRESETS)
+def test_numeric_csv_matches_the_csv_writer_on_the_presets(task, spec):
+    nodes = 9
+    argv = ["numeric", task, "--family", spec, "--nodes", str(nodes)]
+    if task == "potentials":
+        argv += ["--l", "3", "--m", "1"]
+    code, out, err = _main(argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == _reference_bytes(*_api_columns(task, spec, nodes))
+
+
+def test_numeric_csv_same_bytes_on_stdout_and_output(tmp_path):
+    argv = ["numeric", "potentials", "--family", "jacobi:2,3", "--l", "3",
+            "--m", "1", "--nodes", "6"]
+    r = subprocess.run([sys.executable, "-m", "susyfactor.cli", *argv],
+                       capture_output=True)
+    path = tmp_path / "out.csv"
+    assert run_cli(*argv, "--output", str(path)).returncode == 0
+    assert r.returncode == 0 and r.stderr == b""
+    assert r.stdout == path.read_bytes() and r.stdout.count(b"\r\n") == 7
+
+
+def test_exact_commands_never_load_numpy():
+    # README: only the numeric commands load numpy
+    code = """
+import contextlib, io, sys
+from susyfactor import cli
+for argv in (["factorize", "--family", "jacobi:2,3", "--levels", "4",
+              "--branch", "both"],
+             ["eigenfunction", "--family", "legendre", "--l", "4", "--m", "2"],
+             ["verify", "--family", "hermite", "--levels", "2"],
+             ["classify", "--family", "laguerre:1", "--l", "3", "--m", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(sorted(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("levels, message", [
+    (["--l", "-1"], "level must be >= 0, got l = -1"),
+    (["--l", "2", "--m", "5"], "|m| = 5 exceeds l = 2"),
+])
+def test_classify_level_out_of_range_is_range_error(levels, message):
+    code, out, err = _main(["classify", "--family", "legendre", *levels])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "RangeError", "message": message}
