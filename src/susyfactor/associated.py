@@ -204,43 +204,45 @@ def _on_c(lad: Ladders, name: str, am: int, build) -> DiffOp:
 
 
 def verify_associated(prob: Problem, l: int, m: int,
-                      lad: Ladders | None = None) -> dict[str, bool]:
-    """Eigen-verification at level (l, m).
+                      lad: Ladders | None = None) -> dict[str, DiffOp]:
+    """Eigen-residuals at level (l, m); each is zero exactly when its
+    statement holds.
 
     a: h_m h_m^dagger equals the expanded H^a_m.
-    b: H^a_m Phi_lm = lambda_lm Phi_lm exactly.
+    b: H^a_m Phi_lm = lambda_lm Phi_lm.
     c: the descending ladders factor the same operator and reproduce the
        eigenvalue on Phi_{l,-m}.
     d: Phi_{l,-m} = (-1)^m Phi_{lm}.
 
     Checks b and c run on C = Phi_l^(|m|): H^a_m and the descending
     product h_{-m}^dagger h_{-m}, conjugated by p^(-|m|/2) once per |m|,
-    act on it as polynomial operators.
+    act on it as polynomial operators, so their residuals are those on
+    Phi_lm over p^(|m|/2).
     """
     lad = _own(prob, l, lad)
     am = abs(m)
     lam = assoc_lambda(prob, l, m)
     ham = _hamiltonian(lad, am)
-    a_ok = lad.memo(("check a", am), lambda: _hh(lad, am).equals(ham, prob))
+    a = lad.memo(("check a", am), lambda: _hh(lad, am).sub(ham, prob))
 
     c = _bottom_up(lad, l, am).c
-    b_ok = _on_c(lad, "H^a on C", am, lambda: ham).is_eigen(c, lam, prob)
+    b = _on_c(lad, "H^a on C", am, lambda: ham).eigen_residual(c, lam, prob)
 
     if am == 0:
-        c_ok = b_ok
+        neg = b
         c_neg = c
     else:
         def descending():
             nlo, nhi = _ladders(lad, -am)
             return nhi.compose(nlo, prob)
         c_neg = _bottom_up(lad, l, -am).c
-        c_ok = _on_c(lad, "descending on C", am, descending).is_eigen(
+        neg = _on_c(lad, "descending on C", am, descending).eigen_residual(
             c_neg, lam, prob)
 
     sign = -1 if am % 2 else 1
-    d_ok = c_neg == c * sign
-    return {"operator_expansion": a_ok, "eigen_equation": b_ok,
-            "negative_level": c_ok, "sign_relation": d_ok}
+    d = DiffOp([c_neg - c * sign], Fraction(am, 2))
+    return {"operator_expansion": a, "eigen_equation": b,
+            "negative_level": neg, "sign_relation": d}
 
 
 def assoc_shape_invariance(prob: Problem, n: int,
@@ -252,11 +254,10 @@ def assoc_shape_invariance(prob: Problem, n: int,
     lo_prev, hi_prev = _ladders(lad, n - 1)
     lhs = hi_prev.compose(lo_prev, prob)
     rhs = _hh(lad, n)
-    return lhs.sub(rhs, prob).sub(DiffOp.mul_by(assoc_delta_plus(prob, n)),
-                                  prob)
+    return lhs.sub(rhs, prob).sub(DiffOp([assoc_delta_plus(prob, n)]), prob)
 
 
-def assoc_three_term(prob: Problem, l: int, m: int) -> tuple[Poly, Poly]:
+def assoc_three_term(prob: Problem, l: int, m: int) -> dict[str, DiffOp]:
     """Residuals of the two three-term recurrences across (m-1, m, m+1).
 
     In the unnormalized convention both read (for 1 <= m < l)
@@ -266,8 +267,8 @@ def assoc_three_term(prob: Problem, l: int, m: int) -> tuple[Poly, Poly]:
         Phi_{l,m+1} - [2 sqrt(p) d/dx + (q - p')/sqrt(p)] Phi_lm
                     - lambda_{l,m-1} Phi_{l,m-1} = 0
 
-    With Phi_lm = p^(m/2) C_m, C_m = Phi_l^(m), both left sides are
-    p^((m-1)/2) times the returned polynomials
+    With Phi_lm = p^(m/2) C_m, C_m = Phi_l^(m), the left sides are the
+    functions p^((m-1)/2) c, returned as DiffOp([c], (m-1)/2), with
 
         p C_{m+1} + ((m-1)p' + q) C_m + lambda_{l,m-1} C_{m-1}
         p C_{m+1} - 2p C_m' - ((m-1)p' + q) C_m - lambda_{l,m-1} C_{m-1}.
@@ -275,31 +276,35 @@ def assoc_three_term(prob: Problem, l: int, m: int) -> tuple[Poly, Poly]:
     They rest on the lowering identity h_{m-1} Phi_lm =
     lambda_{l,m-1} Phi_{l,m-1}, which needs m >= 1; at the m = 0 boundary
     the hierarchy crosses zero through the sign relation only, so both
-    residuals reduce to C_1 + C_{-1}, the polynomials of Phi_{l,1} and
-    Phi_{l,-1} = -Phi_{l1}.
+    residuals reduce to Phi_{l,1} + Phi_{l,-1}, with Phi_{l,-1} = -Phi_{l1}.
     """
     if not 0 <= m < l:
         raise RangeError(f"need 0 <= m < l, got m={m}, l={l}")
     lad = Ladders(prob, l)
     up = assoc_bottom_up(prob, l, m + 1, lad).c
     if m == 0:
-        res = up + assoc_bottom_up(prob, l, -1, lad).c
-        return res, res
+        res = DiffOp([up + assoc_bottom_up(prob, l, -1, lad).c],
+                     Fraction(1, 2))
+        return {"multiplicative": res, "differential": res}
     c = assoc_bottom_up(prob, l, m, lad).c
     dn = assoc_bottom_up(prob, l, m - 1, lad).c * assoc_lambda(prob, l, m - 1)
     mid = ((m - 1) * prob.p.derivative() + prob.q) * c
-    res1 = prob.p * up + mid + dn
-    res2 = prob.p * (up - 2 * c.derivative()) - mid - dn
-    return res1, res2
+    s = Fraction(m - 1, 2)
+    return {"multiplicative": DiffOp([prob.p * up + mid + dn], s),
+            "differential": DiffOp([prob.p * (up - 2 * c.derivative())
+                                    - mid - dn], s)}
 
 
-def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]:
-    """h_{2m} h_0^dagger is again a base-type operator; check its faces.
+def principal_form_equivalence(prob: Problem, l: int,
+                               m: int) -> dict[str, DiffOp]:
+    """h_{2m} h_0^dagger is again a base-type operator; the residuals of
+    its faces.
 
     a: h_{2m} h_0^dagger = -p d^2 - (q + m p') d.
     b: phi_lm = p^(-m/2) Phi_lm = Phi_l^(m) solves it with eigenvalue
-       lambda_lm, which equals the principal eigenvalue at level l - m of
-       the substituted problem (p, q + m p').
+       lambda_lm (eigen_equation), which equals the principal eigenvalue
+       at level l - m of the substituted problem (p, q + m p')
+       (substituted_eigenvalue).
     c: conjugating by p^((2m+1)/4) w^(1/2) supersymmetrizes it into
        (-sqrt(p) d/dx + W^a_m)(sqrt(p) d/dx + W^a_m) with
        W^a_m = -[(m - 1/2) p' + q]/(2 sqrt p).
@@ -311,12 +316,11 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
     _, raise0 = assoc_ladders(prob, 0)
     op = lower.compose(raise0, prob)
     target = DiffOp([Poly(), -(prob.q + m * pprime), -prob.p])
-    a_ok = op.equals(target, prob)
 
     lam = assoc_lambda(prob, l, m)
-    b_ok = op.is_eigen(assoc_bottom_up(prob, l, m).c, lam, prob)
+    eigen = op.eigen_residual(assoc_bottom_up(prob, l, m).c, lam, prob)
     sub = Problem(prob.p, prob.q + m * pprime)
-    b_ok = b_ok and factor_table(sub, "minus", l - m)[-1].lam == lam
+    shifted = DiffOp([factor_table(sub, "minus", l - m)[-1].lam - lam])
 
     s = Fraction(2 * m + 1, 4)
     conj = op.conjugate(s, Fraction(1, 2), prob)
@@ -324,14 +328,15 @@ def principal_form_equivalence(prob: Problem, l: int, m: int) -> dict[str, bool]
     wam = ((m - half) * pprime + prob.q) * (-half)    # sqrt(p) W^a_m
     left = DiffOp([wam, -prob.p], -half)
     right = DiffOp([wam, prob.p], -half)
-    c_ok = conj.equals(left.compose(right, prob), prob)
-    return {"base_type_product": a_ok, "substituted_eigenvalue": b_ok,
-            "supersymmetrized": c_ok}
+    return {"base_type_product": op.sub(target, prob),
+            "eigen_equation": eigen, "substituted_eigenvalue": shifted,
+            "supersymmetrized": conj.sub(left.compose(right, prob), prob)}
 
 
 def standard_hermitian_relation(prob: Problem, l: int,
-                                lad: Ladders | None = None) -> bool:
-    """Quarter-power bridge between the two factorized Hermitian forms:
+                                lad: Ladders | None = None) -> DiffOp:
+    """Residual of the quarter-power bridge between the two factorized
+    Hermitian forms:
 
     conjugating B_l A_l by w^(1/2) equals conjugating p * (p^(1/4) w^(1/2)
     conjugate of H0) by p^(-1/4), shifted by -p lambda_l + E_l.
@@ -346,9 +351,9 @@ def standard_hermitian_relation(prob: Problem, l: int,
         return DiffOp(inner.coeffs, inner.k + 1).conjugate(
             Fraction(-1, 4), 0, prob)
     rhs = lad.memo("conjugated H0", conjugated_h0)
-    rhs = rhs.sub(DiffOp.mul_by(prob.p * ent.lam), prob)
-    rhs = rhs.add(DiffOp.mul_by(ent.E), prob)
-    return lhs.equals(rhs, prob)
+    rhs = rhs.sub(DiffOp([prob.p * ent.lam]), prob)
+    rhs = rhs.add(DiffOp([ent.E]), prob)
+    return lhs.sub(rhs, prob)
 
 
 def _integer_roots(a: Fraction, b: Fraction, c: Fraction) -> list[int]:
@@ -426,16 +431,17 @@ def classify_expanded(op: DiffOp, p: Poly
 
 
 def pHm_factorization(prob: Problem, l: int, m: int, lad: Ladders | None = None
-                      ) -> tuple[Fraction, Fraction, bool]:
+                      ) -> tuple[Fraction, Fraction, DiffOp]:
     """Factor p H^a_m through the shifted principal ladders.
 
     C_lm = (m/4)(p'(0) q' - p'' q(0)) / c_{l-1} and E_lm close the balance
 
         p H^a_m - lambda_lm p + E_lm = (B_l + C)(A_l + C),
 
-    returned together with the symbolic verdict of that identity.  The right
-    side is formed exactly as B_l A_l + C (A_l + B_l) + C^2, since a
-    constant commutes with both ladders.
+    returned together with the residual of that identity, left side minus
+    right side.  The right side is formed exactly as
+    B_l A_l + C (A_l + B_l) + C^2, since a constant commutes with both
+    ladders.
     """
     _check_range(l, m)
     m = abs(m)
@@ -454,10 +460,10 @@ def pHm_factorization(prob: Problem, l: int, m: int, lad: Ladders | None = None
     lam = assoc_lambda(prob, l, m)
     ham = _hamiltonian(lad, m)
     lhs = DiffOp(ham.coeffs, ham.k + 1)
-    lhs = lhs.sub(DiffOp.mul_by(prob.p * lam), prob)
-    lhs = lhs.add(DiffOp.mul_by(E_lm), prob)
+    lhs = lhs.sub(DiffOp([prob.p * lam]), prob)
+    lhs = lhs.add(DiffOp([E_lm]), prob)
     pair = lad.pair("minus", l)
     rhs = lad.ba("minus", l).add(
         pair.lower.add(pair.raise_, prob).scale(C), prob)
-    rhs = rhs.add(DiffOp.mul_by(C * C), prob)
-    return C, E_lm, lhs.equals(rhs, prob)
+    rhs = rhs.add(DiffOp([C * C]), prob)
+    return C, E_lm, lhs.sub(rhs, prob)

@@ -116,7 +116,7 @@ def cmd_factorize(args) -> int:
     prob = _problem_from_args(args)
     branches = ["minus", "plus"] if args.branch == "both" else [args.branch]
     report = {"entries": [], "direct_match": None}
-    tables = []
+    match = True
     for branch in branches:
         try:
             table = principal.factor_table(prob, branch, args.levels)
@@ -126,16 +126,10 @@ def cmd_factorize(args) -> int:
             print(json.dumps({"error": "breakdown", "level": ex.level,
                               "branch": branch}), file=sys.stderr)
             return 2
-        tables.append(table)
         report["entries"] += [_entry_record(e) for e in table]
-    try:
-        closed = {(e.branch, e.level): e
-                  for e in principal.direct_match_table(prob, args.levels)}
-        report["direct_match"] = all(
-            closed[(e.branch, e.level)] == e
-            for table in tables for e in table)
-    except principal.Breakdown:
-        report["direct_match"] = None
+        match = match and table == principal.direct_match_table(
+            prob, branch, args.levels)
+    report["direct_match"] = match
     _emit(report, args)
     return 0
 
@@ -167,10 +161,13 @@ def cmd_eigenfunction(args) -> int:
 
 
 def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
-    """Every identity at levels 0..levels, all read from one context."""
+    """Every identity at levels 0..levels, all read from one context.
+
+    Each check gives its residuals, one DiffOp or a dict of them, and
+    passes only when every one of them is zero."""
     if levels < 0:
         raise ValueError(f"--levels must be >= 0, got {levels}")
-    checks: dict[str, bool] = {}
+    checks: dict = {}
     collapses = degenerate.detect(prob).is_degenerate
     top = max(levels + 1, degenerate.COLLAPSE_DEPTH) if collapses \
         else levels + 1
@@ -179,39 +176,39 @@ def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
 
     def sic(branch, l):
         res = principal.shape_invariance_check(prob, branch, l, lad)
-        if perturb:
-            res = res.add(DiffOp.mul_by(perturb), prob)
-        return res.is_zero()
+        return res.add(DiffOp([perturb]), prob) if perturb else res
 
     for l in range(levels + 1):
         if l >= 1:
             checks[f"shape_invariance_minus_{l}"] = sic("minus", l)
         checks[f"shape_invariance_plus_{l}"] = sic("plus", l)
-        checks[f"symmetry_{l}"] = (
-            plus[l + 1].alpha == -minus[l + 1].alpha
-            and plus[l + 1].beta == -minus[l + 1].beta
-            and plus[l + 1].E == minus[l + 1].E
-            and plus[l + 1].lam - minus[l].lam == prob.ppp - prob.qp)
-        r1, r2 = principal.three_term_check(prob, l, lad)
-        checks[f"three_term_{l}"] = r1.is_zero() and r2.is_zero()
-        checks[f"equivalent_forms_{l}"] = all(
-            principal.equivalent_forms_check(prob, l, lad).values())
+        hi, lo = plus[l + 1], minus[l + 1]
+        checks[f"symmetry_{l}"] = {
+            "alpha": DiffOp([hi.alpha + lo.alpha]),
+            "beta": DiffOp([hi.beta + lo.beta]),
+            "E": DiffOp([hi.E - lo.E]),
+            "lambda": DiffOp([hi.lam - minus[l].lam - prob.ppp + prob.qp])}
+        checks[f"three_term_{l}"] = principal.three_term_check(prob, l, lad)
+        checks[f"equivalent_forms_{l}"] = \
+            principal.equivalent_forms_check(prob, l, lad)
         if l <= 4:
             checks[f"standard_hermitian_{l}"] = \
                 associated.standard_hermitian_relation(prob, l, lad)
         checks[f"assoc_shape_invariance_{l + 1}"] = \
-            associated.assoc_shape_invariance(prob, l + 1, lad).is_zero()
+            associated.assoc_shape_invariance(prob, l + 1, lad)
         for m in range(l + 1):
-            checks[f"associated_{l}_{m}"] = all(
-                associated.verify_associated(prob, l, m, lad).values())
+            checks[f"associated_{l}_{m}"] = \
+                associated.verify_associated(prob, l, m, lad)
             checks[f"pHm_{l}_{m}"] = \
                 associated.pHm_factorization(prob, l, m, lad)[2]
     if collapses:
         for l in range(levels + 1):
             for m in range(l + 1):
-                checks[f"collapse_{l}_{m}"] = all(degenerate.collapse_check(
-                    prob, l, m, lad=lad).values())
-    return checks
+                checks[f"collapse_{l}_{m}"] = degenerate.collapse_check(
+                    prob, l, m, lad=lad)
+    return {name: all(r.is_zero() for r in res.values())
+            if isinstance(res, dict) else res.is_zero()
+            for name, res in checks.items()}
 
 
 def cmd_verify(args) -> int:
@@ -317,7 +314,7 @@ def cmd_classify(args) -> int:
         ham = associated.assoc_hamiltonian(prob, m)
         lam = associated.assoc_lambda(prob, args.l, m)
         got_prob, got_m, got_l, got_lam = associated.classify_expanded(
-            ham.sub(DiffOp.mul_by(lam), prob), prob.p)
+            ham.sub(DiffOp([lam]), prob), prob.p)
         out["round_trip"] = {"m": got_m, "l": got_l, "lambda": _fmt(got_lam),
                              "match": (got_m, got_l) == (m, args.l)}
     _emit(out, args)

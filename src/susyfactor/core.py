@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
 Rational = Fraction
-
-Scalar = Union[int, Fraction]
 
 
 def _as_fraction(v) -> Fraction:
@@ -131,15 +130,18 @@ class Poly:
     def __neg__(self) -> "Poly":
         return Poly._make([-n for n in self.num], self.den)
 
-    def __add__(self, other) -> "Poly":
+    def __add__(self, other, sign=1) -> "Poly":
+        """self + sign * other, for sign 1 or -1, in one pass."""
         other = self._coerce(other)
         a, b, da, db = self.num, other.num, self.den, other.den
+        fb = sign
         if da != db:
             g = gcd(da, db)
-            fa, fb = db // g, da // g
+            fa, fb = db // g, sign * da // g
             a = [n * fa for n in a]
-            b = [n * fb for n in b]
             da *= fa
+        if fb != 1:
+            b = [n * fb for n in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -150,7 +152,7 @@ class Poly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         return self._coerce(other) - self
@@ -279,34 +281,31 @@ class Problem:
         if self.q.degree > 1:
             raise ValueError("q must have degree <= 1")
 
-    # Taylor data of p and q; names follow p'' , p'(0), p(0), q', q(0).
-    @property
+    # Taylor data of p and q, read once per problem; names follow p'',
+    # p'(0), p(0), q', q(0)
+    @cached_property
     def ppp(self) -> Fraction:
         return 2 * self.p[2]
 
-    @property
+    @cached_property
     def pp0(self) -> Fraction:
         return self.p[1]
 
-    @property
+    @cached_property
     def p0(self) -> Fraction:
         return self.p[0]
 
-    @property
+    @cached_property
     def qp(self) -> Fraction:
         return self.q[1]
 
-    @property
+    @cached_property
     def q0(self) -> Fraction:
         return self.q[0]
 
     def c(self, l: int) -> Fraction:
         """c_l = (l p'' + q')/2, the arithmetic series driving both branches."""
         return (l * self.ppp + self.qp) / 2
-
-    def d(self, l: int) -> Fraction:
-        """d_l = l p'(0) + q(0)."""
-        return l * self.pp0 + self.q0
 
 
 class QuasiFunction:
@@ -398,12 +397,6 @@ class QuasiFunction:
 
     def sub(self, other: "QuasiFunction", prob: Problem) -> "QuasiFunction":
         return self.add(other.scale(-1), prob)
-
-    def eq(self, other: "QuasiFunction", prob: Problem) -> bool:
-        try:
-            return self.sub(other, prob).is_zero()
-        except ValueError:
-            return False
 
     def __repr__(self):
         return f"QuasiFunction({self.c!r}, s={self.s}, e={self.e})"

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Poly, Problem
+from .diffop import DiffOp
 from .associated import _bottom_up, assoc_delta_plus, assoc_lambda
 from .principal import Ladders, principal_eigenfunction
 
@@ -78,16 +79,19 @@ def quasi_hermite_generate(l: int) -> tuple[Poly, Fraction]:
 
 
 def collapse_check(prob: Problem, l: int, m: int, depth: int = COLLAPSE_DEPTH,
-                   lad: Optional[Ladders] = None) -> dict[str, bool]:
-    """How the associated hierarchy collapses when p is constant.
+                   lad: Optional[Ladders] = None) -> dict[str, DiffOp]:
+    """Residuals of the collapse of the associated hierarchy when p is
+    constant, each zero exactly when its statement holds.
 
-    eigenvalue:   lambda_lm = lambda^-_(l-m)
+    eigenvalue:    lambda_lm = lambda^-_(l-m)
     eigenfunction: the polynomial part of Phi_lm is proportional to Phi_(l-m)
-    deltas:       every Delta^+_n equals -q'
-    ladders:      the principal ladder pair is the same at every level
+    delta_n:       Delta^+_n equals -q', for n = 1..depth
+    lower_j, raise_j: the principal ladder pair at level j is the one at
+                   level 0, for j = 1..depth
 
-    A given context must reach level max(l, depth); the last two verdicts
-    depend on neither l nor m and are kept in it.
+    Every level has its own residual, so none can cancel another.  A given
+    context must reach level max(l, depth); the residuals of the deltas and
+    ladders depend on neither l nor m and are kept in it.
     """
     if not detect(prob).is_degenerate:
         raise ValueError("problem is not degenerate")
@@ -95,22 +99,21 @@ def collapse_check(prob: Problem, l: int, m: int, depth: int = COLLAPSE_DEPTH,
         raise ValueError("need 0 <= m <= l")
     if lad is None:
         lad = Ladders(prob, max(l, depth))
-    lam_ok = assoc_lambda(prob, l, m) == lad.entry("minus", l - m).lam
+    lam = DiffOp([assoc_lambda(prob, l, m) - lad.entry("minus", l - m).lam])
 
     # both have full degree (DegreeError otherwise): cross-multiply by the
     # leading coefficients
     c = _bottom_up(lad, l, m).c
     base, _ = principal_eigenfunction(prob, l - m, lad)
-    fun_ok = c * base.coeffs[-1] == base * c.coeffs[-1]
+    fun = DiffOp([c * base.coeffs[-1] - base * c.coeffs[-1]])
 
-    delta_ok = lad.memo(("collapse deltas", depth), lambda: all(
-        assoc_delta_plus(prob, n) == -prob.qp for n in range(1, depth + 1)))
-
-    def same_ladders():
+    def levels():
+        out = {f"delta_{n}": DiffOp([assoc_delta_plus(prob, n) + prob.qp])
+               for n in range(1, depth + 1)}
         base, *pairs = [lad.pair("minus", j) for j in range(depth + 1)]
-        return all(pair.lower.equals(base.lower, prob)
-                   and pair.raise_.equals(base.raise_, prob)
-                   for pair in pairs)
-    ladder_ok = lad.memo(("collapse ladders", depth), same_ladders)
-    return {"eigenvalue": lam_ok, "eigenfunction": fun_ok,
-            "deltas": delta_ok, "ladders": ladder_ok}
+        for j, pair in enumerate(pairs, 1):
+            out[f"lower_{j}"] = pair.lower.sub(base.lower, prob)
+            out[f"raise_{j}"] = pair.raise_.sub(base.raise_, prob)
+        return out
+    return {"eigenvalue": lam, "eigenfunction": fun,
+            **lad.memo(("collapse levels", depth), levels)}

@@ -8,12 +8,14 @@ Its zeroth-order members are the package's one function type: p^s c, with
 c a Poly and s a half-integer, is DiffOp([c], s), and ``reduced`` gives its
 canonical form.
 
-Supports composition (Leibniz expansion), exact equality, the eigen-check
-on polynomials, and conjugation by weight factors p^s w^e -- the bilateral
+Supports composition (Leibniz expansion), the eigen-residual on
+polynomials, and conjugation by weight factors p^s w^e -- the bilateral
 wrapper transformations that turn asymmetric factorizations into
-supersymmetric ones.  Two operators whose k differ by an integer are
-brought to the lower k by multiplying by p; a non-integer difference is
-incommensurate: ``equals`` is False and ``add`` raises ValueError.
+supersymmetric ones.  An identity L = R is checked as the residual
+L.sub(R, prob), zero exactly when it holds.  Two operators whose k differ
+by an integer are brought to the lower k by multiplying by p; a
+non-integer difference is incommensurate, and ``add`` and ``sub`` raise
+ValueError.
 """
 
 from __future__ import annotations
@@ -45,11 +47,6 @@ class DiffOp:
         self.coeffs: tuple[Poly, ...] = tuple(cs)
         # the zero operator has k = 0, so it aligns with every operator
         self.k = Fraction(k) if cs else Fraction(0)
-
-    @classmethod
-    def mul_by(cls, f) -> "DiffOp":
-        """The zeroth-order operator 'multiply by the polynomial f'."""
-        return cls([f])
 
     @property
     def order(self) -> int:
@@ -89,19 +86,20 @@ class DiffOp:
             cs, k = [q for q, _ in quo], k + 1
         return self if k == self.k else DiffOp(cs, k)
 
-    def add(self, other: "DiffOp", prob: Problem) -> "DiffOp":
-        if self.is_zero():
-            return other
+    def add(self, other: "DiffOp", prob: Problem, sign=1) -> "DiffOp":
+        """self + sign * other, for sign 1 or -1, in one pass."""
         if other.is_zero():
             return self
+        if self.is_zero():
+            return other if sign == 1 else other.scale(-1)
         a, b, k = self._aligned(other, prob)
         out = list(a) + [Poly()] * (len(b) - len(a))
         for j, c in enumerate(b):
-            out[j] = out[j] + c
+            out[j] = out[j] + c if sign == 1 else out[j] - c
         return DiffOp(out, k)
 
     def sub(self, other: "DiffOp", prob: Problem) -> "DiffOp":
-        return self.add(other.scale(-1), prob)
+        return self.add(other, prob, -1)
 
     def scale(self, s) -> "DiffOp":
         return DiffOp([c * s for c in self.coeffs], self.k)
@@ -140,17 +138,19 @@ class DiffOp:
                 d = d.derivative()
         return out
 
-    def is_eigen(self, f: Poly, lam, prob: Problem) -> bool:
-        """self f = lam f exactly, for a polynomial f."""
-        out, rhs = self._on_poly(f), f * lam
-        if self.k.denominator != 1:
-            # p^k times a polynomial is none unless both sides are 0
-            return out.is_zero() and rhs.is_zero()
-        if self.k > 0:
-            out = out * prob.p ** int(self.k)
-        elif self.k < 0:
-            rhs = rhs * prob.p ** int(-self.k)
-        return out == rhs
+    def eigen_residual(self, f: Poly, lam, prob: Problem) -> "DiffOp":
+        """(self - lam) f for a polynomial f: the function p^k c, held as
+        DiffOp([c], k), zero exactly when self f = lam f."""
+        out, rhs, k = self._on_poly(f), f * lam, self.k
+        if k.denominator != 1:
+            # p^k out - rhs is one function p^s c only where a side
+            # vanishes; elsewhere sub raises
+            return DiffOp([out], k).sub(DiffOp([rhs]), prob)
+        if k > 0:
+            out, k = out * prob.p ** int(k), 0
+        elif k < 0:
+            rhs = rhs * prob.p ** int(-k)
+        return DiffOp([out - rhs], k)
 
     def conjugate(self, s, e, prob: Problem) -> "DiffOp":
         """(p^s w^e) self (p^s w^e)^(-1), exact.
@@ -180,14 +180,6 @@ class DiffOp:
                     nxt[i + 1] = nxt[i + 1] + p * ti
                 t = nxt
         return DiffOp(out, self.k - n).reduced(prob)
-
-    def equals(self, other: "DiffOp", prob: Problem) -> bool:
-        try:
-            a, b, _ = self._aligned(other, prob)
-        except ValueError:
-            # incommensurate p powers cannot cancel
-            return False
-        return a == b
 
     def __repr__(self):
         if self.is_zero():

@@ -118,54 +118,46 @@ def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry
     return entries
 
 
-def direct_match_table(prob: Problem, max_level: int) -> list[FactorEntry]:
-    """Both branches via closed forms; must equal factor_table entry-wise.
+def direct_match_table(prob: Problem, branch: str,
+                       max_level: int) -> list[FactorEntry]:
+    """One branch via closed forms; must equal factor_table entry-wise.
 
-    Returned as minus levels 0..max_level followed by plus levels
-    -1..max_level.  The closed forms run on integers: with D the common
-    denominator of p'', q', p'(0), q(0), p(0), C_l = 2 D c_l = l P2 + Q1
-    and D d_l = l P1 + Q0, and each field is one integer numerator over
-    one integer denominator.
+    The closed forms run on integers: with D the common denominator of
+    p'', q', p'(0), q(0), p(0), C_l = 2 D c_l = l P2 + Q1 and
+    D d_l = l P1 + Q0, and each field is one integer numerator over one
+    integer denominator.  The divisors are the recurrence's, C_{l-1}
+    (minus) and C_l (plus), so a level factor_table builds never breaks
+    here; the lowest level is the shared initial data.
     """
-    if max_level < 0:
-        raise ValueError("max_level must be >= 0")
+    if branch not in ("minus", "plus"):
+        raise ValueError(f"unknown branch {branch!r}")
+    lowest = -1 if branch == "plus" else 0
+    if max_level < lowest:
+        raise ValueError(f"max_level must be >= {lowest}")
     taylor = (prob.ppp, prob.qp, prob.pp0, prob.q0, prob.p0)
     D = lcm(*(v.denominator for v in taylor))
     P2, Q1, P1, Q0, P0 = (v.numerator * (D // v.denominator) for v in taylor)
     D2, DD4 = 2 * D, 4 * D * D
-    out: list[FactorEntry] = []
-    # minus branch; level 0 comes from the shared initial data because the
-    # closed form divides by c_{-1}, which may legitimately vanish there.
-    prev_E = Fraction(0)
-    for l in range(0, max_level + 1):
-        if l == 0:
-            alpha = Fraction(P2 - Q1, D2)
-            beta = Fraction(P1 - Q0, D2)
-            E = lam = Fraction(0)
-        else:
-            cl, cm = l * P2 + Q1, (l - 1) * P2 + Q1
+    s = 1 if branch == "minus" else -1
+    zero = Fraction(0)
+    out = [FactorEntry(branch, lowest, Fraction(s * (P2 - Q1), D2),
+                       Fraction(s * (P1 - Q0), D2), zero, zero, zero)]
+    prev_E = zero
+    for l in range(lowest + 1, max_level + 1):
+        cl, cm = l * P2 + Q1, (l - 1) * P2 + Q1
+        dl, dm = l * P1 + Q0, (l - 1) * P1 + Q0
+        if branch == "minus":
             if cm == 0:
                 raise Breakdown(l)
-            dl, dm = l * P1 + Q0, (l - 1) * P1 + Q0
             alpha = Fraction(-cm, D2)
             beta = Fraction((l * cl - cm) * dm - l * cm * dl, D2 * cm)
             E = Fraction(l * (dm * (2 * cm * dl - (cm + cl) * dm)
                               - 2 * cm * cm * P0)
                          * ((l + 2) * cm - l * cl), DD4 * cm * cm)
             lam = Fraction(l * ((l - 1) * cl - (l + 1) * cm), D2)
-        out.append(FactorEntry("minus", l, alpha, beta, E - prev_E, E, lam))
-        prev_E = E
-    prev_E = Fraction(0)
-    for l in range(-1, max_level + 1):
-        if l == -1:
-            alpha = Fraction(Q1 - P2, D2)
-            beta = Fraction(Q0 - P1, D2)
-            E = lam = Fraction(0)
         else:
-            cl, cm = l * P2 + Q1, (l - 1) * P2 + Q1
             if cl == 0:
                 raise Breakdown(l)
-            dl, dm = l * P1 + Q0, (l - 1) * P1 + Q0
             alpha = Fraction(cl, D2)
             beta = Fraction(-(l + 1) * cl * dm + ((l + 1) * cm + cl) * dl,
                             D2 * cl)
@@ -175,7 +167,7 @@ def direct_match_table(prob: Problem, max_level: int) -> list[FactorEntry]:
             # lambda^+_l = lambda^-_l + p'' - q'
             lam = Fraction(l * ((l - 1) * cl - (l + 1) * cm) + 2 * (P2 - Q1),
                            D2)
-        out.append(FactorEntry("plus", l, alpha, beta, E - prev_E, E, lam))
+        out.append(FactorEntry(branch, l, alpha, beta, E - prev_E, E, lam))
         prev_E = E
     return out
 
@@ -316,18 +308,19 @@ def shape_invariance_check(prob: Problem, branch: str, l: int,
         lhs, rhs = lad.ab(branch, l), lad.ba(branch, l - 1)
     else:
         lhs, rhs = lad.ba(branch, l), lad.ab(branch, l - 1)
-    return lhs.sub(rhs, prob).sub(DiffOp.mul_by(delta), prob)
+    return lhs.sub(rhs, prob).sub(DiffOp([delta]), prob)
 
 
 def three_term_check(prob: Problem, l: int,
-                     lad: Ladders | None = None) -> tuple[Poly, Poly]:
+                     lad: Ladders | None = None) -> dict[str, DiffOp]:
     """Residuals of the two three-term recurrences in the unnormalized
     convention: with normsq tracked outside, both read
 
         Phi_{l+1} = (W_{l+1} + W_l) Phi_l - E_l Phi_{l-1}
         Phi_{l+1} = (-2 p d/dx + W_{l+1} - W_l + 2 W0) Phi_l + E_l Phi_{l-1}
 
-    with Phi_{-1} = 0.  Both residuals must vanish exactly.
+    with Phi_{-1} = 0.  Each residual is a polynomial, DiffOp([c]), and
+    both must vanish exactly.
     """
     if l < 0:
         raise ValueError("level must be >= 0")
@@ -338,7 +331,7 @@ def three_term_check(prob: Problem, l: int,
     res1 = phi_next - (wl_next + wl) * phi + phi_prev
     res2 = phi_next + 2 * prob.p * phi.derivative() \
         - (wl_next - wl + 2 * lad.w0) * phi - phi_prev
-    return res1, res2
+    return {"multiplicative": DiffOp([res1]), "differential": DiffOp([res2])}
 
 
 def hypergeom_like_hl(prob: Problem, l: int,
@@ -372,14 +365,16 @@ def _solve_weight_exponents(prob: Problem, target: Poly):
 
 
 def equivalent_forms_check(prob: Problem, l: int,
-                           lad: Ladders | None = None) -> dict[str, bool]:
-    """The equivalent operator forms of the factorized eigen-problem.
+                           lad: Ladders | None = None) -> dict[str, DiffOp]:
+    """Residuals of the equivalent operator forms of the factorized
+    eigen-problem; each is zero exactly when its form holds.
 
     a: H0 equals H_l - 2 (W_l - W0) d/dx.
     b: p^-1 A_0 B_0 has eigenvalue lambda^+_l on Phi_l.
     c: lambda^+_l - lambda^-_l = p'' - q' on the tables.
     d: conjugating H0 by u_l^-1 (u_l'/u_l = -(W_l - W0)/p) gives
-       H_l + lambda^-_l - E^-_l / p.
+       H_l + lambda^-_l - E^-_l / p.  Where no p^s w^e is such a u_l, the
+       residual is the nonzero -(W_l - W0).
     """
     lad = _own(prob, l, lad)
     H0 = hamiltonian(prob)
@@ -389,25 +384,25 @@ def equivalent_forms_check(prob: Problem, l: int,
     Hl = hypergeom_like_hl(prob, l, lad)
 
     first_order = DiffOp([Poly(), delta_w * (-2)])
-    a_ok = H0.equals(Hl.add(first_order, prob), prob)
+    a = H0.sub(Hl.add(first_order, prob), prob)
 
     lam_plus = ent_minus.lam + prob.ppp - prob.qp
     phi = principal_eigenfunction(prob, l, lad)[0]
 
     over_p = DiffOp(lad.ab("minus", 0).coeffs, -1)
-    b_ok = over_p.is_eigen(phi, lam_plus, prob)
+    b = over_p.eigen_residual(phi, lam_plus, prob)
 
-    c_ok = ent_plus.lam - ent_minus.lam == prob.ppp - prob.qp
+    c = DiffOp([ent_plus.lam - ent_minus.lam - prob.ppp + prob.qp])
 
     exps = _solve_weight_exponents(prob, -delta_w)
     if exps is None:
-        d_ok = False
+        d = DiffOp([-delta_w])
     else:
         s, e = exps
         lhs = H0.conjugate(-s, -e, prob)
-        rhs = Hl.add(DiffOp.mul_by(ent_minus.lam), prob).sub(
+        rhs = Hl.add(DiffOp([ent_minus.lam]), prob).sub(
             DiffOp([ent_minus.E], -1), prob)
-        d_ok = lhs.equals(rhs, prob)
+        d = lhs.sub(rhs, prob)
 
-    return {"h0_vs_hl": a_ok, "partner_eigenvalue": b_ok,
-            "lambda_shift": c_ok, "partial_conjugation": d_ok}
+    return {"h0_vs_hl": a, "partner_eigenvalue": b,
+            "lambda_shift": c, "partial_conjugation": d}

@@ -49,6 +49,23 @@ def test_factorize_breakdown_exit_2():
     assert [e["l"] for e in partial["entries"]] == [0, 1, 2, 3]
 
 
+def test_direct_match_reads_only_the_requested_branch():
+    # p = x^2 + 1, q = -6x: C_3 = 0 stops the plus table at level 3 and the
+    # minus table at level 4, so the minus table to level 3 is complete
+    # and is cross-checked against its own closed form
+    r = run_cli("factorize", "--p", "1,0,1", "--q", "-6,0", "--levels", "3",
+                "--branch", "minus")
+    assert r.returncode == 0
+    out = json.loads(r.stdout)
+    assert [e["l"] for e in out["entries"]] == [0, 1, 2, 3]
+    assert out["direct_match"] is True
+    r = run_cli("factorize", "--p", "1,0,1", "--q", "-6,0", "--levels", "3",
+                "--branch", "plus")
+    assert r.returncode == 2
+    assert json.loads(r.stderr)["level"] == 3
+    assert json.loads(r.stdout)["direct_match"] is None
+
+
 def test_eigenfunction_forms_agree():
     r = run_cli("eigenfunction", "--family", "legendre", "--l", "4",
                 "--form", "ladder")

@@ -22,8 +22,10 @@ def test_golden_outputs_unchanged():
 # Fractions; (the next four) on commit 9330ab6, whose factor table ran on
 # Fractions and whose top-down chain ran QuasiFunction.derive; and (the last
 # four: negative m, and the bottom-up form at m != 0) on commit e3446e8,
-# whose eigenfunctions were QuasiFunctions.  golden.json stops at l <= 7 and
-# 12 levels, with no negative m and no bottom-up form at m != 0
+# whose eigenfunctions were QuasiFunctions; (the verify suites after them)
+# on commit 6e72839, whose checks returned booleans.  golden.json stops at
+# l <= 7, 12 levels and verify at level 2, with no negative m, no bottom-up
+# form at m != 0, no perturbed suite and no constant p off the presets
 LARGE = {
     "eigenfunction --family legendre --l 53 --m 0 --form ladder":
         "85fd2beb2b2076b96ae47812aba022b0fb11927e534ddb7023ba0075f418eb24",
@@ -54,11 +56,43 @@ LARGE = {
     "eigenfunction --family hypergeom:1/3,1/5,7/2 --l 40 --m 13 "
     "--form bottomup":
         "25bf3f506b261401b691688f6bef36499115cd0ac68e3ef712c0871ba3fedb5c",
+    "verify --family legendre --levels 8":
+        "82d7c4caaa472289da986fc31ca0409864a5b31d0d47d316fe4a46847ae3134a",
+    "verify --family legendre --levels 12":
+        "62b9a3a298362e619b9f1969b9fdb885bcf0f87af4b3972661e9a74922675525",
+    "verify --family jacobi:2,3 --levels 8":
+        "82d7c4caaa472289da986fc31ca0409864a5b31d0d47d316fe4a46847ae3134a",
+    "verify --family laguerre:1 --levels 8":
+        "82d7c4caaa472289da986fc31ca0409864a5b31d0d47d316fe4a46847ae3134a",
+    "verify --family laguerre:1 --levels 12":
+        "62b9a3a298362e619b9f1969b9fdb885bcf0f87af4b3972661e9a74922675525",
+    "verify --family hermite --levels 8":
+        "045db04e3d6050113267a5ffd2765984ec3452b7e6e29e6e6d4d6319f64c6b3b",
+    "verify --family hermite --levels 12":
+        "f4e3948619ec2a9c4ef5b716e02d9604579bc67b3d9a8639bb8c7d66a282119a",
+    "verify --family hypergeom:1/3,1/5,7/2 --levels 8":
+        "82d7c4caaa472289da986fc31ca0409864a5b31d0d47d316fe4a46847ae3134a",
+    "verify --family hypergeom:1/3,1/5,7/2 --levels 12":
+        "62b9a3a298362e619b9f1969b9fdb885bcf0f87af4b3972661e9a74922675525",
+    "verify --family confluent:3 --levels 8":
+        "82d7c4caaa472289da986fc31ca0409864a5b31d0d47d316fe4a46847ae3134a",
+    "verify --family confluent:3 --levels 12":
+        "62b9a3a298362e619b9f1969b9fdb885bcf0f87af4b3972661e9a74922675525",
+    "verify --family legendre --levels 4 --perturb-delta 1":
+        "2e2d9e1974a4f8f5f567c268bec9711281592e0bc9891cdbc8279b6af4f66afd",
+    "verify --p 1 --q 1,0 --levels 4":
+        "64278ff566604429ab73c8b9b6b783eee76e90de6c860fdb9f69dbb5ef7aa63b",
+    "verify --p 2 --q -3,1 --levels 4":
+        "64278ff566604429ab73c8b9b6b783eee76e90de6c860fdb9f69dbb5ef7aa63b",
 }
+
+
+# exit codes other than 0; the perturbed suite must fail
+EXIT = {"verify --family legendre --levels 4 --perturb-delta 1": 1}
 
 
 @pytest.mark.parametrize("command", list(LARGE))
 def test_large_outputs_unchanged(command):
     out = Client().run_cli(command.split())
-    assert (out.rc, out.exc) == (0, None)
+    assert (out.rc, out.exc) == (EXIT.get(command, 0), None)
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == LARGE[command]

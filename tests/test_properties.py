@@ -49,8 +49,8 @@ def test_poly_divmod_reconstructs(a, b):
 def test_canonicalize_preserves_value(prob, c, s, e):
     f = QuasiFunction(c, Fraction(s), Fraction(e))
     g = f.canonicalize(prob)
-    assert f.eq(g, prob)
-    assert g.canonicalize(prob).eq(g, prob)
+    assert f.sub(g, prob).is_zero()
+    assert g.canonicalize(prob).sub(g, prob).is_zero()
 
 
 @given(problems(), polys(2), polys(2))
@@ -61,7 +61,7 @@ def test_quasi_product_rule(prob, a, b):
     lhs = fa.mul(fb, prob).derive(prob)
     rhs = fa.derive(prob).mul(fb, prob).add(fa.mul(fb.derive(prob), prob),
                                             prob)
-    assert lhs.eq(rhs, prob)
+    assert lhs.sub(rhs, prob).is_zero()
 
 
 @given(problems(), polys(1), polys(1), polys(1),
@@ -72,15 +72,14 @@ def test_diffop_compose_associative(prob, a, b, c, ks):
     A, B, C = (DiffOp([f, 1], k) for f, k in zip((a, b, c), ks))
     lhs = A.compose(B, prob).compose(C, prob)
     rhs = A.compose(B.compose(C, prob), prob)
-    assert lhs.equals(rhs, prob)
+    assert lhs.sub(rhs, prob).is_zero()
 
 
-def _first_breakdown(prob, max_level):
-    """The recurrence tables to max_level, minus then plus, or the level
-    of the first Breakdown in that order."""
+def _first_breakdown(prob, branch, max_level):
+    """The branch's recurrence table to max_level, or the level of its
+    Breakdown."""
     try:
-        return principal.factor_table(prob, "minus", max_level) \
-            + principal.factor_table(prob, "plus", max_level)
+        return principal.factor_table(prob, branch, max_level)
     except principal.Breakdown as ex:
         return ex.level
 
@@ -92,13 +91,15 @@ def test_tables_agree_on_random_problems(prob, max_level, k, forced):
         # q' = -k p'' puts c_k = (k p'' + q')/2 = 0 (every c_l when
         # p'' = 0): the minus table stops at level k + 1, the plus at k
         prob = Problem(prob.p, Poly([prob.q0, -k * prob.ppp]))
-    expect = _first_breakdown(prob, max_level)
-    if isinstance(expect, int):
-        with pytest.raises(principal.Breakdown) as exc:
-            principal.direct_match_table(prob, max_level)
-        assert exc.value.level == expect
-    else:
-        assert principal.direct_match_table(prob, max_level) == expect
+    for branch in ("minus", "plus"):
+        expect = _first_breakdown(prob, branch, max_level)
+        if isinstance(expect, int):
+            with pytest.raises(principal.Breakdown) as exc:
+                principal.direct_match_table(prob, branch, max_level)
+            assert exc.value.level == expect
+        else:
+            assert principal.direct_match_table(prob, branch,
+                                                max_level) == expect
 
 
 @given(problems(), st.integers(0, 5))
@@ -110,7 +111,7 @@ def test_ladder_eigenfunction_matches_oracle(prob, l):
     except (principal.Breakdown, OracleDegenerate, principal.DegreeError):
         assume(False)
     assert poly_ratio(phi, psi) is not None
-    assert hamiltonian(prob).is_eigen(phi, lam, prob)
+    assert hamiltonian(prob).eigen_residual(phi, lam, prob).is_zero()
 
 
 def _raise_by_ladders(prob, l):
