@@ -5,7 +5,7 @@ H = -p(x) d^2/dx^2 - q(x) d/dx with deg p <= 2, deg q <= 1, entirely over
 rational arithmetic, and cross-checks them numerically in Schrodinger form.
 """
 
-from .core import Poly, Problem, Rational
+from .core import Poly, Problem
 from .diffop import DiffOp, hamiltonian
 from .principal import (
     Breakdown, DegreeError, FactorEntry, LadderPair, Ladders,

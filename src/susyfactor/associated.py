@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import prod
 
 from .core import Poly, Problem, rational_sqrt
 from .diffop import DiffOp, hamiltonian
@@ -96,9 +96,14 @@ def assoc_hamiltonian(prob: Problem, m: int) -> DiffOp:
     return DiffOp([num, -prob.q * prob.p, -prob.p * prob.p], -1)
 
 
+def _lambda_numerator(prob: Problem, l: int, m: int) -> int:
+    """lambda_lm times 2D, over prob.taylor, for m >= 0."""
+    _, P2, Q1, *_ = prob.taylor
+    return -2 * (l - m) * Q1 - (l * (l - 1) - m * (m - 1)) * P2
+
+
 def assoc_lambda(prob: Problem, l: int, m: int) -> Fraction:
-    m = abs(m)
-    return -(l - m) * prob.qp - Fraction(l * (l - 1) - m * (m - 1), 2) * prob.ppp
+    return Fraction(_lambda_numerator(prob, l, abs(m)), 2 * prob.taylor[0])
 
 
 def assoc_delta_plus(prob: Problem, n: int) -> Fraction:
@@ -111,19 +116,13 @@ def assoc_normsq(prob: Problem, l: int, m: int,
     """normsq of Phi_lm: prod E_j over j = 1..l times prod lambda_lj over
     j < |m|.
 
-    The second product runs on integers: with D the lcm of the
-    denominators of p'' and q', lambda_lj = N_j / 2D with
-    N_j = -2 (l - j) Q1 - (l (l - 1) - j (j - 1)) P2.
+    The second product runs on integers, the numerators of lambda_lj over
+    (2D)^|m| (prob.taylor).
     """
     _check_range(l, m)
-    ppp, qp = prob.ppp, prob.qp
-    D = lcm(ppp.denominator, qp.denominator)
-    P2 = ppp.numerator * (D // ppp.denominator)
-    Q1 = qp.numerator * (D // qp.denominator)
-    num = 1
-    for j in range(abs(m)):
-        num *= -2 * (l - j) * Q1 - (l * (l - 1) - j * (j - 1)) * P2
-    return _own(prob, l, lad).normsq(l) * Fraction(num, (2 * D) ** abs(m))
+    num = prod(_lambda_numerator(prob, l, j) for j in range(abs(m)))
+    return _own(prob, l, lad).normsq(l) * Fraction(
+        num, (2 * prob.taylor[0]) ** abs(m))
 
 
 def assoc_bottom_up(prob: Problem, l: int, m: int,
@@ -434,36 +433,35 @@ def pHm_factorization(prob: Problem, l: int, m: int, lad: Ladders | None = None
                       ) -> tuple[Fraction, Fraction, DiffOp]:
     """Factor p H^a_m through the shifted principal ladders.
 
-    C_lm = (m/4)(p'(0) q' - p'' q(0)) / c_{l-1} and E_lm close the balance
+    C_lm and E_lm close the balance
 
         p H^a_m - lambda_lm p + E_lm = (B_l + C)(A_l + C),
 
     returned together with the residual of that identity, left side minus
-    right side.  The right side is formed exactly as
-    B_l A_l + C (A_l + B_l) + C^2, since a constant commutes with both
-    ladders.
+    right side.  Over prob.taylor, C_lm = |m| (P1 Q1 - P2 Q0)/(2D C_{l-1})
+    with C_{l-1} = (l - 1) P2 + Q1, which is Breakdown(l) where it vanishes
+    at m != 0.  A constant commutes with both ladders and A_l + B_l = 2 W_l,
+    so the residual is p H^a_m - B_l A_l + (E_lm - C^2 - lambda_lm p -
+    2 C W_l), with p H^a_m kept in the context per m and B_l A_l per l.
     """
     _check_range(l, m)
     m = abs(m)
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
     if m == 0:
         C = Fraction(0)
     else:
-        cm = prob.c(l - 1)
+        cm = (l - 1) * P2 + Q1
         if cm == 0:
             raise Breakdown(l)
-        C = Fraction(m, 4) * (prob.pp0 * prob.qp - prob.ppp * prob.q0) / cm
+        C = Fraction(m * (P1 * Q1 - P2 * Q0), 2 * D * cm)
     lad = _own(prob, l, lad)
     ent = lad.entry("minus", l)
-    E_lm = ent.E + C * (C + 2 * ent.beta) \
-        + m * (prob.qp + Fraction(m - 2, 2) * prob.ppp) * prob.p0 \
-        - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) * prob.pp0
-    lam = assoc_lambda(prob, l, m)
+    E_lm = ent.E + C * (C + 2 * ent.beta) + Fraction(
+        m * (2 * (2 * Q1 + (m - 2) * P2) * P0 - (2 * Q0 + (m - 2) * P1) * P1),
+        4 * D * D)
     ham = _hamiltonian(lad, m)
-    lhs = DiffOp(ham.coeffs, ham.k + 1)
-    lhs = lhs.sub(DiffOp([prob.p * lam]), prob)
-    lhs = lhs.add(DiffOp([E_lm]), prob)
-    pair = lad.pair("minus", l)
-    rhs = lad.ba("minus", l).add(
-        pair.lower.add(pair.raise_, prob).scale(C), prob)
-    rhs = rhs.add(DiffOp([C * C]), prob)
-    return C, E_lm, lhs.sub(rhs, prob)
+    p_ham = lad.memo(("p H^a", m), lambda: DiffOp(ham.coeffs, ham.k + 1))
+    rest = E_lm - C * C - prob.p * assoc_lambda(prob, l, m) \
+        - lad.wl("minus", l) * (2 * C)
+    return C, E_lm, p_ham.sub(lad.ba("minus", l), prob).add(
+        DiffOp([rest]), prob)

@@ -316,7 +316,7 @@ def cmd_classify(args) -> int:
         got_prob, got_m, got_l, got_lam = associated.classify_expanded(
             ham.sub(DiffOp([lam]), prob), prob.p)
         out["round_trip"] = {"m": got_m, "l": got_l, "lambda": _fmt(got_lam),
-                             "match": (got_m, got_l) == (m, args.l)}
+                             "match": (got_m, got_l) == (abs(m), args.l)}
     _emit(out, args)
     return 0
 

@@ -1,7 +1,7 @@
 """Exact arithmetic substrate: rationals, univariate polynomials, problems.
 
 Every symbolic computation in this package is exact.  Scalars are
-``fractions.Fraction`` (aliased ``Rational``).  A :class:`Poly` holds its
+``fractions.Fraction``.  A :class:`Poly` holds its
 rational coefficients fraction-free, as integer numerators over one
 positive integer denominator, so its arithmetic runs on Python ints with
 one gcd per result; ``Poly.coeffs`` is the ``Fraction`` view.  A
@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import Iterable
-
-Rational = Fraction
 
 
 def _as_fraction(v) -> Fraction:
@@ -303,9 +301,13 @@ class Problem:
     def q0(self) -> Fraction:
         return self.q[0]
 
-    def c(self, l: int) -> Fraction:
-        """c_l = (l p'' + q')/2, the arithmetic series driving both branches."""
-        return (l * self.ppp + self.qp) / 2
+    @cached_property
+    def taylor(self) -> tuple[int, int, int, int, int, int]:
+        """(D, P2, Q1, P1, Q0, P0): p'', q', p'(0), q(0), p(0) as integer
+        numerators over D, the lcm of their denominators."""
+        data = (self.ppp, self.qp, self.pp0, self.q0, self.p0)
+        D = lcm(*(v.denominator for v in data))
+        return (D, *(v.numerator * (D // v.denominator) for v in data))
 
 
 class QuasiFunction:
@@ -314,7 +316,7 @@ class QuasiFunction:
     The package builds every function as p^s c (see the module docstring);
     the tests run their operator algebra with one QuasiFunction per
     coefficient, and the top-down chain through ``derive``, on this class
-    as an independent reference.  ``s`` and ``e`` are Rationals.  The
+    as an independent reference.  ``s`` and ``e`` are Fractions.  The
     zero function is canonically (0, 0, 0).  Canonical form never keeps a
     full factor of p inside c.
     """

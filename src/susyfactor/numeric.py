@@ -377,6 +377,14 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
             if p(mid) > 0:
                 return lo, hi
             return hi, cutoff(hi, 1.0)
+        if disc == 0:
+            # p = p2 (x - r)^2: w ~ exp(-c/(x - r)), c = (q - p')(r)/p2,
+            # vanishes at r from below when c < 0 and from above when c > 0
+            r = -p[1] / (2 * p[2])
+            rf = float(r)
+            if (prob.q - p.derivative())(r) * p[2] < 0:
+                return cutoff(rf, -1.0), rf
+            return rf, cutoff(rf, 1.0)
         return cutoff(0.0, -1.0), cutoff(0.0, 1.0)
     if p.degree == 1:
         r = float(-p[0] / p[1])

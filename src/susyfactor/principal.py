@@ -10,8 +10,8 @@ factor_table runs its recurrence on integers over the common denominator D
 of the Taylor data: alpha_l = a_l/2D, beta_l = B_l/(2D a_l) and
 E_l = X_l/(2D a_l)^2, where a_l, B_l and X_l = B_l^2 + a_l^2 Y_l follow
 from one integer update per level.  direct_match_table evaluates the
-closed forms at each level instead and shares no code with it, so the two
-remain independent checks of each other.
+closed forms at each level instead and shares no recurrence with it, so
+the two remain independent checks of each other.
 
 Ladders are kept unnormalized: the usual 1/sqrt(E_l) factors would leave
 the rational field, so normsq = prod E_j is tracked separately and all
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .core import Poly, Problem
 from .diffop import DiffOp, hamiltonian
@@ -70,9 +69,9 @@ def superpotential_w0(prob: Problem) -> Poly:
 def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry]:
     """Levels 0..max_level (minus) or -1..max_level (plus) by recurrence.
 
-    The recurrence runs on integers.  With D the lcm of the denominators
-    of p'', q', p'(0), q(0), p(0), and P2, Q1, P1, Q0, P0 their numerators
-    over D, alpha_l = a_l / 2D, where a_l = -C_{l-1} (minus) or C_l (plus)
+    The recurrence runs on integers.  With (D, P2, Q1, P1, Q0, P0) =
+    prob.taylor, p'', q', p'(0), q(0), p(0) over their common denominator
+    D, alpha_l = a_l / 2D, where a_l = -C_{l-1} (minus) or C_l (plus)
     and C_l = l P2 + Q1; a vanishing a_l is Breakdown(l).  With s = +1
     (minus) or -1 (plus), the ladder updates of beta and E read
 
@@ -92,9 +91,7 @@ def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry
     lowest = -1 if branch == "plus" else 0
     if max_level < lowest:
         raise ValueError(f"max_level must be >= {lowest}")
-    taylor = (prob.ppp, prob.qp, prob.pp0, prob.q0, prob.p0)
-    D = lcm(*(v.denominator for v in taylor))
-    P2, Q1, P1, Q0, P0 = (v.numerator * (D // v.denominator) for v in taylor)
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
     D2 = 2 * D
     s = 1 if branch == "minus" else -1
     # level `lowest`: alpha = s (p'' - q')/2, beta = s (p'(0) - q(0))/2
@@ -122,9 +119,9 @@ def direct_match_table(prob: Problem, branch: str,
                        max_level: int) -> list[FactorEntry]:
     """One branch via closed forms; must equal factor_table entry-wise.
 
-    The closed forms run on integers: with D the common denominator of
-    p'', q', p'(0), q(0), p(0), C_l = 2 D c_l = l P2 + Q1 and
-    D d_l = l P1 + Q0, and each field is one integer numerator over one
+    The closed forms run on integers: with prob.taylor = (D, P2, Q1, P1,
+    Q0, P0), C_l = l P2 + Q1 and d_l = l P1 + Q0 are D (l p'' + q') and
+    D (l p'(0) + q(0)), and each field is one integer numerator over one
     integer denominator.  The divisors are the recurrence's, C_{l-1}
     (minus) and C_l (plus), so a level factor_table builds never breaks
     here; the lowest level is the shared initial data.
@@ -134,9 +131,7 @@ def direct_match_table(prob: Problem, branch: str,
     lowest = -1 if branch == "plus" else 0
     if max_level < lowest:
         raise ValueError(f"max_level must be >= {lowest}")
-    taylor = (prob.ppp, prob.qp, prob.pp0, prob.q0, prob.p0)
-    D = lcm(*(v.denominator for v in taylor))
-    P2, Q1, P1, Q0, P0 = (v.numerator * (D // v.denominator) for v in taylor)
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
     D2, DD4 = 2 * D, 4 * D * D
     s = 1 if branch == "minus" else -1
     zero = Fraction(0)

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,6 +301,38 @@ def _main(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def test_classify_negative_m_round_trips_to_its_absolute_value():
+    # H^a_m depends on |m| only, so the operator recovers m = 2
+    code, out, err = _main(["classify", "--family", "legendre", "--l", "3",
+                            "--m", "-2"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["round_trip"] == {"m": 2, "l": 3, "lambda": "6",
+                                             "match": True}
+
+
+# p = x^2, q = -x has E_1 = 0: level 1 is a breakdown, not a traceback
+@pytest.mark.parametrize("task, code, err", [
+    (["residual", "--p", "1,0,0", "--q", "-1,0", "--l", "0", "--nodes",
+      "400"], 0, ""),
+    (["residual", "--p", "1,0,0", "--q", "-1,0", "--l", "1", "--nodes",
+      "400"], 2, '{"error": "breakdown", "level": 1}\n'),
+    (["residual", "--p", "1,-2,1", "--q", "-3,1", "--l", "2", "--nodes",
+      "50"], 0, ""),
+    (["maps", "--p", "1,0,0", "--q", "-1,0", "--nodes", "4"], 0, ""),
+    (["potentials", "--p", "1,-2,1", "--q", "-3,1", "--l", "2", "--m", "1",
+      "--nodes", "5"], 0, ""),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_numeric_at_a_double_root_of_p_stays_on_one_side(task, code, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, got_err = _main(["numeric", *task])
+    assert (got, got_err) == (code, err)
+    if task[0] != "residual":
+        r = 0 if task[2] == "1,0,0" else 1
+        xs = [float(row["x"]) for row in csv.DictReader(io.StringIO(out))]
+        assert all(x > r for x in xs) or all(x < r for x in xs)
 
 
 def test_breakdown_prints_the_entries_already_built(monkeypatch):

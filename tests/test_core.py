@@ -55,7 +55,19 @@ def test_problem_taylor_data():
     prob = legendre()
     assert prob.ppp == -2 and prob.pp0 == 0 and prob.p0 == 1
     assert prob.qp == -2 and prob.q0 == 0
-    assert prob.c(3) == (3 * -2 + -2) / 2
+
+
+@pytest.mark.parametrize("prob", [
+    legendre(), laguerre(Fraction(1, 2)), hermite(),
+    Problem(Poly([2, Fraction(1, 3), Fraction(-1, 2)]),
+            Poly([Fraction(1, 4), Fraction(-3, 2)]))],
+    ids=["legendre", "laguerre", "hermite", "every datum nonzero"])
+def test_taylor_record_is_the_taylor_data_over_its_lcm(prob):
+    D, *nums = prob.taylor
+    assert D > 0 and all(isinstance(n, int) for n in nums)
+    assert [Fraction(n, D) for n in nums] == \
+        [prob.ppp, prob.qp, prob.pp0, prob.q0, prob.p0]
+    assert gcd(D, *nums) == 1
 
 
 def test_quasi_zero_canonical():

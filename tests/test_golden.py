@@ -23,9 +23,13 @@ def test_golden_outputs_unchanged():
 # Fractions and whose top-down chain ran QuasiFunction.derive; and (the last
 # four: negative m, and the bottom-up form at m != 0) on commit e3446e8,
 # whose eigenfunctions were QuasiFunctions; (the verify suites after them)
-# on commit 6e72839, whose checks returned booleans.  golden.json stops at
-# l <= 7, 12 levels and verify at level 2, with no negative m, no bottom-up
-# form at m != 0, no perturbed suite and no constant p off the presets
+# on commit 6e72839, whose checks returned booleans; (the last two, where
+# p'', q', p'(0), q(0) and p(0) are all nonzero, as on no preset, and whose
+# normsq runs through the lambda product) on commit 0f7b77c, whose tables and
+# lambda each put (p, q) over their own common denominator.  golden.json
+# stops at l <= 7, 12 levels and verify at level 2, with no negative m, no
+# bottom-up form at m != 0, no perturbed suite and no constant p off the
+# presets
 LARGE = {
     "eigenfunction --family legendre --l 53 --m 0 --form ladder":
         "85fd2beb2b2076b96ae47812aba022b0fb11927e534ddb7023ba0075f418eb24",
@@ -84,6 +88,10 @@ LARGE = {
         "64278ff566604429ab73c8b9b6b783eee76e90de6c860fdb9f69dbb5ef7aa63b",
     "verify --p 2 --q -3,1 --levels 4":
         "64278ff566604429ab73c8b9b6b783eee76e90de6c860fdb9f69dbb5ef7aa63b",
+    "eigenfunction --p -1/2,1/3,2 --q -3/2,1/4 --l 9 --m 4 --form topdown":
+        "d355e7e90b0dcd2ffc9ddb2afc81a82e017967a60279a157c082cfceb839f209",
+    "eigenfunction --p -1/2,1/3,2 --q -3/2,1/4 --l 9 --m -4 --form bottomup":
+        "7d2decaf197ae9e3e48640712bff935b15ac9cc1315c57f02968353d34d6bfae",
 }
 
 

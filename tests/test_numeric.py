@@ -296,6 +296,24 @@ def test_maps_match_quadrature_on_every_branch(case, n0, n1):
         assert _rel_dev(numeric._over_p(p, num, x0)(x), f_ref) <= 1e-10
 
 
+# p = p2 (x - r)^2: w ~ |x - r|^e exp(-c/(x - r)), c = (q - p')(r)/p2,
+# vanishes at r from the side where c/(x - r) > 0
+@pytest.mark.parametrize("prob, r, side", [
+    (Problem(Poly([1, -2, 1]), Poly([1, -3])), 1, -1),     # c = -2
+    (Problem(Poly([-1, 2, -1]), Poly([1, -3])), 1, 1),     # c = 2
+    (Problem(Poly([0, 0, 1]), Poly([0, -1])), 0, 1),       # c = 0: w = x^-3
+], ids=["w vanishes below", "w vanishes above", "w = x^-3"])
+def test_double_root_domain_lies_on_one_side_of_the_root(prob, r, side):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = numeric._natural_domain(prob)
+    near, far = (lo, hi) if side > 0 else (hi, lo)
+    assert near == r and (far - r) * side > 0
+    if prob.q(r) != prob.p.derivative()(r):
+        near = r + side * np.array([1e-3, 1e-2])
+        assert np.all(numeric.weight_function(prob)(near) < 1e-50)
+
+
 def test_singular_grid_raises():
     grid = numeric.Grid.uniform(-2.0, 2.0, 50)    # spans the roots of p
     with pytest.raises(numeric.SingularGrid):

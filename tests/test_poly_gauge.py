@@ -241,7 +241,7 @@ def _pHm(prob, lad, l, m):
     if m == 0:
         C = Fraction(0)
     else:
-        cm = prob.c(l - 1)
+        cm = ((l - 1) * prob.ppp + prob.qp) / 2
         if cm == 0:
             raise principal.Breakdown(l)
         C = Fraction(m, 4) * (prob.pp0 * prob.qp - prob.ppp * prob.q0) / cm

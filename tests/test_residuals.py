@@ -1,16 +1,20 @@
 """Every check family returns residuals: zero on the presets, and nonzero
-once the Ladders context it reads holds one tampered table entry."""
+once the Ladders context it reads holds one tampered table entry.
+pHm_factorization's residual equals the one both sides of its balance
+give when built apart."""
 
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susyfactor.core import Poly, Problem
+from susyfactor.diffop import DiffOp
 from susyfactor import associated, degenerate, principal
 
-from conftest import hermite
-from test_ladders import _passes
+from conftest import hermite, jacobi
+from test_ladders import _passes, problems
 
 
 def _tampered(prob, top, branch, level, **change) -> principal.Ladders:
@@ -87,3 +91,70 @@ def test_collapse_residuals(prob):
     res = degenerate.collapse_check(prob, 3, 1, lad=lad)
     assert [k for k, r in res.items() if not r.is_zero()] == \
         ["lower_5", "raise_5"]
+
+
+def _six_operation_pHm(prob, l, m):
+    """(C, E_lm, lambda_lm, residual) with Fraction scalars read off the
+    Taylor data, and both sides of p H^a_m - lambda p + E_lm =
+    B_l A_l + C (A_l + B_l) + C^2 built apart, through six additions."""
+    m = abs(m)
+    if m == 0:
+        C = Fraction(0)
+    else:
+        cm = ((l - 1) * prob.ppp + prob.qp) / 2
+        if cm == 0:
+            raise principal.Breakdown(l)
+        C = Fraction(m, 4) * (prob.pp0 * prob.qp - prob.ppp * prob.q0) / cm
+    lad = principal.Ladders(prob, l)
+    ent = lad.entry("minus", l)
+    E_lm = ent.E + C * (C + 2 * ent.beta) \
+        + m * (prob.qp + Fraction(m - 2, 2) * prob.ppp) * prob.p0 \
+        - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) \
+        * prob.pp0
+    lam = -(l - m) * prob.qp \
+        - Fraction(l * (l - 1) - m * (m - 1), 2) * prob.ppp
+    ham = associated.assoc_hamiltonian(prob, m)
+    lhs = DiffOp(ham.coeffs, ham.k + 1).sub(DiffOp([prob.p * lam]), prob)
+    lhs = lhs.add(DiffOp([E_lm]), prob)
+    pair = lad.pair("minus", l)
+    rhs = lad.ba("minus", l).add(
+        pair.lower.add(pair.raise_, prob).scale(C), prob)
+    rhs = rhs.add(DiffOp([C * C]), prob)
+    return C, E_lm, lam, lhs.sub(rhs, prob)
+
+
+def _engine_pHm(prob, l, m, lad):
+    C, E_lm, res = associated.pHm_factorization(prob, l, m, lad)
+    return C, E_lm, associated.assoc_lambda(prob, l, m), res
+
+
+def _record(run, *args):
+    try:
+        C, E_lm, lam, res = run(*args)
+    except principal.Breakdown as ex:
+        return "Breakdown", ex.level
+    return C, E_lm, lam, res.k, res.coeffs
+
+
+@given(st.one_of(problems(), st.sampled_from(CONSTANT_P)), st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_pHm_matches_the_six_operation_form(prob, l):
+    lad = principal.Ladders(prob, l)
+    for m in range(-l, l + 1):
+        assert _record(_engine_pHm, prob, l, m, lad) == \
+            _record(_six_operation_pHm, prob, l, m)
+
+
+def test_warm_pHm_makes_one_sub_and_one_add(monkeypatch):
+    prob = jacobi(2, 3)
+    lad = principal.Ladders(prob, 4)
+    associated.pHm_factorization(prob, 3, 2, lad)
+    signs, add = [], DiffOp.add
+
+    def counted(self, other, prob, sign=1):
+        signs.append(sign)
+        return add(self, other, prob, sign)
+    monkeypatch.setattr(DiffOp, "add", counted)
+    associated.pHm_factorization(prob, 3, 2, lad)
+    # sub is add with sign -1
+    assert sorted(signs) == [-1, 1]

@@ -89,7 +89,8 @@ def _problems():
             principal.principal_eigenfunction(prob, LEVELS)
         except (principal.Breakdown, principal.DegreeError):
             continue
-        if prob.p.degree == 2 and all(prob.c(l) for l in range(LEVELS)):
+        if prob.p.degree == 2 and all(l * prob.ppp + prob.qp
+                                      for l in range(LEVELS)):
             out.append(prob)
     return out
 
