@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .core import Poly, Problem, rational_sqrt
+from .core import Poly, Problem, int_first_order, rational_sqrt
 from .diffop import DiffOp, hamiltonian
 from .principal import (Breakdown, Ladders, _own, factor_table,
                         principal_eigenfunction)
@@ -145,22 +145,26 @@ def assoc_top_down(prob: Problem, l: int, m: int,
     """(-1)^(l-|m|) w^-1 p^(-|m|/2) (d/dx)^(l-|m|) (w p^l), sign-flipped
     for negative m.
 
-    Nikiforov and Uvarov's Rodrigues recurrence on Poly: with w'/w =
-    (q - p')/p, (d/dx)^j (w p^l) = c_j w p^(l-j), where c_0 = 1 and
+    Nikiforov and Uvarov's Rodrigues recurrence: with w'/w = (q - p')/p,
+    (d/dx)^j (w p^l) = c_j w p^(l-j), where c_0 = 1 and
 
         c_{j+1} = p c_j' + ((l - j) p' + q - p') c_j.
 
-    The full factors of p in c_{l-|m|} go into the exponent once, at the
-    end.  Phi_l is never raised, but its norm is read: a vanishing E_j is
-    Breakdown(j).
+    It runs on the integer numerators of (2D)^j c_j (prob.taylor), as
+    2D p = P2 x^2 + 2 P1 x + 2 P0 and 2D ((l - j - 1) p' + q) are integer
+    polynomials, and Poly._make reduces c_{l-|m|} once.  The full factors of
+    p in it go into the exponent once, at the end.  Phi_l is never raised,
+    but its norm is read: a vanishing E_j is Breakdown(j).
     """
     _check_range(l, m)
     am = abs(m)
-    pprime = prob.p.derivative()
-    tail = prob.q - pprime
-    c = Poly.const(1)
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
+    num = [1]
     for j in range(l - am):
-        c = prob.p * c.derivative() + ((l - j) * pprime + tail) * c
+        r = l - j - 1
+        num = int_first_order(num, (2 * P0, 2 * P1, P2),
+                              (2 * (r * P1 + Q0), 2 * (r * P2 + Q1)))
+    c = Poly._make(num, (2 * D) ** (l - am))
     # w^-1 cancels the weight.  With no derivative taken, c = 1 over p^|m|
     # stays as it is: for constant p, reducing would fold p^|m| into c.
     f = DiffOp([c], am)

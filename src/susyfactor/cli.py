@@ -84,19 +84,34 @@ def _problem_from_args(args) -> Problem:
     return Problem(_parse_poly(args.p), _parse_poly(args.q))
 
 
-def _entry_record(e: principal.FactorEntry) -> dict:
-    return {"branch": e.branch, "l": e.level, "alpha": _fmt(e.alpha),
-            "beta": _fmt(e.beta), "delta": _fmt(e.delta), "E": _fmt(e.E),
-            "lambda": _fmt(e.lam)}
+# One factorize entry as json.dumps(..., indent=2) prints it.  Every value
+# is a branch name, a level or a fraction string made of digits, "-" and
+# "/", so none needs JSON escaping.
+_ENTRY_JSON = ('    {\n      "branch": "%s",\n      "l": %d,\n'
+               '      "alpha": "%s",\n      "beta": "%s",\n'
+               '      "delta": "%s",\n      "E": "%s",\n'
+               '      "lambda": "%s"\n    }')
 
 
-def _emit(obj, args):
-    text = json.dumps(obj, indent=2)
+def _factorize_json(entries, match) -> str:
+    """json.dumps({"entries": entries, "direct_match": match}, indent=2)
+    for a nonempty list of entries, one % per entry."""
+    rows = ",\n".join([_ENTRY_JSON % (e.branch, e.level, e.alpha, e.beta,
+                                      e.delta, e.E, e.lam) for e in entries])
+    return '{\n  "entries": [\n%s\n  ],\n  "direct_match": %s\n}' % (
+        rows, json.dumps(match))
+
+
+def _write(text, args):
     if getattr(args, "output", None):
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _emit(obj, args):
+    _write(json.dumps(obj, indent=2), args)
 
 
 def _emit_csv(header, columns, args):
@@ -113,24 +128,24 @@ def _emit_csv(header, columns, args):
 
 
 def cmd_factorize(args) -> int:
+    """Each branch's recurrence table, checked against its closed forms by
+    comparing the integer records; only the printed table is built as
+    Fractions."""
     prob = _problem_from_args(args)
     branches = ["minus", "plus"] if args.branch == "both" else [args.branch]
-    report = {"entries": [], "direct_match": None}
-    match = True
+    entries, match = [], True
     for branch in branches:
         try:
-            table = principal.factor_table(prob, branch, args.levels)
+            records = principal.ladder_records(prob, branch, args.levels)
         except principal.Breakdown as ex:
-            report["entries"] += [_entry_record(e) for e in ex.entries]
-            _emit(report, args)
+            _write(_factorize_json(entries + ex.entries, None), args)
             print(json.dumps({"error": "breakdown", "level": ex.level,
                               "branch": branch}), file=sys.stderr)
             return 2
-        report["entries"] += [_entry_record(e) for e in table]
-        match = match and table == principal.direct_match_table(
+        entries += principal.factor_entries(prob, branch, records)
+        match = match and records == principal.closed_form_records(
             prob, branch, args.levels)
-    report["direct_match"] = match
-    _emit(report, args)
+    _write(_factorize_json(entries, match), args)
     return 0
 
 

@@ -43,6 +43,23 @@ def rational_sqrt(v: Fraction) -> Fraction | None:
     return None
 
 
+def int_first_order(num: list[int], p: tuple[int, int, int],
+                    e: tuple[int, int]) -> list[int]:
+    """The numerators of p f' + e f for f with numerators num (ascending),
+    p = p0 + p1 x + p2 x^2 and e = e0 + e1 x, all integers, with no gcd
+    taken: the one step of the Phi and Rodrigues chains.  Coefficient k
+    is p0 (k+1) f_{k+1} + (p1 k + e0) f_k + (p2 (k-1) + e1) f_{k-1}, so each
+    large numerator meets only small integers."""
+    p0, p1, p2 = p
+    e0, e1 = e
+    pad = [0, *num, 0, 0]
+    out = [p0 * (k + 1) * up + (p1 * k + e0) * mid + (p2 * (k - 1) + e1) * lo
+           for k, (lo, mid, up) in enumerate(zip(pad, pad[1:], pad[2:]))]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 class Poly:
     """Univariate polynomial with rational coefficients, ascending order.
 

@@ -6,12 +6,20 @@ together with eigenfunction generation by repeated raising, closed-form
 cross-check tables, shape-invariance residuals, three-term recurrences and
 the equivalent operator forms.
 
-factor_table runs its recurrence on integers over the common denominator D
-of the Taylor data: alpha_l = a_l/2D, beta_l = B_l/(2D a_l) and
-E_l = X_l/(2D a_l)^2, where a_l, B_l and X_l = B_l^2 + a_l^2 Y_l follow
-from one integer update per level.  direct_match_table evaluates the
-closed forms at each level instead and shares no recurrence with it, so
-the two remain independent checks of each other.
+Every table shares one integer record per level, (a, B, X, L) over the
+common denominator D of the Taylor data: alpha_l = a_l/2D, beta_l =
+B_l/(2D a_l) (b/2D at the lowest level), E_l = X_l/(2D a_l)^2 and
+lambda_l = L_l/2D.  ladder_records builds the records by one integer
+update per level; closed_form_records evaluates the closed forms at each
+level instead and shares no recurrence with it, so the two remain
+independent checks of each other.  The closed forms' divisors are the
+recurrence's own up to sign, a_l = -C_{l-1} on the minus branch and C_l on
+the plus branch (C_l = D (l p'' + q')), so both write a level over the
+same a_l.  With D fixed and a_l nonzero, each field is one rational read
+off one integer and back (a = 2D alpha, B = 2D a beta, X = (2D a)^2 E,
+L = 2D lambda, and delta follows from E), so two tables are equal as
+rationals exactly when their integer records are equal.  factor_entries
+builds the Fractions of a record list only where they are read.
 
 Ladders are kept unnormalized: the usual 1/sqrt(E_l) factors would leave
 the rational field, so normsq = prod E_j is tracked separately and all
@@ -25,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Poly, Problem
+from .core import Poly, Problem, int_first_order
 from .diffop import DiffOp, hamiltonian
 
 
@@ -42,6 +50,11 @@ class Breakdown(ArithmeticError):
 
 class DegreeError(ArithmeticError):
     """A generated eigenfunction lost its expected leading coefficient."""
+
+
+# one level of a factor table on integers, (a, B, X, L): see the module
+# docstring
+Record = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -66,126 +79,165 @@ def superpotential_w0(prob: Problem) -> Poly:
     return (prob.p.derivative() - prob.q) * Fraction(1, 2)
 
 
-def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry]:
-    """Levels 0..max_level (minus) or -1..max_level (plus) by recurrence.
+def _lowest(branch: str, max_level: int) -> int:
+    """The branch's lowest level, after checking branch and max_level."""
+    if branch not in ("minus", "plus"):
+        raise ValueError(f"unknown branch {branch!r}")
+    lowest = -1 if branch == "plus" else 0
+    if max_level < lowest:
+        raise ValueError(f"max_level must be >= {lowest}")
+    return lowest
 
-    The recurrence runs on integers.  With (D, P2, Q1, P1, Q0, P0) =
-    prob.taylor, p'', q', p'(0), q(0), p(0) over their common denominator
-    D, alpha_l = a_l / 2D, where a_l = -C_{l-1} (minus) or C_l (plus)
-    and C_l = l P2 + Q1; a vanishing a_l is Breakdown(l).  With s = +1
-    (minus) or -1 (plus), the ladder updates of beta and E read
+
+def ladder_records(prob: Problem, branch: str,
+                   max_level: int) -> list[Record]:
+    """The branch's records (a, B, X, L), levels lowest..max_level, by the
+    level recurrence on integers.
+
+    With (D, P2, Q1, P1, Q0, P0) = prob.taylor, alpha_l = a_l / 2D, where
+    a_l = -C_{l-1} (minus) or C_l (plus) and C_l = l P2 + Q1; a vanishing
+    a_l is Breakdown(l), carrying the entries of the levels below.  With
+    s = +1 (minus) or -1 (plus), the ladder updates of beta and E read
 
         beta_l = B_l / (2D a_l),    B_l = B_{l-1} - s P1 (a_l + a_{l-1}),
         E_l - beta_l^2 = Y_l / (2D)^2,
                                     Y_l = Y_{l-1} + 2 s P0 (a_l + a_{l-1}),
 
     so E_l = X_l / (2D a_l)^2 with the integer X_l = B_l^2 + a_l^2 Y_l, and
-    lambda_l = L_l / D with L_l = L_{l-1} + a_l (minus) or L_{l-1} - a_{l-1}
-    (plus).  The lowest level seeds B = 2D a beta and Y = -(2D beta)^2
-    from its initial data, which holds even where that a vanishes.  Each
-    field of an entry is then one Fraction; direct_match_table stays an
-    independent closed form, the cross-check of this recurrence.
+    lambda_l = L_l / 2D with L_l = L_{l-1} + 2 a_l (minus) or
+    L_{l-1} - 2 a_{l-1} (plus).  The lowest level seeds B = 2D a beta and
+    Y = -(2D beta)^2 from its initial data, which holds even where that a
+    vanishes; its record is (a, b, 0, 0) with beta = b / 2D.
     """
-    if branch not in ("minus", "plus"):
-        raise ValueError(f"unknown branch {branch!r}")
-    lowest = -1 if branch == "plus" else 0
-    if max_level < lowest:
-        raise ValueError(f"max_level must be >= {lowest}")
-    D, P2, Q1, P1, Q0, P0 = prob.taylor
-    D2 = 2 * D
+    lowest = _lowest(branch, max_level)
+    _, P2, Q1, P1, Q0, P0 = prob.taylor
     s = 1 if branch == "minus" else -1
     # level `lowest`: alpha = s (p'' - q')/2, beta = s (p'(0) - q(0))/2
     a, b = s * (P2 - Q1), s * (P1 - Q0)
     B, Y, L = a * b, -b * b, 0
-    E = zero = Fraction(0)
-    entries = [FactorEntry(branch, lowest, Fraction(a, D2), Fraction(b, D2),
-                           zero, zero, zero)]
+    records = [(a, b, 0, 0)]
     for l in range(lowest + 1, max_level + 1):
         a_prev = a
         a -= s * P2
         if a == 0:
-            raise Breakdown(l, entries=entries)
+            raise Breakdown(l, entries=factor_entries(prob, branch, records))
         B -= s * P1 * (a + a_prev)
         Y += 2 * s * P0 * (a + a_prev)
-        L += a if s == 1 else -a_prev
-        E_prev, E = E, Fraction(B * B + a * a * Y, D2 * D2 * a * a)
-        entries.append(FactorEntry(branch, l, Fraction(a, D2),
-                                   Fraction(B, D2 * a), E - E_prev, E,
-                                   Fraction(L, D)))
-    return entries
+        L += 2 * a if s == 1 else -2 * a_prev
+        records.append((a, B, B * B + a * a * Y, L))
+    return records
+
+
+def closed_form_records(prob: Problem, branch: str,
+                        max_level: int) -> list[Record]:
+    """The branch's records (a, B, X, L), each level from its closed form.
+
+    With prob.taylor = (D, P2, Q1, P1, Q0, P0), C_l = l P2 + Q1 and d_l =
+    l P1 + Q0 are D (l p'' + q') and D (l p'(0) + q(0)).  Each level is
+    evaluated on its own, sharing no recurrence with ladder_records; a
+    vanishing divisor is Breakdown(l), with no entries.  The lowest level
+    is the shared initial data.
+    """
+    lowest = _lowest(branch, max_level)
+    _, P2, Q1, P1, Q0, P0 = prob.taylor
+    s = 1 if branch == "minus" else -1
+    records = [(s * (P2 - Q1), s * (P1 - Q0), 0, 0)]
+    for l in range(lowest + 1, max_level + 1):
+        cl, cm = l * P2 + Q1, (l - 1) * P2 + Q1
+        dl, dm = l * P1 + Q0, (l - 1) * P1 + Q0
+        lam = l * ((l - 1) * cl - (l + 1) * cm)
+        if branch == "minus":
+            if cm == 0:
+                raise Breakdown(l)
+            records.append((
+                -cm, l * cm * dl - (l * cl - cm) * dm,
+                l * (dm * (2 * cm * dl - (cm + cl) * dm) - 2 * cm * cm * P0)
+                * ((l + 2) * cm - l * cl),
+                lam))
+        else:
+            if cl == 0:
+                raise Breakdown(l)
+            # lambda^+_l = lambda^-_l + p'' - q'
+            records.append((
+                cl, ((l + 1) * cm + cl) * dl - (l + 1) * cl * dm,
+                (l + 1) * (dl * ((cm + cl) * dl - 2 * cl * dm)
+                           - 2 * cl * cl * P0) * ((l + 1) * cm - (l - 1) * cl),
+                lam + 2 * (P2 - Q1)))
+    return records
+
+
+def factor_entries(prob: Problem, branch: str,
+                   records: list[Record]) -> list[FactorEntry]:
+    """The FactorEntry of each record, the lowest level first.
+
+    alpha = a/2D, beta = B/(2D a) (b/2D at the lowest level), E =
+    X/(2D a)^2 and lambda = L/2D; the lowest level's E, delta and lambda
+    are 0.  delta_l = E_l - E_{l-1} is one Fraction over the product of
+    the two levels' divisors.
+    """
+    D2 = 2 * prob.taylor[0]
+    lowest = -1 if branch == "plus" else 0
+    (a, b, _, _), *rest = records
+    zero = Fraction(0)
+    out = [FactorEntry(branch, lowest, Fraction(a, D2), Fraction(b, D2),
+                       zero, zero, zero)]
+    X_prev, den_prev = 0, 1
+    for l, (a, B, X, L) in enumerate(rest, lowest + 1):
+        den = (D2 * a) ** 2
+        out.append(FactorEntry(
+            branch, l, Fraction(a, D2), Fraction(B, D2 * a),
+            Fraction(X * den_prev - X_prev * den, den * den_prev),
+            Fraction(X, den), Fraction(L, D2)))
+        X_prev, den_prev = X, den
+    return out
+
+
+def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry]:
+    """Levels 0..max_level (minus) or -1..max_level (plus) by recurrence:
+    the entries of ladder_records.
+
+    direct_match_table reads the same record (a, B, X, L) off the closed
+    forms, with alpha = a/2D, beta = B/(2D a), E = X/(2D a)^2 and lambda =
+    L/2D.  Its divisors are this recurrence's a_l, and with D fixed and a_l
+    nonzero each field is one rational read off one integer, so the two
+    tables are equal exactly when their record lists are: a caller that
+    only compares them compares the records.
+    """
+    return factor_entries(prob, branch,
+                          ladder_records(prob, branch, max_level))
 
 
 def direct_match_table(prob: Problem, branch: str,
                        max_level: int) -> list[FactorEntry]:
-    """One branch via closed forms; must equal factor_table entry-wise.
-
-    The closed forms run on integers: with prob.taylor = (D, P2, Q1, P1,
-    Q0, P0), C_l = l P2 + Q1 and d_l = l P1 + Q0 are D (l p'' + q') and
-    D (l p'(0) + q(0)), and each field is one integer numerator over one
-    integer denominator.  The divisors are the recurrence's, C_{l-1}
-    (minus) and C_l (plus), so a level factor_table builds never breaks
-    here; the lowest level is the shared initial data.
-    """
-    if branch not in ("minus", "plus"):
-        raise ValueError(f"unknown branch {branch!r}")
-    lowest = -1 if branch == "plus" else 0
-    if max_level < lowest:
-        raise ValueError(f"max_level must be >= {lowest}")
-    D, P2, Q1, P1, Q0, P0 = prob.taylor
-    D2, DD4 = 2 * D, 4 * D * D
-    s = 1 if branch == "minus" else -1
-    zero = Fraction(0)
-    out = [FactorEntry(branch, lowest, Fraction(s * (P2 - Q1), D2),
-                       Fraction(s * (P1 - Q0), D2), zero, zero, zero)]
-    prev_E = zero
-    for l in range(lowest + 1, max_level + 1):
-        cl, cm = l * P2 + Q1, (l - 1) * P2 + Q1
-        dl, dm = l * P1 + Q0, (l - 1) * P1 + Q0
-        if branch == "minus":
-            if cm == 0:
-                raise Breakdown(l)
-            alpha = Fraction(-cm, D2)
-            beta = Fraction((l * cl - cm) * dm - l * cm * dl, D2 * cm)
-            E = Fraction(l * (dm * (2 * cm * dl - (cm + cl) * dm)
-                              - 2 * cm * cm * P0)
-                         * ((l + 2) * cm - l * cl), DD4 * cm * cm)
-            lam = Fraction(l * ((l - 1) * cl - (l + 1) * cm), D2)
-        else:
-            if cl == 0:
-                raise Breakdown(l)
-            alpha = Fraction(cl, D2)
-            beta = Fraction(-(l + 1) * cl * dm + ((l + 1) * cm + cl) * dl,
-                            D2 * cl)
-            E = Fraction((l + 1) * (dl * ((cm + cl) * dl - 2 * cl * dm)
-                                    - 2 * cl * cl * P0)
-                         * ((l + 1) * cm - (l - 1) * cl), DD4 * cl * cl)
-            # lambda^+_l = lambda^-_l + p'' - q'
-            lam = Fraction(l * ((l - 1) * cl - (l + 1) * cm) + 2 * (P2 - Q1),
-                           D2)
-        out.append(FactorEntry(branch, l, alpha, beta, E - prev_E, E, lam))
-        prev_E = E
-    return out
+    """One branch via closed forms; must equal factor_table entry-wise:
+    the entries of closed_form_records."""
+    return factor_entries(prob, branch,
+                          closed_form_records(prob, branch, max_level))
 
 
 class Ladders:
     """One problem's ladder data, each piece built on first use and kept.
 
-    The factor tables run to level ``top`` (minus 0..top, plus -1..top) and
-    are built one branch at a time, so a caller touching only one branch
-    raises only that branch's Breakdown.  Ladder pairs, their products
-    A_l B_l and B_l A_l (all polynomial operators), and the Phi chain
-    hang off the tables; ``memo`` keeps whatever else the checks of the
-    principal, associated and degenerate layers share, such as the per-m
-    associated operators.  The verify suite builds one per request; a
-    standalone check builds its own, so both run the same code.
+    The integer records run to level ``top`` (minus 0..top, plus -1..top)
+    and are built one branch at a time, so a caller touching only one
+    branch raises only that branch's Breakdown; the tables of Fractions
+    are built from them where a check reads them.  Ladder pairs and their
+    products A_l B_l and B_l A_l (all polynomial operators) hang off the
+    tables, the Phi chain and its norms off the minus records; ``memo``
+    keeps whatever else the checks of the principal, associated and
+    degenerate layers share, such as the per-m associated operators.  The
+    verify suite builds one per request; a standalone check builds its
+    own, so both run the same code.
     """
 
     def __init__(self, prob: Problem, top: int):
         self.prob = prob
         self.top = top
         self.w0 = superpotential_w0(prob)
+        self._records: dict[str, list[Record]] = {}
         self._tables: dict[str, list[FactorEntry]] = {}
-        self._phis = [Poly.const(1)]
+        self._phis = {0: Poly.const(1)}     # the levels a caller read
+        self._chain = (0, [1], 1)           # highest raise: (j, num, den)
         self._norms = [Fraction(1)]    # prefix products of E_j
         self._memo: dict = {}
 
@@ -195,9 +247,17 @@ class Ladders:
             self._memo[key] = build()
         return self._memo[key]
 
+    def records(self, branch: str) -> list[Record]:
+        """The branch's integer records (ladder_records) to level top."""
+        if branch not in self._records:
+            self._records[branch] = ladder_records(self.prob, branch,
+                                                   self.top)
+        return self._records[branch]
+
     def table(self, branch: str) -> list[FactorEntry]:
         if branch not in self._tables:
-            self._tables[branch] = factor_table(self.prob, branch, self.top)
+            self._tables[branch] = factor_entries(self.prob, branch,
+                                                  self.records(branch))
         return self._tables[branch]
 
     def entry(self, branch: str, l: int) -> FactorEntry:
@@ -228,38 +288,69 @@ class Ladders:
         return self.memo(("BA", branch, l),
                          lambda: pair.raise_.compose(pair.lower, self.prob))
 
-    def _raise(self, j: int) -> None:
-        """Append Phi_j = -p Phi_{j-1}' + (W0 + W_j) Phi_{j-1}."""
-        phi = self._phis[j - 1]
-        self._phis.append(-self.prob.p * phi.derivative()
-                          + (self.w0 + self.wl("minus", j)) * phi)
+    def _raise(self, j: int, num: list[int], den: int
+               ) -> tuple[list[int], int]:
+        """Phi_j from Phi_{j-1} = num/den, unreduced, over den 2D |a_j|.
+
+        With the minus record (a_j, B_j, X_j, L_j) and prob.taylor,
+
+            2D a_j Phi_j = -a_j (2D p) Phi_{j-1}'
+                           + 2D a_j (W0 + W_j) Phi_{j-1},
+
+        where 2D p = P2 x^2 + 2 P1 x + 2 P0 and 2D a_j (W0 + W_j) =
+        a_j (P2 - Q1 + a_j) x + a_j (P1 - Q0) + B_j are integer polynomials.
+        """
+        D, P2, Q1, P1, Q0, P0 = self.prob.taylor
+        a, B, _, _ = self.records("minus")[j]
+        sign = 1 if a > 0 else -1      # keeps the denominator positive
+        g = sign * a
+        return (int_first_order(num, (-2 * g * P0, -2 * g * P1, -g * P2),
+                                (sign * (a * (P1 - Q0) + B),
+                                 g * (P2 - Q1 + a))),
+                den * 2 * D * g)
 
     def phi(self, l: int) -> Poly:
-        """Phi_l, raised on Poly once per level.
+        """Phi_l, raised on integers and reduced once per level read.
 
         Each request checks what one raise from 1 to l would: no E_j,
         j <= l, vanishes (else Breakdown(j)), then Phi_l keeps degree l (a
         raise adds at most one degree, so a degree lost anywhere shows at
         l).  The norm goes first: a vanishing E_j can zero Phi_j itself
         (on the line q' = p''/2, E_1 = 0 and Phi_1 = 0), and Breakdown names
-        that level where the degree count would not.
+        that level where the degree count would not.  The raise starts
+        from the nearest level already kept, a Poly a caller read or the
+        unreduced numerators of the highest level raised, and Poly._make
+        reduces only the level read.
         """
-        for j in range(len(self._phis), l + 1):
-            self._raise(j)
         self.normsq(l)
-        if self._phis[l].degree != l:
-            raise DegreeError(
-                f"expected degree {l}, got {self._phis[l].degree}")
+        if l in self._phis:
+            return self._phis[l]
+        j, num, den = self._chain
+        k = max(k for k in self._phis if k <= l)
+        if j > l or k >= j:
+            j, num, den = k, self._phis[k].num, self._phis[k].den
+        for j in range(j + 1, l + 1):
+            num, den = self._raise(j, num, den)
+        if l > self._chain[0]:
+            self._chain = (l, num, den)
+        if len(num) - 1 != l:
+            raise DegreeError(f"expected degree {l}, got {len(num) - 1}")
+        self._phis[l] = Poly._make(list(num), den)
         return self._phis[l]
 
     def normsq(self, l: int) -> Fraction:
-        """prod E_j over j = 1..l; the first vanishing E_j is Breakdown(j)."""
+        """prod E_j over j = 1..l, E_j = X_j/(2D a_j)^2 off the minus
+        records; the first vanishing E_j is Breakdown(j)."""
+        records = self.records("minus")
+        if not 0 <= l <= self.top:
+            raise ValueError(f"level {l} outside 0..{self.top}")
         norms = self._norms
+        D2 = 2 * self.prob.taylor[0]
         for j in range(len(norms), l + 1):
-            E = self.entry("minus", j).E
-            if E == 0:
+            a, _, X, _ = records[j]
+            if X == 0:
                 raise Breakdown(j, f"E vanishes at level {j}")
-            norms.append(norms[-1] * E)
+            norms.append(norms[-1] * Fraction(X, (D2 * a) ** 2))
         return norms[l]
 
 

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -337,19 +338,101 @@ def test_numeric_at_a_double_root_of_p_stays_on_one_side(task, code, err):
 
 def test_breakdown_prints_the_entries_already_built(monkeypatch):
     calls = []
-    factor_table = cli.principal.factor_table
 
-    def counted(prob, branch, max_level):
-        calls.append(branch)
-        return factor_table(prob, branch, max_level)
-    monkeypatch.setattr(cli.principal, "factor_table", counted)
+    def count(name):
+        build = getattr(cli.principal, name)
+
+        def counted(prob, branch, max_level):
+            calls.append((name, branch))
+            return build(prob, branch, max_level)
+        monkeypatch.setattr(cli.principal, name, counted)
+    count("ladder_records")
+    count("closed_form_records")
     # p = x^2, q = -4x: the plus table stops at level 2
     code, out, err = _main(["factorize", "--p", "1,0,0", "--q", "-4,0",
                             "--levels", "4", "--branch", "plus"])
-    assert code == 2 and calls == ["plus"]
+    assert code == 2 and calls == [("ladder_records", "plus")]
     assert json.loads(err) == {"error": "breakdown", "level": 2,
                                "branch": "plus"}
     assert [e["l"] for e in json.loads(out)["entries"]] == [-1, 0, 1]
+
+
+# (factorize arguments, exit code): a full table over fractions, both
+# branches, a full minus table then a plus table that stops at level 3
+# ("direct_match": null), and a partial plus table alone
+FACTORIZE = [
+    (["--family", "jacobi:1/2,1/2", "--levels", "6", "--branch", "both"], 0),
+    (["--p", "-1/2,1/3,2", "--q", "-3/2,1/4", "--levels", "9", "--branch",
+      "both"], 0),
+    (["--p", "1,0,1", "--q", "-6,0", "--levels", "3", "--branch", "both"], 2),
+    (["--p", "1,0,0", "--q", "-4,0", "--levels", "4", "--branch", "plus"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", FACTORIZE)
+def test_factorize_prints_the_bytes_of_json_dumps(tmp_path, argv, code):
+    got, out, _ = _main(["factorize", *argv])
+    obj = json.loads(out)
+    assert got == code and out == json.dumps(obj, indent=2) + "\n"
+    assert obj["direct_match"] is (True if code == 0 else None)
+    # no value needs JSON escaping: branch names, and fraction strings made
+    # of digits, "-" and "/"
+    for e in obj["entries"]:
+        assert e["branch"] in ("minus", "plus") and isinstance(e["l"], int)
+        for key in ("alpha", "beta", "delta", "E", "lambda"):
+            assert re.fullmatch(r"-?[0-9]+(/[0-9]+)?", e[key]), e
+    path = tmp_path / "table.json"
+    assert _main(["factorize", *argv, "--output", str(path)])[:2] \
+        == (code, "")
+    assert path.read_text() == out
+
+
+@given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                min_size=1, max_size=3),
+       st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9),
+                min_size=2, max_size=2),
+       st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_factorize_json_on_random_problems(p, q, levels):
+    if not any(p):
+        p[0] = 1
+    argv = ["factorize", "--p", ",".join(map(str, p)), "--q",
+            ",".join(map(str, q)), "--levels", str(levels), "--branch", "both"]
+    code, out, _ = _main(argv)
+    assert code in (0, 2)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_factorize_reports_a_tampered_closed_form(monkeypatch):
+    # negative control: one closed-form record off by one in X (E_3 off by
+    # 1/(2D a_3)^2) makes the integer comparison fail
+    closed = cli.principal.closed_form_records
+
+    def tampered(prob, branch, max_level):
+        records = closed(prob, branch, max_level)
+        a, B, X, L = records[3]
+        records[3] = (a, B, X + 1, L)
+        return records
+    monkeypatch.setattr(cli.principal, "closed_form_records", tampered)
+    code, out, err = _main(["factorize", "--family", "legendre",
+                            "--levels", "5", "--branch", "both"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["direct_match"] is False
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--family", "jacobi:2,3", "--levels", "400", "--branch", "both"], 0),
+    (["--p", "1,0,0", "--q", "-800,0", "--levels", "400", "--branch",
+      "both"], 2)])
+def test_factorize_output_file_holds_the_stdout_bytes(tmp_path, argv, code):
+    cmd = [sys.executable, "-m", "susyfactor.cli", "factorize", *argv]
+    shown = subprocess.run(cmd, capture_output=True)
+    path = tmp_path / "table.json"
+    written = subprocess.run([*cmd, "--output", str(path)],
+                             capture_output=True)
+    assert (shown.returncode, written.returncode) == (code, code)
+    assert (written.stdout, written.stderr) == (b"", shown.stderr)
+    assert path.read_bytes() == shown.stdout
 
 
 def test_numeric_rejects_flags_the_task_does_not_read(tmp_path):

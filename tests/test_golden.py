@@ -26,7 +26,10 @@ def test_golden_outputs_unchanged():
 # on commit 6e72839, whose checks returned booleans; (the last two, where
 # p'', q', p'(0), q(0) and p(0) are all nonzero, as on no preset, and whose
 # normsq runs through the lambda product) on commit 0f7b77c, whose tables and
-# lambda each put (p, q) over their own common denominator.  golden.json
+# lambda each put (p, q) over their own common denominator; (the l = 300
+# eigenfunctions and the factorize whose plus table breaks at level 400) on
+# commit d9596fe, whose factor tables built a Fraction per field and whose
+# Phi and Rodrigues chains built a reduced Poly per step.  golden.json
 # stops at l <= 7, 12 levels and verify at level 2, with no negative m, no
 # bottom-up form at m != 0, no perturbed suite and no constant p off the
 # presets
@@ -92,11 +95,47 @@ LARGE = {
         "d355e7e90b0dcd2ffc9ddb2afc81a82e017967a60279a157c082cfceb839f209",
     "eigenfunction --p -1/2,1/3,2 --q -3/2,1/4 --l 9 --m -4 --form bottomup":
         "7d2decaf197ae9e3e48640712bff935b15ac9cc1315c57f02968353d34d6bfae",
+    "eigenfunction --family legendre --l 300 --m 0 --form bottomup":
+        "06809728f9ce61e6b36531b7c8cce719f850d38b569b7a2e939a2170b73cd4a8",
+    "eigenfunction --family legendre --l 300 --m 0 --form topdown":
+        "737cf62408ddb3b0c7a64fdcd8f223b6ee5d57652cb36548cea7962c914d0fea",
+    "eigenfunction --family jacobi:2,3 --l 300 --m 0 --form bottomup":
+        "9ba61edd9ae1f6b46d0253f3d9218689128080bba89f7adf2d1b0c7476d2f409",
+    "eigenfunction --family jacobi:2,3 --l 300 --m 0 --form topdown":
+        "4c1030250955d24a410c97862e7d9ae8e2e7045e60fb5d3dbd3a8e45fb543c49",
+    "eigenfunction --family laguerre:1 --l 300 --m 0 --form bottomup":
+        "bc65027e6bf90857f081ff9c18408fb394586d77f403e23715bad406bea97001",
+    "eigenfunction --family laguerre:1 --l 300 --m 0 --form topdown":
+        "94506c5a902698e5b208dff7838b6e81b45bb967deb1dd62e8e7f4b29513e425",
+    "eigenfunction --family hermite --l 300 --m 0 --form bottomup":
+        "2a7c7d6ff51011a32a85aea264e13e7126bc040311ba21ba959b3064a8c4bc69",
+    "eigenfunction --family hermite --l 300 --m 0 --form topdown":
+        "1beba36a95bfd6b78ec5a841c0784fe3d23bd83a621e86d671612ddc3ba5f575",
+    "eigenfunction --family hypergeom:1/3,1/5,7/2 --l 300 --m 0 "
+    "--form bottomup":
+        "d1fae22dc5d9a45df9a22506a2e47636515e4529d2504022f6766b5ca95b586f",
+    "eigenfunction --family hypergeom:1/3,1/5,7/2 --l 300 --m 0 "
+    "--form topdown":
+        "abf4d678927277fc1f09e3def77bf965032f7d5bd94deb5836066210e3c2642d",
+    "eigenfunction --family hypergeom:1/3,1/5,7/2 --l 300 --m 100 "
+    "--form bottomup":
+        "1859e79052ec16485ceec32e396601c5f0167ba9c966da27a58617c5de652d17",
+    "eigenfunction --family hypergeom:1/3,1/5,7/2 --l 300 --m 100 "
+    "--form topdown":
+        "894decd208213bf4da4907c80bdcb761e5b249e749326e4c6413a990e9177f87",
+    "eigenfunction --family confluent:3 --l 300 --m 0 --form bottomup":
+        "7371c11f2631fe9a228d140b1c4b44ca17be5876457ab223930dd64f3248bdeb",
+    "eigenfunction --family confluent:3 --l 300 --m 0 --form topdown":
+        "dd3e898178a9dbaa7c99a4d99142148fd93752d1c97151e227c29a821321aa25",
+    "factorize --p 1,0,0 --q -800,0 --levels 400 --branch both":
+        "a82c87fc93251c04f5ffd397c9f92d460c4b1f2a05aaf4b13827cef94eec8b98",
 }
 
 
-# exit codes other than 0; the perturbed suite must fail
-EXIT = {"verify --family legendre --levels 4 --perturb-delta 1": 1}
+# exit codes other than 0; the perturbed suite must fail, and the plus
+# table of p = x^2, q = -800 x breaks at level 400
+EXIT = {"verify --family legendre --levels 4 --perturb-delta 1": 1,
+        "factorize --p 1,0,0 --q -800,0 --levels 400 --branch both": 2}
 
 
 @pytest.mark.parametrize("command", list(LARGE))

@@ -113,31 +113,41 @@ def _run(argv):
 
 
 def test_one_table_per_branch_and_one_raise_per_level(monkeypatch):
-    tables, raises = [], []
-    factor_table, raise_ = principal.factor_table, principal.Ladders._raise
+    records, tables, raises = [], [], []
+    ladder_records = principal.ladder_records
+    factor_entries = principal.factor_entries
+    raise_ = principal.Ladders._raise
 
-    def counted_table(prob, branch, max_level):
-        tables.append((branch, max_level))
-        return factor_table(prob, branch, max_level)
+    def counted_records(prob, branch, max_level):
+        records.append((branch, max_level))
+        return ladder_records(prob, branch, max_level)
 
-    def counted_raise(self, j):
+    def counted_entries(prob, branch, recs):
+        tables.append(branch)
+        return factor_entries(prob, branch, recs)
+
+    def counted_raise(self, j, *chain):
         raises.append(j)
-        raise_(self, j)
-    monkeypatch.setattr(principal, "factor_table", counted_table)
+        return raise_(self, j, *chain)
+    monkeypatch.setattr(principal, "ladder_records", counted_records)
+    monkeypatch.setattr(principal, "factor_entries", counted_entries)
     monkeypatch.setattr(principal.Ladders, "_raise", counted_raise)
 
     code, out, _ = _run(["verify", "--family", "jacobi:2,3", "--levels", "8"])
     assert code == 0 and json.loads(out)["all_pass"] is True
-    assert sorted(tables) == [("minus", 9), ("plus", 9)]
+    assert sorted(records) == [("minus", 9), ("plus", 9)]
+    assert sorted(tables) == ["minus", "plus"]
     assert raises == list(range(1, 10))
 
-    # the top-down form reads the norm from the table, raising nothing
+    # the top-down form reads the norm from the records, raising nothing;
+    # no form builds a table of Fractions
+    records.clear()
     tables.clear()
     raises.clear()
     code, out, _ = _run(["eigenfunction", "--family", "jacobi:2,3",
                          "--l", "12", "--m", "3", "--form", "topdown"])
     assert code == 0 and json.loads(out)["proportional_to_alternate"]
-    assert tables == [("minus", 12)]
+    assert records == [("minus", 12)] and tables == []
     assert raises == list(range(1, 13))
 
 
@@ -170,12 +180,12 @@ def test_no_program_path_builds_a_quasi_function(monkeypatch):
 def test_collapse_shares_the_context(monkeypatch):
     # constant p: the suite's tables reach collapse_check's depth at once
     tables = []
-    factor_table = principal.factor_table
+    ladder_records = principal.ladder_records
 
-    def counted_table(prob, branch, max_level):
+    def counted_records(prob, branch, max_level):
         tables.append((branch, max_level))
-        return factor_table(prob, branch, max_level)
-    monkeypatch.setattr(principal, "factor_table", counted_table)
+        return ladder_records(prob, branch, max_level)
+    monkeypatch.setattr(principal, "ladder_records", counted_records)
     code, out, _ = _run(["verify", "--family", "hermite", "--levels", "2"])
     checks = json.loads(out)["checks"]
     assert code == 0 and checks["collapse_2_1"] is True

@@ -466,34 +466,35 @@ def test_numeric_requests_build_each_input_once(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
-    for owner, name in ((principal, "factor_table"),
+    for owner, name in ((principal, "ladder_records"),
                         (numeric, "principal_eigenfunction"),
                         (numeric, "_natural_domain"), (numeric, "quad"),
                         (numeric, "solve_ivp")):
         count(owner, name)
     raise_ = principal.Ladders._raise
 
-    def counted_raise(lad, j):
+    def counted_raise(lad, j, *chain):
         raised.append(j)
-        raise_(lad, j)
+        return raise_(lad, j, *chain)
     monkeypatch.setattr(principal.Ladders, "_raise", counted_raise)
 
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["numeric", "residual", "--family", "jacobi:2,3",
                          "--l", "5"]) == 0
-    assert counts == Counter({"factor_table": 1, "principal_eigenfunction": 1,
+    assert counts == Counter({"ladder_records": 1,
+                              "principal_eigenfunction": 1,
                               "_natural_domain": 1, "quad": 0,
                               "solve_ivp": 0})
     assert raised == [1, 2, 3, 4, 5]
 
     counts.clear()
     numeric.potentials(jacobi(2, 3), 3, 1, numeric.Grid.uniform(-0.9, 0.9, 9))
-    assert counts["factor_table"] == 1
+    assert counts["ladder_records"] == 1
 
     counts.clear()
     raised.clear()
     numeric.orthogonality_matrix(jacobi(2, 3), 5)
-    assert counts["factor_table"] == 1 and raised == [1, 2, 3, 4, 5]
+    assert counts["ladder_records"] == 1 and raised == [1, 2, 3, 4, 5]
 
 
 def test_orthogonality(family):

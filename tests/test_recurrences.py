@@ -2,10 +2,13 @@
 code they replaced.
 
 ``_fraction_factor_table`` is factor_table as it ran on Fractions, ten
-gcd-normalized operations per level; ``_derive_top_down`` is the top-down
-Phi_lm as it ran through QuasiFunction.derive, one canonicalization per
-derivative.  Entries, Breakdown levels, partial tables and functions must
-match the engine's exactly.
+gcd-normalized operations per level; ``_fraction_direct_table`` is
+direct_match_table as it ran with one Fraction per field and delta as a
+Fraction difference; ``_derive_top_down`` is the top-down Phi_lm as it ran
+through QuasiFunction.derive, one canonicalization per derivative.
+Entries, Breakdown levels, partial tables and functions must match the
+engine's exactly, and comparing integer records must decide what
+comparing their entries decides.
 """
 
 from fractions import Fraction
@@ -65,6 +68,43 @@ def _fraction_factor_table(prob, branch, max_level):
     return entries
 
 
+def _fraction_direct_table(prob, branch, max_level):
+    lowest = -1 if branch == "plus" else 0
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
+    D2, DD4 = 2 * D, 4 * D * D
+    s = 1 if branch == "minus" else -1
+    zero = Fraction(0)
+    out = [FactorEntry(branch, lowest, Fraction(s * (P2 - Q1), D2),
+                       Fraction(s * (P1 - Q0), D2), zero, zero, zero)]
+    prev_E = zero
+    for l in range(lowest + 1, max_level + 1):
+        cl, cm = l * P2 + Q1, (l - 1) * P2 + Q1
+        dl, dm = l * P1 + Q0, (l - 1) * P1 + Q0
+        if branch == "minus":
+            if cm == 0:
+                raise Breakdown(l)
+            alpha = Fraction(-cm, D2)
+            beta = Fraction((l * cl - cm) * dm - l * cm * dl, D2 * cm)
+            E = Fraction(l * (dm * (2 * cm * dl - (cm + cl) * dm)
+                              - 2 * cm * cm * P0)
+                         * ((l + 2) * cm - l * cl), DD4 * cm * cm)
+            lam = Fraction(l * ((l - 1) * cl - (l + 1) * cm), D2)
+        else:
+            if cl == 0:
+                raise Breakdown(l)
+            alpha = Fraction(cl, D2)
+            beta = Fraction(-(l + 1) * cl * dm + ((l + 1) * cm + cl) * dl,
+                            D2 * cl)
+            E = Fraction((l + 1) * (dl * ((cm + cl) * dl - 2 * cl * dm)
+                                    - 2 * cl * cl * P0)
+                         * ((l + 1) * cm - (l - 1) * cl), DD4 * cl * cl)
+            lam = Fraction(l * ((l - 1) * cl - (l + 1) * cm) + 2 * (P2 - Q1),
+                           D2)
+        out.append(FactorEntry(branch, l, alpha, beta, E - prev_E, E, lam))
+        prev_E = E
+    return out
+
+
 def _table_outcome(build, prob, branch, max_level):
     try:
         return build(prob, branch, max_level)
@@ -99,6 +139,59 @@ def test_integer_table_matches_fraction_recurrence(prob, branch, max_level):
 def test_integer_table_matches_fraction_recurrence_at_400(family, branch):
     assert principal.factor_table(family, branch, 400) == \
         _fraction_factor_table(family, branch, 400)
+
+
+@given(table_problems(), st.sampled_from(["minus", "plus"]),
+       st.integers(-1, 30))
+@settings(max_examples=300, deadline=None)
+def test_closed_form_entries_match_fraction_closed_forms(prob, branch,
+                                                         max_level):
+    assume(max_level >= (-1 if branch == "plus" else 0))
+    assert _table_outcome(principal.direct_match_table, prob, branch,
+                          max_level) \
+        == _table_outcome(_fraction_direct_table, prob, branch, max_level)
+
+
+# the fields of an integer record that factor_entries reads at the lowest
+# level, and at every level above it
+LOWEST_FIELDS, FIELDS = (0, 1), (0, 1, 2, 3)
+
+
+@given(table_problems(), st.sampled_from(["minus", "plus"]),
+       st.integers(0, 30), st.data())
+@settings(max_examples=300, deadline=None)
+def test_record_comparison_is_entry_comparison(prob, branch, max_level,
+                                               data):
+    lowest = -1 if branch == "plus" else 0
+    try:
+        records = principal.ladder_records(prob, branch, max_level)
+    except Breakdown as ex:
+        # the partial entries are the closed forms' below the break, entry
+        # for entry, and the closed forms break at the same level
+        if ex.level - 1 >= lowest:
+            assert ex.entries == _fraction_direct_table(prob, branch,
+                                                        ex.level - 1)
+        with pytest.raises(Breakdown) as closed:
+            principal.closed_form_records(prob, branch, max_level)
+        assert closed.value.level == ex.level
+        return
+    closed = principal.closed_form_records(prob, branch, max_level)
+    assert records == closed
+    assert principal.factor_entries(prob, branch, records) \
+        == _fraction_direct_table(prob, branch, max_level)
+    # one closed-form record moved by a drawn amount, zero included
+    i = data.draw(st.integers(0, len(closed) - 1))
+    field = data.draw(st.sampled_from(FIELDS if i else LOWEST_FIELDS))
+    shift = data.draw(st.one_of(st.integers(-2, 2),
+                                st.sampled_from([2 * prob.taylor[0],
+                                                 closed[i][0] ** 2])))
+    moved = list(closed[i])
+    moved[field] += shift
+    assume(i == 0 or moved[0] != 0)
+    tampered = closed[:i] + [tuple(moved)] + closed[i + 1:]
+    assert (records == tampered) == (
+        principal.factor_entries(prob, branch, records)
+        == principal.factor_entries(prob, branch, tampered))
 
 
 def test_vanishing_E_keeps_the_table():

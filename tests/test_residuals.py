@@ -1,5 +1,6 @@
 """Every check family returns residuals: zero on the presets, and nonzero
-once the Ladders context it reads holds one tampered table entry.
+once the Ladders context it reads holds one tampered table entry, or one
+tampered integer record where the check reads the Phi chain.
 pHm_factorization's residual equals the one both sides of its balance
 give when built apart."""
 
@@ -17,16 +18,37 @@ from conftest import hermite, jacobi
 from test_ladders import _passes, problems
 
 
+# the fields of an integer record (principal.ladder_records)
+RECORD = ("a", "B", "X", "L")
+
+
+def _field(lad, branch, level, field):
+    """A field of the level's table entry, or of its integer record."""
+    if field in RECORD:
+        i = level + (1 if branch == "plus" else 0)
+        return lad.records(branch)[i][RECORD.index(field)]
+    return getattr(lad.entry(branch, level), field)
+
+
 def _tampered(prob, top, branch, level, **change) -> principal.Ladders:
-    """A fresh context whose branch table has one entry changed."""
+    """A fresh context whose branch table has one entry changed, or whose
+    integer records (which the Phi chain reads) have one record changed."""
     lad = principal.Ladders(prob, top)
-    table = lad.table(branch)
     i = level + (1 if branch == "plus" else 0)
-    table[i] = replace(table[i], **change)
+    (field, value), = change.items()
+    if field in RECORD:
+        records = lad.records(branch)
+        rec = list(records[i])
+        rec[RECORD.index(field)] = value
+        records[i] = tuple(rec)
+    else:
+        table = lad.table(branch)
+        table[i] = replace(table[i], **change)
     return lad
 
 
-# (check, the table entry to tamper): each check reads the tampered field
+# (check, the table entry or record to tamper): each check reads the
+# tampered field; verify_associated reads the minus records through Phi_l
 CHECKS = {
     "shape_invariance_minus": (
         lambda prob, lad: principal.shape_invariance_check(
@@ -45,7 +67,7 @@ CHECKS = {
             prob, 2, lad), ("minus", 2, "E")),
     "associated": (
         lambda prob, lad: associated.verify_associated(prob, 3, 1, lad),
-        ("minus", 1, "beta")),
+        ("minus", 1, "B")),
     "pHm": (
         lambda prob, lad: associated.pHm_factorization(prob, 3, 2, lad)[2],
         ("minus", 3, "E")),
@@ -61,8 +83,7 @@ def test_residuals_vanish_on_the_presets(family, name):
 @pytest.mark.parametrize("name", list(CHECKS))
 def test_one_tampered_entry_leaves_a_residual(family, name):
     check, (branch, level, field) = CHECKS[name]
-    lad = principal.Ladders(family, 4)
-    value = getattr(lad.entry(branch, level), field)
+    value = _field(principal.Ladders(family, 4), branch, level, field)
     lad = _tampered(family, 4, branch, level, **{field: value + 1})
     assert not _passes(check(family, lad))
 
