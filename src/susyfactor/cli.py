@@ -175,11 +175,10 @@ def cmd_eigenfunction(args) -> int:
     return 0
 
 
-def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
-    """Every identity at levels 0..levels, all read from one context.
-
-    Each check gives its residuals, one DiffOp or a dict of them, and
-    passes only when every one of them is zero."""
+def _verify_residuals(prob: Problem, levels: int, perturb: Fraction
+                      ) -> dict:
+    """The residuals of every identity at levels 0..levels, all read from
+    one context: per check, one DiffOp or a dict of them."""
     if levels < 0:
         raise ValueError(f"--levels must be >= 0, got {levels}")
     checks: dict = {}
@@ -221,9 +220,15 @@ def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
             for m in range(l + 1):
                 checks[f"collapse_{l}_{m}"] = degenerate.collapse_check(
                     prob, l, m, lad=lad)
+    return checks
+
+
+def _verify_suite(prob: Problem, levels: int, perturb: Fraction) -> dict:
+    """Each check of _verify_residuals, passed only when every one of its
+    residuals is zero."""
     return {name: all(r.is_zero() for r in res.values())
             if isinstance(res, dict) else res.is_zero()
-            for name, res in checks.items()}
+            for name, res in _verify_residuals(prob, levels, perturb).items()}
 
 
 def cmd_verify(args) -> int:

@@ -4,7 +4,9 @@ Every symbolic computation in this package is exact.  Scalars are
 ``fractions.Fraction``.  A :class:`Poly` holds its
 rational coefficients fraction-free, as integer numerators over one
 positive integer denominator, so its arithmetic runs on Python ints with
-one gcd per result; ``Poly.coeffs`` is the ``Fraction`` view.  A
+one gcd per result; ``Poly.coeffs`` is the ``Fraction`` view.  Its product
+and division loops, ``int_mul_add`` and ``int_divmod``, are the ones the
+diffop module's integer rows run on too.  A
 :class:`Problem` is the pair (p, q) of the operator -p d^2/dx^2 - q d/dx.
 
 Every function the package builds is ``p(x)**s * c(x)``, with ``c`` a Poly
@@ -58,6 +60,54 @@ def int_first_order(num: list[int], p: tuple[int, int, int],
     while out and not out[-1]:
         out.pop()
     return out
+
+
+def int_mul_add(out: list[int], a, b) -> list[int]:
+    """out += a b on integer coefficient lists (ascending), in place, with
+    out zero-extended to the product's length and no gcd taken: the one
+    product loop of Poly and DiffOp.  Returns out."""
+    short = len(a) + len(b) - 1 - len(out)
+    if short > 0:
+        out.extend([0] * short)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def int_divmod(num, b) -> tuple[list[int], list[int], int]:
+    """(quo, rem, scale) with scale num = quo b + rem and deg rem < deg b,
+    for integer coefficient lists (ascending) and b nonzero: the one
+    division loop of Poly and DiffOp.
+
+    Pseudo-division by b's leading entry: before a coefficient is cleared,
+    the working numerators are scaled by the part of that entry the
+    coefficient lacks, so a leading +-1 never scales anything, and where b
+    is primitive and divides num exactly, scale stays 1 (Gauss's lemma).
+    """
+    d, lead = len(b) - 1, b[-1]
+    sign = 1 if lead > 0 else -1
+    rem = list(num)
+    quo = [0] * max(0, len(rem) - d)
+    scale = 1
+    for k in range(len(rem) - 1, d - 1, -1):
+        r = rem[k]
+        if not r:
+            continue
+        g = gcd(r, lead)
+        f = abs(lead) // g
+        if f != 1:
+            scale *= f
+            rem = [n * f for n in rem[:k]]
+            quo = [n * f for n in quo]
+        else:
+            del rem[k:]
+        c = r // g * sign
+        quo[k - d] = c
+        for j in range(d):
+            rem[k - d + j] -= c * b[j]
+    return quo, rem, scale
 
 
 class Poly:
@@ -184,12 +234,7 @@ class Poly:
         a, b = self.num, other.num
         if not a or not b:
             return Poly()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return Poly._make(out, self.den * other.den)
+        return Poly._make(int_mul_add([], a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -230,37 +275,11 @@ class Poly:
         return acc
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """(q, r) with self = q other + r and deg r < deg other.
-
-        Integer pseudo-division by the divisor's leading numerator: before
-        a coefficient is cleared, the working numerators are scaled by the
-        part of that numerator the coefficient lacks, so a leading +-1
-        never scales anything.
-        """
-        b = other.num
-        if not b:
+        """(q, r) with self = q other + r and deg r < deg other, by
+        integer pseudo-division of the numerators (``int_divmod``)."""
+        if not other.num:
             raise ZeroDivisionError("polynomial division by zero")
-        d, lead = len(b) - 1, b[-1]
-        sign = 1 if lead > 0 else -1
-        rem = list(self.num)
-        quo = [0] * max(0, len(rem) - d)
-        scale = 1
-        for k in range(len(rem) - 1, d - 1, -1):
-            r = rem[k]
-            if not r:
-                continue
-            g = gcd(r, lead)
-            f = abs(lead) // g
-            if f != 1:
-                scale *= f
-                rem = [n * f for n in rem[:k]]
-                quo = [n * f for n in quo]
-            else:
-                del rem[k:]
-            c = r // g * sign
-            quo[k - d] = c
-            for j in range(d):
-                rem[k - d + j] -= c * b[j]
+        quo, rem, scale = int_divmod(self.num, other.num)
         den = scale * self.den
         return (Poly._make([n * other.den for n in quo], den),
                 Poly._make(rem, den))

@@ -1,12 +1,20 @@
 """Differential operators p^k * sum_j c_j (d/dx)^j.
 
-An operator keeps Poly coefficients c_j and one rational exponent k of the
-problem's p.  That one ring holds every operator the package builds:
+An operator keeps polynomial coefficients c_j and one rational exponent k
+of the problem's p.  That one ring holds every operator the package builds:
 conjugating by p^s w^e only shifts d/dx by nu/p, with nu = s p' + e (q - p')
 a polynomial, and the standard momentum sqrt(p) d/dx is p^(-1/2) (p d/dx).
 Its zeroth-order members are the package's one function type: p^s c, with
 c a Poly and s a half-integer, is DiffOp([c], s), and ``reduced`` gives its
 canonical form.
+
+The coefficients are held fraction-free, as ``Poly`` holds its own: one
+tuple of integer numerators per derivative order (``rows``) over one
+positive denominator ``den``, canonical with no trailing zero row or entry
+and ``gcd(den, *entries) == 1``.  Every operation runs on Python ints with
+one gcd per result, through the product and division loops of ``core``
+(``int_mul_add``, ``int_divmod``); ``coeffs``, the canonical ``Poly`` of
+each order, is a view built on first read and kept.
 
 Supports composition (Leibniz expansion), the eigen-residual on
 polynomials, and conjugation by weight factors p^s w^e -- the bilateral
@@ -21,136 +29,255 @@ ValueError.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, gcd, lcm
 from typing import Iterable
 
-from .core import Poly, Problem
+from .core import Poly, Problem, int_divmod, int_mul_add
+
+_ZERO = Fraction(0)
 
 
-def _coefficient(c) -> Poly:
-    if isinstance(c, Poly):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return Poly.const(c)
-    raise TypeError(f"not an operator coefficient: {c!r}")
+def _derivative(row) -> list[int]:
+    return [j * n for j, n in enumerate(row)][1:]
+
+
+def _powers(row, n: int) -> list[list[int]]:
+    """The numerators of row^0 .. row^n."""
+    out = [[1]]
+    for _ in range(n):
+        out.append(int_mul_add([], out[-1], row))
+    return out
+
+
+def _combine(a, fa: int, b, fb: int) -> list[list[int]]:
+    """fa a + fb b, row by row, for row lists a and b."""
+    if len(a) < len(b):
+        a, fa, b, fb = b, fb, a, fa
+    out = [[n * fa for n in row] for row in a]
+    for row, rb in zip(out, b):
+        if len(row) < len(rb):
+            row.extend([0] * (len(rb) - len(row)))
+        for i, n in enumerate(rb):
+            row[i] += n * fb
+    return out
 
 
 class DiffOp:
-    """p^k * sum_j coeffs[j] (d/dx)^j, with Poly coefficients."""
+    """p^k * sum_j (rows[j] / den) (d/dx)^j, with integer rows."""
 
-    __slots__ = ("coeffs", "k")
+    __slots__ = ("rows", "den", "k", "_coeffs")
 
     def __init__(self, coeffs: Iterable = (), k=0):
-        cs = [_coefficient(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs: tuple[Poly, ...] = tuple(cs)
+        """p^k * sum_j coeffs[j] (d/dx)^j, for Poly, int or Fraction
+        coefficients."""
+        pairs = []
+        for c in coeffs:
+            if isinstance(c, Poly):
+                pairs.append((c.num, c.den))
+            elif isinstance(c, (int, Fraction)):
+                pairs.append(((c.numerator,) if c else (), c.denominator))
+            else:
+                raise TypeError(f"not an operator coefficient: {c!r}")
+        while pairs and not pairs[-1][0]:
+            pairs.pop()
+        # the lcm of canonical denominators leaves no factor common to
+        # every numerator, so this is already canonical
+        den = lcm(*(d for _, d in pairs))
+        self.rows: tuple[tuple[int, ...], ...] = tuple(
+            num if d == den else tuple(n * (den // d) for n in num)
+            for num, d in pairs)
+        self.den: int = den
         # the zero operator has k = 0, so it aligns with every operator
-        self.k = Fraction(k) if cs else Fraction(0)
+        self.k: Fraction = Fraction(k) if pairs else _ZERO
+        self._coeffs: tuple[Poly, ...] | None = None
+
+    @classmethod
+    def _make(cls, rows: list, den: int, k: Fraction) -> "DiffOp":
+        """The canonical operator p^k rows/den, for any den > 0 and rows of
+        integer lists: one gcd.  A classmethod, as Poly._make is, so
+        per-method timing wrappers count the operations only."""
+        for row in rows:
+            while row and not row[-1]:
+                row.pop()
+        while rows and not rows[-1]:
+            rows.pop()
+        if not rows:
+            den, k = 1, _ZERO
+        elif den != 1:
+            g = gcd(den, *chain.from_iterable(rows))
+            if g != 1:
+                rows = [[n // g for n in row] for row in rows]
+                den //= g
+        out = object.__new__(cls)
+        out.rows, out.den, out.k = tuple(map(tuple, rows)), den, k
+        out._coeffs = None
+        return out
+
+    def _at(self, k: Fraction) -> "DiffOp":
+        """The same coefficients over p^k, canonical as they stand."""
+        out = object.__new__(DiffOp)
+        out.rows, out.den, out.k, out._coeffs = \
+            self.rows, self.den, k, self._coeffs
+        return out
+
+    @property
+    def coeffs(self) -> tuple[Poly, ...]:
+        """The canonical Poly of each derivative order, ascending."""
+        if self._coeffs is None:
+            den = self.den
+            self._coeffs = tuple(Poly._make(list(row), den)
+                                 for row in self.rows)
+        return self._coeffs
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     def coeff(self, j: int) -> Poly:
-        if 0 <= j < len(self.coeffs):
+        if 0 <= j < len(self.rows):
             return self.coeffs[j]
         return Poly()
-
-    def _aligned(self, other: "DiffOp", prob: Problem):
-        """The coefficients of self and other over the lower of their p^k."""
-        ds = self.k - other.k
-        if ds.denominator != 1:
-            raise ValueError("operators on incommensurate p powers")
-        f = prob.p ** abs(int(ds))
-        a = tuple(c * f for c in self.coeffs) if ds > 0 else self.coeffs
-        b = tuple(c * f for c in other.coeffs) if ds < 0 else other.coeffs
-        return a, b, min(self.k, other.k)
 
     def reduced(self, prob: Problem) -> "DiffOp":
         """self with every factor p common to the coefficients moved into
         k: the canonical form of an operator, and of a function p^s c.  A
         constant p divides everything, so there the integer part of k
-        moves into the coefficients instead."""
-        p, cs, k = prob.p, self.coeffs, self.k
+        moves into the coefficients instead.
+
+        p = c B/pd with B primitive, so p divides a row over the rationals
+        exactly when B divides it over the integers, with an integer
+        quotient (Gauss's lemma); each pass stops at the first row it does
+        not divide."""
+        p, rows, k = prob.p, self.rows, self.k
+        if not rows:
+            return self
         if p.degree == 0:
             n = k.numerator // k.denominator
-            return DiffOp([c * p[0] ** n for c in cs], k - n) if n else self
-        while cs:
-            quo = [c.divmod(p) for c in cs]
-            if any(not r.is_zero() for _, r in quo):
-                break
-            cs, k = [q for q, _ in quo], k + 1
-        return self if k == self.k else DiffOp(cs, k)
+            if not n:
+                return self
+            # times (P/pd)^n, over a positive denominator
+            f, d = (p.num[0], p.den) if n > 0 else (p.den, p.num[0])
+            f, d = f ** abs(n), d ** abs(n)
+            if d < 0:
+                f, d = -f, -d
+            return DiffOp._make([[m * f for m in row] for row in rows],
+                                self.den * d, k - n)
+        c = gcd(*p.num)
+        b = [m // c for m in p.num]
+        n = 0
+        while True:
+            quos = []
+            for row in rows:
+                quo, rem, _ = int_divmod(row, b) if row else ([], (), 1)
+                if any(rem):
+                    break
+                quos.append(quo)
+            else:
+                rows, n = quos, n + 1
+                continue
+            break
+        if not n:
+            return self
+        # rows / p^n = (rows / B^n) pd^n / c^n
+        f = p.den ** n
+        return DiffOp._make([[m * f for m in row] for row in rows],
+                            self.den * c ** n, k + n)
 
     def add(self, other: "DiffOp", prob: Problem, sign=1) -> "DiffOp":
-        """self + sign * other, for sign 1 or -1, in one pass."""
+        """self + sign * other, for sign 1 or -1, in one pass, over the
+        lower of their p^k."""
         if other.is_zero():
             return self
         if self.is_zero():
             return other if sign == 1 else other.scale(-1)
-        a, b, k = self._aligned(other, prob)
-        out = list(a) + [Poly()] * (len(b) - len(a))
-        for j, c in enumerate(b):
-            out[j] = out[j] + c if sign == 1 else out[j] - c
-        return DiffOp(out, k)
+        ds = self.k - other.k
+        if ds.denominator != 1:
+            raise ValueError("operators on incommensurate p powers")
+        a, b, da, db = self.rows, other.rows, self.den, other.den
+        if ds:
+            # the operand over the higher p^k times p^|ds| = P^|ds|/pd^|ds|
+            n = abs(int(ds))
+            pn = _powers(prob.p.num, n)[n]
+            if ds > 0:
+                a = [int_mul_add([], row, pn) for row in a]
+                da *= prob.p.den ** n
+            else:
+                b = [int_mul_add([], row, pn) for row in b]
+                db *= prob.p.den ** n
+        g = gcd(da, db)
+        return DiffOp._make(_combine(a, db // g, b, sign * da // g),
+                            da // g * db, min(self.k, other.k))
 
     def sub(self, other: "DiffOp", prob: Problem) -> "DiffOp":
         return self.add(other, prob, -1)
 
     def scale(self, s) -> "DiffOp":
-        return DiffOp([c * s for c in self.coeffs], self.k)
+        """self times the rational s."""
+        f = s.numerator
+        return DiffOp._make([[n * f for n in row] for row in self.rows],
+                            self.den * s.denominator, self.k)
 
     def compose(self, other: "DiffOp", prob: Problem) -> "DiffOp":
         """Operator product self ∘ other: the left coefficients pass
         p^(other.k) by conjugation, then the Leibniz rule expands."""
-        left = DiffOp(self.coeffs)
+        left = self._at(_ZERO) if self.k else self
         if other.k:
             left = left.conjugate(-other.k, 0, prob)
-        out: dict = {}
-        for j, aj in enumerate(left.coeffs):
-            if aj.is_zero():
+        out: list[list[int]] = []
+        for j, aj in enumerate(left.rows):
+            if not aj:
                 continue
-            for r, br in enumerate(other.coeffs):
-                if br.is_zero():
-                    continue
+            for r, br in enumerate(other.rows):
                 d = br
                 for i in range(j + 1):
-                    term = aj * d * comb(j, i)
+                    if not d:
+                        break
                     n = j - i + r
-                    out[n] = out[n] + term if n in out else term
+                    if len(out) <= n:
+                        out.extend([] for _ in range(n + 1 - len(out)))
+                    c = comb(j, i)
+                    int_mul_add(out[n], [m * c for m in aj] if c != 1
+                                else aj, d)
                     if i < j:
-                        d = d.derivative()
-        top = max(out, default=-1)
-        return DiffOp([out.get(n, Poly()) for n in range(top + 1)],
-                      self.k + other.k + left.k)
-
-    def _on_poly(self, f: Poly) -> Poly:
-        """sum_j c_j f^(j): self f without its factor p^k."""
-        out, d = Poly(), f
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * d
-            if j < self.order:
-                d = d.derivative()
-        return out
+                        d = _derivative(d)
+        return DiffOp._make(out, left.den * other.den,
+                            self.k + other.k + left.k)
 
     def eigen_residual(self, f: Poly, lam, prob: Problem) -> "DiffOp":
         """(self - lam) f for a polynomial f: the function p^k c, held as
         DiffOp([c], k), zero exactly when self f = lam f."""
-        out, rhs, k = self._on_poly(f), f * lam, self.k
+        # self f without its p^k: sum_j rows[j] f^(j) over den f.den
+        out, d = [], f.num
+        for row in self.rows:
+            if not d:
+                break
+            if row:
+                int_mul_add(out, row, d)
+            d = _derivative(d)
+        od = self.den * f.den
+        rhs, rd = [n * lam.numerator for n in f.num], f.den * lam.denominator
+        k = self.k
         if k.denominator != 1:
             # p^k out - rhs is one function p^s c only where a side
             # vanishes; elsewhere sub raises
-            return DiffOp([out], k).sub(DiffOp([rhs]), prob)
+            return DiffOp._make([out], od, k).sub(
+                DiffOp._make([rhs], rd, _ZERO), prob)
+        p = prob.p
         if k > 0:
-            out, k = out * prob.p ** int(k), 0
+            n = int(k)
+            out, od, k = int_mul_add([], out, _powers(p.num, n)[n]), \
+                od * p.den ** n, _ZERO
         elif k < 0:
-            rhs = rhs * prob.p ** int(-k)
-        return DiffOp([out - rhs], k)
+            n = int(-k)
+            rhs, rd = int_mul_add([], rhs, _powers(p.num, n)[n]), \
+                rd * p.den ** n
+        g = gcd(od, rd)
+        return DiffOp._make(_combine([out], rd // g, [rhs], -od // g),
+                            od // g * rd, k)
 
     def conjugate(self, s, e, prob: Problem) -> "DiffOp":
         """(p^s w^e) self (p^s w^e)^(-1), exact.
@@ -159,27 +286,57 @@ class DiffOp:
         nu = p g'/g = s p' + e (q - p').  D^j = p^-j T_j with T_0 = 1 and
         T_(j+1) = (p d/dx - j p' - nu) T_j, so each power lowers k by one;
         the factors of p the coefficients share then go back into k.
+
+        On integers: nu = V/vd and p = P/pd, so T~_j = (pd vd)^j T_j has
+        integer rows, T~_(j+1) = vd P T~_j' - (j vd P' + pd V) T~_j +
+        vd P (d/dx) T~_j, and the sum over j of c_j p^(n-j) T_j is one
+        integer operator over den pd^n (pd vd)^n.
         """
-        p = prob.p
-        pprime = p.derivative()
-        nu = Fraction(s) * pprime + Fraction(e) * (prob.q - pprime)
-        if nu.is_zero():
+        if self.is_zero():
+            return self
+        p, q = prob.p, prob.q
+        # nu = (s - e) p' + e q = V / vd
+        a, e = Fraction(s) - Fraction(e), Fraction(e)
+        pnum, pd = p.num, p.den
+        dp = _derivative(pnum)
+        vd = a.denominator * e.denominator * pd * q.den
+        (v,) = _combine([dp], a.numerator * e.denominator * q.den,
+                        [q.num], e.numerator * a.denominator * pd)
+        if not any(v):
             return self.reduced(prob)
-        n = self.order
-        out = [Poly()] * (n + 1)
-        t = [Poly.const(1)]                  # T_j, by powers of d/dx
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                c = c * p ** (n - j)
+        g = gcd(vd, *v)
+        if g != 1:
+            v, vd = [m // g for m in v], vd // g
+        rows, n = self.rows, self.order
+        vp = [m * vd for m in pnum]
+        vdp = [m * vd for m in dp]
+        pv = [m * pd for m in v]
+        dd = pd * vd
+        pows = _powers(pnum, n)
+        out: list[list[int]] = [[] for _ in range(n + 1)]
+        t = [[1]]                            # T~_j, by powers of d/dx
+        for j, row in enumerate(rows):
+            if row:
+                f = int_mul_add([], row, pows[n - j]) if j < n else row
+                c = pd ** j * dd ** (n - j)
+                if c != 1:
+                    f = [m * c for m in f]
                 for i, ti in enumerate(t):
-                    out[i] = out[i] + c * ti
+                    int_mul_add(out[i], f, ti)
             if j < n:
-                g = pprime * j + nu
-                nxt = [p * ti.derivative() - g * ti for ti in t] + [Poly()]
+                # -(j vd P' + pd V)
+                (gj,) = _combine([vdp], -j, [pv], -1)
+                nxt = []
                 for i, ti in enumerate(t):
-                    nxt[i + 1] = nxt[i + 1] + p * ti
+                    acc = int_mul_add([], gj, ti)
+                    int_mul_add(acc, vp, _derivative(ti))
+                    if i:
+                        int_mul_add(acc, vp, t[i - 1])
+                    nxt.append(acc)
+                nxt.append(int_mul_add([], vp, t[-1]))
                 t = nxt
-        return DiffOp(out, self.k - n).reduced(prob)
+        return DiffOp._make(out, self.den * pd ** n * dd ** n,
+                            self.k - n).reduced(prob)
 
     def __repr__(self):
         if self.is_zero():

@@ -3,10 +3,12 @@
 ``brute_force_eigen_oracle`` is an eigenpair built independently of the
 ladders.  ``apply`` and ``poly_ratio`` act on the package's one function
 type, p^s c held as the zeroth-order ``DiffOp([c], s)``, and on plain
-polynomials.
+polynomials.  ``RefDiffOp`` is the operator algebra with one ``Poly`` per
+coefficient, the reference for ``DiffOp``'s integer rows.
 """
 
 from fractions import Fraction
+from math import comb
 
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp
@@ -62,3 +64,126 @@ def poly_ratio(a: Poly, b: Poly):
         return None
     ka, kb = a.coeffs[-1], b.coeffs[-1]
     return ka / kb if a * kb == b * ka else None
+
+
+class RefDiffOp:
+    """p^k * sum_j coeffs[j] (d/dx)^j with one Poly per coefficient, each
+    operation on Poly arithmetic: the reference for DiffOp's integer rows
+    over one denominator."""
+
+    __slots__ = ("coeffs", "k")
+
+    def __init__(self, coeffs=(), k=0):
+        cs = [c if isinstance(c, Poly) else Poly.const(c) for c in coeffs]
+        while cs and cs[-1].is_zero():
+            cs.pop()
+        self.coeffs = tuple(cs)
+        self.k = Fraction(k) if cs else Fraction(0)
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _aligned(self, other, prob):
+        ds = self.k - other.k
+        if ds.denominator != 1:
+            raise ValueError("operators on incommensurate p powers")
+        f = prob.p ** abs(int(ds))
+        a = tuple(c * f for c in self.coeffs) if ds > 0 else self.coeffs
+        b = tuple(c * f for c in other.coeffs) if ds < 0 else other.coeffs
+        return a, b, min(self.k, other.k)
+
+    def reduced(self, prob):
+        p, cs, k = prob.p, self.coeffs, self.k
+        if p.degree == 0:
+            n = k.numerator // k.denominator
+            return RefDiffOp([c * p[0] ** n for c in cs], k - n) if n \
+                else self
+        while cs:
+            quo = [c.divmod(p) for c in cs]
+            if any(not r.is_zero() for _, r in quo):
+                break
+            cs, k = [q for q, _ in quo], k + 1
+        return self if k == self.k else RefDiffOp(cs, k)
+
+    def add(self, other, prob, sign=1):
+        if other.is_zero():
+            return self
+        if self.is_zero():
+            return other if sign == 1 else other.scale(-1)
+        a, b, k = self._aligned(other, prob)
+        out = list(a) + [Poly()] * (len(b) - len(a))
+        for j, c in enumerate(b):
+            out[j] = out[j] + c if sign == 1 else out[j] - c
+        return RefDiffOp(out, k)
+
+    def sub(self, other, prob):
+        return self.add(other, prob, -1)
+
+    def scale(self, s):
+        return RefDiffOp([c * s for c in self.coeffs], self.k)
+
+    def compose(self, other, prob):
+        left = RefDiffOp(self.coeffs)
+        if other.k:
+            left = left.conjugate(-other.k, 0, prob)
+        out: dict = {}
+        for j, aj in enumerate(left.coeffs):
+            if aj.is_zero():
+                continue
+            for r, br in enumerate(other.coeffs):
+                if br.is_zero():
+                    continue
+                d = br
+                for i in range(j + 1):
+                    term = aj * d * comb(j, i)
+                    n = j - i + r
+                    out[n] = out[n] + term if n in out else term
+                    if i < j:
+                        d = d.derivative()
+        top = max(out, default=-1)
+        return RefDiffOp([out.get(n, Poly()) for n in range(top + 1)],
+                         self.k + other.k + left.k)
+
+    def eigen_residual(self, f, lam, prob):
+        out, d = Poly(), f
+        for j, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                out = out + c * d
+            if j < self.order:
+                d = d.derivative()
+        rhs, k = f * lam, self.k
+        if k.denominator != 1:
+            return RefDiffOp([out], k).sub(RefDiffOp([rhs]), prob)
+        if k > 0:
+            out, k = out * prob.p ** int(k), 0
+        elif k < 0:
+            rhs = rhs * prob.p ** int(-k)
+        return RefDiffOp([out - rhs], k)
+
+    def conjugate(self, s, e, prob):
+        """(p^s w^e) self (p^s w^e)^(-1): D^j = p^-j T_j with T_0 = 1 and
+        T_(j+1) = (p d/dx - j p' - nu) T_j, nu = s p' + e (q - p')."""
+        p = prob.p
+        pprime = p.derivative()
+        nu = Fraction(s) * pprime + Fraction(e) * (prob.q - pprime)
+        if nu.is_zero():
+            return self.reduced(prob)
+        n = self.order
+        out = [Poly()] * (n + 1)
+        t = [Poly.const(1)]
+        for j, c in enumerate(self.coeffs):
+            if not c.is_zero():
+                c = c * p ** (n - j)
+                for i, ti in enumerate(t):
+                    out[i] = out[i] + c * ti
+            if j < n:
+                g = pprime * j + nu
+                nxt = [p * ti.derivative() - g * ti for ti in t] + [Poly()]
+                for i, ti in enumerate(t):
+                    nxt[i + 1] = nxt[i + 1] + p * ti
+                t = nxt
+        return RefDiffOp(out, self.k - n).reduced(prob)

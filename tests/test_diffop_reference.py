@@ -1,0 +1,191 @@
+"""DiffOp's integer rows against the one-Poly-per-coefficient reference
+(oracles.RefDiffOp): every operation gives the same k and the same
+canonical coefficients, and operators on incommensurate powers of p still
+raise ValueError.  The hot operations build no Poly at all."""
+
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from susyfactor import associated
+from susyfactor.core import Poly, Problem
+from susyfactor.diffop import DiffOp, hamiltonian
+
+from conftest import jacobi, legendre
+from oracles import RefDiffOp
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+nonzero = small.filter(bool)
+halves = st.integers(-4, 4).map(lambda n: Fraction(n, 2))
+quarters = st.integers(-8, 8).map(lambda n: Fraction(n, 4))
+
+
+@st.composite
+def ps(draw):
+    """p constant, linear, or quadratic with rational, irrational or no
+    real roots."""
+    a = draw(nonzero)
+    kind = draw(st.sampled_from(["constant", "linear", "rational",
+                                 "irrational", "complex"]))
+    if kind == "constant":
+        return Poly([a])
+    r = draw(small)
+    if kind == "linear":
+        return Poly([-r, 1]) * a
+    if kind == "rational":
+        return Poly([-r, 1]) * Poly([-draw(small), 1]) * a
+    d = draw(st.sampled_from([2, 3, 5, Fraction(1, 2)]))
+    # (x - r)^2 -+ d: irrational roots r +- sqrt(d), or none
+    sign = -1 if kind == "irrational" else 1
+    return Poly([r * r + sign * d, -2 * r, 1]) * a
+
+
+@st.composite
+def problems(draw):
+    return Problem(draw(ps()), Poly(draw(st.lists(small, max_size=2))))
+
+
+@st.composite
+def operators(draw, prob):
+    """Coefficients of order 0-2 with degree <= 3, sharing a factor p^t
+    (t <= 2) often enough that reduced has work to do, and k in Z/2."""
+    order = draw(st.integers(0, 2))
+    t = draw(st.integers(0, 2))
+    cs = [Poly(draw(st.lists(small, max_size=4))) * prob.p ** t
+          for _ in range(order + 1)]
+    return cs, draw(halves)
+
+
+def _outcome(run):
+    try:
+        op = run()
+    except ValueError as ex:
+        return "ValueError", str(ex)
+    return op.k, op.coeffs
+
+
+def _canonical(op) -> bool:
+    rows = op.rows
+    if not rows:
+        return op.den == 1 and op.k == 0
+    return op.den > 0 and all(not row or row[-1] for row in rows) \
+        and rows[-1] and gcd(op.den, *(n for row in rows for n in row)) == 1
+
+
+def _same(new, ref) -> bool:
+    """new and ref give the same outcome, and new's is canonical."""
+    a, b = _outcome(new), _outcome(ref)
+    if a != b:
+        return False
+    return a[0] == "ValueError" or _canonical(new())
+
+
+def _pair(cs, k):
+    return DiffOp(cs, k), RefDiffOp(cs, k)
+
+
+@given(st.data(), problems())
+@settings(max_examples=100, deadline=None)
+def test_every_operation_matches_the_reference(data, prob):
+    a, ra = _pair(*data.draw(operators(prob)))
+    b, rb = _pair(*data.draw(operators(prob)))
+    s, e = data.draw(quarters), data.draw(quarters)
+    c = data.draw(small)
+    f = Poly(data.draw(st.lists(small, max_size=4)))
+    lam = data.draw(small)
+    assert _canonical(a)
+    assert _same(lambda: a.compose(b, prob), lambda: ra.compose(rb, prob))
+    assert _same(lambda: a.conjugate(s, e, prob),
+                 lambda: ra.conjugate(s, e, prob))
+    assert _same(lambda: a.add(b, prob), lambda: ra.add(rb, prob))
+    assert _same(lambda: a.sub(b, prob), lambda: ra.sub(rb, prob))
+    assert _same(lambda: a.scale(c), lambda: ra.scale(c))
+    assert _same(lambda: a.reduced(prob), lambda: ra.reduced(prob))
+    assert _same(lambda: a.eigen_residual(f, lam, prob),
+                 lambda: ra.eigen_residual(f, lam, prob))
+
+
+@given(problems(), st.integers(0, 4), quarters, quarters)
+@settings(max_examples=60, deadline=None)
+def test_hamiltonians_match_the_reference(prob, m, s, e):
+    """The package's own operators: H0, H^a_m and the conjugation chains
+    built from them."""
+    h = hamiltonian(prob)
+    rh = RefDiffOp(h.coeffs, h.k)
+    ha = associated.assoc_hamiltonian(prob, m)
+    rha = RefDiffOp(ha.coeffs, ha.k)
+    assert _same(lambda: h.conjugate(s, e, prob),
+                 lambda: rh.conjugate(s, e, prob))
+    assert _same(lambda: ha.conjugate(Fraction(-m, 2), 0, prob),
+                 lambda: rha.conjugate(Fraction(-m, 2), 0, prob))
+    assert _same(lambda: ha.compose(h, prob), lambda: rha.compose(rh, prob))
+    assert _same(lambda: h.compose(ha, prob), lambda: rh.compose(rha, prob))
+
+
+def test_incommensurate_powers_raise():
+    prob = legendre()
+    half = DiffOp([Poly([1, 2])], Fraction(1, 2))
+    one = DiffOp([Poly([0, 1]), 3])
+    for run in (lambda: half.add(one, prob), lambda: one.sub(half, prob),
+                lambda: half.eigen_residual(Poly([1, 1]), 2, prob)):
+        with pytest.raises(ValueError, match="incommensurate"):
+            run()
+
+
+@given(st.data(), problems())
+@settings(max_examples=40, deadline=None)
+def test_one_changed_entry_is_seen(data, prob):
+    """Negative control: the comparison fails once one row entry of the
+    result moves."""
+    a, ra = _pair(*data.draw(operators(prob)))
+    s = data.draw(quarters)
+    new = a.conjugate(s, 0, prob)
+    if new.is_zero():
+        return
+    j = data.draw(st.integers(0, new.order))
+    rows = [list(row) for row in new.rows]
+    i = data.draw(st.integers(0, len(rows[j])))
+    rows[j][i:i + 1] = [(rows[j][i] if i < len(rows[j]) else 0) + 1]
+    bad = DiffOp._make(rows, new.den, new.k)
+    assert _same(lambda: new, lambda: ra.conjugate(s, 0, prob))
+    assert not _same(lambda: bad, lambda: ra.conjugate(s, 0, prob))
+
+
+def test_hot_operations_build_no_poly(monkeypatch):
+    """compose, conjugate, add, sub, scale, reduced and eigen_residual run
+    on the integer rows and never read coeffs."""
+    prob = jacobi(2, 3)
+    h = hamiltonian(prob)
+    ha = associated.assoc_hamiltonian(prob, 3)
+    lower, raise_ = associated.assoc_ladders(prob, 2)
+    root = DiffOp([Poly([1, 0, 2]), Poly([0, 1])], Fraction(1, 2))
+    f = Poly([1, -2, 3])
+    built = []
+    make, init = Poly._make.__func__, Poly.__init__
+
+    def counted_make(cls, num, den):
+        built.append("_make")
+        return make(cls, num, den)
+
+    def counted_init(self, coeffs=()):
+        built.append("__init__")
+        init(self, coeffs)
+    monkeypatch.setattr(Poly, "_make", classmethod(counted_make))
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    conj = ha.conjugate(Fraction(-3, 2), 0, prob)
+    aligned = h.compose(root, prob)
+    ops = [conj, aligned, lower.compose(raise_, prob),
+           h.conjugate(Fraction(1, 4), Fraction(1, 2), prob),
+           h.add(ha, prob), ha.sub(h, prob), aligned.sub(root, prob),
+           ha.scale(Fraction(-2, 3)),
+           DiffOp._make([[1, 0, -1], [0, 3, 0, -3]], 2, Fraction(0)).reduced(
+               prob),
+           conj.eigen_residual(f, Fraction(5, 2), prob),
+           root.eigen_residual(f, 0, prob)]
+    assert built == []
+    assert all(op._coeffs is None for op in ops)
+    assert ops[8].k == 1 and ops[8].rows == ((1,), (0, 3))
+    # the guard counts: reading the view builds one Poly per order
+    assert len(conj.coeffs) == len(built) == conj.order + 1

@@ -2,7 +2,9 @@
 and of a few requests at the sizes the eigen-ladder workload reaches."""
 
 import hashlib
+import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,8 @@ sys.path.insert(0, str(PERFBENCH))
 
 from client import Client  # noqa: E402
 import golden  # noqa: E402
+
+from susyfactor import cli  # noqa: E402
 
 
 def test_golden_outputs_unchanged():
@@ -143,3 +147,44 @@ def test_large_outputs_unchanged(command):
     out = Client().run_cli(command.split())
     assert (out.rc, out.exc) == (EXIT.get(command, 0), None)
     assert hashlib.sha256(out.stdout.encode()).hexdigest() == LARGE[command]
+
+
+# sha256 of every residual of the verify suite, each serialized as
+# (k, [str(c) for c in coeffs]), as recorded on commit 25be5bb, whose
+# operators held one Poly per coefficient.  verify prints only booleans, so
+# a residual that changes but stays nonzero shows only here; the perturbed
+# suites' shape-invariance residuals are the nonzero ones
+ZERO_8 = "21f59ac3100d9ae5d84eaf272943f4b4083a5500c48c9478f0c9f1be930aea8e"
+RESIDUALS = {
+    "verify --family legendre --levels 8": ZERO_8,
+    "verify --family jacobi:2,3 --levels 8": ZERO_8,
+    "verify --family laguerre:1 --levels 8": ZERO_8,
+    "verify --family hermite --levels 8":
+        "25a76d6778a991544fb44e8980fbb6fb89ccec5655543f0aeb6549807fb3e073",
+    "verify --family hypergeom:1/3,1/5,7/2 --levels 8": ZERO_8,
+    "verify --family confluent:3 --levels 8": ZERO_8,
+    "verify --family legendre --levels 4 --perturb-delta 1":
+        "f8e67bbd7afcd38fe4eca82558eaf259bc8df9479487f9a89ab209eb8e2bad67",
+    "verify --family jacobi:2,3 --levels 8 --perturb-delta 1":
+        "aa4ac6d5c645235f53f0c277d8e1ff9ce03d5f017d7c73521d1cef599bbf5da8",
+    "verify --p -1/2,1/3,2 --q -3/2,1/4 --levels 4":
+        "239b9f96054860df9eee1799f8e971d0e2e09f4588e222bd649de752e730153d",
+    "verify --p 2 --q -3,1 --levels 4 --perturb-delta 1":
+        "18bfbdcb5e59f73da04860ddc9de0c8689bbb29c03e1baa01e750dd8990ea788",
+}
+
+
+def _serial(res):
+    if isinstance(res, dict):
+        return {name: _serial(r) for name, r in res.items()}
+    return [str(res.k), [str(c) for c in res.coeffs]]
+
+
+@pytest.mark.parametrize("command", list(RESIDUALS))
+def test_verify_residuals_unchanged(command):
+    args = cli._build_parser().parse_args(
+        cli._merge_negative_values(command.split()))
+    res = cli._verify_residuals(cli._problem_from_args(args), args.levels,
+                                Fraction(args.perturb_delta or 0))
+    text = json.dumps(_serial(res))
+    assert hashlib.sha256(text.encode()).hexdigest() == RESIDUALS[command]
