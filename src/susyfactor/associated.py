@@ -22,8 +22,7 @@ from math import prod
 
 from .core import Poly, Problem, int_first_order, rational_sqrt
 from .diffop import DiffOp, hamiltonian
-from .principal import (Breakdown, Ladders, _own, factor_table,
-                        principal_eigenfunction)
+from .principal import Breakdown, Ladders, _own, principal_eigenfunction
 
 
 class RangeError(ValueError):
@@ -323,7 +322,7 @@ def principal_form_equivalence(prob: Problem, l: int,
     lam = assoc_lambda(prob, l, m)
     eigen = op.eigen_residual(assoc_bottom_up(prob, l, m).c, lam, prob)
     sub = Problem(prob.p, prob.q + m * pprime)
-    shifted = DiffOp([factor_table(sub, "minus", l - m)[-1].lam - lam])
+    shifted = DiffOp([Ladders(sub, l - m).entry("minus", l - m).lam - lam])
 
     s = Fraction(2 * m + 1, 4)
     conj = op.conjugate(s, Fraction(1, 2), prob)

@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .core import Poly, Problem
 from .diffop import DiffOp
@@ -93,13 +94,27 @@ _ENTRY_JSON = ('    {\n      "branch": "%s",\n      "l": %d,\n'
                '      "lambda": "%s"\n    }')
 
 
-def _factorize_json(entries, match) -> str:
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0, with one gcd."""
+    g = gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
+
+
+def _entry_rows(prob: Problem, branch: str, records) -> list[str]:
+    """Each record's entry as _ENTRY_JSON, read off principal.record_fields,
+    the lowest level first."""
+    lowest = -1 if branch == "plus" else 0
+    return [_ENTRY_JSON % (branch, l, _ratio(*alpha), _ratio(*beta),
+                           _ratio(*delta), _ratio(*E), _ratio(*lam))
+            for l, (alpha, beta, delta, E, lam)
+            in enumerate(principal.record_fields(prob, records), lowest)]
+
+
+def _factorize_json(rows, match) -> str:
     """json.dumps({"entries": entries, "direct_match": match}, indent=2)
-    for a nonempty list of entries, one % per entry."""
-    rows = ",\n".join([_ENTRY_JSON % (e.branch, e.level, e.alpha, e.beta,
-                                      e.delta, e.E, e.lam) for e in entries])
+    for the nonempty list of the entries' _entry_rows."""
     return '{\n  "entries": [\n%s\n  ],\n  "direct_match": %s\n}' % (
-        rows, json.dumps(match))
+        ",\n".join(rows), json.dumps(match))
 
 
 def _write(text, args):
@@ -129,23 +144,24 @@ def _emit_csv(header, columns, args):
 
 def cmd_factorize(args) -> int:
     """Each branch's recurrence table, checked against its closed forms by
-    comparing the integer records; only the printed table is built as
-    Fractions."""
+    comparing the integer records, and printed straight from the records:
+    no Fraction is built."""
     prob = _problem_from_args(args)
     branches = ["minus", "plus"] if args.branch == "both" else [args.branch]
-    entries, match = [], True
+    rows, match = [], True
     for branch in branches:
         try:
             records = principal.ladder_records(prob, branch, args.levels)
         except principal.Breakdown as ex:
-            _write(_factorize_json(entries + ex.entries, None), args)
+            rows += _entry_rows(prob, branch, ex.records)
+            _write(_factorize_json(rows, None), args)
             print(json.dumps({"error": "breakdown", "level": ex.level,
                               "branch": branch}), file=sys.stderr)
             return 2
-        entries += principal.factor_entries(prob, branch, records)
+        rows += _entry_rows(prob, branch, records)
         match = match and records == principal.closed_form_records(
             prob, branch, args.levels)
-    _write(_factorize_json(entries, match), args)
+    _write(_factorize_json(rows, match), args)
     return 0
 
 

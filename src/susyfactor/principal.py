@@ -18,8 +18,10 @@ the plus branch (C_l = D (l p'' + q')), so both write a level over the
 same a_l.  With D fixed and a_l nonzero, each field is one rational read
 off one integer and back (a = 2D alpha, B = 2D a beta, X = (2D a)^2 E,
 L = 2D lambda, and delta follows from E), so two tables are equal as
-rationals exactly when their integer records are equal.  factor_entries
-builds the Fractions of a record list only where they are read.
+rationals exactly when their integer records are equal.  level_fields is
+the one map from a record to its fields, each an unreduced integer pair;
+factor_entries builds Fractions from those pairs only for the tables a
+check reads, and the CLI prints the pairs without building any.
 
 Ladders are kept unnormalized: the usual 1/sqrt(E_l) factors would leave
 the rational field, so normsq = prod E_j is tracked separately and all
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .core import Poly, Problem, int_first_order
 from .diffop import DiffOp, hamiltonian
@@ -40,12 +43,25 @@ from .diffop import DiffOp, hamiltonian
 class Breakdown(ArithmeticError):
     """The factorization degenerates here: a recurrence divisor vanished,
     or E_l, a factor of the level's normsq prod E_j, is zero.  Raised by
-    factor_table, it carries the levels built below it in ``entries``."""
+    ladder_records, it carries the records of the levels built below it in
+    ``records``, with the problem and branch they belong to; ``entries``
+    are their FactorEntries, built on first read unless given."""
 
-    def __init__(self, level: int, message: str = "", entries=()):
+    def __init__(self, level: int, message: str = "", entries=None, *,
+                 prob: Problem | None = None, branch: str = "minus",
+                 records=()):
         self.level = level
-        self.entries = list(entries)
+        self.prob = prob
+        self.branch = branch
+        self.records = list(records)
+        if entries is not None:
+            self.entries = list(entries)
         super().__init__(message or f"factorization breaks down at level {level}")
+
+    @cached_property
+    def entries(self) -> list[FactorEntry]:
+        return factor_entries(self.prob, self.branch, self.records) \
+            if self.records else []
 
 
 class DegreeError(ArithmeticError):
@@ -55,6 +71,11 @@ class DegreeError(ArithmeticError):
 # one level of a factor table on integers, (a, B, X, L): see the module
 # docstring
 Record = tuple[int, int, int, int]
+# a rational as an unreduced integer pair (n, d) with d > 0
+Pair = tuple[int, int]
+# alpha, beta, delta, E and lambda of one level
+Fields = tuple[Pair, Pair, Pair, Pair, Pair]
+_ZERO: Pair = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -120,7 +141,7 @@ def ladder_records(prob: Problem, branch: str,
         a_prev = a
         a -= s * P2
         if a == 0:
-            raise Breakdown(l, entries=factor_entries(prob, branch, records))
+            raise Breakdown(l, prob=prob, branch=branch, records=records)
         B -= s * P1 * (a + a_prev)
         Y += 2 * s * P0 * (a + a_prev)
         L += 2 * a if s == 1 else -2 * a_prev
@@ -166,30 +187,49 @@ def closed_form_records(prob: Problem, branch: str,
     return records
 
 
+def level_fields(D2: int, record: Record, below: Record | None) -> Fields:
+    """One level's (alpha, beta, delta, E, lambda) as unreduced integer
+    pairs (n, d) with d > 0, off its record and the record one level below
+    (None at the lowest level); D2 = 2D.
+
+    alpha = a/2D, beta = B/(2D a), E = X/(2D a)^2 and lambda = L/2D, with
+    delta_l = E_l - E_{l-1} over the product of the two levels' divisors;
+    a negative a moves its sign from beta's divisor to B.  The lowest
+    level's beta is b/2D and its delta, E and lambda are 0; its a may be
+    0, and its X is 0, so the level above it takes delta = E.
+    """
+    a, B, X, L = record
+    if below is None:
+        return (a, D2), (B, D2), _ZERO, _ZERO, _ZERO
+    den = (D2 * a) ** 2
+    a_below, _, X_below, _ = below
+    if X_below:
+        den_below = (D2 * a_below) ** 2
+        delta = (X * den_below - X_below * den, den * den_below)
+    else:
+        delta = (X, den)
+    return ((a, D2), (B, D2 * a) if a > 0 else (-B, -D2 * a), delta,
+            (X, den), (L, D2))
+
+
+def record_fields(prob: Problem, records: list[Record]):
+    """The Fields of each record, the lowest level first (level_fields)."""
+    return map(partial(level_fields, 2 * prob.taylor[0]), records,
+               [None, *records])
+
+
+def _entry(branch: str, level: int, fields: Fields) -> FactorEntry:
+    return FactorEntry(branch, level,
+                       *[Fraction(n, d) for n, d in fields])
+
+
 def factor_entries(prob: Problem, branch: str,
                    records: list[Record]) -> list[FactorEntry]:
-    """The FactorEntry of each record, the lowest level first.
-
-    alpha = a/2D, beta = B/(2D a) (b/2D at the lowest level), E =
-    X/(2D a)^2 and lambda = L/2D; the lowest level's E, delta and lambda
-    are 0.  delta_l = E_l - E_{l-1} is one Fraction over the product of
-    the two levels' divisors.
-    """
-    D2 = 2 * prob.taylor[0]
+    """The FactorEntry of each record, the lowest level first: the Fractions
+    of record_fields."""
     lowest = -1 if branch == "plus" else 0
-    (a, b, _, _), *rest = records
-    zero = Fraction(0)
-    out = [FactorEntry(branch, lowest, Fraction(a, D2), Fraction(b, D2),
-                       zero, zero, zero)]
-    X_prev, den_prev = 0, 1
-    for l, (a, B, X, L) in enumerate(rest, lowest + 1):
-        den = (D2 * a) ** 2
-        out.append(FactorEntry(
-            branch, l, Fraction(a, D2), Fraction(B, D2 * a),
-            Fraction(X * den_prev - X_prev * den, den * den_prev),
-            Fraction(X, den), Fraction(L, D2)))
-        X_prev, den_prev = X, den
-    return out
+    return [_entry(branch, l, fields) for l, fields
+            in enumerate(record_fields(prob, records), lowest)]
 
 
 def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry]:
@@ -220,14 +260,15 @@ class Ladders:
 
     The integer records run to level ``top`` (minus 0..top, plus -1..top)
     and are built one branch at a time, so a caller touching only one
-    branch raises only that branch's Breakdown; the tables of Fractions
-    are built from them where a check reads them.  Ladder pairs and their
-    products A_l B_l and B_l A_l (all polynomial operators) hang off the
-    tables, the Phi chain and its norms off the minus records; ``memo``
-    keeps whatever else the checks of the principal, associated and
-    degenerate layers share, such as the per-m associated operators.  The
-    verify suite builds one per request; a standalone check builds its
-    own, so both run the same code.
+    branch raises only that branch's Breakdown.  A table of Fractions is
+    built from them only where a check reads the whole table; a single
+    entry read before that is built from its own level's fields alone.
+    Ladder pairs and their products A_l B_l and B_l A_l (all polynomial
+    operators) hang off the entries, the Phi chain and its norms off the
+    minus records; ``memo`` keeps whatever else the checks of the
+    principal, associated and degenerate layers share, such as the per-m
+    associated operators.  The verify suite builds one per request; a
+    standalone check builds its own, so both run the same code.
     """
 
     def __init__(self, prob: Problem, top: int):
@@ -261,14 +302,21 @@ class Ladders:
         return self._tables[branch]
 
     def entry(self, branch: str, l: int) -> FactorEntry:
+        """Level l of the branch: the table's entry where the table was
+        built, else one entry off level l's record and the one below."""
         lowest = -1 if branch == "plus" else 0
-        table = self.table(branch)
+        records = self.records(branch)
         if not lowest <= l <= self.top:
             raise ValueError(f"level {l} outside {lowest}..{self.top}")
-        return table[l - lowest]
+        i = l - lowest
+        if branch in self._tables:
+            return self._tables[branch][i]
+        return self.memo(("entry", branch, l), lambda: _entry(
+            branch, l, level_fields(2 * self.prob.taylor[0], records[i],
+                                    records[i - 1] if i else None)))
 
     def wl(self, branch: str, l: int) -> Poly:
-        """W_l = alpha_l x + beta_l from the branch table."""
+        """W_l = alpha_l x + beta_l from the branch's entry at level l."""
         ent = self.entry(branch, l)
         return Poly([ent.beta, ent.alpha])
 

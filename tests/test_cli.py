@@ -8,11 +8,13 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyfactor import cli
+from susyfactor import cli, principal
+from susyfactor.core import Poly, Problem
 
 
 def run_cli(*args, **kw):
@@ -418,6 +420,85 @@ def test_factorize_reports_a_tampered_closed_form(monkeypatch):
                             "--levels", "5", "--branch", "both"])
     assert (code, err) == (0, "")
     assert json.loads(out)["direct_match"] is False
+
+
+_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+
+
+@st.composite
+def _factorize_problems(draw):
+    """(p, q) ascending, with p constant, linear or quadratic; on about a
+    third of the draws q' = -k p'', where one branch breaks down."""
+    degree = draw(st.integers(0, 2))
+    p = draw(st.lists(_rationals, min_size=degree, max_size=degree))
+    p.append(draw(_rationals.filter(bool)))
+    q = draw(st.lists(_rationals, min_size=2, max_size=2))
+    if draw(st.integers(0, 2)) == 0:
+        q[1] = -draw(st.integers(0, 8)) * (p[2] if degree == 2 else 0)
+    return p, q
+
+
+@given(_factorize_problems(), st.integers(0, 12),
+       st.sampled_from(["minus", "plus", "both"]))
+@settings(max_examples=150, deadline=None)
+def test_factorize_prints_the_fields_of_factor_table(pq, levels, branch):
+    p, q = pq
+    prob = Problem(Poly(p), Poly(q))
+    want, want_code = [], 0
+    for b in (["minus", "plus"] if branch == "both" else [branch]):
+        try:
+            want += principal.factor_table(prob, b, levels)
+        except principal.Breakdown as ex:
+            # the partial table: the entries of the levels below the break
+            want += ex.entries
+            want_code = 2
+            break
+    code, out, _ = _main(["factorize", "--p", ",".join(map(str, p[::-1])),
+                          "--q", ",".join(map(str, q[::-1])),
+                          "--levels", str(levels), "--branch", branch])
+    assert code == want_code
+    assert [tuple(e.values()) for e in json.loads(out)["entries"]] == [
+        (e.branch, e.level, str(e.alpha), str(e.beta), str(e.delta),
+         str(e.E), str(e.lam)) for e in want]
+
+
+@pytest.mark.parametrize("n, d", [
+    (0, 1), (0, 12), (7, 1), (-7, 1), (6, 4), (-6, 4), (-12, 4), (12, 4),
+    (1, 3 ** 200), (-(2 ** 400) * 3, 2 ** 300 * 9),
+    (-(7 ** 300) * 10, 7 ** 250 * 4), (5 ** 400 * 11, 5 ** 400)])
+def test_ratio_is_the_string_of_a_fraction(n, d):
+    assert cli._ratio(n, d) == str(Fraction(n, d))
+
+
+@given(st.integers(-2 ** 900, 2 ** 900), st.integers(1, 2 ** 900),
+       st.integers(1, 2 ** 300))
+@settings(max_examples=200, deadline=None)
+def test_ratio_on_large_integers(n, d, g):
+    assert cli._ratio(n, d) == str(Fraction(n, d))
+    assert cli._ratio(n * g, d * g) == str(Fraction(n, d))
+
+
+@pytest.mark.parametrize("level, field", [
+    (level, field) for level in (1, 3, 5) for field in range(4)])
+def test_factorize_prints_each_record_field(monkeypatch, level, field):
+    # negative control: one record field off by one changes the printed
+    # entries (the lowest level prints only its a and b)
+    argv = ["factorize", "--p", "-1/2,1/3,2", "--q", "-3/2,1/4",
+            "--levels", "6", "--branch", "minus"]
+    _, before, _ = _main(argv)
+    records = principal.ladder_records
+
+    def tampered(prob, branch, max_level):
+        recs = records(prob, branch, max_level)
+        rec = list(recs[level])
+        rec[field] += 1
+        recs[level] = tuple(rec)
+        return recs
+    monkeypatch.setattr(principal, "ladder_records", tampered)
+    _, after, _ = _main(argv)
+    before, after = (json.loads(out)["entries"] for out in (before, after))
+    assert before[:level] == after[:level]
+    assert before[level] != after[level]
 
 
 @pytest.mark.parametrize("argv, code", [

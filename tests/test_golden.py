@@ -33,7 +33,9 @@ def test_golden_outputs_unchanged():
 # lambda each put (p, q) over their own common denominator; (the l = 300
 # eigenfunctions and the factorize whose plus table breaks at level 400) on
 # commit d9596fe, whose factor tables built a Fraction per field and whose
-# Phi and Rodrigues chains built a reduced Poly per step.  golden.json
+# Phi and Rodrigues chains built a reduced Poly per step; (the factorize
+# requests after them) on commit 2f95706, whose factorize printed each
+# entry through a FactorEntry of Fractions.  golden.json
 # stops at l <= 7, 12 levels and verify at level 2, with no negative m, no
 # bottom-up form at m != 0, no perturbed suite and no constant p off the
 # presets
@@ -133,13 +135,24 @@ LARGE = {
         "dd3e898178a9dbaa7c99a4d99142148fd93752d1c97151e227c29a821321aa25",
     "factorize --p 1,0,0 --q -800,0 --levels 400 --branch both":
         "a82c87fc93251c04f5ffd397c9f92d460c4b1f2a05aaf4b13827cef94eec8b98",
+    "factorize --family legendre --levels 400 --branch both":
+        "cf9f96a5c3f53b59356a47aeafb83e5fd3afa637b7ab5a5caeb7bed86274da76",
+    "factorize --family confluent:3 --levels 400 --branch both":
+        "e8e2597afd79cd0a5e63bb191d4ffd680358e234923b5ef370211dc95b8eff2e",
+    # every Taylor numerator nonzero; a_l < 0 on the plus branch
+    "factorize --p -1/2,1/3,2 --q -3/2,1/4 --levels 400 --branch both":
+        "adc95f8fd0bbd920cf42a6638f0c5268c7c16d5d831a89c5246ecec6fb8a07a1",
+    "factorize --p 1 --q 0,1 --levels 250 --branch plus":
+        "c8f56fba4794c4faa513824f5ed1465d3be702f21e87491642bcf3379707fe7a",
 }
 
 
-# exit codes other than 0; the perturbed suite must fail, and the plus
-# table of p = x^2, q = -800 x breaks at level 400
+# exit codes other than 0; the perturbed suite must fail, the plus table
+# of p = x^2, q = -800 x breaks at level 400, and that of p = 1, q = x (the
+# eigen-ladder workload's request for its hermite block) at level 0
 EXIT = {"verify --family legendre --levels 4 --perturb-delta 1": 1,
-        "factorize --p 1,0,0 --q -800,0 --levels 400 --branch both": 2}
+        "factorize --p 1,0,0 --q -800,0 --levels 400 --branch both": 2,
+        "factorize --p 1 --q 0,1 --levels 250 --branch plus": 2}
 
 
 @pytest.mark.parametrize("command", list(LARGE))

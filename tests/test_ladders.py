@@ -150,6 +150,21 @@ def test_one_table_per_branch_and_one_raise_per_level(monkeypatch):
     assert records == [("minus", 12)] and tables == []
     assert raises == list(range(1, 13))
 
+    # factorize prints its tables straight from the records, and the
+    # numeric commands read one level's E_l or W_l off its record
+    for argv in (["factorize", "--family", "jacobi:2,3", "--levels", "400",
+                  "--branch", "both"],
+                 ["numeric", "residual", "--family", "jacobi:2,3", "--l", "5",
+                  "--nodes", "200"],
+                 ["numeric", "potentials", "--family", "jacobi:2,3", "--l",
+                  "5", "--m", "2", "--nodes", "20"]):
+        records.clear()
+        code, out, _ = _run(argv)
+        assert code == 0 and out and tables == [], argv
+        assert sorted(records) == ([("minus", 400), ("plus", 400)]
+                                   if argv[0] == "factorize"
+                                   else [("minus", 5)])
+
 
 def test_no_program_path_builds_a_quasi_function(monkeypatch):
     # QuasiFunction is the tests' reference only: with its constructor

@@ -497,6 +497,30 @@ def test_numeric_requests_build_each_input_once(monkeypatch):
     assert counts["ladder_records"] == 1 and raised == [1, 2, 3, 4, 5]
 
 
+# the seven presets of the CLI tests
+NUMERIC_PRESETS = ["legendre", "jacobi:2,3", "jacobi:1/2,1/2", "laguerre:1",
+                   "hermite", "hypergeom:1/3,1/5,7/2", "confluent:3"]
+
+
+@pytest.mark.parametrize("spec", NUMERIC_PRESETS)
+def test_one_level_reads_match_the_table(monkeypatch, spec):
+    # Ladders.entry reads one level off its record; reading the same level
+    # from the whole table of Fractions prints the same bytes
+    argvs = [["numeric", task, "--family", spec, "--l", str(l), *extra]
+             for l in (0, 1, 5)
+             for task, extra in (("residual", ["--form", "y", "--nodes",
+                                               "400"]),
+                                 ("potentials", ["--nodes", "50"]))]
+    outs = [_cli_in_process(*argv)[:3] for argv in argvs]
+
+    def table_entry(lad, branch, l):
+        return lad.table(branch)[l - (-1 if branch == "plus" else 0)]
+    monkeypatch.setattr(principal.Ladders, "entry", table_entry)
+    for argv, out in zip(argvs, outs):
+        assert out[0] == 0 and out[1] and not out[2], argv
+        assert _cli_in_process(*argv)[:3] == out, argv
+
+
 def test_orthogonality(family):
     if family.p.degree == 2 and family.p[2] > 0:
         pytest.skip("indefinite weight: no orthogonality interval")
