@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import perm, prod
 
 from .core import Poly, Problem, int_first_order, rational_sqrt
 from .diffop import DiffOp, hamiltonian
-from .principal import Breakdown, Ladders, _own, principal_eigenfunction
+from .principal import (Breakdown, Ladders, Pair, _own, _plus,
+                        principal_eigenfunction)
 
 
 class RangeError(ValueError):
@@ -58,7 +59,7 @@ class AssocFunction:
         """
         a = DiffOp([self.c], self.s).reduced(prob)
         b = DiffOp([other.c], other.s).reduced(prob)
-        if a.is_zero() or b.is_zero() or a.k != b.k:
+        if a.is_zero() or b.is_zero() or a.h != b.h:
             return None
         (ca,), (cb,) = a.coeffs, b.coeffs
         ka, kb = ca.coeffs[-1], cb.coeffs[-1]
@@ -128,15 +129,17 @@ def assoc_bottom_up(prob: Problem, l: int, m: int,
                     lad: Ladders | None = None) -> AssocFunction:
     """Phi_lm = p^(|m|/2) (d/dx)^|m| Phi_l, times (-1)^m for m < 0.
 
-    Raising Phi_l checks its degree and its norm: a vanishing E_j is
-    Breakdown(j)."""
+    The |m|-th derivative is one integer step, x^k -> k!/(k - |m|)!
+    x^(k - |m|) on Phi_l's numerators, reduced once.  Raising Phi_l checks
+    its degree and its norm: a vanishing E_j is Breakdown(j)."""
     _check_range(l, m)
     c = principal_eigenfunction(prob, l, lad)[0]
-    for _ in range(abs(m)):
-        c = c.derivative()
-    if m < 0 and m % 2 != 0:
-        c = -c
-    return AssocFunction(c, Fraction(abs(m), 2), l, m)
+    am = abs(m)
+    if am:
+        sign = -1 if m < 0 and am % 2 else 1
+        c = Poly._make([sign * perm(k, am) * n
+                        for k, n in enumerate(c.num)][am:], c.den)
+    return AssocFunction(c, Fraction(am, 2), l, m)
 
 
 def assoc_top_down(prob: Problem, l: int, m: int,
@@ -174,7 +177,7 @@ def assoc_top_down(prob: Problem, l: int, m: int,
     if (l if m < 0 else l - am) % 2:
         c = -c
     _own(prob, l, lad).normsq(l)
-    return AssocFunction(c, f.k - Fraction(am, 2), l, m)
+    return AssocFunction(c, Fraction(f.h - am, 2), l, m)
 
 
 def _bottom_up(lad: Ladders, l: int, m: int) -> AssocFunction:
@@ -242,7 +245,8 @@ def verify_associated(prob: Problem, l: int, m: int,
             c_neg, lam, prob)
 
     sign = -1 if am % 2 else 1
-    d = DiffOp([c_neg - c * sign], Fraction(am, 2))
+    diff = c_neg - c * sign
+    d = DiffOp._make([list(diff.num)], diff.den, am)
     return {"operator_expansion": a, "eigen_equation": b,
             "negative_level": neg, "sign_relation": d}
 
@@ -344,17 +348,17 @@ def standard_hermitian_relation(prob: Problem, l: int,
     conjugate of H0) by p^(-1/4), shifted by -p lambda_l + E_l.
     """
     lad = _own(prob, l, lad)
-    ent = lad.entry("minus", l)
+    _, _, _, (X, Xd), (L, Ld) = lad.fields("minus", l)
     lhs = lad.ba("minus", l).conjugate(0, Fraction(1, 2), prob)
 
     def conjugated_h0():
         inner = hamiltonian(prob).conjugate(Fraction(1, 4), Fraction(1, 2),
                                             prob)
-        return DiffOp(inner.coeffs, inner.k + 1).conjugate(
-            Fraction(-1, 4), 0, prob)
+        return inner._at(inner.h + 2).conjugate(Fraction(-1, 4), 0, prob)
     rhs = lad.memo("conjugated H0", conjugated_h0)
-    rhs = rhs.sub(DiffOp([prob.p * ent.lam]), prob)
-    rhs = rhs.add(DiffOp([ent.E]), prob)
+    p = prob.p
+    rhs = rhs.sub(DiffOp._make([[L * n for n in p.num]], Ld * p.den, 0), prob)
+    rhs = rhs.add(DiffOp._make([[X]], Xd, 0), prob)
     return lhs.sub(rhs, prob)
 
 
@@ -384,11 +388,12 @@ def classify_expanded(op: DiffOp, p: Poly
     which lambda = assoc_lambda(l, m), quadratic in l, has an integer root
     l >= m.  No bound applies to l or m.
     """
-    if op.order != 2 or op.k.denominator != 1:
+    if op.order != 2 or op.h & 1:
         raise ClassifyError("not a hypergeometric-like second-order operator")
     # op = p^-j (c0 + c1 d + c2 d^2)
-    j = max(-int(op.k), 0)
-    c0, c1, c2 = (c * p ** (int(op.k) + j) for c in op.coeffs)
+    k = op.h >> 1
+    j = max(-k, 0)
+    c0, c1, c2 = (c * p ** (k + j) for c in op.coeffs)
     q, r1 = (-c1).divmod(p ** j)
     if c2 != -p ** (j + 1) or not r1.is_zero():
         raise ClassifyError("not a hypergeometric-like second-order operator")
@@ -446,25 +451,46 @@ def pHm_factorization(prob: Problem, l: int, m: int, lad: Ladders | None = None
     at m != 0.  A constant commutes with both ladders and A_l + B_l = 2 W_l,
     so the residual is p H^a_m - B_l A_l + (E_lm - C^2 - lambda_lm p -
     2 C W_l), with p H^a_m kept in the context per m and B_l A_l per l.
+    The scalars run on integer pairs (n, d), d > 0, off the level's fields
+    (principal.level_fields), and E_lm - C^2 - lambda_lm p - 2 C W_l is one
+    integer polynomial over one denominator, reduced once.
     """
     _check_range(l, m)
     m = abs(m)
     D, P2, Q1, P1, Q0, P0 = prob.taylor
     if m == 0:
-        C = Fraction(0)
+        C = (0, 1)
     else:
         cm = (l - 1) * P2 + Q1
         if cm == 0:
             raise Breakdown(l)
-        C = Fraction(m * (P1 * Q1 - P2 * Q0), 2 * D * cm)
+        sign = 1 if cm > 0 else -1     # keeps the denominator positive
+        C = (sign * m * (P1 * Q1 - P2 * Q0), 2 * D * sign * cm)
     lad = _own(prob, l, lad)
-    ent = lad.entry("minus", l)
-    E_lm = ent.E + C * (C + 2 * ent.beta) + Fraction(
-        m * (2 * (2 * Q1 + (m - 2) * P2) * P0 - (2 * Q0 + (m - 2) * P1) * P1),
-        4 * D * D)
+    _, (bn, bd), _, E, _ = lad.fields("minus", l)
+    # E_lm = E_l + C (C + 2 beta_l) + F/(2D)^2
+    F = m * (2 * (2 * Q1 + (m - 2) * P2) * P0 - (2 * Q0 + (m - 2) * P1) * P1)
+    E_lm = _plus(_plus(E, _times(C, _plus(C, (2 * bn, bd)))),
+                 (F, 4 * D * D))
     ham = _hamiltonian(lad, m)
-    p_ham = lad.memo(("p H^a", m), lambda: DiffOp(ham.coeffs, ham.k + 1))
-    rest = E_lm - C * C - prob.p * assoc_lambda(prob, l, m) \
-        - lad.wl("minus", l) * (2 * C)
-    return C, E_lm, p_ham.sub(lad.ba("minus", l), prob).add(
-        DiffOp([rest]), prob)
+    p_ham = lad.memo(("p H^a", m), lambda: ham._at(ham.h + 2))
+    # rest = S - lambda_lm p - 2 C W_l with S = E_lm - C^2 and lambda_lm =
+    # lam/2D, over Sd (2D pd) (Cd wd)
+    sn, sd = _plus(E_lm, _times((-C[0], C[1]), C))
+    lam = _lambda_numerator(prob, l, m)
+    p, w = prob.p, lad.wl("minus", l)
+    fp, fw = 2 * D * p.den, C[1] * w.den
+    row = [0] * max(len(p.num), len(w.num), 1)
+    row[0] = sn * fp * fw
+    for i, n in enumerate(p.num):
+        row[i] -= n * lam * sd * fw
+    for i, n in enumerate(w.num):
+        row[i] -= 2 * C[0] * n * sd * fp
+    rest = DiffOp._make([row], sd * fp * fw, 0)
+    return Fraction(*C), Fraction(*E_lm), p_ham.sub(
+        lad.ba("minus", l), prob).add(rest, prob)
+
+
+def _times(x: Pair, y: Pair) -> Pair:
+    """x y, unreduced."""
+    return x[0] * y[0], x[1] * y[1]

@@ -2,8 +2,9 @@
 
 Exact values serialize as fraction strings ("n/d"); floats carry 17
 significant digits.  Exit codes: 0 success, 1 failed identity, 2
-input/domain error (breakdown, range, singular grid, unparsable input,
-an unreadable or unwritable file).
+input/domain error (breakdown, range, singular grid, unparsable input or
+arguments, an unreadable or unwritable file), each with one JSON object
+on stderr.
 """
 
 from __future__ import annotations
@@ -202,7 +203,10 @@ def _verify_residuals(prob: Problem, levels: int, perturb: Fraction
     top = max(levels + 1, degenerate.COLLAPSE_DEPTH) if collapses \
         else levels + 1
     lad = principal.Ladders(prob, top)
-    minus, plus = lad.table("minus"), lad.table("plus")
+    # both branches' records first, minus before plus, so that an
+    # ill-posed problem names the same Breakdown whichever check runs first
+    for branch in ("minus", "plus"):
+        lad.records(branch)
 
     def sic(branch, l):
         res = principal.shape_invariance_check(prob, branch, l, lad)
@@ -212,12 +216,7 @@ def _verify_residuals(prob: Problem, levels: int, perturb: Fraction
         if l >= 1:
             checks[f"shape_invariance_minus_{l}"] = sic("minus", l)
         checks[f"shape_invariance_plus_{l}"] = sic("plus", l)
-        hi, lo = plus[l + 1], minus[l + 1]
-        checks[f"symmetry_{l}"] = {
-            "alpha": DiffOp([hi.alpha + lo.alpha]),
-            "beta": DiffOp([hi.beta + lo.beta]),
-            "E": DiffOp([hi.E - lo.E]),
-            "lambda": DiffOp([hi.lam - minus[l].lam - prob.ppp + prob.qp])}
+        checks[f"symmetry_{l}"] = principal.symmetry_check(prob, l, lad)
         checks[f"three_term_{l}"] = principal.three_term_check(prob, l, lad)
         checks[f"equivalent_forms_{l}"] = \
             principal.equivalent_forms_check(prob, l, lad)
@@ -357,8 +356,20 @@ def cmd_classify(args) -> int:
     return 0
 
 
+class UsageError(ValueError):
+    """Arguments the parser rejected."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError, so that main
+    reports them as JSON on stderr; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="susyfactor",
         description="Exact factorization engine for hypergeometric-like "
                     "differential operators.")
@@ -445,8 +456,8 @@ def _merge_negative_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_negative_values(argv))
     try:
+        args = _build_parser().parse_args(_merge_negative_values(argv))
         return args.fn(args)
     except principal.Breakdown as ex:
         print(json.dumps({"error": "breakdown", "level": ex.level}),

@@ -1,7 +1,8 @@
 """Differential operators p^k * sum_j c_j (d/dx)^j.
 
-An operator keeps polynomial coefficients c_j and one rational exponent k
-of the problem's p.  That one ring holds every operator the package builds:
+An operator keeps polynomial coefficients c_j and one half-integer exponent
+k of the problem's p, held as the integer h = 2k (``.k`` is the Fraction
+view).  That one ring holds every operator the package builds:
 conjugating by p^s w^e only shifts d/dx by nu/p, with nu = s p' + e (q - p')
 a polynomial, and the standard momentum sqrt(p) d/dx is p^(-1/2) (p d/dx).
 Its zeroth-order members are the package's one function type: p^s c, with
@@ -21,9 +22,11 @@ polynomials, and conjugation by weight factors p^s w^e -- the bilateral
 wrapper transformations that turn asymmetric factorizations into
 supersymmetric ones.  An identity L = R is checked as the residual
 L.sub(R, prob), zero exactly when it holds.  Two operators whose k differ
-by an integer are brought to the lower k by multiplying by p; a
-non-integer difference is incommensurate, and ``add`` and ``sub`` raise
-ValueError.
+by an integer (h of equal parity) are brought to the lower k by
+multiplying by p; a half-integer difference (h of opposite parity) is
+incommensurate, and ``add`` and ``sub`` raise ValueError.  No operation
+does rational arithmetic on k: the weight exponents s and e of
+``conjugate`` stay rational, but they enter only nu.
 """
 
 from __future__ import annotations
@@ -34,9 +37,6 @@ from math import comb, gcd, lcm
 from typing import Iterable
 
 from .core import Poly, Problem, int_divmod, int_mul_add
-
-_ZERO = Fraction(0)
-
 
 def _derivative(row) -> list[int]:
     return [j * n for j, n in enumerate(row)][1:]
@@ -64,13 +64,19 @@ def _combine(a, fa: int, b, fb: int) -> list[list[int]]:
 
 
 class DiffOp:
-    """p^k * sum_j (rows[j] / den) (d/dx)^j, with integer rows."""
+    """p^(h/2) * sum_j (rows[j] / den) (d/dx)^j, with integer rows."""
 
-    __slots__ = ("rows", "den", "k", "_coeffs")
+    __slots__ = ("rows", "den", "h", "_coeffs")
 
     def __init__(self, coeffs: Iterable = (), k=0):
         """p^k * sum_j coeffs[j] (d/dx)^j, for Poly, int or Fraction
-        coefficients."""
+        coefficients and an int or Fraction k with 2k an integer."""
+        h = 2 * k
+        if not isinstance(h, int):
+            h = Fraction(h)
+            if h.denominator != 1:
+                raise ValueError(f"p exponent {k} is not a multiple of 1/2")
+            h = h.numerator
         pairs = []
         for c in coeffs:
             if isinstance(c, Poly):
@@ -89,13 +95,13 @@ class DiffOp:
             for num, d in pairs)
         self.den: int = den
         # the zero operator has k = 0, so it aligns with every operator
-        self.k: Fraction = Fraction(k) if pairs else _ZERO
+        self.h: int = h if pairs else 0
         self._coeffs: tuple[Poly, ...] | None = None
 
     @classmethod
-    def _make(cls, rows: list, den: int, k: Fraction) -> "DiffOp":
-        """The canonical operator p^k rows/den, for any den > 0 and rows of
-        integer lists: one gcd.  A classmethod, as Poly._make is, so
+    def _make(cls, rows: list, den: int, h: int) -> "DiffOp":
+        """The canonical operator p^(h/2) rows/den, for any den > 0 and rows
+        of integer lists: one gcd.  A classmethod, as Poly._make is, so
         per-method timing wrappers count the operations only."""
         for row in rows:
             while row and not row[-1]:
@@ -103,23 +109,28 @@ class DiffOp:
         while rows and not rows[-1]:
             rows.pop()
         if not rows:
-            den, k = 1, _ZERO
+            den, h = 1, 0
         elif den != 1:
             g = gcd(den, *chain.from_iterable(rows))
             if g != 1:
                 rows = [[n // g for n in row] for row in rows]
                 den //= g
         out = object.__new__(cls)
-        out.rows, out.den, out.k = tuple(map(tuple, rows)), den, k
+        out.rows, out.den, out.h = tuple(map(tuple, rows)), den, h
         out._coeffs = None
         return out
 
-    def _at(self, k: Fraction) -> "DiffOp":
-        """The same coefficients over p^k, canonical as they stand."""
+    def _at(self, h: int) -> "DiffOp":
+        """The same coefficients over p^(h/2), canonical as they stand."""
         out = object.__new__(DiffOp)
-        out.rows, out.den, out.k, out._coeffs = \
-            self.rows, self.den, k, self._coeffs
+        out.rows, out.den, out.h, out._coeffs = \
+            self.rows, self.den, h, self._coeffs
         return out
+
+    @property
+    def k(self) -> Fraction:
+        """The exponent of p, h/2."""
+        return Fraction(self.h, 2)
 
     @property
     def coeffs(self) -> tuple[Poly, ...]:
@@ -152,11 +163,11 @@ class DiffOp:
         exactly when B divides it over the integers, with an integer
         quotient (Gauss's lemma); each pass stops at the first row it does
         not divide."""
-        p, rows, k = prob.p, self.rows, self.k
+        p, rows, h = prob.p, self.rows, self.h
         if not rows:
             return self
         if p.degree == 0:
-            n = k.numerator // k.denominator
+            n = h >> 1
             if not n:
                 return self
             # times (P/pd)^n, over a positive denominator
@@ -165,7 +176,7 @@ class DiffOp:
             if d < 0:
                 f, d = -f, -d
             return DiffOp._make([[m * f for m in row] for row in rows],
-                                self.den * d, k - n)
+                                self.den * d, h - 2 * n)
         c = gcd(*p.num)
         b = [m // c for m in p.num]
         n = 0
@@ -185,7 +196,7 @@ class DiffOp:
         # rows / p^n = (rows / B^n) pd^n / c^n
         f = p.den ** n
         return DiffOp._make([[m * f for m in row] for row in rows],
-                            self.den * c ** n, k + n)
+                            self.den * c ** n, h + 2 * n)
 
     def add(self, other: "DiffOp", prob: Problem, sign=1) -> "DiffOp":
         """self + sign * other, for sign 1 or -1, in one pass, over the
@@ -194,15 +205,15 @@ class DiffOp:
             return self
         if self.is_zero():
             return other if sign == 1 else other.scale(-1)
-        ds = self.k - other.k
-        if ds.denominator != 1:
+        dh = self.h - other.h
+        if dh & 1:
             raise ValueError("operators on incommensurate p powers")
         a, b, da, db = self.rows, other.rows, self.den, other.den
-        if ds:
-            # the operand over the higher p^k times p^|ds| = P^|ds|/pd^|ds|
-            n = abs(int(ds))
+        if dh:
+            # the operand over the higher p^k times p^n = P^n/pd^n
+            n = abs(dh) >> 1
             pn = _powers(prob.p.num, n)[n]
-            if ds > 0:
+            if dh > 0:
                 a = [int_mul_add([], row, pn) for row in a]
                 da *= prob.p.den ** n
             else:
@@ -210,7 +221,7 @@ class DiffOp:
                 db *= prob.p.den ** n
         g = gcd(da, db)
         return DiffOp._make(_combine(a, db // g, b, sign * da // g),
-                            da // g * db, min(self.k, other.k))
+                            da // g * db, min(self.h, other.h))
 
     def sub(self, other: "DiffOp", prob: Problem) -> "DiffOp":
         return self.add(other, prob, -1)
@@ -219,14 +230,14 @@ class DiffOp:
         """self times the rational s."""
         f = s.numerator
         return DiffOp._make([[n * f for n in row] for row in self.rows],
-                            self.den * s.denominator, self.k)
+                            self.den * s.denominator, self.h)
 
     def compose(self, other: "DiffOp", prob: Problem) -> "DiffOp":
         """Operator product self ∘ other: the left coefficients pass
         p^(other.k) by conjugation, then the Leibniz rule expands."""
-        left = self._at(_ZERO) if self.k else self
-        if other.k:
-            left = left.conjugate(-other.k, 0, prob)
+        left = self._at(0) if self.h else self
+        if other.h:
+            left = left.conjugate(Fraction(-other.h, 2), 0, prob)
         out: list[list[int]] = []
         for j, aj in enumerate(left.rows):
             if not aj:
@@ -245,7 +256,7 @@ class DiffOp:
                     if i < j:
                         d = _derivative(d)
         return DiffOp._make(out, left.den * other.den,
-                            self.k + other.k + left.k)
+                            self.h + other.h + left.h)
 
     def eigen_residual(self, f: Poly, lam, prob: Problem) -> "DiffOp":
         """(self - lam) f for a polynomial f: the function p^k c, held as
@@ -260,24 +271,24 @@ class DiffOp:
             d = _derivative(d)
         od = self.den * f.den
         rhs, rd = [n * lam.numerator for n in f.num], f.den * lam.denominator
-        k = self.k
-        if k.denominator != 1:
+        h = self.h
+        if h & 1:
             # p^k out - rhs is one function p^s c only where a side
             # vanishes; elsewhere sub raises
-            return DiffOp._make([out], od, k).sub(
-                DiffOp._make([rhs], rd, _ZERO), prob)
+            return DiffOp._make([out], od, h).sub(
+                DiffOp._make([rhs], rd, 0), prob)
         p = prob.p
-        if k > 0:
-            n = int(k)
-            out, od, k = int_mul_add([], out, _powers(p.num, n)[n]), \
-                od * p.den ** n, _ZERO
-        elif k < 0:
-            n = int(-k)
+        if h > 0:
+            n = h >> 1
+            out, od, h = int_mul_add([], out, _powers(p.num, n)[n]), \
+                od * p.den ** n, 0
+        elif h < 0:
+            n = -h >> 1
             rhs, rd = int_mul_add([], rhs, _powers(p.num, n)[n]), \
                 rd * p.den ** n
         g = gcd(od, rd)
         return DiffOp._make(_combine([out], rd // g, [rhs], -od // g),
-                            od // g * rd, k)
+                            od // g * rd, h)
 
     def conjugate(self, s, e, prob: Problem) -> "DiffOp":
         """(p^s w^e) self (p^s w^e)^(-1), exact.
@@ -336,14 +347,14 @@ class DiffOp:
                 nxt.append(int_mul_add([], vp, t[-1]))
                 t = nxt
         return DiffOp._make(out, self.den * pd ** n * dd ** n,
-                            self.k - n).reduced(prob)
+                            self.h - 2 * n).reduced(prob)
 
     def __repr__(self):
         if self.is_zero():
             return "DiffOp(0)"
         parts = " + ".join(f"[{c!r}] d^{j}" for j, c in enumerate(self.coeffs)
                            if not c.is_zero())
-        return f"DiffOp(p^{self.k} * ({parts}))" if self.k \
+        return f"DiffOp(p^{self.k} * ({parts}))" if self.h \
             else f"DiffOp({parts})"
 
 

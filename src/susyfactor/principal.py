@@ -20,8 +20,8 @@ off one integer and back (a = 2D alpha, B = 2D a beta, X = (2D a)^2 E,
 L = 2D lambda, and delta follows from E), so two tables are equal as
 rationals exactly when their integer records are equal.  level_fields is
 the one map from a record to its fields, each an unreduced integer pair;
-factor_entries builds Fractions from those pairs only for the tables a
-check reads, and the CLI prints the pairs without building any.
+the checks read those pairs and the CLI prints them, and factor_entries
+builds FactorEntry tables of Fractions from them for library callers.
 
 Ladders are kept unnormalized: the usual 1/sqrt(E_l) factors would leave
 the rational field, so normsq = prod E_j is tracked separately and all
@@ -212,6 +212,16 @@ def level_fields(D2: int, record: Record, below: Record | None) -> Fields:
             (X, den), (L, D2))
 
 
+def _plus(x: Pair, y: Pair) -> Pair:
+    """x + y, unreduced."""
+    return x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _constant(x: Pair) -> DiffOp:
+    """The constant operator x, reduced."""
+    return DiffOp._make([[x[0]]], x[1], 0)
+
+
 def record_fields(prob: Problem, records: list[Record]):
     """The Fields of each record, the lowest level first (level_fields)."""
     return map(partial(level_fields, 2 * prob.taylor[0]), records,
@@ -260,12 +270,13 @@ class Ladders:
 
     The integer records run to level ``top`` (minus 0..top, plus -1..top)
     and are built one branch at a time, so a caller touching only one
-    branch raises only that branch's Breakdown.  A table of Fractions is
-    built from them only where a check reads the whole table; a single
-    entry read before that is built from its own level's fields alone.
-    Ladder pairs and their products A_l B_l and B_l A_l (all polynomial
-    operators) hang off the entries, the Phi chain and its norms off the
-    minus records; ``memo`` keeps whatever else the checks of the
+    branch raises only that branch's Breakdown.  The checks read each
+    level's fields as integer pairs off its record; a table of
+    FactorEntries is built only for a caller that asks for one, and a
+    single entry from its own level's fields alone.
+    W_l, the ladder pairs and their products A_l B_l and B_l A_l (all
+    polynomial operators), the Phi chain and its norms hang off the
+    records; ``memo`` keeps whatever else the checks of the
     principal, associated and degenerate layers share, such as the per-m
     associated operators.  The verify suite builds one per request; a
     standalone check builds its own, so both run the same code.
@@ -301,24 +312,37 @@ class Ladders:
                                                   self.records(branch))
         return self._tables[branch]
 
-    def entry(self, branch: str, l: int) -> FactorEntry:
-        """Level l of the branch: the table's entry where the table was
-        built, else one entry off level l's record and the one below."""
+    def _record(self, branch: str, l: int) -> tuple[Record, Record | None]:
+        """Level l's record and the one below it (None at the lowest)."""
         lowest = -1 if branch == "plus" else 0
         records = self.records(branch)
         if not lowest <= l <= self.top:
             raise ValueError(f"level {l} outside {lowest}..{self.top}")
         i = l - lowest
-        if branch in self._tables:
-            return self._tables[branch][i]
+        return records[i], records[i - 1] if i else None
+
+    def fields(self, branch: str, l: int) -> Fields:
+        """Level l's (alpha, beta, delta, E, lambda) as integer pairs
+        (level_fields)."""
+        return level_fields(2 * self.prob.taylor[0],
+                            *self._record(branch, l))
+
+    def entry(self, branch: str, l: int) -> FactorEntry:
+        """Level l of the branch as a FactorEntry, off its fields alone."""
         return self.memo(("entry", branch, l), lambda: _entry(
-            branch, l, level_fields(2 * self.prob.taylor[0], records[i],
-                                    records[i - 1] if i else None)))
+            branch, l, self.fields(branch, l)))
 
     def wl(self, branch: str, l: int) -> Poly:
-        """W_l = alpha_l x + beta_l from the branch's entry at level l."""
-        ent = self.entry(branch, l)
-        return Poly([ent.beta, ent.alpha])
+        """W_l = alpha_l x + beta_l straight from level l's record:
+        (B + a^2 x)/(2D a), or (b + a x)/2D at the lowest level."""
+        def build():
+            (a, B, _, _), below = self._record(branch, l)
+            D2 = 2 * self.prob.taylor[0]
+            if below is None:
+                return Poly._make([B, a], D2)
+            g = abs(a)                 # keeps the denominator positive
+            return Poly._make([B if a > 0 else -B, a * g], D2 * g)
+        return self.memo(("W", branch, l), build)
 
     def pair(self, branch: str, l: int) -> LadderPair:
         return self.memo(("pair", branch, l),
@@ -437,12 +461,33 @@ def shape_invariance_check(prob: Problem, branch: str, l: int,
     plus:  B_l A_l - A_{l-1} B_{l-1} - delta (with delta = E_l - E_{l-1})
     """
     lad = _own(prob, l, lad)
-    delta = lad.entry(branch, l).delta
+    delta = lad.fields(branch, l)[2]
     if branch == "minus":
         lhs, rhs = lad.ab(branch, l), lad.ba(branch, l - 1)
     else:
         lhs, rhs = lad.ba(branch, l), lad.ab(branch, l - 1)
-    return lhs.sub(rhs, prob).sub(DiffOp([delta]), prob)
+    return lhs.sub(rhs, prob).sub(_constant(delta), prob)
+
+
+def symmetry_check(prob: Problem, l: int,
+                   lad: Ladders | None = None) -> dict[str, DiffOp]:
+    """Residuals of the symmetry between the branches, each a constant:
+
+    alpha^+_l + alpha^-_(l+1), beta^+_l + beta^-_(l+1), E^+_l - E^-_(l+1)
+    and lambda^+_l - lambda^-_l - p'' + q',
+
+    read as integer pairs off the records (level_fields).
+    """
+    lad = _own(prob, l + 1, lad)
+    D, P2, Q1, *_ = prob.taylor
+    hi, lo = lad.fields("plus", l), lad.fields("minus", l + 1)
+    En, Ed = lo[3]
+    # lambda = L/2D on both branches, and p'' - q' = 2 (P2 - Q1)/2D
+    lam = hi[4][0] - lad.fields("minus", l)[4][0] - 2 * (P2 - Q1)
+    return {"alpha": _constant(_plus(hi[0], lo[0])),
+            "beta": _constant(_plus(hi[1], lo[1])),
+            "E": _constant(_plus(hi[3], (-En, Ed))),
+            "lambda": _constant((lam, 2 * D))}
 
 
 def three_term_check(prob: Problem, l: int,
@@ -460,7 +505,11 @@ def three_term_check(prob: Problem, l: int,
         raise ValueError("level must be >= 0")
     lad = _own(prob, l + 1, lad)
     phi_next, phi = lad.phi(l + 1), lad.phi(l)
-    phi_prev = lad.phi(l - 1) * lad.entry("minus", l).E if l else Poly([])
+    if l:
+        prev, (n, d) = lad.phi(l - 1), lad.fields("minus", l)[3]
+        phi_prev = Poly._make([n * c for c in prev.num], prev.den * d)
+    else:
+        phi_prev = Poly([])
     wl, wl_next = lad.wl("minus", l), lad.wl("minus", l + 1)
     res1 = phi_next - (wl_next + wl) * phi + phi_prev
     res2 = phi_next + 2 * prob.p * phi.derivative() \
@@ -476,22 +525,29 @@ def hypergeom_like_hl(prob: Problem, l: int,
 
 
 def _solve_weight_exponents(prob: Problem, target: Poly):
-    """Exponents (s, e) with s p' + e (q - p') = target, or None.
+    """Exponents (s, e) with s p' + e (q - p') = target, or None, for a
+    target of degree <= 1.
 
-    This is a 2x2 rational linear system in the coefficients of x^1, x^0.
+    Over prob.taylor, D p' = P2 x + P1 and D (q - p') = (Q1 - P2) x +
+    Q0 - P1, and target = (T1 x + T0)/Td, so this is the 2x2 integer system
+    s (P2, P1) + e (Q1 - P2, Q0 - P1) = D (T1, T0)/Td.
     """
-    a = prob.p.derivative()
-    b = prob.q - prob.p.derivative()
-    det = a[1] * b[0] - a[0] * b[1]
-    if det != 0:
-        s = (target[1] * b[0] - target[0] * b[1]) / det
-        e = (a[1] * target[0] - a[0] * target[1]) / det
-        return s, e
-    # rank-deficient: try each generator alone
-    for s, e, g in ((Fraction(1), Fraction(0), a), (Fraction(0), Fraction(1), b)):
-        if not g.is_zero():
-            k = target[1] / g[1] if g[1] != 0 else target[0] / g[0]
-            if g * k == target:
+    D, P2, Q1, P1, Q0, _ = prob.taylor
+    # (x^1, x^0) coefficients, each times D, and the target's times Td
+    a, b = (P2, P1), (Q1 - P2, Q0 - P1)
+    T0, T1 = (*target.num, 0, 0)[:2]
+    t, Td = (T1, T0), target.den
+    det = a[0] * b[1] - a[1] * b[0]
+    if det:
+        return (Fraction(D * (t[0] * b[1] - t[1] * b[0]), Td * det),
+                Fraction(D * (a[0] * t[1] - a[1] * t[0]), Td * det))
+    # rank-deficient: try each generator g alone, k g = target, with k read
+    # off g's first nonzero coefficient g_i and checked on the other, g_j
+    for s, e, g in ((1, 0, a), (0, 1, b)):
+        if any(g):
+            i = 0 if g[0] else 1
+            if g[1 - i] * t[i] == t[1 - i] * g[i]:
+                k = Fraction(D * t[i], Td * g[i])
                 return k * s, k * e
     if target.is_zero():
         return Fraction(0), Fraction(0)
@@ -512,21 +568,23 @@ def equivalent_forms_check(prob: Problem, l: int,
     """
     lad = _own(prob, l, lad)
     H0 = hamiltonian(prob)
-    ent_minus = lad.entry("minus", l)
-    ent_plus = lad.entry("plus", l)
+    D, P2, Q1, *_ = prob.taylor
+    _, _, _, E, (L, _) = lad.fields("minus", l)
+    L_plus = lad.fields("plus", l)[4][0]
     delta_w = lad.wl("minus", l) - lad.w0
     Hl = hypergeom_like_hl(prob, l, lad)
 
     first_order = DiffOp([Poly(), delta_w * (-2)])
     a = H0.sub(Hl.add(first_order, prob), prob)
 
-    lam_plus = ent_minus.lam + prob.ppp - prob.qp
+    # lambda = L/2D, and p'' - q' = 2 (P2 - Q1)/2D
+    lam_plus = Fraction(L + 2 * (P2 - Q1), 2 * D)
     phi = principal_eigenfunction(prob, l, lad)[0]
 
-    over_p = DiffOp(lad.ab("minus", 0).coeffs, -1)
+    over_p = lad.ab("minus", 0)._at(-2)
     b = over_p.eigen_residual(phi, lam_plus, prob)
 
-    c = DiffOp([ent_plus.lam - ent_minus.lam - prob.ppp + prob.qp])
+    c = _constant((L_plus - L - 2 * (P2 - Q1), 2 * D))
 
     exps = _solve_weight_exponents(prob, -delta_w)
     if exps is None:
@@ -534,8 +592,8 @@ def equivalent_forms_check(prob: Problem, l: int,
     else:
         s, e = exps
         lhs = H0.conjugate(-s, -e, prob)
-        rhs = Hl.add(DiffOp([ent_minus.lam]), prob).sub(
-            DiffOp([ent_minus.E], -1), prob)
+        rhs = Hl.add(_constant((L, 2 * D)), prob).sub(
+            DiffOp._make([[E[0]]], E[1], -2), prob)
         d = lhs.sub(rhs, prob)
 
     return {"h0_vs_hl": a, "partner_eigenvalue": b,

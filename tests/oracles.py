@@ -1,14 +1,15 @@
 """Test-local oracles and helpers that the package itself never calls.
 
 ``brute_force_eigen_oracle`` is an eigenpair built independently of the
-ladders.  ``apply`` and ``poly_ratio`` act on the package's one function
+ladders, and ``series_phi`` is Phi_l itself, normalization included, from
+p and q alone.  ``apply`` and ``poly_ratio`` act on the package's one function
 type, p^s c held as the zeroth-order ``DiffOp([c], s)``, and on plain
 polynomials.  ``RefDiffOp`` is the operator algebra with one ``Poly`` per
 coefficient, the reference for ``DiffOp``'s integer rows.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp
@@ -48,6 +49,31 @@ def brute_force_eigen_oracle(prob: Problem, l: int) -> tuple[Poly, Fraction]:
             acc += -j * (j - 1) * p0 * v[j]
         v[k] = acc / (lam - diag(k))
     return Poly(v), lam
+
+
+def series_phi(p: Poly, q: Poly, l: int) -> Poly:
+    """Phi_l from p and q alone, by Nikiforov and Uvarov's downward
+    recurrence for the coefficients c_k of the degree-l polynomial solution
+    of -p y'' - q y' = lambda_l y, lambda_l = -l (l - 1) p2 - l q1.
+
+    Matching the coefficients of x^k gives
+
+        (l - k) ((l + k - 1) p2 + q1) c_k
+            = (k + 1) (k p1 + q0) c_(k+1) + (k + 1) (k + 2) p0 c_(k+2),
+
+    started from the leading coefficient that the raises B_l ... B_1 give
+    1, c_l = prod_(j=1..l) ((3 - 2j) p2 - q1).  A vanishing divisor raises
+    ZeroDivisionError.  Runs on Fractions, sharing nothing with the
+    ladders."""
+    p2, p1, p0 = p[2], p[1], p[0]
+    q1, q0 = q[1], q[0]
+    c = [Fraction(0)] * (l + 3)
+    c[l] = Fraction(prod((3 - 2 * j) * p2 - q1 for j in range(1, l + 1)))
+    for k in range(l - 1, -1, -1):
+        c[k] = ((k + 1) * (k * p1 + q0) * c[k + 1]
+                + (k + 1) * (k + 2) * p0 * c[k + 2]) \
+            / ((l - k) * ((l + k - 1) * p2 + q1))
+    return Poly(c[:l + 1])
 
 
 def apply(op: DiffOp, f: DiffOp, prob: Problem) -> DiffOp:

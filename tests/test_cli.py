@@ -212,6 +212,26 @@ def test_bad_input_exit_2():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("argv, names", [
+    (["factorize", "--family", "legendre", "--levels", "abc"], "--levels"),
+    (["factorize", "--family", "legendre", "--bogus", "1"], "--bogus"),
+    (["nosuchcommand", "--family", "legendre"], "nosuchcommand"),
+    (["eigenfunction", "--family", "legendre"], "--l")])
+def test_argument_errors_are_one_json_object_exit_2(argv, names):
+    code, out, err = _main(argv)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["error"] == "UsageError" and names in report["message"]
+
+
+def test_help_prints_usage_and_exits_0():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert out.getvalue().startswith("usage: susyfactor verify")
+
+
 def test_degree_error_exit_2():
     # p = 1 - x^2, q = 3: raising loses degree at level 3
     r = run_cli("verify", "--p", "-1,0,1", "--q", "3,0", "--levels", "3")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyfactor import associated, principal
+from susyfactor import associated, cli, principal
 from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp, hamiltonian
 
@@ -153,6 +153,33 @@ def test_poly_coefficients_stay_poly():
         assert all(isinstance(c, Poly) for c in op.coeffs)
     assert h.k == 0 and ops[1].k == 0
     assert ops[3].k.denominator == 2
+
+
+def test_k_is_a_half_integer_held_as_twice_itself(monkeypatch):
+    # 2k must be an integer; every operator the verify suites build holds
+    # it as the int h, with k its Fraction view
+    with pytest.raises(ValueError):
+        DiffOp([1], Fraction(1, 3))
+    assert DiffOp([1], Fraction(-3, 2)).h == -3 and DiffOp([1], 2).h == 4
+    built = []
+    make, init, at = DiffOp._make, DiffOp.__init__, DiffOp._at
+
+    def kept(op):
+        built.append(op)
+        return op
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        kept(self)
+    monkeypatch.setattr(DiffOp, "_make",
+                        classmethod(lambda cls, *args: kept(make(*args))))
+    monkeypatch.setattr(DiffOp, "__init__", counted_init)
+    monkeypatch.setattr(DiffOp, "_at", lambda self, h: kept(at(self, h)))
+    for prob in FAMILIES.values():
+        cli._verify_residuals(prob, 8, Fraction(0))
+    assert len(built) > 1000
+    assert all(type(op.h) is int and op.k == Fraction(op.h, 2)
+               for op in built)
 
 
 def test_k_aligns_by_integer_powers_of_p():

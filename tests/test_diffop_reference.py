@@ -148,7 +148,7 @@ def test_one_changed_entry_is_seen(data, prob):
     rows = [list(row) for row in new.rows]
     i = data.draw(st.integers(0, len(rows[j])))
     rows[j][i:i + 1] = [(rows[j][i] if i < len(rows[j]) else 0) + 1]
-    bad = DiffOp._make(rows, new.den, new.k)
+    bad = DiffOp._make(rows, new.den, new.h)
     assert _same(lambda: new, lambda: ra.conjugate(s, 0, prob))
     assert not _same(lambda: bad, lambda: ra.conjugate(s, 0, prob))
 
@@ -180,7 +180,7 @@ def test_hot_operations_build_no_poly(monkeypatch):
            h.conjugate(Fraction(1, 4), Fraction(1, 2), prob),
            h.add(ha, prob), ha.sub(h, prob), aligned.sub(root, prob),
            ha.scale(Fraction(-2, 3)),
-           DiffOp._make([[1, 0, -1], [0, 3, 0, -3]], 2, Fraction(0)).reduced(
+           DiffOp._make([[1, 0, -1], [0, 3, 0, -3]], 2, 0).reduced(
                prob),
            conj.eigen_residual(f, Fraction(5, 2), prob),
            root.eigen_residual(f, 0, prob)]

@@ -504,8 +504,8 @@ NUMERIC_PRESETS = ["legendre", "jacobi:2,3", "jacobi:1/2,1/2", "laguerre:1",
 
 @pytest.mark.parametrize("spec", NUMERIC_PRESETS)
 def test_one_level_reads_match_the_table(monkeypatch, spec):
-    # Ladders.entry reads one level off its record; reading the same level
-    # from the whole table of Fractions prints the same bytes
+    # Ladders.entry and Ladders.wl read one level off its record; reading
+    # the same level from the whole table of Fractions prints the same bytes
     argvs = [["numeric", task, "--family", spec, "--l", str(l), *extra]
              for l in (0, 1, 5)
              for task, extra in (("residual", ["--form", "y", "--nodes",
@@ -515,7 +515,12 @@ def test_one_level_reads_match_the_table(monkeypatch, spec):
 
     def table_entry(lad, branch, l):
         return lad.table(branch)[l - (-1 if branch == "plus" else 0)]
+
+    def table_wl(lad, branch, l):
+        ent = table_entry(lad, branch, l)
+        return Poly([ent.beta, ent.alpha])
     monkeypatch.setattr(principal.Ladders, "entry", table_entry)
+    monkeypatch.setattr(principal.Ladders, "wl", table_wl)
     for argv, out in zip(argvs, outs):
         assert out[0] == 0 and out[1] and not out[2], argv
         assert _cli_in_process(*argv)[:3] == out, argv

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import hamiltonian
@@ -8,6 +9,7 @@ from susyfactor import principal
 
 from conftest import FAMILIES, hermite, laguerre, legendre
 from oracles import OracleDegenerate, brute_force_eigen_oracle, poly_ratio
+from test_properties import problems, rationals
 
 
 def test_factor_table_matches_direct_match(family):
@@ -117,3 +119,31 @@ def test_superpotential_w0():
     prob = legendre()
     assert principal.superpotential_w0(prob) == \
         (prob.p.derivative() - prob.q) * Fraction(1, 2)
+
+
+# p' and q - p' span at most a line: constant p, p' parallel to q - p', and
+# linear p with constant q, each with a Taylor denominator D > 1
+RANK_ONE = [Problem(Poly([Fraction(1, 2)]), Poly([Fraction(1, 5),
+                                                  Fraction(-1, 3)])),
+            Problem(Poly([0, 0, Fraction(1, 2)]), Poly([0, 2])),
+            Problem(Poly([Fraction(1, 3), Fraction(2, 3)]),
+                    Poly([Fraction(5, 7)]))]
+
+
+@given(st.one_of(problems(), st.sampled_from(RANK_ONE)), rationals,
+       rationals, rationals, rationals)
+def test_weight_exponents_solve_the_linear_system(prob, s0, e0, u, v):
+    a = prob.p.derivative()
+    b = prob.q - a
+    target = a * s0 + b * e0
+    s, e = principal._solve_weight_exponents(prob, target)
+    assert a * s + b * e == target
+    # a target off the span of p' and q - p' has no exponents
+    off = Poly([u, v])
+    g = a if not a.is_zero() else b
+    inside = a[1] * b[0] != a[0] * b[1] or (
+        off.is_zero() if g.is_zero() else g[1] * off[0] == g[0] * off[1])
+    got = principal._solve_weight_exponents(prob, off)
+    assert (got is not None) == inside
+    if got is not None:
+        assert a * got[0] + b * got[1] == off

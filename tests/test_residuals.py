@@ -1,10 +1,8 @@
 """Every check family returns residuals: zero on the presets, and nonzero
-once the Ladders context it reads holds one tampered table entry, or one
-tampered integer record where the check reads the Phi chain.
-pHm_factorization's residual equals the one both sides of its balance
-give when built apart."""
+once the Ladders context it reads holds one tampered integer record, the
+data every check reads its fields from.  pHm_factorization's residual
+equals the one both sides of its balance give when built apart."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,54 +21,51 @@ RECORD = ("a", "B", "X", "L")
 
 
 def _field(lad, branch, level, field):
-    """A field of the level's table entry, or of its integer record."""
-    if field in RECORD:
-        i = level + (1 if branch == "plus" else 0)
-        return lad.records(branch)[i][RECORD.index(field)]
-    return getattr(lad.entry(branch, level), field)
+    """A field of the level's integer record."""
+    i = level + (1 if branch == "plus" else 0)
+    return lad.records(branch)[i][RECORD.index(field)]
 
 
 def _tampered(prob, top, branch, level, **change) -> principal.Ladders:
-    """A fresh context whose branch table has one entry changed, or whose
-    integer records (which the Phi chain reads) have one record changed."""
+    """A fresh context whose branch has one integer record changed."""
     lad = principal.Ladders(prob, top)
     i = level + (1 if branch == "plus" else 0)
     (field, value), = change.items()
-    if field in RECORD:
-        records = lad.records(branch)
-        rec = list(records[i])
-        rec[RECORD.index(field)] = value
-        records[i] = tuple(rec)
-    else:
-        table = lad.table(branch)
-        table[i] = replace(table[i], **change)
+    records = lad.records(branch)
+    rec = list(records[i])
+    rec[RECORD.index(field)] = value
+    records[i] = tuple(rec)
     return lad
 
 
-# (check, the table entry or record to tamper): each check reads the
-# tampered field; verify_associated reads the minus records through Phi_l
+# (check, the record field to tamper): each check reads the tampered field,
+# beta through W_l (B), delta and E through X, lambda through L;
+# verify_associated reads the minus records through Phi_l
 CHECKS = {
     "shape_invariance_minus": (
         lambda prob, lad: principal.shape_invariance_check(
-            prob, "minus", 2, lad), ("minus", 2, "beta")),
+            prob, "minus", 2, lad), ("minus", 2, "B")),
     "shape_invariance_plus": (
         lambda prob, lad: principal.shape_invariance_check(
-            prob, "plus", 2, lad), ("plus", 2, "delta")),
+            prob, "plus", 2, lad), ("plus", 2, "X")),
+    "symmetry": (
+        lambda prob, lad: principal.symmetry_check(prob, 2, lad),
+        ("plus", 2, "L")),
     "three_term": (
         lambda prob, lad: principal.three_term_check(prob, 2, lad),
-        ("minus", 2, "E")),
+        ("minus", 2, "X")),
     "equivalent_forms": (
         lambda prob, lad: principal.equivalent_forms_check(prob, 2, lad),
-        ("plus", 2, "lam")),
+        ("plus", 2, "L")),
     "standard_hermitian": (
         lambda prob, lad: associated.standard_hermitian_relation(
-            prob, 2, lad), ("minus", 2, "E")),
+            prob, 2, lad), ("minus", 2, "X")),
     "associated": (
         lambda prob, lad: associated.verify_associated(prob, 3, 1, lad),
         ("minus", 1, "B")),
     "pHm": (
         lambda prob, lad: associated.pHm_factorization(prob, 3, 2, lad)[2],
-        ("minus", 3, "E")),
+        ("minus", 3, "X")),
 }
 
 
@@ -88,6 +83,15 @@ def test_one_tampered_entry_leaves_a_residual(family, name):
     assert not _passes(check(family, lad))
 
 
+@pytest.mark.parametrize("field, key", [("a", "alpha"), ("B", "beta"),
+                                        ("X", "E"), ("L", "lambda")])
+def test_symmetry_names_the_tampered_field(family, field, key):
+    # each field of a plus record shows in its own symmetry residual
+    value = _field(principal.Ladders(family, 4), "plus", 2, field)
+    lad = _tampered(family, 4, "plus", 2, **{field: value + 1})
+    assert not principal.symmetry_check(family, 2, lad)[key].is_zero()
+
+
 CONSTANT_P = [hermite(), Problem(Poly([2]), Poly([1, -3])),
               Problem(Poly([1]), Poly([0, 2]))]
 
@@ -100,15 +104,15 @@ def test_collapse_residuals(prob):
     assert {f"delta_{n}" for n in range(1, depth + 1)} <= set(res)
     assert {f"lower_{j}" for j in range(1, depth + 1)} <= set(res)
     assert all(r.is_zero() for r in res.values())
-    # the eigenvalue at level l - m = 2, and the ladder pair at level 5:
-    # each names its own level, so the tamper shows exactly there
-    lad = principal.Ladders(prob, depth)
-    lam = lad.entry("minus", 2).lam
-    lad = _tampered(prob, depth, "minus", 2, lam=lam + 1)
+    # the eigenvalue at level l - m = 2 (record L), and the ladder pair at
+    # level 5 (record a, which W_5 reads): each names its own level, so the
+    # tamper shows exactly there
+    L = _field(principal.Ladders(prob, depth), "minus", 2, "L")
+    lad = _tampered(prob, depth, "minus", 2, L=L + 1)
     res = degenerate.collapse_check(prob, 3, 1, lad=lad)
     assert [k for k, r in res.items() if not r.is_zero()] == ["eigenvalue"]
-    alpha = lad.entry("minus", 5).alpha
-    lad = _tampered(prob, depth, "minus", 5, alpha=alpha + Fraction(1, 2))
+    a = _field(lad, "minus", 5, "a")
+    lad = _tampered(prob, depth, "minus", 5, a=a + 1)
     res = degenerate.collapse_check(prob, 3, 1, lad=lad)
     assert [k for k, r in res.items() if not r.is_zero()] == \
         ["lower_5", "raise_5"]
