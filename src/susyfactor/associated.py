@@ -326,7 +326,8 @@ def principal_form_equivalence(prob: Problem, l: int,
     lam = assoc_lambda(prob, l, m)
     eigen = op.eigen_residual(assoc_bottom_up(prob, l, m).c, lam, prob)
     sub = Problem(prob.p, prob.q + m * pprime)
-    shifted = DiffOp([Ladders(sub, l - m).entry("minus", l - m).lam - lam])
+    shifted = DiffOp([Fraction(*Ladders(sub, l - m).fields("minus", l - m)[4])
+                      - lam])
 
     s = Fraction(2 * m + 1, 4)
     conj = op.conjugate(s, Fraction(1, 2), prob)

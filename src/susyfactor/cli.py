@@ -104,11 +104,11 @@ def _ratio(n: int, d: int) -> str:
 def _entry_rows(prob: Problem, branch: str, records) -> list[str]:
     """Each record's entry as _ENTRY_JSON, read off principal.record_fields,
     the lowest level first."""
-    lowest = -1 if branch == "plus" else 0
     return [_ENTRY_JSON % (branch, l, _ratio(*alpha), _ratio(*beta),
                            _ratio(*delta), _ratio(*E), _ratio(*lam))
             for l, (alpha, beta, delta, E, lam)
-            in enumerate(principal.record_fields(prob, records), lowest)]
+            in enumerate(principal.record_fields(prob, records),
+                         principal.lowest_level(branch))]
 
 
 def _factorize_json(rows, match) -> str:

@@ -15,10 +15,10 @@ from typing import Optional
 
 from .core import Poly, Problem
 from .diffop import DiffOp
-from .associated import _bottom_up, assoc_delta_plus, assoc_lambda
-from .principal import Ladders, principal_eigenfunction
+from .associated import _bottom_up, _lambda_numerator, assoc_delta_plus
+from .principal import Ladders, _constant, principal_eigenfunction
 
-# how many principal ladder pairs collapse_check compares by default
+# how many principal ladder pairs and deltas collapse_check compares
 COLLAPSE_DEPTH = 10
 
 
@@ -78,28 +78,30 @@ def quasi_hermite_generate(l: int) -> tuple[Poly, Fraction]:
     return h, Fraction(-2 * l)
 
 
-def collapse_check(prob: Problem, l: int, m: int, depth: int = COLLAPSE_DEPTH,
+def collapse_check(prob: Problem, l: int, m: int,
                    lad: Optional[Ladders] = None) -> dict[str, DiffOp]:
     """Residuals of the collapse of the associated hierarchy when p is
     constant, each zero exactly when its statement holds.
 
-    eigenvalue:    lambda_lm = lambda^-_(l-m)
+    eigenvalue:    lambda_lm = lambda^-_(l-m), on integers over 2D
     eigenfunction: the polynomial part of Phi_lm is proportional to Phi_(l-m)
-    delta_n:       Delta^+_n equals -q', for n = 1..depth
+    delta_n:       Delta^+_n equals -q', for n = 1..COLLAPSE_DEPTH
     lower_j, raise_j: the principal ladder pair at level j is the one at
-                   level 0, for j = 1..depth
+                   level 0, for j = 1..COLLAPSE_DEPTH
 
     Every level has its own residual, so none can cancel another.  A given
-    context must reach level max(l, depth); the residuals of the deltas and
-    ladders depend on neither l nor m and are kept in it.
+    context must reach level max(l, COLLAPSE_DEPTH); the residuals of the
+    deltas and ladders depend on neither l nor m and are kept in it.
     """
     if not detect(prob).is_degenerate:
         raise ValueError("problem is not degenerate")
     if not 0 <= m <= l:
         raise ValueError("need 0 <= m <= l")
     if lad is None:
-        lad = Ladders(prob, max(l, depth))
-    lam = DiffOp([assoc_lambda(prob, l, m) - lad.entry("minus", l - m).lam])
+        lad = Ladders(prob, max(l, COLLAPSE_DEPTH))
+    # lambda = L/2D, as _lambda_numerator's lambda_lm
+    lam = _constant((_lambda_numerator(prob, l, m)
+                     - lad.fields("minus", l - m)[4][0], 2 * prob.taylor[0]))
 
     # both have full degree (DegreeError otherwise): cross-multiply by the
     # leading coefficients
@@ -109,11 +111,12 @@ def collapse_check(prob: Problem, l: int, m: int, depth: int = COLLAPSE_DEPTH,
 
     def levels():
         out = {f"delta_{n}": DiffOp([assoc_delta_plus(prob, n) + prob.qp])
-               for n in range(1, depth + 1)}
-        base, *pairs = [lad.pair("minus", j) for j in range(depth + 1)]
+               for n in range(1, COLLAPSE_DEPTH + 1)}
+        base, *pairs = [lad.pair("minus", j)
+                        for j in range(COLLAPSE_DEPTH + 1)]
         for j, pair in enumerate(pairs, 1):
             out[f"lower_{j}"] = pair.lower.sub(base.lower, prob)
             out[f"raise_{j}"] = pair.raise_.sub(base.raise_, prob)
         return out
     return {"eigenvalue": lam, "eigenfunction": fun,
-            **lad.memo(("collapse levels", depth), levels)}
+            **lad.memo("collapse levels", levels)}

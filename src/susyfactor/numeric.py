@@ -34,6 +34,8 @@ from .associated import _check_range, assoc_lambda
 from .principal import (Ladders, _own, principal_eigenfunction,
                         superpotential_w0)
 
+SPAN = 5.0      # schrodinger_residual clips u to [-SPAN, SPAN]
+
 
 def __getattr__(name: str):
     """quad and solve_ivp from scipy.integrate, imported on first use
@@ -224,14 +226,14 @@ def weight_function(prob: Problem):
     if p.degree == 0:
         c2 = float(num[1] / (2 * p[0]))
         c1 = float(num[0] / p[0])
-        return lambda x: np.exp(c2 * np.asarray(x, float) ** 2
-                                + c1 * np.asarray(x, float))
+        return lambda x: _exp(c2 * np.asarray(x, float) ** 2
+                              + c1 * np.asarray(x, float))
     if p.degree == 1:
         r = -p[0] / p[1]
         slope = float(num[1] / p[1])
         expo = float(num(r) / p[1])
         rf = float(r)
-        return lambda x: np.exp(slope * np.asarray(x, float)) \
+        return lambda x: _exp(slope * np.asarray(x, float)) \
             * np.abs(np.asarray(x, float) - rf) ** expo
     disc = p[1] * p[1] - 4 * p[2] * p[0]
     if disc < 0:
@@ -259,7 +261,7 @@ def weight_function(prob: Problem):
         c = float(num(r1) / p[2])
         rf = float(r1)
         return lambda x: np.abs(np.asarray(x, float) - rf) ** e1 \
-            * np.exp(-c / (np.asarray(x, float) - rf))
+            * _exp(-c / (np.asarray(x, float) - rf))
     e1 = float(num(r1) / (p[2] * (r1 - r2)))
     e2 = float(num(r2) / (p[2] * (r2 - r1)))
     f1, f2 = float(r1), float(r2)
@@ -393,10 +395,10 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
 
 
 def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
-                         form: str = "y", span: float = 5.0,
-                         inset: float = 1e-3) -> tuple[float, float | None]:
+                         form: str = "y", inset: float = 1e-3
+                         ) -> tuple[float, float | None]:
     """(relative residual, empirical convergence order) of the rescaled
-    eigenfunction on a uniform grid in the y or z coordinate.
+    eigenfunction on a uniform grid in the y or z coordinate, |u| <= SPAN.
 
     Relative means |res|_inf / (|A|_inf |Psi|_inf) with
     |A|_inf = 4/h^2 + max|V - E|; the order comes from halving h.  When the
@@ -418,7 +420,7 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     x0 = 0.5 * (lo + hi)
     u_of_x, x_of_u = (_y_map if form == "y" else _z_map)(prob.p, x0)
     # y falls with x where p < 0, so clip each end on its own side
-    u_lo, u_hi = (float(np.clip(u_of_x(end), -span, span))
+    u_lo, u_hi = (float(np.clip(u_of_x(end), -SPAN, SPAN))
                   for end in (lo + inset * width, hi - inset * width))
     # the halved grid holds every node of the coarse one, and x(u) is
     # pointwise, so one inversion serves both grids
@@ -428,7 +430,8 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     phi, _ = principal_eigenfunction(prob, l, lad)
     if form == "y":
         vl = potential_poly(prob, l, lad)
-        E = float(lad.entry("minus", l).E)
+        n, d = lad.fields("minus", l)[3]
+        E = n / d       # correctly rounded, as float(Fraction(n, d))
     else:
         E = float(assoc_lambda(prob, l, m))
     # (-p, -q) has the same Phi_l and w with V -> -V and lambda -> -lambda,
@@ -556,6 +559,12 @@ def aux_ground_check(prob: Problem, grid: Grid) -> float:
     return float(np.max(err) / np.max(np.abs(ref)))
 
 
+def _exp(t: np.ndarray) -> np.ndarray:
+    """np.exp(t), where an overflow to inf is a value, not a warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(t)
+
+
 def _exact(P, Q) -> bool:
     """Whether P and Q are taken exactly; otherwise both are samples."""
     return isinstance(P, Poly) and P.degree <= 2 and isinstance(Q, Poly)
@@ -575,12 +584,12 @@ def sl_transform_typeI(P, Q, R, grid: Grid, E: float = 0.0,
     _check_sign_definite(Pv)
     mid = len(x) // 2
     if _exact(P, Q):
-        rho = np.exp(_over_p(P, Q, x[mid])(x)) / Pv
+        rho = _exp(_over_p(P, Q, x[mid])(x)) / Pv
         G = 0.5 * (P.derivative()(x) - Qv)
         Gp = 0.5 * (P.derivative().derivative()(x) - Q.derivative()(x))
         u = _y_map(P, x[mid])[0](x)
     else:
-        rho = np.exp(_cumulative(_over_p_pieces(x, Pv, Qv), mid)) / Pv
+        rho = _exp(_cumulative(_over_p_pieces(x, Pv, Qv), mid)) / Pv
         G = 0.5 * (_gradient(Pv, x) - Qv)
         Gp = _gradient(G, x)
         u = _cumulative(_over_p_pieces(x, Pv, np.ones_like(x)), mid)

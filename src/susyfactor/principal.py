@@ -19,9 +19,11 @@ same a_l.  With D fixed and a_l nonzero, each field is one rational read
 off one integer and back (a = 2D alpha, B = 2D a beta, X = (2D a)^2 E,
 L = 2D lambda, and delta follows from E), so two tables are equal as
 rationals exactly when their integer records are equal.  level_fields is
-the one map from a record to its fields, each an unreduced integer pair;
-the checks read those pairs and the CLI prints them, and factor_entries
-builds FactorEntry tables of Fractions from them for library callers.
+the one map from a record to its fields, each an unreduced integer pair.
+The record is the only form of a level on every program path: the checks
+read its pairs and the CLI prints them.  factor_entries is the one
+builder of FactorEntry, the Fraction view that factor_table and
+direct_match_table give library callers.
 
 Ladders are kept unnormalized: the usual 1/sqrt(E_l) factors would leave
 the rational field, so normsq = prod E_j is tracked separately and all
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 from .core import Poly, Problem, int_first_order
 from .diffop import DiffOp, hamiltonian
@@ -44,24 +46,17 @@ class Breakdown(ArithmeticError):
     """The factorization degenerates here: a recurrence divisor vanished,
     or E_l, a factor of the level's normsq prod E_j, is zero.  Raised by
     ladder_records, it carries the records of the levels built below it in
-    ``records``, with the problem and branch they belong to; ``entries``
-    are their FactorEntries, built on first read unless given."""
+    ``records``, with the problem and branch they belong to (the partial
+    table, as factor_entries or record_fields read it)."""
 
-    def __init__(self, level: int, message: str = "", entries=None, *,
+    def __init__(self, level: int, message: str = "", *,
                  prob: Problem | None = None, branch: str = "minus",
                  records=()):
         self.level = level
         self.prob = prob
         self.branch = branch
         self.records = list(records)
-        if entries is not None:
-            self.entries = list(entries)
         super().__init__(message or f"factorization breaks down at level {level}")
-
-    @cached_property
-    def entries(self) -> list[FactorEntry]:
-        return factor_entries(self.prob, self.branch, self.records) \
-            if self.records else []
 
 
 class DegreeError(ArithmeticError):
@@ -100,11 +95,16 @@ def superpotential_w0(prob: Problem) -> Poly:
     return (prob.p.derivative() - prob.q) * Fraction(1, 2)
 
 
-def _lowest(branch: str, max_level: int) -> int:
-    """The branch's lowest level, after checking branch and max_level."""
+def lowest_level(branch: str) -> int:
+    """The branch's lowest level: 0 (minus) or -1 (plus)."""
     if branch not in ("minus", "plus"):
         raise ValueError(f"unknown branch {branch!r}")
-    lowest = -1 if branch == "plus" else 0
+    return 0 if branch == "minus" else -1
+
+
+def _lowest(branch: str, max_level: int) -> int:
+    """The branch's lowest level, after checking max_level."""
+    lowest = lowest_level(branch)
     if max_level < lowest:
         raise ValueError(f"max_level must be >= {lowest}")
     return lowest
@@ -117,7 +117,7 @@ def ladder_records(prob: Problem, branch: str,
 
     With (D, P2, Q1, P1, Q0, P0) = prob.taylor, alpha_l = a_l / 2D, where
     a_l = -C_{l-1} (minus) or C_l (plus) and C_l = l P2 + Q1; a vanishing
-    a_l is Breakdown(l), carrying the entries of the levels below.  With
+    a_l is Breakdown(l), carrying the records of the levels below.  With
     s = +1 (minus) or -1 (plus), the ladder updates of beta and E read
 
         beta_l = B_l / (2D a_l),    B_l = B_{l-1} - s P1 (a_l + a_{l-1}),
@@ -156,7 +156,7 @@ def closed_form_records(prob: Problem, branch: str,
     With prob.taylor = (D, P2, Q1, P1, Q0, P0), C_l = l P2 + Q1 and d_l =
     l P1 + Q0 are D (l p'' + q') and D (l p'(0) + q(0)).  Each level is
     evaluated on its own, sharing no recurrence with ladder_records; a
-    vanishing divisor is Breakdown(l), with no entries.  The lowest level
+    vanishing divisor is Breakdown(l), with no records.  The lowest level
     is the shared initial data.
     """
     lowest = _lowest(branch, max_level)
@@ -228,18 +228,13 @@ def record_fields(prob: Problem, records: list[Record]):
                [None, *records])
 
 
-def _entry(branch: str, level: int, fields: Fields) -> FactorEntry:
-    return FactorEntry(branch, level,
-                       *[Fraction(n, d) for n, d in fields])
-
-
 def factor_entries(prob: Problem, branch: str,
                    records: list[Record]) -> list[FactorEntry]:
     """The FactorEntry of each record, the lowest level first: the Fractions
-    of record_fields."""
-    lowest = -1 if branch == "plus" else 0
-    return [_entry(branch, l, fields) for l, fields
-            in enumerate(record_fields(prob, records), lowest)]
+    of record_fields.  The one builder of FactorEntry."""
+    return [FactorEntry(branch, l, *[Fraction(n, d) for n, d in fields])
+            for l, fields in enumerate(record_fields(prob, records),
+                                       lowest_level(branch))]
 
 
 def factor_table(prob: Problem, branch: str, max_level: int) -> list[FactorEntry]:
@@ -270,10 +265,9 @@ class Ladders:
 
     The integer records run to level ``top`` (minus 0..top, plus -1..top)
     and are built one branch at a time, so a caller touching only one
-    branch raises only that branch's Breakdown.  The checks read each
-    level's fields as integer pairs off its record; a table of
-    FactorEntries is built only for a caller that asks for one, and a
-    single entry from its own level's fields alone.
+    branch raises only that branch's Breakdown.  A level is read only as
+    its record: ``fields`` gives its (alpha, beta, delta, E, lambda) as
+    integer pairs, and no FactorEntry is built here.
     W_l, the ladder pairs and their products A_l B_l and B_l A_l (all
     polynomial operators), the Phi chain and its norms hang off the
     records; ``memo`` keeps whatever else the checks of the
@@ -287,7 +281,6 @@ class Ladders:
         self.top = top
         self.w0 = superpotential_w0(prob)
         self._records: dict[str, list[Record]] = {}
-        self._tables: dict[str, list[FactorEntry]] = {}
         self._phis = {0: Poly.const(1)}     # the levels a caller read
         self._chain = (0, [1], 1)           # highest raise: (j, num, den)
         self._norms = [Fraction(1)]    # prefix products of E_j
@@ -306,15 +299,9 @@ class Ladders:
                                                    self.top)
         return self._records[branch]
 
-    def table(self, branch: str) -> list[FactorEntry]:
-        if branch not in self._tables:
-            self._tables[branch] = factor_entries(self.prob, branch,
-                                                  self.records(branch))
-        return self._tables[branch]
-
     def _record(self, branch: str, l: int) -> tuple[Record, Record | None]:
         """Level l's record and the one below it (None at the lowest)."""
-        lowest = -1 if branch == "plus" else 0
+        lowest = lowest_level(branch)
         records = self.records(branch)
         if not lowest <= l <= self.top:
             raise ValueError(f"level {l} outside {lowest}..{self.top}")
@@ -326,11 +313,6 @@ class Ladders:
         (level_fields)."""
         return level_fields(2 * self.prob.taylor[0],
                             *self._record(branch, l))
-
-    def entry(self, branch: str, l: int) -> FactorEntry:
-        """Level l of the branch as a FactorEntry, off its fields alone."""
-        return self.memo(("entry", branch, l), lambda: _entry(
-            branch, l, self.fields(branch, l)))
 
     def wl(self, branch: str, l: int) -> Poly:
         """W_l = alpha_l x + beta_l straight from level l's record:

@@ -1,12 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from susyfactor.core import Poly, Problem
+from susyfactor.core import Poly, Problem, rational_sqrt
 from susyfactor.diffop import DiffOp, hamiltonian
-from susyfactor import degenerate
+from susyfactor import degenerate, principal
 
 from conftest import hermite, legendre
+from oracles import poly_ratio
 
 
 def quasi_hermite() -> Problem:
@@ -54,6 +56,36 @@ def test_quasi_hermite_generate_eigenvalue():
         poly, lam = degenerate.quasi_hermite_generate(l)
         assert lam == -2 * l
         assert h.eigen_residual(poly, lam, prob).is_zero()
+
+
+_positive = st.fractions(min_value=Fraction(1, 4), max_value=4,
+                         max_denominator=6)
+
+
+@given(_positive, _positive,
+       st.fractions(min_value=-3, max_value=3, max_denominator=5),
+       st.sampled_from([-1, 1]))
+@settings(max_examples=60, deadline=None)
+def test_phi_is_hermite_under_the_detect_scaling(c, s, q0, sign):
+    # p = c, q = q1 x + q0 with q1 = -+2c/s^2: detect's radicand is s^2 and
+    # x = s xi + shift turns H into (c/s^2)(-d^2/dxi^2 +- 2 xi d/dxi), so
+    # Phi_l(x) is proportional to H_l(xi) (q1 < 0) or to the
+    # quasi-Hermite D^l 1 (q1 > 0), each generated in xi alone
+    prob = Problem(Poly([c]), Poly([q0, sign * 2 * c / s ** 2]))
+    rep = degenerate.detect(prob)
+    assert rep.subcase == ("hermite" if sign < 0 else "quasi_hermite")
+    radicand, shift = rep.scaling
+    root = rational_sqrt(radicand)
+    assert root == s
+    generate = degenerate.hermite_generate if sign < 0 \
+        else degenerate.quasi_hermite_generate
+    xi = Poly([-shift / root, 1 / root])
+    lad = principal.Ladders(prob, 10)
+    for l in range(11):
+        h, at_xi = generate(l)[0], Poly()
+        for coeff in reversed(h.coeffs):
+            at_xi = at_xi * xi + Poly.const(coeff)
+        assert poly_ratio(lad.phi(l), at_xi) is not None, l
 
 
 def test_collapse_check_all_true():

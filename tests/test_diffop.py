@@ -120,7 +120,7 @@ def test_wrong_eigenvalue_leaves_its_gap_times_f(prob, l, gap):
     # H0 and p^-1 A_0 B_0 (k = -1) on Phi_l: a trial eigenvalue off by gap
     # leaves exactly (lambda - trial) Phi_l = -gap Phi_l
     lad = principal.Ladders(prob, l)
-    phi, lam = lad.phi(l), lad.entry("minus", l).lam
+    phi, lam = lad.phi(l), Fraction(*lad.fields("minus", l)[4])
     over_p = DiffOp(lad.ab("minus", 0).coeffs, -1)
     lam_plus = lam + prob.ppp - prob.qp
     for op, eig in ((hamiltonian(prob), lam), (over_p, lam_plus)):

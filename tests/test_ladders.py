@@ -168,10 +168,12 @@ def test_one_table_per_branch_and_one_raise_per_level(monkeypatch):
 
 
 def test_no_program_path_builds_a_quasi_function(monkeypatch):
-    # QuasiFunction is the tests' reference only: with its constructor
-    # refusing, the suite (collapse_check on hermite included), every
-    # eigenfunction form at m < 0, m = 0 and m > 0 (constant p too) and
-    # the classify round trip still run and print the same
+    # QuasiFunction is the tests' reference only, and FactorEntry is the
+    # library's Fraction view of a record: with both constructors refusing,
+    # the suite (collapse_check on hermite included), every eigenfunction
+    # form at m < 0, m = 0 and m > 0 (constant p too), the classify round
+    # trip, the numeric residual and potentials, and factorize (its partial
+    # table too, which exits 2) still run and print the same
     argv = [["verify", "--family", spec, "--levels", "4"]
             for spec in ("legendre", "jacobi:2,3", "laguerre:1", "hermite",
                          "hypergeom:1/3,1/5,7/2", "confluent:3")]
@@ -180,17 +182,32 @@ def test_no_program_path_builds_a_quasi_function(monkeypatch):
              for spec in ("jacobi:2,3", "hermite") for m in (-3, 0, 3)
              for form in ("ladder", "rodrigues", "topdown", "bottomup")]
     argv.append(["classify", "--family", "legendre", "--l", "3", "--m", "1"])
+    argv += [["numeric", "residual", "--family", "jacobi:2,3", "--l", "5",
+              "--form", "y", "--nodes", "200"],
+             ["numeric", "potentials", "--family", "jacobi:2,3", "--l", "5",
+              "--m", "2", "--nodes", "20"],
+             ["factorize", "--family", "jacobi:2,3", "--levels", "400",
+              "--branch", "both"]]
+    partial = ["factorize", "--p", "1", "--q", "0,1", "--levels", "5",
+               "--branch", "plus"]
+    argv.append(partial)
     before = [_run(a) for a in argv]
     assert not hasattr(susyfactor, "QuasiFunction")
 
     def refuse(self, *args, **kwargs):
-        raise AssertionError("a program path built a QuasiFunction")
-    monkeypatch.setattr(QuasiFunction, "__init__", refuse)
+        raise AssertionError(
+            f"a program path built a {type(self).__name__}")
+    for cls in (QuasiFunction, principal.FactorEntry):
+        monkeypatch.setattr(cls, "__init__", refuse)
     with pytest.raises(AssertionError):
         QuasiFunction(Poly.const(1))
+    with pytest.raises(AssertionError):
+        principal.factor_table(Problem(Poly([1]), Poly([0, -2])),
+                               "minus", 0)
     for a, (code, out, _) in zip(argv, before):
-        assert code == 0, a
-        assert _run(a)[:2] == (0, out), a
+        want = 2 if a is partial else 0
+        assert code == want and out, a
+        assert _run(a)[:2] == (want, out), a
 
 
 def test_collapse_shares_the_context(monkeypatch):

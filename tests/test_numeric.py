@@ -504,7 +504,7 @@ NUMERIC_PRESETS = ["legendre", "jacobi:2,3", "jacobi:1/2,1/2", "laguerre:1",
 
 @pytest.mark.parametrize("spec", NUMERIC_PRESETS)
 def test_one_level_reads_match_the_table(monkeypatch, spec):
-    # Ladders.entry and Ladders.wl read one level off its record; reading
+    # Ladders.fields and Ladders.wl read one level off its record; reading
     # the same level from the whole table of Fractions prints the same bytes
     argvs = [["numeric", task, "--family", spec, "--l", str(l), *extra]
              for l in (0, 1, 5)
@@ -514,12 +514,18 @@ def test_one_level_reads_match_the_table(monkeypatch, spec):
     outs = [_cli_in_process(*argv)[:3] for argv in argvs]
 
     def table_entry(lad, branch, l):
-        return lad.table(branch)[l - (-1 if branch == "plus" else 0)]
+        return factor_table(lad.prob, branch, lad.top)[
+            l - principal.lowest_level(branch)]
+
+    def table_fields(lad, branch, l):
+        ent = table_entry(lad, branch, l)
+        return tuple(f.as_integer_ratio() for f in (ent.alpha, ent.beta,
+                                                    ent.delta, ent.E, ent.lam))
 
     def table_wl(lad, branch, l):
         ent = table_entry(lad, branch, l)
         return Poly([ent.beta, ent.alpha])
-    monkeypatch.setattr(principal.Ladders, "entry", table_entry)
+    monkeypatch.setattr(principal.Ladders, "fields", table_fields)
     monkeypatch.setattr(principal.Ladders, "wl", table_wl)
     for argv, out in zip(argvs, outs):
         assert out[0] == 0 and out[1] and not out[2], argv
@@ -813,6 +819,23 @@ def _cli_in_process(*argv):
     return rc, out.getvalue(), err.getvalue(), caught
 
 
+# stdout of sl1 and potentials on p = 1, q = 2x over [-30, 30], 5 nodes,
+# as printed while the overflow still raised a RuntimeWarning
+SL1_OVERFLOW = (
+    "x,rho,G,U,u\r\n-30,inf,30,901,-30\r\n"
+    "-15,5.2030551378848545e+97,15,226,-15\r\n0,1,0,1,0\r\n"
+    "15,5.2030551378848545e+97,-15,226,15\r\n30,inf,-30,901,30\r\n")
+POTENTIALS_OVERFLOW = (
+    "x,w,y,z,W_l,V_l,V_s_l,W_a_m,V_a_m,psi_l,s_phi_lm\r\n"
+    "-30,inf,-30,-30,30,901,899,30,901,inf,inf\r\n"
+    "-15,5.2030551378848545e+97,-15,-15,15,226,224,15,226,"
+    "6.5063249783604173e+51,6.5063249783604173e+51\r\n"
+    "0,1,0,0,0,1,-1,-0,1,2,2\r\n"
+    "15,5.2030551378848545e+97,15,15,-15,226,224,-15,226,"
+    "6.5063249783604173e+51,6.5063249783604173e+51\r\n"
+    "30,inf,30,30,-30,901,899,-30,901,inf,inf\r\n")
+
+
 def test_numeric_commands_write_no_stray_stderr():
     # p < 0 throughout: the y form runs downward in u
     rc, out, err, caught = _cli_in_process(
@@ -831,3 +854,12 @@ def test_numeric_commands_write_no_stray_stderr():
         "numeric", "residual", "--p", "-1", "--q", "0,2", "--l", "2")
     assert (rc, out, caught) == (2, "", [])
     assert len(err.splitlines()) == 1 and "error" in json.loads(err)
+    # rho = exp(x^2) and w = exp(x^2) overflow to inf at x = +-30: printed
+    # as inf, with no warning
+    for argv, want in ((("sl1",), SL1_OVERFLOW),
+                       (("potentials", "--l", "2"), POTENTIALS_OVERFLOW)):
+        rc, out, err, caught = _cli_in_process(
+            "numeric", *argv, "--p", "1", "--q", "2,0", "--lo", "-30",
+            "--hi", "30", "--nodes", "5")
+        assert (rc, err, caught) == (0, "", [])
+        assert out == want

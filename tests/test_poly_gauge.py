@@ -150,6 +150,11 @@ def _pair(prob, lad, branch, l):
     return lower, raise_
 
 
+def _entry(lad, branch, l):
+    """Level l of the branch as a FactorEntry: the last of factor_table."""
+    return principal.factor_table(lad.prob, branch, l)[-1]
+
+
 def _ab(prob, lad, branch, l):
     lower, raise_ = _pair(prob, lad, branch, l)
     return lower.compose(raise_, prob)
@@ -161,7 +166,7 @@ def _ba(prob, lad, branch, l):
 
 
 def _shape(prob, lad, branch, l):
-    delta = lad.entry(branch, l).delta
+    delta = _entry(lad, branch, l).delta
     if branch == "minus":
         lhs, rhs = _ab(prob, lad, branch, l), _ba(prob, lad, branch, l - 1)
     else:
@@ -171,7 +176,7 @@ def _shape(prob, lad, branch, l):
 
 def _equivalent_forms(prob, lad, l):
     H0 = _hamiltonian(prob)
-    ent_minus, ent_plus = lad.entry("minus", l), lad.entry("plus", l)
+    ent_minus, ent_plus = _entry(lad, "minus", l), _entry(lad, "plus", l)
     wl = lad.wl("minus", l)
     delta_w = wl - lad.w0
     Hl = QFOp([0, 2 * wl - prob.p.derivative(), -prob.p])
@@ -199,7 +204,7 @@ def _equivalent_forms(prob, lad, l):
 
 
 def _standard_hermitian(prob, lad, l):
-    ent = lad.entry("minus", l)
+    ent = _entry(lad, "minus", l)
     lhs = _ba(prob, lad, "minus", l).conjugate(0, Fraction(1, 2), prob)
     inner = _hamiltonian(prob).conjugate(Fraction(1, 4), Fraction(1, 2), prob)
     rhs = inner.lmul(_qf(prob.p), prob).conjugate(Fraction(-1, 4), 0, prob)
@@ -245,7 +250,7 @@ def _pHm(prob, lad, l, m):
         if cm == 0:
             raise principal.Breakdown(l)
         C = Fraction(m, 4) * (prob.pp0 * prob.qp - prob.ppp * prob.q0) / cm
-    ent = lad.entry("minus", l)
+    ent = _entry(lad, "minus", l)
     E_lm = ent.E + C * (C + 2 * ent.beta) \
         + m * (prob.qp + Fraction(m - 2, 2) * prob.ppp) * prob.p0 \
         - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) \
@@ -260,8 +265,8 @@ def _pHm(prob, lad, l, m):
 
 
 def _collapse(prob, lad, l, m, depth=degenerate.COLLAPSE_DEPTH):
-    lam_ok = associated.assoc_lambda(prob, l, m) == lad.entry(
-        "minus", l - m).lam
+    lam_ok = associated.assoc_lambda(prob, l, m) == _entry(
+        lad, "minus", l - m).lam
     phi_lm = _phi_lm(prob, lad, l, m)
     fun_ok = poly_ratio(phi_lm.c, lad.phi(l - m)) is not None
     delta_ok = all(associated.assoc_delta_plus(prob, n) == -prob.qp
@@ -279,7 +284,8 @@ def _qf_suite(prob, levels, perturb):
     top = max(levels + 1, degenerate.COLLAPSE_DEPTH) if collapses \
         else levels + 1
     lad = principal.Ladders(prob, top)
-    minus, plus = lad.table("minus"), lad.table("plus")
+    minus, plus = (principal.factor_table(prob, branch, top)
+                   for branch in ("minus", "plus"))
 
     def sic(branch, l):
         return _shape(prob, lad, branch, l).add(_mul(perturb), prob).is_zero()

@@ -131,7 +131,7 @@ def _six_operation_pHm(prob, l, m):
             raise principal.Breakdown(l)
         C = Fraction(m, 4) * (prob.pp0 * prob.qp - prob.ppp * prob.q0) / cm
     lad = principal.Ladders(prob, l)
-    ent = lad.entry("minus", l)
+    ent = principal.factor_table(prob, "minus", l)[-1]
     E_lm = ent.E + C * (C + 2 * ent.beta) \
         + m * (prob.qp + Fraction(m - 2, 2) * prob.ppp) * prob.p0 \
         - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) \

@@ -1,5 +1,7 @@
-"""Phi_l and the bottom-up Phi_lm against the power-series oracle, which
-reads only p and q (oracles.series_phi)."""
+"""Phi_l and the bottom-up and top-down Phi_lm against the power-series
+oracle, which reads only p and q (oracles.series_phi)."""
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,8 @@ def test_phi_matches_the_series_on_random_problems(prob, l):
 
 def test_bottom_up_is_the_derivative_of_the_series(family):
     # every m at one level: (-1)^m (d/dx)^|m| Phi_l for m < 0, taken one
-    # derivative at a time over Fractions
+    # derivative at a time over Fractions; the top-down form is
+    # p^(|m|/2) times it, up to a nonzero rational
     l = 30
     lad = principal.Ladders(family, l)
     series = series_phi(family.p, family.q, l).coeffs
@@ -41,3 +44,6 @@ def test_bottom_up_is_the_derivative_of_the_series(family):
         sign = -1 if m < 0 and m % 2 else 1
         assert associated.assoc_bottom_up(family, l, m, lad).c == \
             Poly([sign * c for c in d]), m
+        ref = associated.AssocFunction(Poly(d), Fraction(abs(m), 2), l, m)
+        assert associated.assoc_top_down(family, l, m, lad).proportional(
+            ref, family) is not None, m
