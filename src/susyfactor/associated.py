@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import perm, prod
 
-from .core import Poly, Problem, int_first_order, rational_sqrt
+from .core import (Poly, Problem, int_first_order, int_mul_add,
+                   rational_sqrt)
 from .diffop import DiffOp, hamiltonian
 from .principal import (Breakdown, Ladders, Pair, _own, _plus,
                         principal_eigenfunction)
@@ -71,29 +72,36 @@ def assoc_ladders(prob: Problem, m: int) -> tuple[DiffOp, DiffOp]:
 
     h_0 = -sqrt(p) d/dx + (p'/2 - q)/sqrt(p), h_0^dagger = sqrt(p) d/dx;
     level shift by -m (sqrt p)' = -m p'/(2 sqrt p).  Both are p^(-1/2)
-    times a polynomial operator.  For m < 0 the ladders are
-    (-h_|m|^dagger, -h_|m|).
+    times a polynomial operator, built over 2D from prob.taylor: 2D p =
+    P2 x^2 + 2 P1 x + 2 P0, D p' = P2 x + P1 and D q = Q1 x + Q0.  For m < 0
+    the ladders are (-h_|m|^dagger, -h_|m|).
     """
     if m < 0:
         lo, hi = assoc_ladders(prob, -m)
         return hi.scale(-1), lo.scale(-1)
-    half = Fraction(1, 2)
-    pprime = prob.p.derivative()
-    shift = pprime * Fraction(-m, 2)
-    lower = DiffOp([pprime * half - prob.q + shift, -prob.p], -half)
-    raise_ = DiffOp([shift, prob.p], -half)
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
+    # 2D ((1 - m) p'/2 - q) and 2D (-m p'/2)
+    low0 = [(1 - m) * P1 - 2 * Q0, (1 - m) * P2 - 2 * Q1]
+    up0 = [-m * P1, -m * P2]
+    lower = DiffOp._make([low0, [-2 * P0, -2 * P1, -P2]], 2 * D, -1)
+    raise_ = DiffOp._make([up0, [2 * P0, 2 * P1, P2]], 2 * D, -1)
     return lower, raise_
 
 
 def assoc_hamiltonian(prob: Problem, m: int) -> DiffOp:
     """H^a_m expanded: -p d^2 - q d + [(m/2)p''p + (m/2)(q-p')p' + (m^2/4)p'^2]/p.
 
-    Kept as p^-1 times a polynomial operator."""
+    Kept as p^-1 times a polynomial operator, over (2D)^2 from prob.taylor:
+    with p2 = 2D p, dp = D p' and dq = D q (assoc_ladders), its rows are
+    m (P2 p2 + (2 (dq - dp) + m dp) dp), -2 dq p2 and -p2^2."""
     m = abs(m)
-    pprime = prob.p.derivative()
-    num = Fraction(m, 2) * (prob.p * prob.ppp + (prob.q - pprime) * pprime) \
-        + Fraction(m * m, 4) * pprime * pprime
-    return DiffOp([num, -prob.q * prob.p, -prob.p * prob.p], -1)
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
+    p2, dp = [2 * P0, 2 * P1, P2], [P1, P2]
+    u = [m * (2 * (Q0 - P1) + m * P1), m * (2 * (Q1 - P2) + m * P2)]
+    num = int_mul_add([m * P2 * c for c in p2], u, dp)
+    return DiffOp._make([num, int_mul_add([], [-2 * Q0, -2 * Q1], p2),
+                         int_mul_add([], [-c for c in p2], p2)],
+                        4 * D * D, -2)
 
 
 def _lambda_numerator(prob: Problem, l: int, m: int) -> int:
@@ -107,8 +115,9 @@ def assoc_lambda(prob: Problem, l: int, m: int) -> Fraction:
 
 
 def assoc_delta_plus(prob: Problem, n: int) -> Fraction:
-    """Delta^+_n = -q' - (n-1) p''."""
-    return -prob.qp - (n - 1) * prob.ppp
+    """Delta^+_n = -q' - (n-1) p'', over D (prob.taylor)."""
+    D, P2, Q1, *_ = prob.taylor
+    return Fraction(-Q1 - (n - 1) * P2, D)
 
 
 def assoc_normsq(prob: Problem, l: int, m: int,
@@ -226,7 +235,7 @@ def verify_associated(prob: Problem, l: int, m: int,
     """
     lad = _own(prob, l, lad)
     am = abs(m)
-    lam = assoc_lambda(prob, l, m)
+    lam = _lambda_numerator(prob, l, am), 2 * prob.taylor[0]
     ham = _hamiltonian(lad, am)
     a = lad.memo(("check a", am), lambda: _hh(lad, am).sub(ham, prob))
 

@@ -20,13 +20,20 @@ each order, is a view built on first read and kept.
 Supports composition (Leibniz expansion), the eigen-residual on
 polynomials, and conjugation by weight factors p^s w^e -- the bilateral
 wrapper transformations that turn asymmetric factorizations into
-supersymmetric ones.  An identity L = R is checked as the residual
-L.sub(R, prob), zero exactly when it holds.  Two operators whose k differ
-by an integer (h of equal parity) are brought to the lower k by
-multiplying by p; a half-integer difference (h of opposite parity) is
-incommensurate, and ``add`` and ``sub`` raise ValueError.  No operation
-does rational arithmetic on k: the weight exponents s and e of
-``conjugate`` stay rational, but they enter only nu.
+supersymmetric ones.  Conjugation lowers k by the order n and multiplies
+row j by p^(n-j); it first divides each row by the primitive part of p (at
+most j times), so the expansion carries only the powers of p that stay and
+``reduced`` seldom finds a factor left to divide out.  H0 is built here
+straight from the problem's integer Taylor record, ``Problem.taylor``, as
+the associated and ladder operators are in their modules.
+
+An identity L = R is checked as the residual L.sub(R, prob), zero exactly
+when it holds.  Two operators whose k differ by an integer (h of equal
+parity) are brought to the lower k by multiplying by p; a half-integer
+difference (h of opposite parity) is incommensurate, and ``add`` and
+``sub`` raise ValueError.  No operation does rational arithmetic on k: the
+weight exponents s and e of ``conjugate`` stay rational, but they enter
+only nu, through their numerators and denominators.
 """
 
 from __future__ import annotations
@@ -260,7 +267,10 @@ class DiffOp:
 
     def eigen_residual(self, f: Poly, lam, prob: Problem) -> "DiffOp":
         """(self - lam) f for a polynomial f: the function p^k c, held as
-        DiffOp([c], k), zero exactly when self f = lam f."""
+        DiffOp([c], k), zero exactly when self f = lam f.  lam is an int, a
+        Fraction or an integer pair (n, d) with d > 0."""
+        ln, ld = lam if isinstance(lam, tuple) else \
+            (lam.numerator, lam.denominator)
         # self f without its p^k: sum_j rows[j] f^(j) over den f.den
         out, d = [], f.num
         for row in self.rows:
@@ -270,7 +280,7 @@ class DiffOp:
                 int_mul_add(out, row, d)
             d = _derivative(d)
         od = self.den * f.den
-        rhs, rd = [n * lam.numerator for n in f.num], f.den * lam.denominator
+        rhs, rd = [n * ln for n in f.num], f.den * ld
         h = self.h
         if h & 1:
             # p^k out - rhs is one function p^s c only where a side
@@ -291,28 +301,38 @@ class DiffOp:
                             od // g * rd, h)
 
     def conjugate(self, s, e, prob: Problem) -> "DiffOp":
-        """(p^s w^e) self (p^s w^e)^(-1), exact.
+        """(p^s w^e) self (p^s w^e)^(-1), exact, for int or Fraction s, e.
 
         With g = p^s w^e the conjugation replaces d/dx by D = d/dx - nu/p,
         nu = p g'/g = s p' + e (q - p').  D^j = p^-j T_j with T_0 = 1 and
-        T_(j+1) = (p d/dx - j p' - nu) T_j, so each power lowers k by one;
-        the factors of p the coefficients share then go back into k.
+        T_(j+1) = (p d/dx - j p' - nu) T_j, so each power lowers k by one,
+        and self = p^k sum_j c_j d^j becomes p^(k-n) sum_j c_j p^(n-j) T_j.
 
-        On integers: nu = V/vd and p = P/pd, so T~_j = (pd vd)^j T_j has
-        integer rows, T~_(j+1) = vd P T~_j' - (j vd P' + pd V) T~_j +
-        vd P (d/dx) T~_j, and the sum over j of c_j p^(n-j) T_j is one
-        integer operator over den pd^n (pd vd)^n.
+        On integers: nu = V/vd and p = cp B/pd with B primitive, so T~_j =
+        (pd vd)^j T_j has integer rows, T~_(j+1) = vd P T~_j' - (j vd P' +
+        pd V) T~_j + vd P (d/dx) T~_j with P = cp B.  Before expanding, row
+        j, R_j = c_j den, is divided by B while B divides it, at most j
+        times (t_j times; exact over the integers by Gauss's lemma), so
+        R_j P^(n-j) = R'_j cp^(n-j) B^(n-j+t_j).  The factor B^mu, mu the
+        least n - j + t_j over the nonzero rows, is then p^mu pd^mu/cp^mu,
+        and the sum over j of R'_j B^(n-j+t_j-mu) cp^(n-j) pd^j (pd vd)^(n-j)
+        T~_j is one integer operator over den pd^(n-mu) (pd vd)^n cp^mu at
+        p^(k-n+mu).  That is the factor of p that reduced would divide back
+        out of the expanded rows; reduced still takes whatever factor of B
+        the sum itself shares.  A constant p divides everything and takes
+        no pre-division (mu = 0): reduced folds its power of p instead.
         """
         if self.is_zero():
             return self
         p, q = prob.p, prob.q
         # nu = (s - e) p' + e q = V / vd
-        a, e = Fraction(s) - Fraction(e), Fraction(e)
+        sn, sd, en, ed = s.numerator, s.denominator, e.numerator, \
+            e.denominator
         pnum, pd = p.num, p.den
         dp = _derivative(pnum)
-        vd = a.denominator * e.denominator * pd * q.den
-        (v,) = _combine([dp], a.numerator * e.denominator * q.den,
-                        [q.num], e.numerator * a.denominator * pd)
+        vd = sd * ed * pd * q.den
+        (v,) = _combine([dp], (sn * ed - en * sd) * q.den,
+                        [q.num], en * sd * pd)
         if not any(v):
             return self.reduced(prob)
         g = gcd(vd, *v)
@@ -323,13 +343,26 @@ class DiffOp:
         vdp = [m * vd for m in dp]
         pv = [m * pd for m in v]
         dd = pd * vd
-        pows = _powers(pnum, n)
+        # P = cp B; a constant p takes no pre-division (cp = 1, B = P)
+        cp = gcd(*pnum) if p.degree else 1
+        b = [m // cp for m in pnum]
+        pre = []                             # (R'_j, n - j + t_j)
+        for j, row in enumerate(rows):
+            t = 0
+            while t < (j if p.degree else 0) and row:
+                quo, rem, _ = int_divmod(row, b)
+                if any(rem):
+                    break
+                row, t = quo, t + 1
+            pre.append((row, n - j + t))
+        mu = min(x for row, x in pre if row)
+        pows = _powers(b, max(x for _, x in pre) - mu)
         out: list[list[int]] = [[] for _ in range(n + 1)]
         t = [[1]]                            # T~_j, by powers of d/dx
-        for j, row in enumerate(rows):
+        for j, (row, x) in enumerate(pre):
             if row:
-                f = int_mul_add([], row, pows[n - j]) if j < n else row
-                c = pd ** j * dd ** (n - j)
+                f = int_mul_add([], row, pows[x - mu]) if x > mu else row
+                c = cp ** (n - j) * pd ** j * dd ** (n - j)
                 if c != 1:
                     f = [m * c for m in f]
                 for i, ti in enumerate(t):
@@ -346,8 +379,8 @@ class DiffOp:
                     nxt.append(acc)
                 nxt.append(int_mul_add([], vp, t[-1]))
                 t = nxt
-        return DiffOp._make(out, self.den * pd ** n * dd ** n,
-                            self.h - 2 * n).reduced(prob)
+        return DiffOp._make(out, self.den * pd ** (n - mu) * dd ** n
+                            * cp ** mu, self.h - 2 * (n - mu)).reduced(prob)
 
     def __repr__(self):
         if self.is_zero():
@@ -359,5 +392,8 @@ class DiffOp:
 
 
 def hamiltonian(prob: Problem) -> DiffOp:
-    """H0 = -p d^2/dx^2 - q d/dx."""
-    return DiffOp([Poly(), -prob.q, -prob.p])
+    """H0 = -p d^2/dx^2 - q d/dx, over 2D from prob.taylor: 2D q = 2 Q1 x
+    + 2 Q0 and 2D p = P2 x^2 + 2 P1 x + 2 P0."""
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
+    return DiffOp._make([[], [-2 * Q0, -2 * Q1], [-2 * P0, -2 * P1, -P2]],
+                        2 * D, 0)

@@ -53,6 +53,25 @@ class SingularGrid(ValueError):
     """p (or P) vanishes or changes sign on the working grid."""
 
 
+class DomainError(ValueError):
+    """A scalar result is not finite: the weight or a coefficient leaves the
+    float range on the working grid."""
+
+
+def _finite(value: float, what: str) -> float:
+    """value, or DomainError when it is inf or nan."""
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is {value}: the weight or a coefficient "
+                          f"leaves the float range on the working grid")
+    return value
+
+
+def _quiet():
+    """np.errstate under which an overflow, 0 * inf or a negative power of
+    0 is a value (inf or nan), not a warning, as in _exp."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 @dataclass(frozen=True)
 class Grid:
     nodes: np.ndarray
@@ -219,7 +238,9 @@ def weight_function(prob: Problem):
 
     Built from the partial fractions of (q - p')/p when p has real roots:
     prod |x - r_i|^e_i for two distinct roots, rational or not, as
-    _weight_mass normalizes it.  None when p has no real root.
+    _weight_mass normalizes it.  None when p has no real root.  Its power
+    terms can overflow, or meet a vanishing exponential; callers evaluate
+    it under _quiet, so that either is a value (inf or nan).
     """
     num = prob.q - prob.p.derivative()
     p = prob.p
@@ -274,7 +295,8 @@ def weight_numeric(prob: Problem, grid: Grid) -> np.ndarray:
     _check_sign_definite(prob.p(x))
     fn = weight_function(prob)
     if fn is not None:
-        return fn(x)
+        with _quiet():
+            return fn(x)
     # p without real roots: w anchored to 1 at the mid node
     return np.exp(_over_p(prob.p, prob.q - prob.p.derivative(),
                           x[len(x) // 2])(x))
@@ -360,7 +382,7 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
     def cutoff(start: float, direction: float) -> float:
         t = start + direction
         # a weight that overflows to inf is not below the cut
-        with np.errstate(over="ignore"):
+        with _quiet():
             for _ in range(200):
                 if wfn is None or wfn(t) < 1e-16:
                     return t
@@ -440,16 +462,19 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     r, rels = [], []
     for uk, xk in ((u, x), (u[::2], x[::2])):    # halved grid, then n nodes
         w = weight_numeric(prob, Grid(xk))
-        if form == "y":
-            psi, V = np.sqrt(w) * phi(xk), vl(xk)
-        else:
-            psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), xk, w)
-        h = uk[1] - uk[0]
-        res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
-            + sign * (V[1:-1] - E) * psi[1:-1]
-        r.append(float(np.max(np.abs(res))))
-        a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
-        rels.append(r[-1] / (a_norm * float(np.max(np.abs(psi)))))
+        # a weight that left the floats gives a residual that is not finite
+        with _quiet():
+            if form == "y":
+                psi, V = np.sqrt(w) * phi(xk), vl(xk)
+            else:
+                psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), xk, w)
+            h = uk[1] - uk[0]
+            res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
+                + sign * (V[1:-1] - E) * psi[1:-1]
+            r.append(float(np.max(np.abs(res))))
+            a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
+        rels.append(_finite(r[-1] / (a_norm * float(np.max(np.abs(psi)))),
+                            "the residual"))
     if max(rels) <= 16 * np.finfo(float).eps:
         return rels[1], 2.0
     r2, r1 = r
@@ -642,4 +667,4 @@ def sl_full_susy_residual(P, Q, R, Q1, Lambda1: float, grid: Grid) -> float:
     else:
         Wp = _gradient(W, x)
     res = Pv * (Wp + W ** 2) + Qv * W + Rv + Lambda1
-    return float(np.max(np.abs(res)))
+    return _finite(float(np.max(np.abs(res))), "the residual")

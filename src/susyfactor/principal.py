@@ -314,17 +314,21 @@ class Ladders:
         return level_fields(2 * self.prob.taylor[0],
                             *self._record(branch, l))
 
-    def wl(self, branch: str, l: int) -> Poly:
-        """W_l = alpha_l x + beta_l straight from level l's record:
+    def w_numerators(self, branch: str, l: int) -> tuple[list[int], int]:
+        """W_l = alpha_l x + beta_l straight from level l's record, as its
+        integer numerators over one positive denominator, unreduced:
         (B + a^2 x)/(2D a), or (b + a x)/2D at the lowest level."""
-        def build():
-            (a, B, _, _), below = self._record(branch, l)
-            D2 = 2 * self.prob.taylor[0]
-            if below is None:
-                return Poly._make([B, a], D2)
-            g = abs(a)                 # keeps the denominator positive
-            return Poly._make([B if a > 0 else -B, a * g], D2 * g)
-        return self.memo(("W", branch, l), build)
+        (a, B, _, _), below = self._record(branch, l)
+        D2 = 2 * self.prob.taylor[0]
+        if below is None:
+            return [B, a], D2
+        g = abs(a)                     # keeps the denominator positive
+        return [B if a > 0 else -B, a * g], D2 * g
+
+    def wl(self, branch: str, l: int) -> Poly:
+        """W_l as a Poly (w_numerators)."""
+        return self.memo(("W", branch, l), lambda: Poly._make(
+            *self.w_numerators(branch, l)))
 
     def pair(self, branch: str, l: int) -> LadderPair:
         return self.memo(("pair", branch, l),
@@ -415,10 +419,18 @@ def _own(prob: Problem, l: int, lad: Ladders | None) -> Ladders:
 
 def ladder_pair(prob: Problem, branch: str, l: int,
                 lad: Ladders | None = None) -> LadderPair:
-    lad = _own(prob, l, lad)
-    wl = lad.wl(branch, l)
-    return LadderPair(DiffOp([wl - lad.w0, prob.p]),
-                      DiffOp([wl + lad.w0, -prob.p]))
+    """(A_l, B_l) on integer rows over 2D wd, W_l = wn/wd
+    (Ladders.w_numerators): with prob.taylor, 2D W0 = (P2 - Q1) x + P1 - Q0
+    and 2D p = P2 x^2 + 2 P1 x + 2 P0."""
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
+    wn, wd = _own(prob, l, lad).w_numerators(branch, l)
+    w = [2 * D * n for n in wn]
+    w0 = [wd * (P1 - Q0), wd * (P2 - Q1)]
+    p = [2 * wd * P0, 2 * wd * P1, wd * P2]
+    return LadderPair(
+        DiffOp._make([[a - b for a, b in zip(w, w0)], p], 2 * D * wd, 0),
+        DiffOp._make([[a + b for a, b in zip(w, w0)], [-c for c in p]],
+                     2 * D * wd, 0))
 
 
 def principal_eigenfunction(prob: Problem, l: int, lad: Ladders | None = None
@@ -501,9 +513,14 @@ def three_term_check(prob: Problem, l: int,
 
 def hypergeom_like_hl(prob: Problem, l: int,
                       lad: Ladders | None = None) -> DiffOp:
-    """H_l = -p d^2/dx^2 + (2 W_l - p') d/dx (minus branch)."""
-    wl = _own(prob, l, lad).wl("minus", l)
-    return DiffOp([Poly(), 2 * wl - prob.p.derivative(), -prob.p])
+    """H_l = -p d^2/dx^2 + (2 W_l - p') d/dx (minus branch), on integer
+    rows over 2D wd as in ladder_pair, with D p' = P2 x + P1."""
+    D, P2, Q1, P1, Q0, P0 = prob.taylor
+    wn, wd = _own(prob, l, lad).w_numerators("minus", l)
+    return DiffOp._make([[], [4 * D * wn[0] - 2 * wd * P1,
+                              4 * D * wn[1] - 2 * wd * P2],
+                         [-2 * wd * P0, -2 * wd * P1, -wd * P2]],
+                        2 * D * wd, 0)
 
 
 def _solve_weight_exponents(prob: Problem, target: Poly):

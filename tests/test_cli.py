@@ -358,6 +358,47 @@ def test_numeric_at_a_double_root_of_p_stays_on_one_side(task, code, err):
         assert all(x > r for x in xs) or all(x < r for x in xs)
 
 
+def _no_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+# the numeric commands that print JSON, and inputs whose weight overflows
+NUMERIC_JSON = [["residual", "--l", "2", "--nodes", "200"],
+                ["residual", "--l", "2", "--m", "1", "--form", "z",
+                 "--nodes", "200"],
+                ["slcheck", "--nodes", "50", "--q1", "0,1"]]
+OVERFLOWING = [
+    (["residual", "--p", "1,0", "--q", "-1,300", "--l", "1"], 2),
+    (["potentials", "--p", "1,0", "--q", "-1,300", "--lo", "1", "--hi",
+      "1e3", "--nodes", "5", "--l", "1"], 0),
+    (["potentials", "--p", "1,0", "--q", "300", "--lo", "1", "--hi", "1e6",
+      "--nodes", "5", "--l", "1"], 2),
+    (["potentials", "--p", "-1,0,1", "--q", "0,300", "--lo", "1.5", "--hi",
+      "10", "--nodes", "5", "--l", "1"], 2)]
+
+
+def test_numeric_json_holds_no_nan_and_numpy_warns_nothing():
+    """Every JSON output of a numeric command, on stdout or as an error on
+    stderr, parses with no NaN or Infinity constant, and no numpy warning
+    is raised: a residual that is not finite is a DomainError (exit 2)."""
+    runs = [(["numeric", *task, "--family", family], None)
+            for task in NUMERIC_JSON for family in PRESETS]
+    runs += [(["numeric", *task], code) for task, code in OVERFLOWING]
+    for argv, want in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _main(argv)
+        assert want is None or code == want, argv
+        if code == 0 and argv[1] != "potentials":
+            json.loads(out, parse_constant=_no_constant)
+            assert err == "", argv
+        elif code:
+            assert out == "", argv
+            json.loads(err, parse_constant=_no_constant)
+    _, _, err = _main(["numeric", *OVERFLOWING[0][0]])
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_breakdown_prints_the_entries_already_built(monkeypatch):
     calls = []
 

@@ -1,15 +1,19 @@
 """DiffOp's integer rows against the one-Poly-per-coefficient reference
 (oracles.RefDiffOp): every operation gives the same k and the same
 canonical coefficients, and operators on incommensurate powers of p still
-raise ValueError.  The hot operations build no Poly at all."""
+raise ValueError.  The hot operations build no Poly at all.  The package's
+operators built on integer rows equal their Poly formulas, and in a verify
+request neither conjugate nor those builders construct a Fraction or a
+Poly."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susyfactor import associated
+from susyfactor import associated, cli, diffop, principal
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp, hamiltonian
 
@@ -47,14 +51,19 @@ def problems(draw):
     return Problem(draw(ps()), Poly(draw(st.lists(small, max_size=2))))
 
 
+# weight exponents of conjugate, as int and as Fraction
+exponents = st.one_of(quarters, st.integers(-2, 2))
+
+
 @st.composite
 def operators(draw, prob):
-    """Coefficients of order 0-2 with degree <= 3, sharing a factor p^t
-    (t <= 2) often enough that reduced has work to do, and k in Z/2."""
-    order = draw(st.integers(0, 2))
-    t = draw(st.integers(0, 2))
-    cs = [Poly(draw(st.lists(small, max_size=4))) * prob.p ** t
-          for _ in range(order + 1)]
+    """Coefficients of order 0-4 with degree <= 3, row j carrying its own
+    factor p^t_j (t_j <= j + 1), and k in Z/2.  conjugate divides row j by p
+    at most j times, so the counts run from none to one past that cap; all
+    rows share a factor of p often enough that reduced has work to do."""
+    order = draw(st.integers(0, 4))
+    cs = [Poly(draw(st.lists(small, max_size=4)))
+          * prob.p ** draw(st.integers(0, j + 1)) for j in range(order + 1)]
     return cs, draw(halves)
 
 
@@ -91,7 +100,7 @@ def _pair(cs, k):
 def test_every_operation_matches_the_reference(data, prob):
     a, ra = _pair(*data.draw(operators(prob)))
     b, rb = _pair(*data.draw(operators(prob)))
-    s, e = data.draw(quarters), data.draw(quarters)
+    s, e = data.draw(exponents), data.draw(exponents)
     c = data.draw(small)
     f = Poly(data.draw(st.lists(small, max_size=4)))
     lam = data.draw(small)
@@ -107,7 +116,7 @@ def test_every_operation_matches_the_reference(data, prob):
                  lambda: ra.eigen_residual(f, lam, prob))
 
 
-@given(problems(), st.integers(0, 4), quarters, quarters)
+@given(problems(), st.integers(0, 4), exponents, exponents)
 @settings(max_examples=60, deadline=None)
 def test_hamiltonians_match_the_reference(prob, m, s, e):
     """The package's own operators: H0, H^a_m and the conjugation chains
@@ -189,3 +198,109 @@ def test_hot_operations_build_no_poly(monkeypatch):
     assert ops[8].k == 1 and ops[8].rows == ((1,), (0, 3))
     # the guard counts: reading the view builds one Poly per order
     assert len(conj.coeffs) == len(built) == conj.order + 1
+
+
+def _poly_builders(prob, m, branch, l):
+    """The package's operators from Poly formulas, as RefDiffOp: H0, the
+    associated ladders and H^a_m, the ladder pair and H_l."""
+    p, q, half = prob.p, prob.q, Fraction(1, 2)
+    pprime = p.derivative()
+    am = abs(m)
+    shift = pprime * Fraction(-am, 2)
+    lower = RefDiffOp([pprime * half - q + shift, -p], -half)
+    raise_ = RefDiffOp([shift, p], -half)
+    if m < 0:
+        lower, raise_ = (RefDiffOp([-c for c in op.coeffs], -half)
+                         for op in (raise_, lower))
+    num = Fraction(am, 2) * (p * prob.ppp + (q - pprime) * pprime) \
+        + Fraction(am * am, 4) * pprime * pprime
+    ops = {"hamiltonian": RefDiffOp([Poly(), -q, -p]),
+           "assoc_ladders": (lower, raise_),
+           "assoc_hamiltonian": RefDiffOp([num, -q * p, -p * p], -1)}
+    try:
+        entry = principal.factor_table(prob, branch, l)[-1]
+    except principal.Breakdown:
+        return ops
+    wl, w0 = Poly([entry.beta, entry.alpha]), (pprime - q) * half
+    ops["ladder_pair"] = (RefDiffOp([wl - w0, p]), RefDiffOp([wl + w0, -p]))
+    if branch == "minus":
+        ops["hypergeom_like_hl"] = RefDiffOp([Poly(), 2 * wl - pprime, -p])
+    return ops
+
+
+@given(problems(), st.integers(-4, 5), st.sampled_from(["minus", "plus"]),
+       st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_operator_builders_match_the_poly_formulas(prob, m, branch, l):
+    """Each operator built on integer rows off prob.taylor and the records
+    equals its Poly formula, in the same canonical form."""
+    ref = _poly_builders(prob, m, branch, l)
+    lad = principal.Ladders(prob, l)
+    got = {"hamiltonian": hamiltonian(prob),
+           "assoc_ladders": associated.assoc_ladders(prob, m),
+           "assoc_hamiltonian": associated.assoc_hamiltonian(prob, m)}
+    if "ladder_pair" in ref:
+        pair = principal.ladder_pair(prob, branch, l, lad)
+        got["ladder_pair"] = (pair.lower, pair.raise_)
+    if "hypergeom_like_hl" in ref:
+        got["hypergeom_like_hl"] = principal.hypergeom_like_hl(prob, l, lad)
+    assert got.keys() == ref.keys()
+    for name, ops in got.items():
+        pairs = zip(ops, ref[name]) if isinstance(ops, tuple) \
+            else [(ops, ref[name])]
+        for new, old in pairs:
+            assert _same(lambda: new, lambda: old), name
+
+
+@pytest.mark.parametrize("family", ["legendre", "laguerre:1/2", "hermite",
+                                    "jacobi:2,3"])
+def test_verify_builds_operators_without_fraction_or_poly(monkeypatch,
+                                                          capsys, family):
+    """One verify --levels 4 request: conjugate and the five operator
+    builders construct no Fraction and no Poly while they run."""
+    depth, built, called = [0], [], Counter()
+
+    def guarded(name, fn):
+        def run(*args, **kwargs):
+            called[name] += 1
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return run
+
+    targets = [(DiffOp, "conjugate"), (associated, "assoc_ladders"),
+               (associated, "assoc_hamiltonian"),
+               (principal, "ladder_pair"), (principal, "hypergeom_like_hl")]
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, guarded(name, getattr(owner, name)))
+    # hamiltonian is read under its name in each module that imports it
+    wrapped = guarded("hamiltonian", diffop.hamiltonian)
+    for module in (diffop, principal, associated):
+        monkeypatch.setattr(module, "hamiltonian", wrapped)
+
+    def counting(kind, fn):
+        def run(*args, **kwargs):
+            if depth[0]:
+                built.append(kind)
+            return fn(*args, **kwargs)
+        return run
+
+    monkeypatch.setattr(Fraction, "__new__",
+                        counting("Fraction", Fraction.__new__))
+    if hasattr(Fraction, "_from_coprime_ints"):
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(
+            counting("Fraction", Fraction._from_coprime_ints.__func__)))
+    monkeypatch.setattr(Poly, "_make", classmethod(
+        counting("Poly", Poly._make.__func__)))
+    monkeypatch.setattr(Poly, "__init__", counting("Poly", Poly.__init__))
+    assert cli.main(["verify", "--family", family, "--levels", "4"]) == 0
+    assert '"all_pass": true' in capsys.readouterr().out
+    assert set(called) == {"conjugate", "assoc_ladders", "assoc_hamiltonian",
+                           "hamiltonian", "ladder_pair", "hypergeom_like_hl"}
+    assert built == []
+    # the counters see a build inside a guarded call: with no context given,
+    # ladder_pair makes its own Ladders, whose W0 is a Poly
+    principal.ladder_pair(legendre(), "minus", 1)
+    assert {"Fraction", "Poly"} <= set(built)
