@@ -420,7 +420,7 @@ def classify_expanded(op: DiffOp, p: Poly
     if p.degree == 0:
         raise ClassifyError("degenerate: m unidentifiable")
     pprime = p.derivative()
-    U = p * prob.ppp + (q - pprime) * pprime
+    U = p * (2 * p[2]) + (q - pprime) * pprime
     V = pprime * pprime
     rn, ru, rv = (f.divmod(p)[1] for f in (num, U, V))
     d = p.degree
@@ -436,10 +436,10 @@ def classify_expanded(op: DiffOp, p: Poly
         if m < 0 or any(a * m * m + b * m + c for a, b, c in live):
             continue
         lam = -(num - U * Fraction(m, 2) - V * Fraction(m * m, 4))[d] / p[d]
-        # assoc_lambda(l, m) - lam as a quadratic in l
-        a = -prob.ppp / 2
-        b = prob.ppp / 2 - prob.qp
-        c = m * prob.qp + Fraction(m * (m - 1), 2) * prob.ppp - lam
+        # 2D (assoc_lambda(l, m) - lam) as a quadratic in l
+        D, P2, Q1, *_ = prob.taylor
+        a, b = -P2, P2 - 2 * Q1
+        c = m * (2 * Q1 + (m - 1) * P2) - 2 * D * lam
         ls = [m] if not (a or b or c) else \
             [l for l in _integer_roots(a, b, c) if l >= m]
         if ls:

@@ -315,33 +315,12 @@ class Problem:
         if self.q.degree > 1:
             raise ValueError("q must have degree <= 1")
 
-    # Taylor data of p and q, read once per problem; names follow p'',
-    # p'(0), p(0), q', q(0)
-    @cached_property
-    def ppp(self) -> Fraction:
-        return 2 * self.p[2]
-
-    @cached_property
-    def pp0(self) -> Fraction:
-        return self.p[1]
-
-    @cached_property
-    def p0(self) -> Fraction:
-        return self.p[0]
-
-    @cached_property
-    def qp(self) -> Fraction:
-        return self.q[1]
-
-    @cached_property
-    def q0(self) -> Fraction:
-        return self.q[0]
-
     @cached_property
     def taylor(self) -> tuple[int, int, int, int, int, int]:
         """(D, P2, Q1, P1, Q0, P0): p'', q', p'(0), q(0), p(0) as integer
         numerators over D, the lcm of their denominators."""
-        data = (self.ppp, self.qp, self.pp0, self.q0, self.p0)
+        p, q = self.p, self.q
+        data = (2 * p[2], q[1], p[1], q[0], p[0])
         D = lcm(*(v.denominator for v in data))
         return (D, *(v.numerator * (D // v.denominator) for v in data))
 

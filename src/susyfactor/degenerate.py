@@ -31,15 +31,17 @@ class DegeneracyReport:
 
 
 def detect(prob: Problem) -> DegeneracyReport:
-    """Degenerate iff p is a positive constant; classify by the sign of q'."""
-    if prob.p.degree != 0 or prob.p0 <= 0:
+    """Degenerate iff p is a positive constant; classify by the sign of q'.
+
+    Over prob.taylor the radicand is -+2 P0/Q1 and the shift -Q0/Q1."""
+    _, _, Q1, _, Q0, P0 = prob.taylor
+    if prob.p.degree != 0 or P0 <= 0:
         return DegeneracyReport(False, None, None)
-    qp, q0 = prob.qp, prob.q0
-    if qp == 0:
-        return DegeneracyReport(True, "free" if q0 == 0 else "linear", None)
-    subcase = "hermite" if qp < 0 else "quasi_hermite"
-    radicand = (-2 if qp < 0 else 2) * prob.p0 / qp
-    return DegeneracyReport(True, subcase, (radicand, -q0 / qp))
+    if Q1 == 0:
+        return DegeneracyReport(True, "free" if Q0 == 0 else "linear", None)
+    subcase = "hermite" if Q1 < 0 else "quasi_hermite"
+    radicand = Fraction((-2 if Q1 < 0 else 2) * P0, Q1)
+    return DegeneracyReport(True, subcase, (radicand, Fraction(-Q0, Q1)))
 
 
 def hermite_operator() -> tuple[Poly, Poly]:
@@ -110,7 +112,9 @@ def collapse_check(prob: Problem, l: int, m: int,
     fun = DiffOp([c * base.coeffs[-1] - base * c.coeffs[-1]])
 
     def levels():
-        out = {f"delta_{n}": DiffOp([assoc_delta_plus(prob, n) + prob.qp])
+        D, _, Q1, *_ = prob.taylor
+        out = {f"delta_{n}": DiffOp([assoc_delta_plus(prob, n)
+                                     + Fraction(Q1, D)])
                for n in range(1, COLLAPSE_DEPTH + 1)}
         base, *pairs = [lad.pair("minus", j)
                         for j in range(COLLAPSE_DEPTH + 1)]

@@ -10,8 +10,10 @@ Sturm-Liouville supersymmetrizations of a generic operator
 Nothing here integrates numerically.  On Poly input (deg p <= 2) the maps
 y and z, their inverses u -> x, int Q/P and the weights are closed forms,
 and int w Phi_i Phi_j is mu0 times a rational matrix from Pearson's moment
-recurrence.  Other input is read as samples at the grid nodes, integrated
-exactly on their piecewise-linear interpolants.
+recurrence.  One record per problem, _shape, decides over Fraction the
+roots of p, the weight's factors and the working side, for the weight,
+the domain and mu0 alike.  Other input is read as samples at the grid
+nodes, integrated exactly on their piecewise-linear interpolants.
 
 Residual convention: ``schrodinger_residual`` reports the standard
 relative linear-algebra residual |res|_inf / (|A|_inf |Psi|_inf) where
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -233,61 +235,86 @@ def coordinate_maps(prob: Problem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return _y_map(prob.p, x0)[0](x), _z_map(prob.p, x0)[0](x)
 
 
-def weight_function(prob: Problem):
-    """Closed-form callable for w = exp(int (q - p')/p), or None.
+class _Shape(NamedTuple):
+    """(p, q) as the float side reads it, worked out over Fraction once.
 
-    Built from the partial fractions of (q - p')/p when p has real roots:
-    prod |x - r_i|^e_i for two distinct roots, rational or not, as
-    _weight_mass normalizes it.  None when p has no real root.  Its power
-    terms can overflow, or meet a vanishing exponential; callers evaluate
-    it under _quiet, so that either is a value (inf or nan).
+    w = exp(int (q - p')/p) is e^(c2 x^2 + c1 x) prod |x - r_i|^e_i over
+    p's real roots (r_i, a_i, b_i), e_i = a_i + b_i sqrt(disc), times
+    e^(-c/(x - r)) at a double root r; ``w`` is it on floats, None where
+    p has no real root.  r_i is a float where disc is not a square, else
+    a Fraction.  Each end of side = (lo, hi) is a root, or
+    None where open: beside one root or between two where p > 0, else
+    beyond the upper one; beside a double root, where w vanishes at it.
     """
-    num = prob.q - prob.p.derivative()
-    p = prob.p
+    w: Callable | None
+    disc: Fraction = Fraction(0)
+    sqrt: float = 0.0               # sqrt(disc)
+    roots: tuple = ()
+    c2: Fraction = Fraction(0)
+    c1: Fraction = Fraction(0)
+    side: tuple = (None, None)
+
+
+def _shape(prob: Problem) -> _Shape:
+    """prob's _Shape, from the partial fractions of (q - p')/p."""
+    p, num = prob.p, prob.q - prob.p.derivative()
     if p.degree == 0:
-        c2 = float(num[1] / (2 * p[0]))
-        c1 = float(num[0] / p[0])
-        return lambda x: _exp(c2 * np.asarray(x, float) ** 2
-                              + c1 * np.asarray(x, float))
+        c2, c1 = num[1] / (2 * p[0]), num[0] / p[0]
+        f2, f1 = float(c2), float(c1)
+        return _Shape(lambda x: _exp(f2 * np.asarray(x, float) ** 2
+                                     + f1 * np.asarray(x, float)),
+                      c2=c2, c1=c1)
     if p.degree == 1:
-        r = -p[0] / p[1]
-        slope = float(num[1] / p[1])
-        expo = float(num(r) / p[1])
-        rf = float(r)
-        return lambda x: _exp(slope * np.asarray(x, float)) \
-            * np.abs(np.asarray(x, float) - rf) ** expo
+        c1, r = num[1] / p[1], -p[0] / p[1]
+        root = (r, num(r) / p[1], 0)
+        f1, rf, e = float(c1), float(r), float(root[1])
+        return _Shape(lambda x: _exp(f1 * np.asarray(x, float))
+                      * np.abs(np.asarray(x, float) - rf) ** e,
+                      roots=(root,), c1=c1,
+                      side=(root, None) if p[1] > 0 else (None, root))
     disc = p[1] * p[1] - 4 * p[2] * p[0]
     if disc < 0:
-        return None
-    root = rational_sqrt(disc)
-    if root is None:
-        # irrational roots r_1,2 = (-p1 -+ sqrt D)/(2 p2) carry the
-        # exponents a -+ k with a rational, so prod |x - r_i|^e_i is
+        return _Shape(None, disc)
+    if disc == 0:
+        r = -p[1] / (2 * p[2])
+        root, c = (r, num[1] / p[2], 0), num(r) / p[2]
+        rf, e, cf = float(r), float(root[1]), float(c)
+        return _Shape(lambda x: np.abs(np.asarray(x, float) - rf) ** e
+                      * _exp(-cf / (np.asarray(x, float) - rf)), disc,
+                      roots=(root,),
+                      side=(None, root) if c < 0 else (root, None))
+    # the roots r_1,2 = (-p1 -+ sqrt D)/(2 p2) carry the exponents
+    # a -+ b sqrt D
+    sq, exact, two = math.sqrt(disc), rational_sqrt(disc), 2 * p[2]
+    a = num[1] / two
+    b = (num[0] - a * p[1]) / disc
+    if exact is None:
+        # irrational, so with k = b sqrt D, prod |x - r_i|^e_i is
         # |p/p2|^a |(x - r2)/(x - r1)|^k
-        a = num[1] / (2 * p[2])
-        sq = math.sqrt(disc)
-        k = float(num[0] - a * p[1]) / sq
-        f1, f2 = (float(-p[1]) - sq) / float(2 * p[2]), \
-            (float(-p[1]) + sq) / float(2 * p[2])
-        monic, af = p * (1 / p[2]), float(a)
+        r1, r2 = ((float(-p[1]) + s * sq) / float(2 * p[2]) for s in (-1, 1))
+        af, k, monic = float(a), float(num[0] - a * p[1]) / sq, p * (1 / p[2])
 
         def w(x):
             x = np.asarray(x, float)
-            return np.abs(monic(x)) ** af * np.abs((x - f2) / (x - f1)) ** k
-        return w
-    r1 = (-p[1] - root) / (2 * p[2])
-    r2 = (-p[1] + root) / (2 * p[2])
-    if r1 == r2:
-        e1 = float(num[1] / p[2])
-        c = float(num(r1) / p[2])
-        rf = float(r1)
-        return lambda x: np.abs(np.asarray(x, float) - rf) ** e1 \
-            * _exp(-c / (np.asarray(x, float) - rf))
-    e1 = float(num(r1) / (p[2] * (r1 - r2)))
-    e2 = float(num(r2) / (p[2] * (r2 - r1)))
-    f1, f2 = float(r1), float(r2)
-    return lambda x: np.abs(np.asarray(x, float) - f1) ** e1 \
-        * np.abs(np.asarray(x, float) - f2) ** e2
+            return np.abs(monic(x)) ** af * np.abs((x - r2) / (x - r1)) ** k
+    else:
+        h, d, k = -p[1] / two, exact / two, b * exact
+        r1, r2 = h - d, h + d
+        f1, f2, e1, e2 = map(float, (r1, r2, a - k, a + k))
+        w = lambda x: np.abs(np.asarray(x, float) - f1) ** e1 \
+            * np.abs(np.asarray(x, float) - f2) ** e2
+    roots = (r1, a, -b), (r2, a, b)
+    # where p2 < 0, p > 0 between the roots and the second one is the lower
+    return _Shape(w, disc, sq, roots,
+                  side=(roots[1], roots[0] if p[2] < 0 else None))
+
+
+def weight_function(prob: Problem):
+    """Closed-form callable for w = exp(int (q - p')/p) as _shape writes
+    it, None where p has no real root.  Callers evaluate it under _quiet,
+    where a power term that overflows, or meets a vanishing exponential,
+    is a value (inf or nan)."""
+    return _shape(prob).w
 
 
 def weight_numeric(prob: Problem, grid: Grid) -> np.ndarray:
@@ -375,9 +402,9 @@ def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
 
 
 def _natural_domain(prob: Problem) -> tuple[float, float]:
-    """Working x-interval: between the roots of p, or weight-truncated."""
-    p = prob.p
-    wfn = weight_function(prob)
+    """Working x-interval: the ends of _shape's side, each open end cut
+    where the weight falls below 1e-16."""
+    wfn, *_, (lo, hi) = _shape(prob)
 
     def cutoff(start: float, direction: float) -> float:
         t = start + direction
@@ -389,31 +416,9 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
                 t += direction * max(1.0, 0.1 * abs(t))
         return start + direction * 50.0
 
-    if p.degree == 2:
-        disc = p[1] * p[1] - 4 * p[2] * p[0]
-        if disc > 0:
-            root = rational_sqrt(disc)
-            root = float(root) if root is not None else float(disc) ** 0.5
-            r1 = float((-p[1] - root) / (2 * p[2]))
-            r2 = float((-p[1] + root) / (2 * p[2]))
-            lo, hi = min(r1, r2), max(r1, r2)
-            mid = 0.5 * (lo + hi)
-            if p(mid) > 0:
-                return lo, hi
-            return hi, cutoff(hi, 1.0)
-        if disc == 0:
-            # p = p2 (x - r)^2: w ~ exp(-c/(x - r)), c = (q - p')(r)/p2,
-            # vanishes at r from below when c < 0 and from above when c > 0
-            r = -p[1] / (2 * p[2])
-            rf = float(r)
-            if (prob.q - p.derivative())(r) * p[2] < 0:
-                return cutoff(rf, -1.0), rf
-            return rf, cutoff(rf, 1.0)
-        return cutoff(0.0, -1.0), cutoff(0.0, 1.0)
-    if p.degree == 1:
-        r = float(-p[0] / p[1])
-        return (r, cutoff(r, 1.0)) if p[1] > 0 else (cutoff(r, -1.0), r)
-    return cutoff(0.0, -1.0), cutoff(0.0, 1.0)
+    start = float(next((end[0] for end in (lo, hi) if end), 0))
+    return (float(lo[0]) if lo else cutoff(start, -1.0),
+            float(hi[0]) if hi else cutoff(start, 1.0))
 
 
 def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
@@ -494,47 +499,40 @@ def _positive(a: Fraction, b: Fraction, disc: Fraction) -> bool:
 
 
 def _weight_mass(prob: Problem, top: int) -> float:
-    """mu0 = int w over the side of the roots of p that _natural_domain
-    takes, with w written as weight_function writes it: exp(c2 x^2 + c1 x),
-    e^(s x) |x - r|^e, or prod |x - r_i|^e_i over the real roots r_i of p.
+    """mu0 = int w over _shape's side, the one _natural_domain takes: a
+    Gauss, Gamma or Beta value.
 
     Raises ValueError unless x^top w is integrable at both ends.
     """
-    p, num = prob.p, prob.q - prob.p.derivative()
+    p, (_, disc, sq, roots, c2, c1, (lo, hi)) = prob.p, _shape(prob)
     if p.degree == 0:
-        c2, c1 = num[1] / (2 * p[0]), num[0] / p[0]
         if c2 >= 0:
             raise ValueError(f"w = exp({c2} x^2 + ...) is not integrable")
         return math.sqrt(math.pi / -c2) * math.exp(-c1 * c1 / (4 * c2))
     if p.degree == 1:
-        r = -p[0] / p[1]
-        s, e = num[1] / p[1], num(r) / p[1]
-        if s * p[1] >= 0 or e <= -1:
-            raise ValueError(f"w = e^({s} x) |x - {r}|^({e}) is not "
+        r, e, _ = lo or hi
+        # e^(c1 x) must fall toward the open end
+        if c1 * (1 if hi is None else -1) >= 0 or e <= -1:
+            raise ValueError(f"w = e^({c1} x) |x - {r}|^({e}) is not "
                              f"integrable where p > 0")
-        return math.exp(math.lgamma(e + 1) - (e + 1) * math.log(abs(s))
-                        + s * r)
-    disc = p[1] * p[1] - 4 * p[2] * p[0]
-    if disc <= 0:
+        return math.exp(math.lgamma(e + 1) - (e + 1) * math.log(abs(c1))
+                        + c1 * r)
+    if len(roots) < 2:
         raise ValueError("p has no two real roots to bound an interval")
-    # the upper and lower roots of p carry the exponents a +- c sqrt D of w
-    a = num[1] / (2 * p[2])
-    c = (num[0] - a * p[1]) / disc * (1 if p[2] > 0 else -1)
-    sq = math.sqrt(disc)
-    e_hi, e_lo = float(a) + float(c) * sq, float(a) - float(c) * sq
-    log_width = (2 * a + 1) * math.log(sq / abs(p[2]))
-    for end, sign, e in (("upper", 1, e_hi), ("lower", -1, e_lo)):
-        # beyond the roots (p2 > 0) only the upper one bounds the interval
-        if (sign > 0 or p[2] < 0) and not _positive(a + 1, sign * c, disc):
-            raise ValueError(f"w ~ |x - r|^({e:.6g}) is not integrable at "
-                             f"the {end} root of p")
-    if p[2] > 0 and top + 2 * a >= -1:
-        raise ValueError(f"x^{top} w ~ x^({top + 2 * a}) at infinity")
+    total = roots[0][1] + roots[1][1]       # 2a
+    expo = lambda end: float(end[1]) + float(end[2]) * sq
+    # beyond the roots only the upper one, lo, bounds the interval
+    for end, name in zip((hi, lo) if hi else (lo,), ("upper", "lower")):
+        if not _positive(end[1] + 1, end[2], disc):
+            raise ValueError(f"w ~ |x - r|^({expo(end):.6g}) is not "
+                             f"integrable at the {name} root of p")
+    if hi is None and top + total >= -1:
+        raise ValueError(f"x^{top} w ~ x^({top + total}) at infinity")
     # width^(2a+1) B(s, t): between the roots B(e_lo + 1, e_hi + 1), beyond
     # them B(e_hi + 1, -2a - 1)
-    s, t = (e_lo + 1, e_hi + 1) if p[2] < 0 else (e_hi + 1, -2 * a - 1)
-    return math.exp(log_width + math.lgamma(s) + math.lgamma(t)
-                    - math.lgamma(s + t))
+    s, t = expo(lo) + 1, (expo(hi) + 1 if hi else -total - 1)
+    return math.exp((total + 1) * math.log(sq / abs(p[2]))
+                    + math.lgamma(s) + math.lgamma(t) - math.lgamma(s + t))
 
 
 def _pearson_gram(prob: Problem, nmax: int) -> tuple[float, list]:
@@ -659,12 +657,13 @@ def sl_full_susy_residual(P, Q, R, Q1, Lambda1: float, grid: Grid) -> float:
     x = grid.nodes
     Pv, Qv, Rv, Q1v = (_samples(f, x) for f in (P, Q, R, Q1))
     _check_sign_definite(Pv)
-    W = Q1v / (2.0 * Pv)
-    if isinstance(P, Poly) and isinstance(Q1, Poly):
-        # exact quotient rule: W' = (Q1' P - Q1 P') / (2 P^2)
-        num = Q1.derivative() * P - Q1 * P.derivative()
-        Wp = num(x) / (2.0 * Pv ** 2)
-    else:
-        Wp = _gradient(W, x)
-    res = Pv * (Wp + W ** 2) + Qv * W + Rv + Lambda1
+    with _quiet():
+        W = Q1v / (2.0 * Pv)
+        if isinstance(P, Poly) and isinstance(Q1, Poly):
+            # exact quotient rule: W' = (Q1' P - Q1 P') / (2 P^2)
+            num = Q1.derivative() * P - Q1 * P.derivative()
+            Wp = num(x) / (2.0 * Pv ** 2)
+        else:
+            Wp = _gradient(W, x)
+        res = Pv * (Wp + W ** 2) + Qv * W + Rv + Lambda1
     return _finite(float(np.max(np.abs(res))), "the residual")

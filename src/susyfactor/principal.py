@@ -282,7 +282,6 @@ class Ladders:
         self.w0 = superpotential_w0(prob)
         self._records: dict[str, list[Record]] = {}
         self._phis = {0: Poly.const(1)}     # the levels a caller read
-        self._chain = (0, [1], 1)           # highest raise: (j, num, den)
         self._norms = [Fraction(1)]    # prefix products of E_j
         self._memo: dict = {}
 
@@ -376,21 +375,16 @@ class Ladders:
         l).  The norm goes first: a vanishing E_j can zero Phi_j itself
         (on the line q' = p''/2, E_1 = 0 and Phi_1 = 0), and Breakdown names
         that level where the degree count would not.  The raise starts
-        from the nearest level already kept, a Poly a caller read or the
-        unreduced numerators of the highest level raised, and Poly._make
+        from the nearest level below l that a caller read, and Poly._make
         reduces only the level read.
         """
         self.normsq(l)
         if l in self._phis:
             return self._phis[l]
-        j, num, den = self._chain
         k = max(k for k in self._phis if k <= l)
-        if j > l or k >= j:
-            j, num, den = k, self._phis[k].num, self._phis[k].den
-        for j in range(j + 1, l + 1):
+        num, den = self._phis[k].num, self._phis[k].den
+        for j in range(k + 1, l + 1):
             num, den = self._raise(j, num, den)
-        if l > self._chain[0]:
-            self._chain = (l, num, den)
         if len(num) - 1 != l:
             raise DegreeError(f"expected degree {l}, got {len(num) - 1}")
         self._phis[l] = Poly._make(list(num), den)

@@ -5,14 +5,31 @@ ladders, and ``series_phi`` is Phi_l itself, normalization included, from
 p and q alone.  ``apply`` and ``poly_ratio`` act on the package's one function
 type, p^s c held as the zeroth-order ``DiffOp([c], s)``, and on plain
 polynomials.  ``RefDiffOp`` is the operator algebra with one ``Poly`` per
-coefficient, the reference for ``DiffOp``'s integer rows.
+coefficient, the reference for ``DiffOp``'s integer rows.  ``taylor_data``
+reads p'', p'(0), p(0), q' and q(0) off p and q as Fractions, the values
+``Problem.taylor`` holds as integers over D.
 """
 
 from fractions import Fraction
 from math import comb, prod
+from typing import NamedTuple
 
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp
+
+
+class TaylorData(NamedTuple):
+    ppp: Fraction       # p''
+    pp0: Fraction       # p'(0)
+    p0: Fraction
+    qp: Fraction        # q'
+    q0: Fraction
+
+
+def taylor_data(prob: Problem) -> TaylorData:
+    """p'', p'(0), p(0), q' and q(0) of prob as Fractions."""
+    p, q = prob.p, prob.q
+    return TaylorData(2 * p[2], p[1], p[0], q[1], q[0])
 
 
 class OracleDegenerate(ArithmeticError):

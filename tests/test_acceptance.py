@@ -19,7 +19,7 @@ from susyfactor import associated, degenerate, numeric, principal
 from susyfactor.associated import AssocFunction
 
 from conftest import FAMILIES, confluent, hermite, hypergeom, jacobi, legendre
-from oracles import apply, brute_force_eigen_oracle, poly_ratio
+from oracles import apply, brute_force_eigen_oracle, poly_ratio, taylor_data
 
 PRESETS = list(FAMILIES.values())
 
@@ -107,6 +107,8 @@ def test_criterion_05_operator_identities():
     for prob in PRESETS:
         minus = principal.factor_table(prob, "minus", 9)
         plus = principal.factor_table(prob, "plus", 9)
+        t = taylor_data(prob)
+        shift = t.ppp - t.qp
         for l in range(9):
             if l >= 1:
                 ok &= principal.shape_invariance_check(
@@ -116,7 +118,7 @@ def test_criterion_05_operator_identities():
             ok &= plus[l + 1].alpha == -minus[l + 1].alpha
             ok &= plus[l + 1].beta == -minus[l + 1].beta
             ok &= plus[l + 1].E == minus[l + 1].E
-            ok &= plus[l + 1].lam - minus[l].lam == prob.ppp - prob.qp
+            ok &= plus[l + 1].lam - minus[l].lam == shift
             ok &= all(r.is_zero() for r in principal.equivalent_forms_check(
                 prob, l).values())
             ok &= associated.standard_hermitian_relation(prob, l).is_zero()
@@ -152,7 +154,8 @@ def test_criterion_07_degenerate_collapse():
             phi = associated.assoc_bottom_up(prob, l, m)
             href, _ = degenerate.hermite_generate(l - m)
             ok &= poly_ratio(phi.c, href) is not None
-    ok &= all(associated.assoc_delta_plus(prob, n) == -prob.qp
+    qp = taylor_data(prob).qp
+    ok &= all(associated.assoc_delta_plus(prob, n) == -qp
               for n in range(1, 11))
     qprob = Problem(Poly([1]), Poly([0, 2]))
     hq = hamiltonian(qprob)

@@ -10,7 +10,7 @@ from susyfactor.associated import AssocFunction
 from susyfactor.principal import factor_table
 
 from conftest import laguerre, legendre
-from oracles import apply
+from oracles import apply, taylor_data
 
 
 def _op(f: AssocFunction) -> DiffOp:
@@ -26,8 +26,8 @@ def test_assoc_lambda_closed_form(family):
     for l in range(6):
         for m in range(l + 1):
             lam = associated.assoc_lambda(family, l, m)
-            expect = -(l - m) * family.qp \
-                - (l * (l - 1) - m * (m - 1)) * family.ppp / 2
+            expect = -(l - m) * taylor_data(family).qp \
+                - (l * (l - 1) - m * (m - 1)) * taylor_data(family).ppp / 2
             assert lam == expect
             assert associated.assoc_lambda(family, l, -m) == lam
 
@@ -128,7 +128,7 @@ def test_assoc_shape_invariance_zero(family):
 def test_assoc_delta_plus_closed_form(family):
     for n in range(1, 7):
         assert associated.assoc_delta_plus(family, n) == \
-            -family.qp - (n - 1) * family.ppp
+            -taylor_data(family).qp - (n - 1) * taylor_data(family).ppp
 
 
 def test_three_term_zero(family):
@@ -199,7 +199,8 @@ def _scan_classify(op, p):
     num = op.coeff(0)
     pprime = p.derivative()
     for m in range(0, 129):
-        am = Fraction(m, 2) * (p * prob.ppp + (q - pprime) * pprime) \
+        am = Fraction(m, 2) \
+            * (p * taylor_data(prob).ppp + (q - pprime) * pprime) \
             + Fraction(m * m, 4) * pprime * pprime
         quot, rem = (num - am).divmod(p)
         if not rem.is_zero() or quot.degree > 0:

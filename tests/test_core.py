@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from susyfactor.core import Poly, Problem, QuasiFunction
 
 from conftest import hermite, laguerre, legendre
+from oracles import taylor_data
 
 
 def test_poly_trims_and_indexes():
@@ -53,8 +54,10 @@ def test_problem_validation():
 
 def test_problem_taylor_data():
     prob = legendre()
-    assert prob.ppp == -2 and prob.pp0 == 0 and prob.p0 == 1
-    assert prob.qp == -2 and prob.q0 == 0
+    t = taylor_data(prob)
+    assert t.ppp == -2 and t.pp0 == 0 and t.p0 == 1
+    assert t.qp == -2 and t.q0 == 0
+    assert prob.taylor == (1, -2, -2, 0, 0, 1)
 
 
 @pytest.mark.parametrize("prob", [
@@ -65,8 +68,8 @@ def test_problem_taylor_data():
 def test_taylor_record_is_the_taylor_data_over_its_lcm(prob):
     D, *nums = prob.taylor
     assert D > 0 and all(isinstance(n, int) for n in nums)
-    assert [Fraction(n, D) for n in nums] == \
-        [prob.ppp, prob.qp, prob.pp0, prob.q0, prob.p0]
+    t = taylor_data(prob)
+    assert [Fraction(n, D) for n in nums] == [t.ppp, t.qp, t.pp0, t.q0, t.p0]
     assert gcd(D, *nums) == 1
 
 

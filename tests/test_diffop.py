@@ -8,7 +8,7 @@ from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp, hamiltonian
 
 from conftest import FAMILIES, hermite, laguerre, legendre
-from oracles import apply
+from oracles import apply, taylor_data
 from test_poly_gauge import QFOp
 from test_properties import polys, problems
 
@@ -122,7 +122,8 @@ def test_wrong_eigenvalue_leaves_its_gap_times_f(prob, l, gap):
     lad = principal.Ladders(prob, l)
     phi, lam = lad.phi(l), Fraction(*lad.fields("minus", l)[4])
     over_p = DiffOp(lad.ab("minus", 0).coeffs, -1)
-    lam_plus = lam + prob.ppp - prob.qp
+    t = taylor_data(prob)
+    lam_plus = lam + t.ppp - t.qp
     for op, eig in ((hamiltonian(prob), lam), (over_p, lam_plus)):
         assert op.eigen_residual(phi, eig, prob).is_zero()
         res = op.eigen_residual(phi, eig + gap, prob)

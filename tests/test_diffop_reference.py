@@ -18,7 +18,7 @@ from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp, hamiltonian
 
 from conftest import jacobi, legendre
-from oracles import RefDiffOp
+from oracles import RefDiffOp, taylor_data
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 nonzero = small.filter(bool)
@@ -212,7 +212,8 @@ def _poly_builders(prob, m, branch, l):
     if m < 0:
         lower, raise_ = (RefDiffOp([-c for c in op.coeffs], -half)
                          for op in (raise_, lower))
-    num = Fraction(am, 2) * (p * prob.ppp + (q - pprime) * pprime) \
+    num = Fraction(am, 2) \
+        * (p * taylor_data(prob).ppp + (q - pprime) * pprime) \
         + Fraction(am * am, 4) * pprime * pprime
     ops = {"hamiltonian": RefDiffOp([Poly(), -q, -p]),
            "assoc_ladders": (lower, raise_),

@@ -201,3 +201,92 @@ def test_verify_residuals_unchanged(command):
                                 Fraction(args.perturb_delta or 0))
     text = json.dumps(_serial(res))
     assert hashlib.sha256(text.encode()).hexdigest() == RESIDUALS[command]
+
+
+# sha256 of the stdout of the numeric commands on the presets, as recorded
+# on commit b12f258 with numpy 2.4.6, whose weight, domain and mu0 each
+# worked out the roots of p, the weight's exponents and the working side on
+# their own.  Floats print in full, so each pin holds every digit
+NUMERIC = {
+    "numeric residual --family legendre --l 3 --nodes 40 --form y":
+        "1f256e773955351e1dba68d12131564ad240ffd676ba31ebb2cec3055928530b",
+    "numeric residual --family legendre --l 3 --m 1 --nodes 40 --form z":
+        "9a52586aa9cc2585035f2bb4047a2eff128af15001a868f59a4d1491c10fbe3b",
+    "numeric maps --family legendre --nodes 7":
+        "6349ad9d220acb4d0b11721621feebb10ad9fd52bbdcd305a9163dcfdbeeb091",
+    "numeric potentials --family legendre --l 2 --m 1 --nodes 7":
+        "cf07225e2311d3eb32052a5db038748f48ebab56307ebd26252866b73a9b00dd",
+    "numeric sl1 --family legendre --nodes 7":
+        "00b758f007ce0c7b9f436ea3fa1fd121701568f4416a72ebfc57f0e1cd428c1d",
+    "numeric sl2 --family legendre --nodes 7":
+        "1376ff21875c112ceeb5efb7c797d1901a89c4590379c59abb62203ad93cb3da",
+    "numeric residual --family jacobi:2,3 --l 3 --nodes 40 --form y":
+        "4b0e5114d81e75f1ff66f71a4d9da4841d9d3e49df0cb5d3ab42b0f86d815004",
+    "numeric residual --family jacobi:2,3 --l 3 --m 1 --nodes 40 --form z":
+        "844c9a060900af96d6d970bd29037f1123f87fc2706e989d3387b64091604177",
+    "numeric maps --family jacobi:2,3 --nodes 7":
+        "6349ad9d220acb4d0b11721621feebb10ad9fd52bbdcd305a9163dcfdbeeb091",
+    "numeric potentials --family jacobi:2,3 --l 2 --m 1 --nodes 7":
+        "4ff98455d6e3fff476fac820c39d0c1db26ecf488a70d346326fe8ced9f00c1f",
+    "numeric sl1 --family jacobi:2,3 --nodes 7":
+        "3a0737ab7c4afbf80f74b6f2fa5115b160a6a3891caf1055edd87a8c9877417e",
+    "numeric sl2 --family jacobi:2,3 --nodes 7":
+        "5f5ab9555cd5af0bec6a5dc364a1ee74f91414f5f3eaa4d7daf819d5e860e68e",
+    "numeric residual --family laguerre:1 --l 3 --nodes 40 --form y":
+        "e505d456cfb8037354393cebda7b8c11d6042382e6c2742b3a8771fc63e5b8b4",
+    "numeric residual --family laguerre:1 --l 3 --m 1 --nodes 40 --form z":
+        "a6e8cb31d351c0308670d45c56d2e2675227e476cffd59cc5e481275f402014d",
+    "numeric maps --family laguerre:1 --nodes 7":
+        "e38e1f7ffb15d0753ed342caa83d85ea4f9689e6c70b62683236eab4f32e7e98",
+    "numeric potentials --family laguerre:1 --l 2 --m 1 --nodes 7":
+        "205e5326dcb3a6c5af9a94827a7aa4ae0c37f530226b8c73d274f6aaafe7ffa7",
+    "numeric sl1 --family laguerre:1 --nodes 7":
+        "6f801a87b990565b0cb38895a6e5b27ab7df402908dd0bb97db255444a504928",
+    "numeric sl2 --family laguerre:1 --nodes 7":
+        "40701d6fbb2edf66fe18c9bc0d9fb354eca6bd9d0dc835d62e499382953ac80f",
+    "numeric residual --family hermite --l 3 --nodes 40 --form y":
+        "dcafe9d59808fa7c2bba2bb97fed13f416b8f8d2ee6ebb02df596c9d5d8a762e",
+    "numeric residual --family hermite --l 3 --m 1 --nodes 40 --form z":
+        "78a290a030938bfa26a391daf6ef7b5c95ad67405817103cd509f651c3dac190",
+    "numeric maps --family hermite --nodes 7":
+        "4a4a659037ee7f4305331aa164c112a2aa93fcff8fe515d275383baf33f82cbe",
+    "numeric potentials --family hermite --l 2 --m 1 --nodes 7":
+        "5f3bbbb93389087ee036713bd823476aba5f077bbd3d671530498238dad7b6b9",
+    "numeric sl1 --family hermite --nodes 7":
+        "edcc0925598482cd163fc434d600e3376d48c40604e7c2fff687c9072945e9e8",
+    "numeric sl2 --family hermite --nodes 7":
+        "e8cc7866b7e5790a33de153796b29f5199ad1772a9e7a755b6c25adfe999a4e7",
+    "numeric residual --family hypergeom:1/3,1/5,7/2 --l 3 --nodes 40 "
+    "--form y":
+        "523f4d282f8a6443cb1b8189491a3a5468044fe115e64e2f79f881c7dd4128fd",
+    "numeric residual --family hypergeom:1/3,1/5,7/2 --l 3 --m 1 "
+    "--nodes 40 --form z":
+        "b2c80e309bc03f82ffed6ffd338764e56f582ba86685b0870255d32a2bcda198",
+    "numeric maps --family hypergeom:1/3,1/5,7/2 --nodes 7":
+        "4fb113b00a44a2b459c794ca05ebc697348bb0bb6300f533fce2769f6cacb825",
+    "numeric potentials --family hypergeom:1/3,1/5,7/2 --l 2 --m 1 --nodes 7":
+        "3a6230791eeaa4278ce42d5f0bddf9e1e7c2c92e83890f2f2661bdd003cb2073",
+    "numeric sl1 --family hypergeom:1/3,1/5,7/2 --nodes 7":
+        "8237c7f9ee9ee7976515b95b05207334b2aee35fd531e12acab21102c6d561e1",
+    "numeric sl2 --family hypergeom:1/3,1/5,7/2 --nodes 7":
+        "a007feca339a52b38f8b40544e53c0f202bfd5ea8aa5ff22706fd1db7198430b",
+    "numeric residual --family confluent:3 --l 3 --nodes 40 --form y":
+        "6e8764c4d1e093e3d0498ee355c22051b5a1eec2cd7a83cec7745cf84047cc10",
+    "numeric residual --family confluent:3 --l 3 --m 1 --nodes 40 --form z":
+        "dbc5e112f5b9b5b73153d6213cda242cd614231539a33bbf470a56c18ed3be14",
+    "numeric maps --family confluent:3 --nodes 7":
+        "390629eec5fc4dee38ecc58b6d6feb39a3f59c20a67a34df593285a0f0037804",
+    "numeric potentials --family confluent:3 --l 2 --m 1 --nodes 7":
+        "682f083d97e995b2779f5e3a9d7431807740d7d9cc60a80bd6bfd50c2832425f",
+    "numeric sl1 --family confluent:3 --nodes 7":
+        "7a568c248ab8515a2ff2c47b12220633743a646d01edd7cf68347e5238e668c3",
+    "numeric sl2 --family confluent:3 --nodes 7":
+        "94f4c9a25c31bef2cf3174c3d9368750c963f0c0d1ed3028e662ac27badc5b32",
+}
+
+
+@pytest.mark.parametrize("command", list(NUMERIC))
+def test_numeric_outputs_unchanged(command):
+    out = Client().run_cli(command.split())
+    assert (out.rc, out.stderr, out.exc) == (0, "", None)
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == NUMERIC[command]

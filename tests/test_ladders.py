@@ -12,6 +12,7 @@ import susyfactor
 from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp
 from susyfactor import associated, cli, degenerate, principal
+from oracles import taylor_data
 
 
 # small integers make vanishing norms and degenerate problems common
@@ -49,7 +50,7 @@ def _passes(res) -> bool:
 
 def _standalone_suite(prob, levels, perturb):
     """The suite as separate calls, each check building its own context."""
-    checks = {}
+    checks, t = {}, taylor_data(prob)
     minus = principal.factor_table(prob, "minus", levels + 1)
     plus = principal.factor_table(prob, "plus", levels + 1)
 
@@ -67,7 +68,7 @@ def _standalone_suite(prob, levels, perturb):
             plus[l + 1].alpha == -minus[l + 1].alpha
             and plus[l + 1].beta == -minus[l + 1].beta
             and plus[l + 1].E == minus[l + 1].E
-            and plus[l + 1].lam - minus[l].lam == prob.ppp - prob.qp)
+            and plus[l + 1].lam - minus[l].lam == t.ppp - t.qp)
         checks[f"three_term_{l}"] = _passes(
             principal.three_term_check(prob, l))
         checks[f"equivalent_forms_{l}"] = _passes(

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from susyfactor.core import Poly, Problem
@@ -681,6 +681,71 @@ def test_weight_mass_matches_quadrature():
         numeric._weight_mass(Problem(Poly([-2, 0, 1]), Poly([2, -2])), 0)
 
 
+@st.composite
+def _random_problems(draw):
+    """(p, q) with small rational coefficients, deg p = 2 most often.  Then
+    p = c ((x - s)^2 - d) with d > 0 has two roots, mostly irrational, with
+    the working side between them where c < 0 and beyond them where c > 0,
+    and q is drawn through w's exponents a -+ k at the roots, as a and
+    t = k sqrt D: q - p' = 2 a c x - 2 a c s + t."""
+    frac = st.fractions(-8, 8, max_denominator=3)
+    deg = draw(st.sampled_from((0, 1, 2, 2, 2)))
+    if deg < 2:
+        p = Poly([draw(frac) for _ in range(deg)] + [draw(frac.filter(bool))])
+        return Problem(p, Poly([draw(frac), draw(frac)]))
+    c, s = draw(frac.filter(bool)), draw(frac)
+    d = draw(st.fractions(Fraction(1, 3), 8, max_denominator=3))
+    a, t = (draw(st.fractions(-3, 3, max_denominator=4)) for _ in range(2))
+    p = Poly([c * (s * s - d), -2 * c * s, c])
+    return Problem(p, Poly([-2 * a * c * s + t, 2 * a * c]) + p.derivative())
+
+
+@given(_random_problems())
+@example(Problem(Poly([2, 0, -1]), Poly([0, -3])))   # between +-sqrt 2
+@example(Problem(Poly([-2, 0, 1]), Poly([3, -1])))   # beyond sqrt 2
+@settings(max_examples=200, deadline=None)
+def test_weight_mass_matches_quadrature_on_random_problems(prob):
+    # wherever mu0 is finite, it is quad of the weight over the natural
+    # domain, each end where p vanishes a root and every other end +-inf.
+    # Left out, where quad itself loses digits: an end root r with
+    # w ~ |x - r|^e, e < -1/2, e the residue of (q - p')/p at r; an open
+    # end beside two roots with w ~ |x|^s, s = (q - p')'/p2 > -2; and a
+    # weight whose factors leave the float range, which quad reads as nan
+    try:
+        mu0 = numeric._weight_mass(prob, 0)
+    except (ValueError, OverflowError):
+        return
+    p, num = prob.p, prob.q - prob.p.derivative()
+    ends = [end if abs(p(end)) < 1e-9 else None
+            for end in numeric._natural_domain(prob)]
+    if any(end is not None and num(end) / p.derivative()(end) < -0.5
+           for end in ends) or \
+            p.degree == 2 and None in ends and num[1] / p[2] > -2:
+        return
+    lo, hi = (s * np.inf if end is None else end
+              for end, s in zip(ends, (-1, 1)))
+    with numeric._quiet(), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = quad(numeric.weight_function(prob), lo, hi, epsabs=0,
+                   epsrel=1e-12, limit=200)[0]
+    if not math.isfinite(ref):
+        return
+    assert mu0 == pytest.approx(ref, rel=1e-9)
+
+
+def test_natural_domain_takes_rational_roots_exactly():
+    # p = -2/3 x^2 + 5/2 x + 2/3 has the roots -1/4 and 4, which rounding
+    # through floats put an ulp off
+    prob = Problem(Poly([Fraction(2, 3), Fraction(5, 2), Fraction(-2, 3)]),
+                   Poly([-1, Fraction(-1, 2)]))
+    assert numeric._natural_domain(prob) == (-0.25, 4.0)
+    rc, out, err, caught = _cli_in_process(
+        "numeric", "maps", "--p", "-2/3,5/2,2/3", "--q", "-1/2,-1",
+        "--nodes", "3", "--inset", "0.25")
+    assert (rc, err, caught) == (0, "", [])
+    assert out.splitlines()[1].split(",")[0] == "0.8125"
+
+
 def _off_diagonal(g):
     d = np.sqrt(np.abs(np.diag(g)))
     off = g / np.outer(d, d)
@@ -863,3 +928,9 @@ def test_numeric_commands_write_no_stray_stderr():
             "--hi", "30", "--nodes", "5")
         assert (rc, err, caught) == (0, "", [])
         assert out == want
+    # P^2 overflows to inf at x = 1e200 and divides out of W' = 0
+    rc, out, err, caught = _cli_in_process(
+        "numeric", "slcheck", "--p", "1,0", "--q", "0,1", "--lo", "1",
+        "--hi", "1e200", "--nodes", "5")
+    assert (rc, err, caught) == (0, "", [])
+    assert json.loads(out) == {"residual": 0.0}

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from susyfactor.core import Poly, QuasiFunction
 from susyfactor import associated, cli, degenerate, principal
 
-from oracles import poly_ratio
+from oracles import poly_ratio, taylor_data
 from test_ladders import _outcome, _passes, problems
 
 
@@ -136,7 +136,8 @@ def _assoc_ladders(prob, m):
 
 def _assoc_hamiltonian(prob, m):
     pprime = prob.p.derivative()
-    num = Fraction(m, 2) * (prob.p * prob.ppp + (prob.q - pprime) * pprime) \
+    num = Fraction(m, 2) \
+        * (prob.p * taylor_data(prob).ppp + (prob.q - pprime) * pprime) \
         + Fraction(m * m, 4) * pprime * pprime
     return QFOp([QuasiFunction(num, -1).canonicalize(prob), -prob.q,
                  -prob.p])
@@ -175,6 +176,7 @@ def _shape(prob, lad, branch, l):
 
 
 def _equivalent_forms(prob, lad, l):
+    t = taylor_data(prob)
     H0 = _hamiltonian(prob)
     ent_minus, ent_plus = _entry(lad, "minus", l), _entry(lad, "plus", l)
     wl = lad.wl("minus", l)
@@ -182,7 +184,7 @@ def _equivalent_forms(prob, lad, l):
     Hl = QFOp([0, 2 * wl - prob.p.derivative(), -prob.p])
     first_order = QFOp([0, delta_w * (-2)])
     a_ok = H0.sub(Hl.add(first_order, prob), prob).is_zero()
-    lam_plus = ent_minus.lam + prob.ppp - prob.qp
+    lam_plus = ent_minus.lam + t.ppp - t.qp
     phi = _qf(lad.phi(l))
     over_p = _ab(prob, lad, "minus", 0).lmul(
         QuasiFunction(Poly.const(1), -1, 0), prob)
@@ -190,7 +192,7 @@ def _equivalent_forms(prob, lad, l):
                      for c in over_p.coeffs)
     b_ok = polynomial \
         and over_p.eigen_residual(phi, lam_plus, prob).is_zero()
-    c_ok = ent_plus.lam - ent_minus.lam == prob.ppp - prob.qp
+    c_ok = ent_plus.lam - ent_minus.lam == t.ppp - t.qp
     exps = principal._solve_weight_exponents(prob, -delta_w)
     if exps is None:
         d_ok = False
@@ -243,18 +245,19 @@ def _verify_associated(prob, lad, l, m):
 
 
 def _pHm(prob, lad, l, m):
+    t = taylor_data(prob)
     if m == 0:
         C = Fraction(0)
     else:
-        cm = ((l - 1) * prob.ppp + prob.qp) / 2
+        cm = ((l - 1) * t.ppp + t.qp) / 2
         if cm == 0:
             raise principal.Breakdown(l)
-        C = Fraction(m, 4) * (prob.pp0 * prob.qp - prob.ppp * prob.q0) / cm
+        C = Fraction(m, 4) * (t.pp0 * t.qp - t.ppp * t.q0) / cm
     ent = _entry(lad, "minus", l)
     E_lm = ent.E + C * (C + 2 * ent.beta) \
-        + m * (prob.qp + Fraction(m - 2, 2) * prob.ppp) * prob.p0 \
-        - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) \
-        * prob.pp0
+        + m * (t.qp + Fraction(m - 2, 2) * t.ppp) * t.p0 \
+        - Fraction(m, 2) * (t.q0 + Fraction(m - 2, 2) * t.pp0) \
+        * t.pp0
     lam = associated.assoc_lambda(prob, l, m)
     lhs = _assoc_hamiltonian(prob, m).lmul(_qf(prob.p), prob)
     lhs = lhs.sub(_mul(prob.p * lam), prob).add(_mul(E_lm), prob)
@@ -269,7 +272,8 @@ def _collapse(prob, lad, l, m, depth=degenerate.COLLAPSE_DEPTH):
         lad, "minus", l - m).lam
     phi_lm = _phi_lm(prob, lad, l, m)
     fun_ok = poly_ratio(phi_lm.c, lad.phi(l - m)) is not None
-    delta_ok = all(associated.assoc_delta_plus(prob, n) == -prob.qp
+    qp = taylor_data(prob).qp
+    delta_ok = all(associated.assoc_delta_plus(prob, n) == -qp
                    for n in range(1, depth + 1))
     base, *pairs = [_pair(prob, lad, "minus", j) for j in range(depth + 1)]
     ladder_ok = all(lo.sub(base[0], prob).is_zero()
@@ -279,6 +283,7 @@ def _collapse(prob, lad, l, m, depth=degenerate.COLLAPSE_DEPTH):
 
 def _qf_suite(prob, levels, perturb):
     """cli._verify_suite's checks, in its order, on QuasiFunction."""
+    t = taylor_data(prob)
     checks = {}
     collapses = degenerate.detect(prob).is_degenerate
     top = max(levels + 1, degenerate.COLLAPSE_DEPTH) if collapses \
@@ -298,7 +303,7 @@ def _qf_suite(prob, levels, perturb):
             plus[l + 1].alpha == -minus[l + 1].alpha
             and plus[l + 1].beta == -minus[l + 1].beta
             and plus[l + 1].E == minus[l + 1].E
-            and plus[l + 1].lam - minus[l].lam == prob.ppp - prob.qp)
+            and plus[l + 1].lam - minus[l].lam == t.ppp - t.qp)
         checks[f"three_term_{l}"] = _passes(
             principal.three_term_check(prob, l, lad))
         checks[f"equivalent_forms_{l}"] = _equivalent_forms(prob, lad, l)

@@ -8,7 +8,8 @@ from susyfactor.diffop import hamiltonian
 from susyfactor import principal
 
 from conftest import FAMILIES, hermite, laguerre, legendre
-from oracles import OracleDegenerate, brute_force_eigen_oracle, poly_ratio
+from oracles import (OracleDegenerate, brute_force_eigen_oracle, poly_ratio,
+                     taylor_data)
 from test_properties import problems, rationals
 
 
@@ -26,7 +27,8 @@ def test_legendre_minus_lambdas():
 def test_plus_branch_symmetries(family):
     minus = principal.factor_table(family, "minus", 7)
     plus = principal.factor_table(family, "plus", 7)
-    shift = family.ppp - family.qp
+    t = taylor_data(family)
+    shift = t.ppp - t.qp
     for l in range(6):
         pl = plus[l + 1]        # plus table starts at level -1
         assert pl.alpha == -minus[l + 1].alpha

@@ -7,7 +7,8 @@ from susyfactor.core import Poly, Problem, QuasiFunction
 from susyfactor.diffop import DiffOp, hamiltonian
 from susyfactor import principal
 
-from oracles import OracleDegenerate, brute_force_eigen_oracle, poly_ratio
+from oracles import (OracleDegenerate, brute_force_eigen_oracle, poly_ratio,
+                     taylor_data)
 from test_poly_gauge import QFOp
 
 rationals = st.fractions(
@@ -90,7 +91,8 @@ def test_tables_agree_on_random_problems(prob, max_level, k, forced):
     if forced:
         # q' = -k p'' puts c_k = (k p'' + q')/2 = 0 (every c_l when
         # p'' = 0): the minus table stops at level k + 1, the plus at k
-        prob = Problem(prob.p, Poly([prob.q0, -k * prob.ppp]))
+        t = taylor_data(prob)
+        prob = Problem(prob.p, Poly([t.q0, -k * t.ppp]))
     for branch in ("minus", "plus"):
         expect = _first_breakdown(prob, branch, max_level)
         if isinstance(expect, int):

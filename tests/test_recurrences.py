@@ -23,6 +23,7 @@ from susyfactor import associated, principal
 from susyfactor.principal import Breakdown, FactorEntry
 
 from conftest import FAMILIES
+from oracles import taylor_data
 
 coefficients = st.one_of(
     st.integers(-4, 4).map(Fraction),
@@ -47,12 +48,13 @@ def _partial_table(ex):
 
 
 def _fraction_factor_table(prob, branch, max_level):
-    half_ppp = Fraction(prob.ppp, 2)
-    half_pp0 = Fraction(prob.pp0, 2)
+    t = taylor_data(prob)
+    half_ppp = Fraction(t.ppp, 2)
+    half_pp0 = Fraction(t.pp0, 2)
     entries = []
     if branch == "minus":
-        alpha = Fraction(prob.ppp - prob.qp, 2)
-        beta = Fraction(prob.pp0 - prob.q0, 2)
+        alpha = Fraction(t.ppp - t.qp, 2)
+        beta = Fraction(t.pp0 - t.q0, 2)
         E = lam = Fraction(0)
         entries.append(FactorEntry("minus", 0, alpha, beta, Fraction(0), E,
                                    lam))
@@ -62,16 +64,16 @@ def _fraction_factor_table(prob, branch, max_level):
                 raise _PartialTable(l, entries)
             beta_new = (alpha * beta - half_pp0 * (alpha_new + alpha)) \
                 / alpha_new
-            delta = prob.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
+            delta = t.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
             lam = lam + 2 * alpha_new
             E = E + delta
             alpha, beta = alpha_new, beta_new
             entries.append(FactorEntry("minus", l, alpha, beta, delta, E,
                                        lam))
         return entries
-    shift = prob.ppp - prob.qp
-    alpha = Fraction(prob.qp - prob.ppp, 2)
-    beta = Fraction(prob.q0 - prob.pp0, 2)
+    shift = t.ppp - t.qp
+    alpha = Fraction(t.qp - t.ppp, 2)
+    beta = Fraction(t.q0 - t.pp0, 2)
     E = lam = Fraction(0)
     entries.append(FactorEntry("plus", -1, alpha, beta, Fraction(0), E, lam))
     for l in range(0, max_level + 1):
@@ -79,9 +81,9 @@ def _fraction_factor_table(prob, branch, max_level):
         if alpha_new == 0:
             raise _PartialTable(l, entries)
         beta_new = (alpha * beta + half_pp0 * (alpha_new + alpha)) / alpha_new
-        delta = -prob.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
+        delta = -t.p0 * (alpha_new + alpha) + beta_new ** 2 - beta ** 2
         E = E + delta
-        lam = -l * prob.qp - Fraction(l * (l - 1), 2) * prob.ppp + shift
+        lam = -l * t.qp - Fraction(l * (l - 1), 2) * t.ppp + shift
         alpha, beta = alpha_new, beta_new
         entries.append(FactorEntry("plus", l, alpha, beta, delta, E, lam))
     return entries

@@ -13,6 +13,7 @@ from susyfactor.diffop import DiffOp
 from susyfactor import associated, degenerate, principal
 
 from conftest import hermite, jacobi
+from oracles import taylor_data
 from test_ladders import _passes, problems
 
 
@@ -122,22 +123,22 @@ def _six_operation_pHm(prob, l, m):
     """(C, E_lm, lambda_lm, residual) with Fraction scalars read off the
     Taylor data, and both sides of p H^a_m - lambda p + E_lm =
     B_l A_l + C (A_l + B_l) + C^2 built apart, through six additions."""
-    m = abs(m)
+    m, t = abs(m), taylor_data(prob)
     if m == 0:
         C = Fraction(0)
     else:
-        cm = ((l - 1) * prob.ppp + prob.qp) / 2
+        cm = ((l - 1) * t.ppp + t.qp) / 2
         if cm == 0:
             raise principal.Breakdown(l)
-        C = Fraction(m, 4) * (prob.pp0 * prob.qp - prob.ppp * prob.q0) / cm
+        C = Fraction(m, 4) * (t.pp0 * t.qp - t.ppp * t.q0) / cm
     lad = principal.Ladders(prob, l)
     ent = principal.factor_table(prob, "minus", l)[-1]
     E_lm = ent.E + C * (C + 2 * ent.beta) \
-        + m * (prob.qp + Fraction(m - 2, 2) * prob.ppp) * prob.p0 \
-        - Fraction(m, 2) * (prob.q0 + Fraction(m - 2, 2) * prob.pp0) \
-        * prob.pp0
-    lam = -(l - m) * prob.qp \
-        - Fraction(l * (l - 1) - m * (m - 1), 2) * prob.ppp
+        + m * (t.qp + Fraction(m - 2, 2) * t.ppp) * t.p0 \
+        - Fraction(m, 2) * (t.q0 + Fraction(m - 2, 2) * t.pp0) \
+        * t.pp0
+    lam = -(l - m) * t.qp \
+        - Fraction(l * (l - 1) - m * (m - 1), 2) * t.ppp
     ham = associated.assoc_hamiltonian(prob, m)
     lhs = DiffOp(ham.coeffs, ham.k + 1).sub(DiffOp([prob.p * lam]), prob)
     lhs = lhs.add(DiffOp([E_lm]), prob)

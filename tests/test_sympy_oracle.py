@@ -13,6 +13,7 @@ import pytest
 
 from susyfactor.core import Poly, Problem
 from susyfactor import associated, principal
+from oracles import taylor_data
 
 sp = pytest.importorskip("sympy")
 
@@ -89,7 +90,8 @@ def _problems():
             principal.principal_eigenfunction(prob, LEVELS)
         except (principal.Breakdown, principal.DegreeError):
             continue
-        if prob.p.degree == 2 and all(l * prob.ppp + prob.qp
+        t = taylor_data(prob)
+        if prob.p.degree == 2 and all(l * t.ppp + t.qp
                                       for l in range(LEVELS)):
             out.append(prob)
     return out
