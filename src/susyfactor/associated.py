@@ -209,55 +209,38 @@ def _hh(lad: Ladders, m: int) -> DiffOp:
     return lad.memo(("h h+", m), lambda: lower.compose(raise_, lad.prob))
 
 
-def _on_c(lad: Ladders, name: str, am: int, build) -> DiffOp:
-    """p^(-am/2) op p^(am/2) for op = build(), kept in the context under
-    (name, am): the operator that acts on C = Phi_l^(am) as op acts on
-    Phi_lm = p^(am/2) C."""
-    return lad.memo((name, am), lambda: build().conjugate(
-        Fraction(-am, 2), 0, lad.prob))
-
-
 def verify_associated(prob: Problem, l: int, m: int,
                       lad: Ladders | None = None) -> dict[str, DiffOp]:
-    """Eigen-residuals at level (l, m); each is zero exactly when its
-    statement holds.
+    """Residuals at level (l, m), each zero exactly when its statement
+    holds; a, c and e are operator identities, kept in the context per |m|.
 
     a: h_m h_m^dagger equals the expanded H^a_m.
-    b: H^a_m Phi_lm = lambda_lm Phi_lm.
-    c: the descending ladders factor the same operator and reproduce the
-       eigenvalue on Phi_{l,-m}.
+    b: H^a_m Phi_lm = lambda_lm Phi_lm, on C = Phi_l^(|m|), on which H^a_m
+       conjugated by p^(-|m|/2) acts as a polynomial operator.
+    c: h_{-m}^dagger h_{-m} = H^a_m for the descending ladders (a at m = 0).
     d: Phi_{l,-m} = (-1)^m Phi_{lm}.
-
-    Checks b and c run on C = Phi_l^(|m|): H^a_m and the descending
-    product h_{-m}^dagger h_{-m}, conjugated by p^(-|m|/2) once per |m|,
-    act on it as polynomial operators, so their residuals are those on
-    Phi_lm over p^(|m|/2).
+    e: the momentum map p^(-m/2) h_m^dagger p^(m/2) = sqrt(p) d/dx, its
+       right side built from p alone: it fixes the ladders' scale.
     """
     lad = _own(prob, l, lad)
     am = abs(m)
     lam = _lambda_numerator(prob, l, am), 2 * prob.taylor[0]
     ham = _hamiltonian(lad, am)
+    (_, raise_), (nlo, nhi) = _ladders(lad, am), _ladders(lad, -am)
     a = lad.memo(("check a", am), lambda: _hh(lad, am).sub(ham, prob))
+    neg = lad.memo(("check a", -am), lambda: nhi.compose(nlo, prob).sub(
+        ham, prob)) if am else a
+    e = lad.memo(("momentum", am), lambda: raise_.conjugate(
+        Fraction(-am, 2), 0, prob).sub(DiffOp([Poly(), prob.p],
+                                              Fraction(-1, 2)), prob))
 
     c = _bottom_up(lad, l, am).c
-    b = _on_c(lad, "H^a on C", am, lambda: ham).eigen_residual(c, lam, prob)
-
-    if am == 0:
-        neg = b
-        c_neg = c
-    else:
-        def descending():
-            nlo, nhi = _ladders(lad, -am)
-            return nhi.compose(nlo, prob)
-        c_neg = _bottom_up(lad, l, -am).c
-        neg = _on_c(lad, "descending on C", am, descending).eigen_residual(
-            c_neg, lam, prob)
-
-    sign = -1 if am % 2 else 1
-    diff = c_neg - c * sign
+    b = lad.memo(("H^a on C", am), lambda: ham.conjugate(
+        Fraction(-am, 2), 0, prob)).eigen_residual(c, lam, prob)
+    diff = _bottom_up(lad, l, -am).c - c * (-1 if am % 2 else 1)
     d = DiffOp._make([list(diff.num)], diff.den, am)
     return {"operator_expansion": a, "eigen_equation": b,
-            "negative_level": neg, "sign_relation": d}
+            "negative_level": neg, "sign_relation": d, "momentum_map": e}
 
 
 def assoc_shape_invariance(prob: Problem, n: int,

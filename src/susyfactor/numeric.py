@@ -255,6 +255,18 @@ class _Shape(NamedTuple):
     side: tuple = (None, None)
 
 
+def _finite_or_logs(product: Callable, logs: Callable) -> Callable:
+    """x -> product(x); where that is not finite (an exp that underflowed to
+    0 times a power that overflowed), e^logs(x), the factors' logs summed."""
+    def w(x):
+        x = np.asarray(x, float)
+        out = product(x)
+        if math.isfinite(out) if out.ndim == 0 else np.isfinite(out).all():
+            return out
+        return np.where(np.isfinite(out), out, _exp(logs(x)))
+    return w
+
+
 def _shape(prob: Problem) -> _Shape:
     """prob's _Shape, from the partial fractions of (q - p')/p."""
     p, num = prob.p, prob.q - prob.p.derivative()
@@ -268,8 +280,9 @@ def _shape(prob: Problem) -> _Shape:
         c1, r = num[1] / p[1], -p[0] / p[1]
         root = (r, num(r) / p[1], 0)
         f1, rf, e = float(c1), float(r), float(root[1])
-        return _Shape(lambda x: _exp(f1 * np.asarray(x, float))
-                      * np.abs(np.asarray(x, float) - rf) ** e,
+        return _Shape(_finite_or_logs(
+            lambda x: _exp(f1 * x) * np.abs(x - rf) ** e,
+            lambda x: f1 * x + e * np.log(np.abs(x - rf))),
                       roots=(root,), c1=c1,
                       side=(root, None) if p[1] > 0 else (None, root))
     disc = p[1] * p[1] - 4 * p[2] * p[0]
@@ -279,8 +292,9 @@ def _shape(prob: Problem) -> _Shape:
         r = -p[1] / (2 * p[2])
         root, c = (r, num[1] / p[2], 0), num(r) / p[2]
         rf, e, cf = float(r), float(root[1]), float(c)
-        return _Shape(lambda x: np.abs(np.asarray(x, float) - rf) ** e
-                      * _exp(-cf / (np.asarray(x, float) - rf)), disc,
+        return _Shape(_finite_or_logs(
+            lambda x: np.abs(x - rf) ** e * _exp(-cf / (x - rf)),
+            lambda x: e * np.log(np.abs(x - rf)) - cf / (x - rf)), disc,
                       roots=(root,),
                       side=(None, root) if c < 0 else (root, None))
     # the roots r_1,2 = (-p1 -+ sqrt D)/(2 p2) carry the exponents
@@ -293,16 +307,18 @@ def _shape(prob: Problem) -> _Shape:
         # |p/p2|^a |(x - r2)/(x - r1)|^k
         r1, r2 = ((float(-p[1]) + s * sq) / float(2 * p[2]) for s in (-1, 1))
         af, k, monic = float(a), float(num[0] - a * p[1]) / sq, p * (1 / p[2])
-
-        def w(x):
-            x = np.asarray(x, float)
-            return np.abs(monic(x)) ** af * np.abs((x - r2) / (x - r1)) ** k
+        w = _finite_or_logs(lambda x: np.abs(monic(x)) ** af
+                            * np.abs((x - r2) / (x - r1)) ** k,
+                            lambda x: af * np.log(np.abs(monic(x)))
+                            + k * np.log(np.abs((x - r2) / (x - r1))))
     else:
         h, d, k = -p[1] / two, exact / two, b * exact
         r1, r2 = h - d, h + d
         f1, f2, e1, e2 = map(float, (r1, r2, a - k, a + k))
-        w = lambda x: np.abs(np.asarray(x, float) - f1) ** e1 \
-            * np.abs(np.asarray(x, float) - f2) ** e2
+        w = _finite_or_logs(lambda x: np.abs(x - f1) ** e1
+                            * np.abs(x - f2) ** e2,
+                            lambda x: e1 * np.log(np.abs(x - f1))
+                            + e2 * np.log(np.abs(x - f2)))
     roots = (r1, a, -b), (r2, a, b)
     # where p2 < 0, p > 0 between the roots and the second one is the lower
     return _Shape(w, disc, sq, roots,
@@ -537,7 +553,10 @@ def _weight_mass(prob: Problem, top: int) -> float:
 
 def _pearson_gram(prob: Problem, nmax: int) -> tuple[float, list]:
     """(mu0, G) with int w Phi_i Phi_j = mu0 G_ij for i, j <= nmax."""
-    mu0 = _weight_mass(prob, 2 * nmax)
+    try:
+        mu0 = _finite(_weight_mass(prob, 2 * nmax), "mu0")
+    except OverflowError:
+        raise DomainError("mu0 = int w leaves the float range") from None
     p, q = prob.p, prob.q
     m = [Fraction(1)]                   # mu_k / mu0
     # with both ends integrable, k p2 + q1 < 0 for every k < 2 nmax
@@ -555,7 +574,7 @@ def orthogonality_matrix(prob: Problem, nmax: int) -> np.ndarray:
     """Gram matrix int w Phi_i Phi_j dx over the natural domain, i, j <= nmax.
 
     Exact up to the float value of mu0 = int w: the off-diagonal entries are
-    0.0.  Raises ValueError where the integrals do not exist.
+    0.0.  Raises ValueError where the integrals or mu0's float do not exist.
     """
     mu0, gram = _pearson_gram(prob, nmax)
     return mu0 * np.array([[float(g) for g in row] for row in gram])

@@ -553,9 +553,9 @@ def equivalent_forms_check(prob: Problem, l: int,
     eigen-problem; each is zero exactly when its form holds.
 
     a: H0 equals H_l - 2 (W_l - W0) d/dx.
-    b: p^-1 A_0 B_0 has eigenvalue lambda^+_l on Phi_l.
-    c: lambda^+_l - lambda^-_l = p'' - q' on the tables.
-    d: conjugating H0 by u_l^-1 (u_l'/u_l = -(W_l - W0)/p) gives
+    b: p^-1 A_0 B_0 has eigenvalue lambda^+_l = lambda^-_l + p'' - q' on
+       Phi_l (symmetry_check holds that relation against the plus records).
+    c: conjugating H0 by u_l^-1 (u_l'/u_l = -(W_l - W0)/p) gives
        H_l + lambda^-_l - E^-_l / p.  Where no p^s w^e is such a u_l, the
        residual is the nonzero -(W_l - W0).
     """
@@ -563,7 +563,6 @@ def equivalent_forms_check(prob: Problem, l: int,
     H0 = hamiltonian(prob)
     D, P2, Q1, *_ = prob.taylor
     _, _, _, E, (L, _) = lad.fields("minus", l)
-    L_plus = lad.fields("plus", l)[4][0]
     delta_w = lad.wl("minus", l) - lad.w0
     Hl = hypergeom_like_hl(prob, l, lad)
 
@@ -577,17 +576,15 @@ def equivalent_forms_check(prob: Problem, l: int,
     over_p = lad.ab("minus", 0)._at(-2)
     b = over_p.eigen_residual(phi, lam_plus, prob)
 
-    c = _constant((L_plus - L - 2 * (P2 - Q1), 2 * D))
-
     exps = _solve_weight_exponents(prob, -delta_w)
     if exps is None:
-        d = DiffOp([-delta_w])
+        c = DiffOp([-delta_w])
     else:
         s, e = exps
         lhs = H0.conjugate(-s, -e, prob)
         rhs = Hl.add(_constant((L, 2 * D)), prob).sub(
             DiffOp._make([[E[0]]], E[1], -2), prob)
-        d = lhs.sub(rhs, prob)
+        c = lhs.sub(rhs, prob)
 
     return {"h0_vs_hl": a, "partner_eigenvalue": b,
-            "lambda_shift": c, "partial_conjugation": d}
+            "partial_conjugation": c}

@@ -163,27 +163,51 @@ def test_large_outputs_unchanged(command):
 
 
 # sha256 of every residual of the verify suite, each serialized as
-# (k, [str(c) for c in coeffs]), as recorded on commit 25be5bb, whose
-# operators held one Poly per coefficient.  verify prints only booleans, so
-# a residual that changes but stays nonzero shows only here; the perturbed
+# (k, [str(c) for c in coeffs]).  verify prints only booleans, so a
+# residual that changes but stays nonzero shows only here; the perturbed
 # suites' shape-invariance residuals are the nonzero ones
-ZERO_8 = "21f59ac3100d9ae5d84eaf272943f4b4083a5500c48c9478f0c9f1be930aea8e"
+ZERO_8 = "9ba7088874ef4fcfb89c5ccb50bf3f407efc4cec1d9b8d4caac4edef92e95bfb"
 RESIDUALS = {
     "verify --family legendre --levels 8": ZERO_8,
     "verify --family jacobi:2,3 --levels 8": ZERO_8,
     "verify --family laguerre:1 --levels 8": ZERO_8,
     "verify --family hermite --levels 8":
-        "25a76d6778a991544fb44e8980fbb6fb89ccec5655543f0aeb6549807fb3e073",
+        "169523fca2851604569d1747b10239c0e80eddaba9fd78d075ed1d579828ae7d",
     "verify --family hypergeom:1/3,1/5,7/2 --levels 8": ZERO_8,
     "verify --family confluent:3 --levels 8": ZERO_8,
     "verify --family legendre --levels 4 --perturb-delta 1":
-        "f8e67bbd7afcd38fe4eca82558eaf259bc8df9479487f9a89ab209eb8e2bad67",
+        "01734b2844da17512cb00919511f65bed7bf16081623f08493d8b15b3b8b2397",
     "verify --family jacobi:2,3 --levels 8 --perturb-delta 1":
-        "aa4ac6d5c645235f53f0c277d8e1ff9ce03d5f017d7c73521d1cef599bbf5da8",
+        "82932002c5b7e797457b8616e45081d8f5a366d2fa1e9a6a5e4454835db06440",
     "verify --p -1/2,1/3,2 --q -3/2,1/4 --levels 4":
-        "239b9f96054860df9eee1799f8e971d0e2e09f4588e222bd649de752e730153d",
+        "f5f063243adf97a21b02ce5c8b4777b2f72f2ecc34960a1cc98f655d649136b7",
     "verify --p 2 --q -3,1 --levels 4 --perturb-delta 1":
-        "18bfbdcb5e59f73da04860ddc9de0c8689bbb29c03e1baa01e750dd8990ea788",
+        "46aafe55b53b0c197c2091ac79f40b92515c7cff098d342e95f191b084ba7ad1",
+}
+
+# the same, without the associated checks' momentum_map, as recorded on
+# commit aff0631 without the equivalent-forms lambda_shift it still had
+# (symmetry's lambda states that relation): every other residual is the
+# one that commit gave, whose negative_level was an eigen-residual on
+# Phi_{l,-m} and is now an operator identity
+ZERO_8_AFF0631 = \
+    "63bce008a41ae0f94360e48e71f00b62d838a55adbe58cfe776ccd8fc96fe8b7"
+RESIDUALS_AFF0631 = {
+    "verify --family legendre --levels 8": ZERO_8_AFF0631,
+    "verify --family jacobi:2,3 --levels 8": ZERO_8_AFF0631,
+    "verify --family laguerre:1 --levels 8": ZERO_8_AFF0631,
+    "verify --family hermite --levels 8":
+        "23f051f15e4db79b5090bf412716e838e0387f819ceee6aa20842bee51f38c40",
+    "verify --family hypergeom:1/3,1/5,7/2 --levels 8": ZERO_8_AFF0631,
+    "verify --family confluent:3 --levels 8": ZERO_8_AFF0631,
+    "verify --family legendre --levels 4 --perturb-delta 1":
+        "b62150424ceb1fc9dfe439c42765f02b7e75f0278c172c21e20046b2c696c452",
+    "verify --family jacobi:2,3 --levels 8 --perturb-delta 1":
+        "0a1ebb4a3da75f2ccbe4c5114eb6f7f199e3e96d614885518da7e5b6c20134bb",
+    "verify --p -1/2,1/3,2 --q -3/2,1/4 --levels 4":
+        "03acdc4017c43afb40780ddf2f27a3835f5611dc228a2bb58353ef9832789ba5",
+    "verify --p 2 --q -3,1 --levels 4 --perturb-delta 1":
+        "4d3126d8b09ab1dbed6936e3370362f8b1c53a8e94af679a1349da10c2444a26",
 }
 
 
@@ -193,14 +217,30 @@ def _serial(res):
     return [str(res.k), [str(c) for c in res.coeffs]]
 
 
-@pytest.mark.parametrize("command", list(RESIDUALS))
-def test_verify_residuals_unchanged(command):
+def _residuals_serial(command):
     args = cli._build_parser().parse_args(
         cli._merge_negative_values(command.split()))
-    res = cli._verify_residuals(cli._problem_from_args(args), args.levels,
-                                Fraction(args.perturb_delta or 0))
-    text = json.dumps(_serial(res))
-    assert hashlib.sha256(text.encode()).hexdigest() == RESIDUALS[command]
+    return _serial(cli._verify_residuals(
+        cli._problem_from_args(args), args.levels,
+        Fraction(args.perturb_delta or 0)))
+
+
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(RESIDUALS))
+def test_verify_residuals_unchanged(command):
+    assert _sha(_residuals_serial(command)) == RESIDUALS[command]
+
+
+@pytest.mark.parametrize("command", list(RESIDUALS_AFF0631))
+def test_verify_residuals_without_momentum_map_match_aff0631(command):
+    serial = _residuals_serial(command)
+    for res in serial.values():
+        if isinstance(res, dict):
+            res.pop("momentum_map", None)
+    assert _sha(serial) == RESIDUALS_AFF0631[command]
 
 
 # sha256 of the stdout of the numeric commands on the presets, as recorded

@@ -595,6 +595,13 @@ def test_orthogonality_rejects_ill_posed_weights():
             numeric.orthogonality_matrix(Problem(p, q), 2)
 
 
+
+def test_orthogonality_mass_past_the_float_range():
+    # w = e^(-x/3) x^199 on x > 0: mu0 = 199! 3^200 has no float
+    prob = Problem(Poly([0, 1]), Poly([200, Fraction(-1, 3)]))
+    with pytest.raises(numeric.DomainError, match="mu0"):
+        numeric.orthogonality_matrix(prob, 0)
+
 def _check_gram_identity(prob, nmax):
     # G_ij = 0 for i != j and G_ll = prod E_j (q' - p''/2)/(q' + (l - 1/2) p'')
     _, gram = numeric._pearson_gram(prob, nmax)
@@ -934,3 +941,33 @@ def test_numeric_commands_write_no_stray_stderr():
         "--hi", "1e200", "--nodes", "5")
     assert (rc, err, caught) == (0, "", [])
     assert json.loads(out) == {"residual": 0.0}
+
+
+# w = e^(-15 x) |x + 6|^89: from x = 4997.5 the exp underflows to 0 and
+# the power overflows to inf, so w is their summed logs' exp, 0 (the rows
+# above are as the direct product printed them)
+POTENTIALS_UNDERFLOW = (
+    "x,w,y,z,W_l,V_l,V_s_l,W_a_m,V_a_m,psi_l,s_phi_lm\r\n"
+    "-5,3.7332419967990015e+32,-25.553678839591534,-241.5705898063016,"
+    "-12.666666666666666,159.61111111111109,161.27777777777777,"
+    "-21.506297527313556,453.81249999999977,-4.8303998261007091e+17,"
+    "-3.6703101638365658e+17\r\n"
+    "2496.25,0,-2.0788420212941467,-71.751685907338242,6240.458333333333,"
+    "38941235.001736112,38945405.418402776,216.08726077268395,"
+    "46692.451287591168,0,0\r\n"
+    "4997.5,0,0,0,12493.583333333334,156085454.9236111,156093794.09027779,"
+    "305.92810987351118,93590.756920155909,0,0\r\n"
+    "7498.75,0,1.2161954575689222,55.060293541655284,18746.708333333332,"
+    "351432819.37673616,351445327.29340279,374.82049229790653,"
+    "140489.15045263001,0,0\r\n"
+    "10000,0,2.0791417365529163,101.47937755700778,24999.833333333332,"
+    "624983328.36111116,625000005.02777779,432.88429945200841,"
+    "187387.56596666999,0,0\r\n")
+
+
+def test_potentials_weight_underflow_is_zero_not_nan():
+    rc, out, err, caught = _cli_in_process(
+        "numeric", "potentials", "--p", "1/3,2", "--q", "-5,0", "--lo", "-5",
+        "--hi", "1e4", "--nodes", "5", "--l", "1")
+    assert (rc, err, caught) == (0, "", [])
+    assert out == POTENTIALS_UNDERFLOW

@@ -57,7 +57,7 @@ CHECKS = {
         ("minus", 2, "X")),
     "equivalent_forms": (
         lambda prob, lad: principal.equivalent_forms_check(prob, 2, lad),
-        ("plus", 2, "L")),
+        ("minus", 2, "L")),
     "standard_hermitian": (
         lambda prob, lad: associated.standard_hermitian_relation(
             prob, 2, lad), ("minus", 2, "X")),
@@ -91,6 +91,16 @@ def test_symmetry_names_the_tampered_field(family, field, key):
     value = _field(principal.Ladders(family, 4), "plus", 2, field)
     lad = _tampered(family, 4, "plus", 2, **{field: value + 1})
     assert not principal.symmetry_check(family, 2, lad)[key].is_zero()
+
+
+def test_momentum_map_sees_the_ladder_scale(family):
+    # 2 h_m and h_m^dagger / 2 leave every product of the pair as it is;
+    # only the momentum map, whose right side is built from p alone, fails
+    lad = principal.Ladders(family, 4)
+    lower, raise_ = associated.assoc_ladders(family, 2)
+    lad.memo(("h", 2), lambda: (lower.scale(2), raise_.scale(Fraction(1, 2))))
+    res = associated.verify_associated(family, 3, 2, lad)
+    assert [k for k, r in res.items() if not r.is_zero()] == ["momentum_map"]
 
 
 CONSTANT_P = [hermite(), Problem(Poly([2]), Poly([1, -3])),
