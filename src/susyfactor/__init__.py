@@ -8,17 +8,17 @@ rational arithmetic, and cross-checks them numerically in Schrodinger form.
 from .core import Poly, Problem
 from .diffop import DiffOp, hamiltonian
 from .principal import (
-    Breakdown, DegreeError, FactorEntry, LadderPair, Ladders,
+    Breakdown, DegreeError, FactorEntry, Ladders,
     direct_match_table, equivalent_forms_check, factor_table,
     hypergeom_like_hl, ladder_pair, principal_eigenfunction,
     shape_invariance_check, superpotential_w0, three_term_check,
 )
 from .associated import (
-    AssocFunction, ClassifyError, RangeError, assoc_bottom_up,
-    assoc_delta_plus, assoc_hamiltonian, assoc_ladders, assoc_lambda,
-    assoc_normsq, assoc_shape_invariance, assoc_three_term, assoc_top_down,
+    ClassifyError, RangeError, assoc_bottom_up, assoc_delta_plus,
+    assoc_hamiltonian, assoc_ladders, assoc_lambda, assoc_normsq,
+    assoc_shape_invariance, assoc_three_term, assoc_top_down,
     classify_expanded, pHm_factorization, principal_form_equivalence,
-    standard_hermitian_relation, verify_associated,
+    proportional, standard_hermitian_relation, verify_associated,
 )
 from .degenerate import (
     DegeneracyReport, collapse_check, detect, hermite_generate,

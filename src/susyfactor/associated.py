@@ -11,12 +11,13 @@ ones.
 Conventions mirror the principal module: ladders are unnormalized, all
 proportionality statements are cross-multiplied, and the normsq prefactor
 (a product of lambda_lj) is built apart, by assoc_normsq, where it is read.
-Every Phi_lm is p^s c with c a Poly, canonical as DiffOp([c], s).reduced.
+Every Phi_lm is the function p^s c, with c a Poly, held as the DiffOp
+p^(h/2) c (h = 2s) that the diffop module makes of every function;
+proportional compares two of them in their reduced forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import perm, prod
 
@@ -42,29 +43,19 @@ class ClassifyError(ValueError):
     """No integer association level fits the presented operator."""
 
 
-@dataclass(frozen=True)
-class AssocFunction:
-    """Phi_lm = p^s c."""
+def proportional(f: DiffOp, g: DiffOp, prob: Problem) -> Fraction | None:
+    """Nonzero rational ratio f/g of two functions p^s c, or None if they
+    are not proportional.
 
-    c: Poly
-    s: Fraction
-    l: int
-    m: int
-
-    def proportional(self, other: "AssocFunction", prob: Problem):
-        """Nonzero rational ratio self/other, or None if not proportional.
-
-        Both sides are reduced, so equal functions have equal s; the
-        polynomials are then cross-multiplied by their leading
-        coefficients.
-        """
-        a = DiffOp([self.c], self.s).reduced(prob)
-        b = DiffOp([other.c], other.s).reduced(prob)
-        if a.is_zero() or b.is_zero() or a.h != b.h:
-            return None
-        (ca,), (cb,) = a.coeffs, b.coeffs
-        ka, kb = ca.coeffs[-1], cb.coeffs[-1]
-        return ka / kb if ca * kb == cb * ka else None
+    Both sides are reduced, so equal functions have equal s; the
+    polynomials are then cross-multiplied by their leading coefficients.
+    """
+    a, b = f.reduced(prob), g.reduced(prob)
+    if a.is_zero() or b.is_zero() or a.h != b.h:
+        return None
+    (ca,), (cb,) = a.coeffs, b.coeffs
+    ka, kb = ca.coeffs[-1], cb.coeffs[-1]
+    return ka / kb if ca * kb == cb * ka else None
 
 
 def assoc_ladders(prob: Problem, m: int) -> tuple[DiffOp, DiffOp]:
@@ -135,12 +126,13 @@ def assoc_normsq(prob: Problem, l: int, m: int,
 
 
 def assoc_bottom_up(prob: Problem, l: int, m: int,
-                    lad: Ladders | None = None) -> AssocFunction:
+                    lad: Ladders | None = None) -> DiffOp:
     """Phi_lm = p^(|m|/2) (d/dx)^|m| Phi_l, times (-1)^m for m < 0.
 
     The |m|-th derivative is one integer step, x^k -> k!/(k - |m|)!
-    x^(k - |m|) on Phi_l's numerators, reduced once.  Raising Phi_l checks
-    its degree and its norm: a vanishing E_j is Breakdown(j)."""
+    x^(k - |m|) on Phi_l's numerators, reduced once, and that Poly is the
+    function's coeff(0).  Raising Phi_l checks its degree and its norm: a
+    vanishing E_j is Breakdown(j)."""
     _check_range(l, m)
     c = principal_eigenfunction(prob, l, lad)[0]
     am = abs(m)
@@ -148,11 +140,11 @@ def assoc_bottom_up(prob: Problem, l: int, m: int,
         sign = -1 if m < 0 and am % 2 else 1
         c = Poly._make([sign * perm(k, am) * n
                         for k, n in enumerate(c.num)][am:], c.den)
-    return AssocFunction(c, Fraction(am, 2), l, m)
+    return DiffOp._function(c, am)
 
 
 def assoc_top_down(prob: Problem, l: int, m: int,
-                   lad: Ladders | None = None) -> AssocFunction:
+                   lad: Ladders | None = None) -> DiffOp:
     """(-1)^(l-|m|) w^-1 p^(-|m|/2) (d/dx)^(l-|m|) (w p^l), sign-flipped
     for negative m.
 
@@ -175,21 +167,19 @@ def assoc_top_down(prob: Problem, l: int, m: int,
         r = l - j - 1
         num = int_first_order(num, (2 * P0, 2 * P1, P2),
                               (2 * (r * P1 + Q0), 2 * (r * P2 + Q1)))
-    c = Poly._make(num, (2 * D) ** (l - am))
-    # w^-1 cancels the weight.  With no derivative taken, c = 1 over p^|m|
-    # stays as it is: for constant p, reducing would fold p^|m| into c.
-    f = DiffOp([c], am)
-    if l > am:
-        f = f.reduced(prob)
-    c = f.coeff(0)
     # (-1)^(l-|m|), times (-1)^m for negative m: (-1)^l
     if (l if m < 0 else l - am) % 2:
-        c = -c
+        num = [-n for n in num]
+    # w^-1 cancels the weight.  With no derivative taken, c = 1 over p^|m|
+    # stays as it is: for constant p, reducing would fold p^|m| into c.
+    f = DiffOp._function(Poly._make(num, (2 * D) ** (l - am)), 2 * am)
+    if l > am:
+        f = f.reduced(prob)
     _own(prob, l, lad).normsq(l)
-    return AssocFunction(c, Fraction(f.h - am, 2), l, m)
+    return f._at(f.h - am)
 
 
-def _bottom_up(lad: Ladders, l: int, m: int) -> AssocFunction:
+def _bottom_up(lad: Ladders, l: int, m: int) -> DiffOp:
     """assoc_bottom_up, kept in the context per (l, m)."""
     return lad.memo(("bottom-up", l, m),
                     lambda: assoc_bottom_up(lad.prob, l, m, lad))
@@ -234,11 +224,10 @@ def verify_associated(prob: Problem, l: int, m: int,
         Fraction(-am, 2), 0, prob).sub(DiffOp([Poly(), prob.p],
                                               Fraction(-1, 2)), prob))
 
-    c = _bottom_up(lad, l, am).c
+    phi = _bottom_up(lad, l, am)
     b = lad.memo(("H^a on C", am), lambda: ham.conjugate(
-        Fraction(-am, 2), 0, prob)).eigen_residual(c, lam, prob)
-    diff = _bottom_up(lad, l, -am).c - c * (-1 if am % 2 else 1)
-    d = DiffOp._make([list(diff.num)], diff.den, am)
+        Fraction(-am, 2), 0, prob)).eigen_residual(phi.coeff(0), lam, prob)
+    d = _bottom_up(lad, l, -am).add(phi, prob, 1 if am % 2 else -1)
     return {"operator_expansion": a, "eigen_equation": b,
             "negative_level": neg, "sign_relation": d, "momentum_map": e}
 
@@ -279,13 +268,13 @@ def assoc_three_term(prob: Problem, l: int, m: int) -> dict[str, DiffOp]:
     if not 0 <= m < l:
         raise RangeError(f"need 0 <= m < l, got m={m}, l={l}")
     lad = Ladders(prob, l)
-    up = assoc_bottom_up(prob, l, m + 1, lad).c
     if m == 0:
-        res = DiffOp([up + assoc_bottom_up(prob, l, -1, lad).c],
-                     Fraction(1, 2))
+        res = assoc_bottom_up(prob, l, 1, lad).add(
+            assoc_bottom_up(prob, l, -1, lad), prob)
         return {"multiplicative": res, "differential": res}
-    c = assoc_bottom_up(prob, l, m, lad).c
-    dn = assoc_bottom_up(prob, l, m - 1, lad).c * assoc_lambda(prob, l, m - 1)
+    up, c, dn = (assoc_bottom_up(prob, l, j, lad).coeff(0)
+                 for j in (m + 1, m, m - 1))
+    dn = dn * assoc_lambda(prob, l, m - 1)
     mid = ((m - 1) * prob.p.derivative() + prob.q) * c
     s = Fraction(m - 1, 2)
     return {"multiplicative": DiffOp([prob.p * up + mid + dn], s),
@@ -316,7 +305,8 @@ def principal_form_equivalence(prob: Problem, l: int,
     target = DiffOp([Poly(), -(prob.q + m * pprime), -prob.p])
 
     lam = assoc_lambda(prob, l, m)
-    eigen = op.eigen_residual(assoc_bottom_up(prob, l, m).c, lam, prob)
+    eigen = op.eigen_residual(assoc_bottom_up(prob, l, m).coeff(0), lam,
+                              prob)
     sub = Problem(prob.p, prob.q + m * pprime)
     shifted = DiffOp([Fraction(*Ladders(sub, l - m).fields("minus", l - m)[4])
                       - lam])

@@ -182,10 +182,10 @@ def cmd_eigenfunction(args) -> int:
     other = associated.assoc_top_down(prob, l, m, lad)
     if form in ("topdown", "rodrigues"):
         built, other = other, built
-    ratio = built.proportional(other, prob)
+    ratio = associated.proportional(built, other, prob)
     _emit({"l": l, "m": m, "form": form,
-           "coefficients": [_fmt(c) for c in built.c.coeffs],
-           "s": _fmt(built.s),
+           "coefficients": [_fmt(c) for c in built.coeff(0).coeffs],
+           "s": _fmt(built.k),
            "normsq": _fmt(associated.assoc_normsq(prob, l, m, lad)),
            "proportional_to_alternate": ratio is not None,
            "ratio": _fmt(ratio) if ratio is not None else None}, args)
@@ -261,6 +261,7 @@ def _grid_from_args(prob, args):
     if args.lo is not None:
         lo, hi = args.lo, args.hi
     else:
+        numeric._check_inset(args.inset)
         lo, hi = numeric._natural_domain(prob)
         width = hi - lo
         lo, hi = lo + args.inset * width, hi - args.inset * width
@@ -274,6 +275,10 @@ def _read_pqr_csv(path):
     if not rows or any(None in map(r.get, "xPQR") for r in rows):
         raise ValueError(f"--csv {path}: need rows with columns x,P,Q,R")
     x, P, Q, R = (np.array([float(r[key]) for r in rows]) for key in "xPQR")
+    for key, col in zip("xPQR", (x, P, Q, R)):
+        if not np.isfinite(col).all():
+            raise ValueError(f"--csv {path}: column {key} holds a value "
+                             f"that is not finite")
     # second-order differences of the samples need three increasing nodes
     if len(x) < 3 or not np.all(np.diff(x) > 0):
         raise ValueError(f"--csv {path}: need 3 or more rows with "
@@ -306,33 +311,24 @@ def cmd_numeric(args) -> int:
         prob = _problem_from_args(args)
         grid = _grid_from_args(prob, args)
         P, Q, R = prob.p, prob.q, Poly([])
-    if task == "maps":
-        y, z = numeric.coordinate_maps(prob, grid)
-        _emit_csv(["x", "y", "z"], (grid.nodes, y, z), args)
-    elif task == "potentials":
-        prof = numeric.potentials(prob, args.l, args.m, grid)
-        _emit_csv(["x", "w", "y", "z", "W_l", "V_l", "V_s_l", "W_a_m",
-                   "V_a_m", "psi_l", "s_phi_lm"],
-                  (grid.nodes, prof.w, prof.y, prof.z, prof.W_l,
-                   prof.V_l, prof.V_s_l, prof.W_a_m, prof.V_a_m,
-                   prof.psi_l, prof.s_phi_lm), args)
-    elif task == "sl1":
-        out = numeric.sl_transform_typeI(P, Q, R, grid, E=args.energy,
-                                         Lambda=args.eigenvalue)
-        _emit_csv(["x", "rho", "G", "U", "u"],
-                  (grid.nodes, out["rho"], out["G"], out["U"], out["u"]),
-                  args)
-    elif task == "sl2":
-        out = numeric.sl_transform_typeII(P, Q, R, grid)
-        _emit_csv(["x", "W_rho", "V_rho", "v"],
-                  (grid.nodes, out["W_rho"], out["V_rho"], out["v"]),
-                  args)
-    elif task == "slcheck":
+    if task == "slcheck":
         q1 = _parse_poly(args.q1) if args.q1 else Poly([])
         res = numeric.sl_full_susy_residual(P, Q, R, q1, args.lambda1, grid)
         _emit({"residual": res}, args)
+        return 0
+    # each task's columns, in CSV order, by name
+    if task == "maps":
+        out = dict(zip("yz", numeric.coordinate_maps(prob, grid)))
+    elif task == "potentials":
+        out = numeric.potentials(prob, args.l, args.m, grid)
+    elif task == "sl1":
+        out = numeric.sl_transform_typeI(P, Q, R, grid, E=args.energy,
+                                         Lambda=args.eigenvalue)
+    elif task == "sl2":
+        out = numeric.sl_transform_typeII(P, Q, R, grid)
     else:
         raise ValueError(f"unknown numeric task {task!r}")
+    _emit_csv(["x", *out], (grid.nodes, *out.values()), args)
     return 0
 
 
@@ -416,7 +412,9 @@ def _build_parser() -> argparse.ArgumentParser:
     n.add_argument("--nodes", type=int, default=500)
     n.add_argument("--lo", type=float)
     n.add_argument("--hi", type=float)
-    n.add_argument("--inset", type=float, default=1e-3)
+    n.add_argument("--inset", type=float, default=1e-3,
+                   help="without --lo/--hi, the share of the natural "
+                        "domain's width cut off at each end, in [0, 1/2)")
     n.add_argument("--csv", help="sampled P,Q,R input (columns x,P,Q,R)")
     n.add_argument("--q1", help="candidate Q1 polynomial for slcheck")
     n.add_argument("--lambda1", type=float, default=0.0)

@@ -11,7 +11,8 @@ diffop module's integer rows run on too.  A
 
 Every function the package builds is ``p(x)**s * c(x)``, with ``c`` a Poly
 and ``s`` a half-integer; the diffop module holds it as the zeroth-order
-operator ``DiffOp([c], s)``.  :class:`QuasiFunction`, ``c p^s w^e`` with
+operator ``DiffOp([c], s)``, its one type: the associated eigenfunctions
+Phi_lm come back as such operators, with ``c`` their ``coeff(0)``.  :class:`QuasiFunction`, ``c p^s w^e`` with
 the weight ``w`` known only through ``w'/w = (q - p')/p``, is built by no
 program path: it is the tests' independent reference.
 """

@@ -107,7 +107,7 @@ def collapse_check(prob: Problem, l: int, m: int,
 
     # both have full degree (DegreeError otherwise): cross-multiply by the
     # leading coefficients
-    c = _bottom_up(lad, l, m).c
+    c = _bottom_up(lad, l, m).coeff(0)
     base, _ = principal_eigenfunction(prob, l - m, lad)
     fun = DiffOp([c * base.coeffs[-1] - base * c.coeffs[-1]])
 
@@ -116,11 +116,11 @@ def collapse_check(prob: Problem, l: int, m: int,
         out = {f"delta_{n}": DiffOp([assoc_delta_plus(prob, n)
                                      + Fraction(Q1, D)])
                for n in range(1, COLLAPSE_DEPTH + 1)}
-        base, *pairs = [lad.pair("minus", j)
-                        for j in range(COLLAPSE_DEPTH + 1)]
-        for j, pair in enumerate(pairs, 1):
-            out[f"lower_{j}"] = pair.lower.sub(base.lower, prob)
-            out[f"raise_{j}"] = pair.raise_.sub(base.raise_, prob)
+        (lower0, raise0), *pairs = [lad.pair("minus", j)
+                                    for j in range(COLLAPSE_DEPTH + 1)]
+        for j, (lower, raise_) in enumerate(pairs, 1):
+            out[f"lower_{j}"] = lower.sub(lower0, prob)
+            out[f"raise_{j}"] = raise_.sub(raise0, prob)
         return out
     return {"eigenvalue": lam, "eigenfunction": fun,
             **lad.memo("collapse levels", levels)}

@@ -127,6 +127,17 @@ class DiffOp:
         out._coeffs = None
         return out
 
+    @classmethod
+    def _function(cls, c: Poly, h: int) -> "DiffOp":
+        """The function p^(h/2) c for a Poly c, which is canonical already:
+        no gcd, and c is kept as the coeff(0) view."""
+        out = object.__new__(cls)
+        if c.num:
+            out.rows, out.den, out.h, out._coeffs = (c.num,), c.den, h, (c,)
+        else:
+            out.rows, out.den, out.h, out._coeffs = (), 1, 0, ()
+        return out
+
     def _at(self, h: int) -> "DiffOp":
         """The same coefficients over p^(h/2), canonical as they stand."""
         out = object.__new__(DiffOp)

@@ -364,21 +364,6 @@ def superpartner_poly(prob: Problem, l: int,
     return prob.p * wl.derivative() + wl * wl
 
 
-@dataclass(frozen=True)
-class NumericProfile:
-    grid: Grid
-    w: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    W_l: np.ndarray
-    V_l: np.ndarray
-    V_s_l: np.ndarray
-    W_a_m: np.ndarray
-    V_a_m: np.ndarray
-    psi_l: np.ndarray
-    s_phi_lm: np.ndarray
-
-
 def _assoc_schrodinger(prob: Problem, phi: Poly, m: int, x: np.ndarray,
                        w: np.ndarray):
     """z-form (psi, V^a_m, k_m) at the nodes x, given Phi_l and the weight.
@@ -397,7 +382,10 @@ def _assoc_schrodinger(prob: Problem, phi: Poly, m: int, x: np.ndarray,
     return psi, V, kv
 
 
-def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
+def potentials(prob: Problem, l: int, m: int, grid: Grid
+               ) -> dict[str, np.ndarray]:
+    """The columns of ``numeric potentials`` at the grid nodes, by name in
+    CSV order; s_phi_lm is the z-form psi of Phi_lm."""
     _check_range(l, m)
     x = grid.nodes
     pv = prob.p(x)
@@ -413,8 +401,15 @@ def potentials(prob: Problem, l: int, m: int, grid: Grid) -> NumericProfile:
     s_phi, vam, kv = _assoc_schrodinger(prob, phi, m, x, w)
     wam = -kv / (2.0 * sqrtp)
     psi = np.sqrt(w) * phi(x)
-    return NumericProfile(grid, w, y, z, wl(x), vl(x), vsl(x), wam, vam,
-                          psi, s_phi)
+    return {"w": w, "y": y, "z": z, "W_l": wl(x), "V_l": vl(x),
+            "V_s_l": vsl(x), "W_a_m": wam, "V_a_m": vam, "psi_l": psi,
+            "s_phi_lm": s_phi}
+
+
+def _check_inset(inset: float) -> None:
+    """Each end of the natural domain is cut by inset times its width."""
+    if not 0 <= inset < 0.5:
+        raise ValueError(f"inset (--inset) must lie in [0, 1/2), got {inset}")
 
 
 def _natural_domain(prob: Problem) -> tuple[float, float]:
@@ -441,7 +436,9 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
                          form: str = "y", inset: float = 1e-3
                          ) -> tuple[float, float | None]:
     """(relative residual, empirical convergence order) of the rescaled
-    eigenfunction on a uniform grid in the y or z coordinate, |u| <= SPAN.
+    eigenfunction on a uniform grid in the y or z coordinate, |u| <= SPAN,
+    over the natural domain less the share inset of its width at each end
+    (0 <= inset < 1/2, else ValueError).
 
     Relative means |res|_inf / (|A|_inf |Psi|_inf) with
     |A|_inf = 4/h^2 + max|V - E|; the order comes from halving h.  When the
@@ -458,13 +455,16 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     _check_range(l, m)
     if form == "y" and m != 0:
         raise ValueError("the y-form realizes the principal level m=0")
+    _check_inset(inset)
     lo, hi = _natural_domain(prob)
     width = hi - lo
     x0 = 0.5 * (lo + hi)
     u_of_x, x_of_u = (_y_map if form == "y" else _z_map)(prob.p, x0)
-    # y falls with x where p < 0, so clip each end on its own side
-    u_lo, u_hi = (float(np.clip(u_of_x(end), -SPAN, SPAN))
-                  for end in (lo + inset * width, hi - inset * width))
+    # an end at a root of p maps to +-inf and is clipped to +-SPAN; y falls
+    # with x where p < 0, so clip each end on its own side
+    with _quiet():
+        u_lo, u_hi = (float(np.clip(u_of_x(end), -SPAN, SPAN))
+                      for end in (lo + inset * width, hi - inset * width))
     # the halved grid holds every node of the coarse one, and x(u) is
     # pointwise, so one inversion serves both grids
     u = np.linspace(u_lo, u_hi, 2 * nodes - 1)

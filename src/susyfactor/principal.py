@@ -84,12 +84,6 @@ class FactorEntry:
     lam: Fraction
 
 
-@dataclass(frozen=True)
-class LadderPair:
-    lower: DiffOp          # A_l = p d/dx - W0 + W_l
-    raise_: DiffOp         # B_l = -p d/dx + W0 + W_l
-
-
 def superpotential_w0(prob: Problem) -> Poly:
     """W0 = (p' - q)/2, the piece common to every ladder."""
     return (prob.p.derivative() - prob.q) * Fraction(1, 2)
@@ -329,21 +323,22 @@ class Ladders:
         return self.memo(("W", branch, l), lambda: Poly._make(
             *self.w_numerators(branch, l)))
 
-    def pair(self, branch: str, l: int) -> LadderPair:
+    def pair(self, branch: str, l: int) -> tuple[DiffOp, DiffOp]:
+        """(A_l, B_l), ladder_pair."""
         return self.memo(("pair", branch, l),
                          lambda: ladder_pair(self.prob, branch, l, self))
 
     def ab(self, branch: str, l: int) -> DiffOp:
         """A_l B_l."""
-        pair = self.pair(branch, l)
+        lower, raise_ = self.pair(branch, l)
         return self.memo(("AB", branch, l),
-                         lambda: pair.lower.compose(pair.raise_, self.prob))
+                         lambda: lower.compose(raise_, self.prob))
 
     def ba(self, branch: str, l: int) -> DiffOp:
         """B_l A_l."""
-        pair = self.pair(branch, l)
+        lower, raise_ = self.pair(branch, l)
         return self.memo(("BA", branch, l),
-                         lambda: pair.raise_.compose(pair.lower, self.prob))
+                         lambda: raise_.compose(lower, self.prob))
 
     def _raise(self, j: int, num: list[int], den: int
                ) -> tuple[list[int], int]:
@@ -412,8 +407,9 @@ def _own(prob: Problem, l: int, lad: Ladders | None) -> Ladders:
 
 
 def ladder_pair(prob: Problem, branch: str, l: int,
-                lad: Ladders | None = None) -> LadderPair:
-    """(A_l, B_l) on integer rows over 2D wd, W_l = wn/wd
+                lad: Ladders | None = None) -> tuple[DiffOp, DiffOp]:
+    """(A_l, B_l), the lowering A_l = p d/dx - W0 + W_l and the raising
+    B_l = -p d/dx + W0 + W_l, on integer rows over 2D wd, W_l = wn/wd
     (Ladders.w_numerators): with prob.taylor, 2D W0 = (P2 - Q1) x + P1 - Q0
     and 2D p = P2 x^2 + 2 P1 x + 2 P0."""
     D, P2, Q1, P1, Q0, P0 = prob.taylor
@@ -421,10 +417,9 @@ def ladder_pair(prob: Problem, branch: str, l: int,
     w = [2 * D * n for n in wn]
     w0 = [wd * (P1 - Q0), wd * (P2 - Q1)]
     p = [2 * wd * P0, 2 * wd * P1, wd * P2]
-    return LadderPair(
-        DiffOp._make([[a - b for a, b in zip(w, w0)], p], 2 * D * wd, 0),
-        DiffOp._make([[a + b for a, b in zip(w, w0)], [-c for c in p]],
-                     2 * D * wd, 0))
+    return (DiffOp._make([[a - b for a, b in zip(w, w0)], p], 2 * D * wd, 0),
+            DiffOp._make([[a + b for a, b in zip(w, w0)], [-c for c in p]],
+                         2 * D * wd, 0))
 
 
 def principal_eigenfunction(prob: Problem, l: int, lad: Ladders | None = None

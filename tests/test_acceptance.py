@@ -16,7 +16,7 @@ import numpy as np
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp, hamiltonian
 from susyfactor import associated, degenerate, numeric, principal
-from susyfactor.associated import AssocFunction
+from susyfactor.associated import proportional
 
 from conftest import FAMILIES, confluent, hermite, hypergeom, jacobi, legendre
 from oracles import apply, brute_force_eigen_oracle, poly_ratio, taylor_data
@@ -60,7 +60,6 @@ def test_criterion_02_exact_eigen_residuals():
             for m in range(-l, l + 1):
                 h = associated.assoc_hamiltonian(prob, m)
                 phi = associated.assoc_bottom_up(prob, l, m)
-                phi = DiffOp([phi.c], phi.s)
                 lam = associated.assoc_lambda(prob, l, m)
                 ok &= apply(h, phi, prob).sub(phi.scale(lam),
                                               prob).is_zero()
@@ -78,14 +77,14 @@ def test_criterion_03_cross_path_consistency():
             forms = [associated.assoc_bottom_up(prob, l, 0),
                      associated.assoc_top_down(prob, l, 0)]
             phi, _ = principal.principal_eigenfunction(prob, l)
-            forms.append(AssocFunction(phi, Fraction(0), l, 0))
+            forms.append(DiffOp([phi]))
             for m in range(1, l + 1):
                 forms = [associated.assoc_bottom_up(prob, l, m),
                          associated.assoc_top_down(prob, l, m)]
-                ok &= forms[0].proportional(forms[1], prob) is not None
+                ok &= proportional(forms[0], forms[1], prob) is not None
             for i in range(len(forms)):
                 for j in range(i + 1, len(forms)):
-                    ok &= forms[i].proportional(forms[j], prob) is not None
+                    ok &= proportional(forms[i], forms[j], prob) is not None
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30
     _report(3, "ladder/Rodrigues/bottom-up/top-down constructions pairwise "
@@ -153,7 +152,7 @@ def test_criterion_07_degenerate_collapse():
             ok &= associated.assoc_lambda(prob, l, m) == minus[l - m].lam
             phi = associated.assoc_bottom_up(prob, l, m)
             href, _ = degenerate.hermite_generate(l - m)
-            ok &= poly_ratio(phi.c, href) is not None
+            ok &= poly_ratio(phi.coeff(0), href) is not None
     qp = taylor_data(prob).qp
     ok &= all(associated.assoc_delta_plus(prob, n) == -qp
               for n in range(1, 11))

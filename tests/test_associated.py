@@ -6,20 +6,16 @@ from hypothesis import assume, given, settings, strategies as st
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp
 from susyfactor import associated
-from susyfactor.associated import AssocFunction
+from susyfactor.associated import proportional
 from susyfactor.principal import factor_table
 
 from conftest import laguerre, legendre
 from oracles import apply, taylor_data
 
 
-def _op(f: AssocFunction) -> DiffOp:
-    """Phi_lm = p^s c as the zeroth-order operator."""
-    return DiffOp([f.c], f.s)
-
-
-def _fn(c, s) -> AssocFunction:
-    return AssocFunction(Poly(c), Fraction(s), 0, 0)
+def _fn(c, s) -> DiffOp:
+    """The function p^s c."""
+    return DiffOp([Poly(c)], Fraction(s))
 
 
 def test_assoc_lambda_closed_form(family):
@@ -45,33 +41,32 @@ def test_range_error():
 def test_proportional_exact_ratio():
     prob = legendre()
     a = _fn([3, 0, 6], 1)
-    assert a.proportional(_fn([1, 0, 2], 1), prob) == 3
+    assert proportional(a, _fn([1, 0, 2], 1), prob) == 3
     # a factor p in c is a unit of s: equal after reduction
-    assert a.proportional(AssocFunction(prob.p * Poly([1, 0, 2]), Fraction(0),
-                                        0, 0), prob) == 3
+    assert proportional(a, DiffOp([prob.p * Poly([1, 0, 2])]), prob) == 3
 
 
 def test_proportional_negative_cases():
     prob = legendre()
     a = _fn([3, 0, 6], 1)
     # different s
-    assert a.proportional(_fn([3, 0, 6], Fraction(1, 2)), prob) is None
-    assert a.proportional(_fn([3, 0, 6], 2), prob) is None
+    assert proportional(a, _fn([3, 0, 6], Fraction(1, 2)), prob) is None
+    assert proportional(a, _fn([3, 0, 6], 2), prob) is None
     # a zero side
-    assert a.proportional(_fn([], 1), prob) is None
-    assert _fn([], 1).proportional(a, prob) is None
+    assert proportional(a, _fn([], 1), prob) is None
+    assert proportional(_fn([], 1), a, prob) is None
     # polynomials that are not proportional
-    assert a.proportional(_fn([1, 1], 1), prob) is None
+    assert proportional(a, _fn([1, 1], 1), prob) is None
 
 
 def test_proportional_folds_constant_p():
     # p = 4: s differing by an integer is a number, and reduction folds it
     prob = Problem(Poly([4]), Poly([0, -2]))
     a = _fn([1], Fraction(3, 2))
-    assert a.proportional(_fn([4], Fraction(1, 2)), prob) == 1
-    assert a.proportional(_fn([1], Fraction(1, 2)), prob) == 4
-    assert a.proportional(_fn([1], Fraction(-1, 2)), prob) == 16
-    assert a.proportional(_fn([1], 1), prob) is None
+    assert proportional(a, _fn([4], Fraction(1, 2)), prob) == 1
+    assert proportional(a, _fn([1], Fraction(1, 2)), prob) == 4
+    assert proportional(a, _fn([1], Fraction(-1, 2)), prob) == 16
+    assert proportional(a, _fn([1], 1), prob) is None
 
 
 def test_verify_associated_all_true(family):
@@ -86,7 +81,7 @@ def test_bottom_up_top_down_proportional(family):
         for m in range(l + 1):
             a = associated.assoc_bottom_up(family, l, m)
             b = associated.assoc_top_down(family, l, m)
-            assert a.proportional(b, family) is not None
+            assert proportional(a, b, family) is not None
 
 
 def test_raising_is_exact(family):
@@ -94,10 +89,9 @@ def test_raising_is_exact(family):
     for l in range(1, 5):
         for m in range(l):
             lo, hi = associated.assoc_ladders(family, m)
-            up = apply(hi, _op(associated.assoc_bottom_up(family, l, m)),
-                       family)
+            up = apply(hi, associated.assoc_bottom_up(family, l, m), family)
             nxt = associated.assoc_bottom_up(family, l, m + 1)
-            assert up.sub(_op(nxt), family).is_zero()
+            assert up.sub(nxt, family).is_zero()
 
 
 def test_lowering_scales_by_lambda(family):
@@ -105,11 +99,10 @@ def test_lowering_scales_by_lambda(family):
     for l in range(1, 5):
         for m in range(1, l + 1):
             lo, _ = associated.assoc_ladders(family, m - 1)
-            down = apply(lo, _op(associated.assoc_bottom_up(family, l, m)),
-                         family)
+            down = apply(lo, associated.assoc_bottom_up(family, l, m), family)
             prev = associated.assoc_bottom_up(family, l, m - 1)
             lam = associated.assoc_lambda(family, l, m - 1)
-            assert down.sub(_op(prev).scale(lam), family).is_zero()
+            assert down.sub(prev.scale(lam), family).is_zero()
 
 
 def test_negative_m_sign_relation(family):
@@ -117,7 +110,7 @@ def test_negative_m_sign_relation(family):
         for m in range(l + 1):
             pos = associated.assoc_bottom_up(family, l, m)
             neg = associated.assoc_bottom_up(family, l, -m)
-            assert neg.proportional(pos, family) == (-1) ** m
+            assert proportional(neg, pos, family) == (-1) ** m
 
 
 def test_assoc_shape_invariance_zero(family):

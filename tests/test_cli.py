@@ -187,6 +187,53 @@ def test_numeric_file_errors_exit_2(tmp_path):
         assert json.loads(err.getvalue())["error"] == error
 
 
+def test_numeric_csv_values_that_are_not_finite_exit_2(tmp_path):
+    # P = inf and Q = nan once read as nan rows with exit 0; each is a
+    # ValueError that names its column, before numpy sees it
+    rows = "x,P,Q,R\n0.5,1,2,0\n1.0,{},{},0\n1.5,1,1,0\n"
+    for P, Q, column in (("inf", "1", "P"), ("1", "nan", "Q")):
+        path = tmp_path / f"{column}.csv"
+        path.write_text(rows.format(P, Q))
+        for task in ("sl1", "sl2"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = _main(["numeric", task, "--csv", str(path)])
+            assert code == 2 and out == ""
+            err = json.loads(err)
+            assert err["error"] == "ValueError"
+            assert f"column {column}" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--family", "legendre", "--l", "2", "--inset", "-0.1",
+     "--nodes", "50"],
+    # log|x| would fold the cut ends back through the root of p
+    ["residual", "--family", "laguerre:1", "--l", "2", "--inset", "-0.5",
+     "--nodes", "10"],
+    # the cut ends cross (0.6) or meet (0.5)
+    ["residual", "--family", "legendre", "--l", "2", "--inset", "0.6",
+     "--nodes", "10"],
+    ["residual", "--family", "legendre", "--l", "2", "--inset", "0.5",
+     "--nodes", "10"],
+    ["maps", "--family", "legendre", "--inset", "0.6", "--nodes", "10"]])
+def test_numeric_inset_outside_its_range_exit_2(argv):
+    r = run_cli("numeric", *argv)
+    assert r.returncode == 2 and r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["error"] == "ValueError" and "--inset" in err["message"]
+
+
+def test_numeric_residual_inset_zero_clips_the_root_ends_quietly():
+    # u = y maps the roots +-1 of p to +-inf, clipped to +-SPAN: the bytes
+    # of the run that printed a divide-by-zero warning, with no stderr
+    r = run_cli("numeric", "residual", "--family", "legendre", "--l", "2",
+                "--inset", "0", "--nodes", "10")
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout == ('{\n  "residual": 0.028070683715607208,\n'
+                        '  "order": -1.2767736939837764,\n  "form": "y",\n'
+                        '  "nodes": 10\n}\n')
+
+
 def test_numeric_singular_grid_exit_2():
     r = run_cli("numeric", "maps", "--family", "legendre",
                 "--lo", "-2", "--hi", "2", "--nodes", "20")
@@ -733,9 +780,9 @@ def _api_columns(task, spec, nodes):
         prof = numeric.potentials(prob, 3, 1, grid)
         return (["x", "w", "y", "z", "W_l", "V_l", "V_s_l", "W_a_m", "V_a_m",
                  "psi_l", "s_phi_lm"],
-                (grid.nodes, prof.w, prof.y, prof.z, prof.W_l, prof.V_l,
-                 prof.V_s_l, prof.W_a_m, prof.V_a_m, prof.psi_l,
-                 prof.s_phi_lm))
+                (grid.nodes, prof["w"], prof["y"], prof["z"], prof["W_l"],
+                 prof["V_l"], prof["V_s_l"], prof["W_a_m"], prof["V_a_m"],
+                 prof["psi_l"], prof["s_phi_lm"]))
     if task == "sl1":
         out = numeric.sl_transform_typeI(prob.p, prob.q, Poly([]), grid,
                                          E=0.0, Lambda=0.0)

@@ -4,7 +4,7 @@ canonical coefficients, and operators on incommensurate powers of p still
 raise ValueError.  The hot operations build no Poly at all.  The package's
 operators built on integer rows equal their Poly formulas, and in a verify
 request neither conjugate nor those builders construct a Fraction or a
-Poly."""
+Poly, and assoc_bottom_up constructs no Fraction."""
 
 from collections import Counter
 from fractions import Fraction
@@ -241,8 +241,7 @@ def test_operator_builders_match_the_poly_formulas(prob, m, branch, l):
            "assoc_ladders": associated.assoc_ladders(prob, m),
            "assoc_hamiltonian": associated.assoc_hamiltonian(prob, m)}
     if "ladder_pair" in ref:
-        pair = principal.ladder_pair(prob, branch, l, lad)
-        got["ladder_pair"] = (pair.lower, pair.raise_)
+        got["ladder_pair"] = principal.ladder_pair(prob, branch, l, lad)
     if "hypergeom_like_hl" in ref:
         got["hypergeom_like_hl"] = principal.hypergeom_like_hl(prob, l, lad)
     assert got.keys() == ref.keys()
@@ -253,12 +252,10 @@ def test_operator_builders_match_the_poly_formulas(prob, m, branch, l):
             assert _same(lambda: new, lambda: old), name
 
 
-@pytest.mark.parametrize("family", ["legendre", "laguerre:1/2", "hermite",
-                                    "jacobi:2,3"])
-def test_verify_builds_operators_without_fraction_or_poly(monkeypatch,
-                                                          capsys, family):
-    """One verify --levels 4 request: conjugate and the five operator
-    builders construct no Fraction and no Poly while they run."""
+def _guard(monkeypatch, targets):
+    """Wrap each (owner, name) of targets: returns (called, built), the
+    names called and the kinds, "Fraction" or "Poly", constructed while
+    one of them runs."""
     depth, built, called = [0], [], Counter()
 
     def guarded(name, fn):
@@ -271,15 +268,8 @@ def test_verify_builds_operators_without_fraction_or_poly(monkeypatch,
                 depth[0] -= 1
         return run
 
-    targets = [(DiffOp, "conjugate"), (associated, "assoc_ladders"),
-               (associated, "assoc_hamiltonian"),
-               (principal, "ladder_pair"), (principal, "hypergeom_like_hl")]
     for owner, name in targets:
         monkeypatch.setattr(owner, name, guarded(name, getattr(owner, name)))
-    # hamiltonian is read under its name in each module that imports it
-    wrapped = guarded("hamiltonian", diffop.hamiltonian)
-    for module in (diffop, principal, associated):
-        monkeypatch.setattr(module, "hamiltonian", wrapped)
 
     def counting(kind, fn):
         def run(*args, **kwargs):
@@ -296,6 +286,24 @@ def test_verify_builds_operators_without_fraction_or_poly(monkeypatch,
     monkeypatch.setattr(Poly, "_make", classmethod(
         counting("Poly", Poly._make.__func__)))
     monkeypatch.setattr(Poly, "__init__", counting("Poly", Poly.__init__))
+    return called, built
+
+
+VERIFY_FAMILIES = ["legendre", "laguerre:1/2", "hermite", "jacobi:2,3"]
+
+
+@pytest.mark.parametrize("family", VERIFY_FAMILIES)
+def test_verify_builds_operators_without_fraction_or_poly(monkeypatch,
+                                                          capsys, family):
+    """One verify --levels 4 request: conjugate and the five operator
+    builders construct no Fraction and no Poly while they run."""
+    # hamiltonian is read under its name in each module that imports it
+    called, built = _guard(monkeypatch, [
+        (DiffOp, "conjugate"), (associated, "assoc_ladders"),
+        (associated, "assoc_hamiltonian"), (principal, "ladder_pair"),
+        (principal, "hypergeom_like_hl"),
+        *((module, "hamiltonian") for module in (diffop, principal,
+                                                 associated))])
     assert cli.main(["verify", "--family", family, "--levels", "4"]) == 0
     assert '"all_pass": true' in capsys.readouterr().out
     assert set(called) == {"conjugate", "assoc_ladders", "assoc_hamiltonian",
@@ -305,3 +313,16 @@ def test_verify_builds_operators_without_fraction_or_poly(monkeypatch,
     # ladder_pair makes its own Ladders, whose W0 is a Poly
     principal.ladder_pair(legendre(), "minus", 1)
     assert {"Fraction", "Poly"} <= set(built)
+
+
+@pytest.mark.parametrize("family", VERIFY_FAMILIES)
+def test_verify_builds_bottom_up_functions_without_fraction(monkeypatch,
+                                                            capsys, family):
+    """One verify --levels 4 request: assoc_bottom_up constructs no
+    Fraction while it runs; the Poly of each derivative it takes is
+    allowed, and shows that the counters see its builds."""
+    called, built = _guard(monkeypatch, [(associated, "assoc_bottom_up")])
+    assert cli.main(["verify", "--family", family, "--levels", "4"]) == 0
+    assert '"all_pass": true' in capsys.readouterr().out
+    assert called["assoc_bottom_up"] > 0
+    assert "Fraction" not in built and "Poly" in built

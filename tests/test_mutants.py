@@ -47,7 +47,7 @@ for spec in ("legendre", "jacobi:2,3", "laguerre:1", "hermite",
             for m in range(-l, l + 1):
                 up = associated.assoc_bottom_up(prob, l, m, lad)
                 down = associated.assoc_top_down(prob, l, m, lad)
-                if up.proportional(down, prob) is None:
+                if associated.proportional(up, down, prob) is None:
                     failed.add("eigenfunction.proportional_to_alternate")
     except Exception as ex:
         failed.add("raised." + type(ex).__name__)
@@ -114,8 +114,7 @@ MUTANTS = {
         "associated", "2 * (r * P2 + Q1)))", "2 * (r * P2 - Q1)))",
         ["eigenfunction.proportional_to_alternate"]),
     "rodrigues_exponent": (
-        "associated", "AssocFunction(c, Fraction(f.h - am, 2), l, m)",
-        "AssocFunction(c, Fraction(f.h, 2), l, m)",
+        "associated", "return f._at(f.h - am)", "return f._at(f.h)",
         ["eigenfunction.proportional_to_alternate"]),
     # pHm_factorization
     "pHm_shift": (

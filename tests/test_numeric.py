@@ -356,8 +356,9 @@ def test_potential_poly_partner_gap():
 def test_potentials_profile_shapes():
     grid = numeric.Grid.uniform(-0.9, 0.9, 64)
     prof = numeric.potentials(legendre(), 3, 1, grid)
-    for arr in (prof.w, prof.y, prof.z, prof.W_l, prof.V_l, prof.V_s_l,
-                prof.W_a_m, prof.V_a_m, prof.psi_l, prof.s_phi_lm):
+    for arr in (prof["w"], prof["y"], prof["z"], prof["W_l"], prof["V_l"],
+                prof["V_s_l"], prof["W_a_m"], prof["V_a_m"], prof["psi_l"],
+                prof["s_phi_lm"]):
         assert np.asarray(arr).shape == grid.nodes.shape
 
 
@@ -373,6 +374,12 @@ def test_schrodinger_residual_assoc_z():
                                               form="z")
     assert rel < 1e-6
     assert 1.7 <= order <= 2.3
+
+
+@pytest.mark.parametrize("inset", [-0.1, 0.5, 0.6, float("nan")])
+def test_schrodinger_residual_rejects_an_inset_outside_its_range(inset):
+    with pytest.raises(ValueError, match="inset"):
+        numeric.schrodinger_residual(legendre(), 2, 0, nodes=10, inset=inset)
 
 
 def _residual_two_grids(prob, l, m, nodes, form, span=5.0, inset=1e-3):
@@ -851,11 +858,12 @@ def test_square_well_fixture():
         prof = numeric.potentials(jacobi(Fraction(1, 2), Fraction(1, 2)),
                                   l, 0, grid)
         col = data[1:-1, l + 1]
-        scale = np.dot(prof.s_phi_lm, col) / np.dot(col, col)
-        dev = np.max(np.abs(prof.s_phi_lm / scale - col)) / np.max(np.abs(col))
+        scale = np.dot(prof["s_phi_lm"], col) / np.dot(col, col)
+        dev = np.max(np.abs(prof["s_phi_lm"] / scale - col)) \
+            / np.max(np.abs(col))
         assert dev <= 1e-9
         z = np.pi * (0.5 - t)
-        assert np.max(np.abs(prof.z - (z - z[mid]))) <= 1e-12
+        assert np.max(np.abs(prof["z"] - (z - z[mid]))) <= 1e-12
 
 
 def _emit_csv_ref(header, rows, out):

@@ -223,7 +223,7 @@ def _assoc_shape(prob, n):
 
 def _phi_lm(prob, lad, l, m):
     f = associated.assoc_bottom_up(prob, l, m, lad)
-    return QuasiFunction(f.c, f.s)
+    return QuasiFunction(f.coeff(0), f.k)
 
 
 def _verify_associated(prob, lad, l, m):
@@ -345,7 +345,7 @@ def test_conjugated_hamiltonian_matches_the_reference(prob, l, shift):
         s = Fraction(-(m + shift), 2)
         op = associated.assoc_hamiltonian(prob, m).conjugate(s, 0, prob)
         ref = _assoc_hamiltonian(prob, m).conjugate(s, 0, prob)
-        c = associated.assoc_bottom_up(prob, l, m, lad).c
+        c = associated.assoc_bottom_up(prob, l, m, lad).coeff(0)
         lam = associated.assoc_lambda(prob, l, m)
         assert QFOp.of(op, prob).sub(ref, prob).is_zero()
         res = op.eigen_residual(c, lam, prob)

@@ -107,8 +107,8 @@ def test_ladder_pair_product_is_shifted_hamiltonian():
     # (1/p) A_0 B_0 applied after composing equals H_0 + lambda-shift terms;
     # the l = 0 pair must annihilate-and-recreate the ground state
     prob = laguerre(1)
-    pair = principal.ladder_pair(prob, "minus", 0)
-    assert pair.lower.eigen_residual(Poly.const(1), 0, prob).is_zero()
+    lower, _ = principal.ladder_pair(prob, "minus", 0)
+    assert lower.eigen_residual(Poly.const(1), 0, prob).is_zero()
 
 
 def test_equivalent_forms_all_true(family):

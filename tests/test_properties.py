@@ -124,7 +124,7 @@ def _raise_by_ladders(prob, l):
     phi = QuasiFunction(Poly.const(1))
     normsq = Fraction(1)
     for j in range(1, l + 1):
-        raise_ = principal.ladder_pair(prob, "minus", j).raise_
+        raise_ = principal.ladder_pair(prob, "minus", j)[1]
         phi = QFOp.of(raise_, prob).apply(phi, prob)
         normsq *= table[j].E
     return phi, normsq

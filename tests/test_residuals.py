@@ -152,9 +152,9 @@ def _six_operation_pHm(prob, l, m):
     ham = associated.assoc_hamiltonian(prob, m)
     lhs = DiffOp(ham.coeffs, ham.k + 1).sub(DiffOp([prob.p * lam]), prob)
     lhs = lhs.add(DiffOp([E_lm]), prob)
-    pair = lad.pair("minus", l)
+    lower, raise_ = lad.pair("minus", l)
     rhs = lad.ba("minus", l).add(
-        pair.lower.add(pair.raise_, prob).scale(C), prob)
+        lower.add(raise_, prob).scale(C), prob)
     rhs = rhs.add(DiffOp([C * C]), prob)
     return C, E_lm, lam, lhs.sub(rhs, prob)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from susyfactor import associated, principal
 from susyfactor.core import Poly
+from susyfactor.diffop import DiffOp
 
 from oracles import series_phi
 from test_ladders import problems
@@ -42,8 +43,9 @@ def test_bottom_up_is_the_derivative_of_the_series(family):
         for _ in range(abs(m)):
             d = [k * c for k, c in enumerate(d)][1:]
         sign = -1 if m < 0 and m % 2 else 1
-        assert associated.assoc_bottom_up(family, l, m, lad).c == \
+        assert associated.assoc_bottom_up(family, l, m, lad).coeff(0) == \
             Poly([sign * c for c in d]), m
-        ref = associated.AssocFunction(Poly(d), Fraction(abs(m), 2), l, m)
-        assert associated.assoc_top_down(family, l, m, lad).proportional(
-            ref, family) is not None, m
+        ref = DiffOp([Poly(d)], Fraction(abs(m), 2))
+        assert associated.proportional(
+            associated.assoc_top_down(family, l, m, lad), ref,
+            family) is not None, m

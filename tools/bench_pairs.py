@@ -18,8 +18,19 @@ side then makes one traced verify-suite run
 The output file holds ``about`` (this method), ``medians`` and
 ``quartiles`` (inclusive method) per side and metric over the runs,
 ``pairs_won`` (per metric, the pairs in which the change reads better in
-the direction BENCHMARK.json declares; ties count for neither), ``runs``
-(each run's JSON line, by side and seed) and ``traced``.  It is rewritten
+the direction BENCHMARK.json declares; ties count for neither), two
+verdicts per metric, ``runs`` (each run's JSON line, by side and seed) and
+``traced``.  The verdicts read the parent's BENCHMARK.json (``end_to_end``:
+each metric's direction and bound) and write nothing to it:
+
+- ``gain``: true when the change wins at least 9 in 10 of the pairs and
+  its median reads better than the parent's by more than the parent's
+  interquartile range;
+- ``regression``: ``worse`` where the change's median reads worse than the
+  parent's by more than the bound (a share of the parent's median),
+  ``unresolved`` where the parent's interquartile range exceeds that share
+  and not every change run reads better than every parent run, else
+  ``none``.  It is rewritten
 after every pair, so an interrupted run keeps the pairs it finished.
 Use seeds that were not used while the change was written.
 """
@@ -68,15 +79,19 @@ def _run(tree: Path, args: list[str]) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def summary(runs: dict, better: dict) -> dict:
-    """medians, quartiles and pairs_won over the seeds both sides ran."""
+def summary(runs: dict, end_to_end: list[dict]) -> dict:
+    """medians, quartiles, pairs_won, gain and regression over the seeds
+    both sides ran, for BENCHMARK.json's end_to_end metrics (each with its
+    name, better and bound)."""
+    spec = {m["name"]: m for m in end_to_end}
     seeds = [s for s in runs["parent"] if s in runs["change"]]
     values = {side: {} for side in SIDES}
     for side in SIDES:
         for seed in seeds:
             for name, m in runs[side][seed]["metrics"].items():
                 values[side].setdefault(name, []).append(m["value"])
-    out = {"medians": {}, "quartiles": {}, "pairs_won": {}}
+    out = {"medians": {}, "quartiles": {}, "pairs_won": {}, "gain": {},
+           "regression": {}}
     for side in SIDES:
         out["medians"][side] = {k: statistics.median(v)
                                 for k, v in values[side].items()}
@@ -85,10 +100,24 @@ def summary(runs: dict, better: dict) -> dict:
                 if len(v) > 1 else [v[0], v[0]])
             for k, v in values[side].items()}
     for name, old in values["parent"].items():
-        sign = 1 if better[name.split("/")[-1]] == "higher" else -1
-        out["pairs_won"][name] = sum(
-            sign * (new - ref) > 0
-            for ref, new in zip(old, values["change"].get(name, [])))
+        metric = spec[name.split("/")[-1]]
+        sign = 1 if metric["better"] == "higher" else -1
+        new = values["change"].get(name, [])
+        won = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+        out["pairs_won"][name] = won
+        if not new:
+            continue
+        # gap > 0: the change's median reads better
+        ref = out["medians"]["parent"][name]
+        gap = sign * (out["medians"]["change"][name] - ref)
+        lo, hi = out["quartiles"]["parent"][name]
+        allowed = metric["bound"] * abs(ref)
+        out["gain"][name] = 10 * won >= 9 * len(seeds) and gap > hi - lo
+        out["regression"][name] = (
+            "worse" if gap < -allowed else
+            "unresolved" if hi - lo > allowed and min(
+                sign * v for v in new) <= max(sign * v for v in old)
+            else "none")
     return out
 
 
@@ -109,7 +138,6 @@ def main(argv=None) -> int:
     try:
         trees = {side: _checkout(revs[side], work / side) for side in SIDES}
         spec = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         seconds = f"{spec['run_seconds']:g}"
         about = (
             f"Final JSON line of `python3 perfbench/run.py --workload all "
@@ -118,8 +146,11 @@ def main(argv=None) -> int:
             f"{args.seeds}, pairs run alternately (even seeds parent "
             f"first), each side in a clean copy of its commit (git "
             f"archive); `medians` and `quartiles` (inclusive method) are per "
-            f"metric over the runs, and `pairs_won` counts the pairs in "
-            f"which the change reads better (ties count for neither)."
+            f"metric over the runs, `pairs_won` counts the pairs in "
+            f"which the change reads better (ties count for neither), and "
+            f"`gain` and `regression` are the verdicts of "
+            f"tools/bench_pairs.py against the parent's BENCHMARK.json "
+            f"bounds."
             + (f" `traced` holds the final line of `--workload verify-suite "
                f"--seed {args.trace_seed} --seconds {seconds} "
                f"--trace 1` on each side." if args.trace_seed is not None
@@ -132,7 +163,7 @@ def main(argv=None) -> int:
                 runs[side][str(seed)] = _run(trees[side], [
                     "--workload", "all", "--seed", str(seed),
                     "--seconds", seconds])
-            result.update(summary(runs, better), runs=runs)
+            result.update(summary(runs, spec["end_to_end"]), runs=runs)
             Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
         if args.trace_seed is not None:
             result["traced"] = {side: _run(trees[side], [
