@@ -30,8 +30,10 @@ each metric's direction and bound) and write nothing to it:
   parent's by more than the bound (a share of the parent's median),
   ``unresolved`` where the parent's interquartile range exceeds that share
   and not every change run reads better than every parent run, else
-  ``none``.  It is rewritten
-after every pair, so an interrupted run keeps the pairs it finished.
+  ``none``.
+
+The file is rewritten after every pair, so an interrupted run keeps the
+pairs it finished.
 Use seeds that were not used while the change was written.
 """
 
