@@ -257,6 +257,9 @@ def cmd_verify(args) -> int:
 
 
 def _grid_from_args(prob, args):
+    """--nodes evenly spaced nodes from --lo to --hi, or over the natural
+    domain less the share --inset of its width at each end."""
+    import numpy as np
     from . import numeric
     if args.lo is not None:
         lo, hi = args.lo, args.hi
@@ -265,7 +268,11 @@ def _grid_from_args(prob, args):
         lo, hi = numeric._natural_domain(prob)
         width = hi - lo
         lo, hi = lo + args.inset * width, hi - args.inset * width
-    return numeric.Grid.uniform(lo, hi, args.nodes)
+    if not lo < hi:
+        raise ValueError("need lo < hi")
+    if args.nodes < 1:
+        raise ValueError(f"nodes (--nodes) must be >= 1, got {args.nodes}")
+    return np.linspace(lo, hi, args.nodes)
 
 
 def _read_pqr_csv(path):
@@ -286,16 +293,51 @@ def _read_pqr_csv(path):
     return x, P, Q, R
 
 
-def cmd_numeric(args) -> int:
-    from . import numeric
+# The flags each numeric task reads besides --output and its input: a
+# problem (--family, or --p and --q) on --nodes nodes over --lo to --hi or
+# over the natural domain less --inset, or for sl1, sl2 and slcheck, the
+# samples of --csv.  A flag left out takes its default once every given
+# flag is known to be read.
+_NUMERIC_FLAGS = {"maps": (), "potentials": ("l", "m"),
+                  "residual": ("l", "m", "form"),
+                  "sl1": ("energy", "eigenvalue"), "sl2": (),
+                  "slcheck": ("q1", "lambda1")}
+_NUMERIC_DEFAULTS = {"l": 0, "m": 0, "form": "y", "nodes": 500,
+                     "inset": 1e-3, "lambda1": 0.0, "energy": 0.0,
+                     "eigenvalue": 0.0}
+
+
+def _check_numeric_flags(args) -> None:
+    """ValueError naming the first flag given that args.task does not read
+    on its input; then the defaults of the flags left out."""
     task = args.task
-    sampled = task in ("sl1", "sl2", "slcheck") and args.csv
-    if args.csv and not sampled:
-        raise ValueError(f"numeric {task} reads no --csv")
+    reads = {"command", "task", "fn", "output", *_NUMERIC_FLAGS[task]}
+    if args.csv is not None and task in ("sl1", "sl2", "slcheck"):
+        reads.add("csv")
+        where = " on --csv input"
+    else:
+        reads |= {"family", "p", "q", "nodes"}
+        given = args.lo is not None or args.hi is not None
+        if given and task != "residual":
+            reads |= {"lo", "hi"}
+            where = " on --lo/--hi"
+        else:
+            reads.add("inset")
+            where = ""
+    for name, value in vars(args).items():
+        if value is not None and name not in reads:
+            raise ValueError(f"numeric {task}{where} reads no --{name}")
     if (args.lo is None) != (args.hi is None):
         raise ValueError("give --lo and --hi together")
-    if args.lo is not None and (task == "residual" or sampled):
-        raise ValueError("numeric residual and --csv input read no --lo/--hi")
+    for name, value in _NUMERIC_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+
+
+def cmd_numeric(args) -> int:
+    from . import numeric
+    _check_numeric_flags(args)
+    task = args.task
     if task == "residual":
         rel, order = numeric.schrodinger_residual(
             _problem_from_args(args), args.l, args.m, nodes=args.nodes,
@@ -303,32 +345,29 @@ def cmd_numeric(args) -> int:
         _emit({"residual": rel, "order": order, "form": args.form,
                "nodes": args.nodes}, args)
         return 0
-    if sampled:
+    if args.csv is not None:
         x, P, Q, R = _read_pqr_csv(args.csv)
-        grid = numeric.Grid(x)
         prob = None
     else:
         prob = _problem_from_args(args)
-        grid = _grid_from_args(prob, args)
+        x = _grid_from_args(prob, args)
         P, Q, R = prob.p, prob.q, Poly([])
     if task == "slcheck":
         q1 = _parse_poly(args.q1) if args.q1 else Poly([])
-        res = numeric.sl_full_susy_residual(P, Q, R, q1, args.lambda1, grid)
+        res = numeric.sl_full_susy_residual(P, Q, R, q1, args.lambda1, x)
         _emit({"residual": res}, args)
         return 0
     # each task's columns, in CSV order, by name
     if task == "maps":
-        out = dict(zip("yz", numeric.coordinate_maps(prob, grid)))
+        out = dict(zip("yz", numeric.coordinate_maps(prob, x)))
     elif task == "potentials":
-        out = numeric.potentials(prob, args.l, args.m, grid)
+        out = numeric.potentials(prob, args.l, args.m, x)
     elif task == "sl1":
-        out = numeric.sl_transform_typeI(P, Q, R, grid, E=args.energy,
+        out = numeric.sl_transform_typeI(P, Q, R, x, E=args.energy,
                                          Lambda=args.eigenvalue)
-    elif task == "sl2":
-        out = numeric.sl_transform_typeII(P, Q, R, grid)
     else:
-        raise ValueError(f"unknown numeric task {task!r}")
-    _emit_csv(["x", *out], (grid.nodes, *out.values()), args)
+        out = numeric.sl_transform_typeII(P, Q, R, x)
+    _emit_csv(["x", *out], (x, *out.values()), args)
     return 0
 
 
@@ -406,20 +445,22 @@ def _build_parser() -> argparse.ArgumentParser:
     common(n)
     n.add_argument("task", choices=["maps", "potentials", "residual",
                                     "sl1", "sl2", "slcheck"])
-    n.add_argument("--l", type=int, default=0)
-    n.add_argument("--m", type=int, default=0)
-    n.add_argument("--form", choices=["y", "z"], default="y")
-    n.add_argument("--nodes", type=int, default=500)
+    # defaults: _NUMERIC_DEFAULTS, applied by _check_numeric_flags
+    n.add_argument("--l", type=int, help="default 0")
+    n.add_argument("--m", type=int, help="default 0")
+    n.add_argument("--form", choices=["y", "z"], help="default y")
+    n.add_argument("--nodes", type=int, help="default 500")
     n.add_argument("--lo", type=float)
     n.add_argument("--hi", type=float)
-    n.add_argument("--inset", type=float, default=1e-3,
+    n.add_argument("--inset", type=float,
                    help="without --lo/--hi, the share of the natural "
-                        "domain's width cut off at each end, in [0, 1/2)")
+                        "domain's width cut off at each end, in [0, 1/2); "
+                        "default 1e-3")
     n.add_argument("--csv", help="sampled P,Q,R input (columns x,P,Q,R)")
     n.add_argument("--q1", help="candidate Q1 polynomial for slcheck")
-    n.add_argument("--lambda1", type=float, default=0.0)
-    n.add_argument("--energy", type=float, default=0.0)
-    n.add_argument("--eigenvalue", type=float, default=0.0)
+    n.add_argument("--lambda1", type=float, help="default 0")
+    n.add_argument("--energy", type=float, help="default 0")
+    n.add_argument("--eigenvalue", type=float, help="default 0")
     n.set_defaults(fn=cmd_numeric)
 
     c = sub.add_parser("classify", help="degeneracy report and operator "

@@ -5,7 +5,7 @@ results onto float grids: the y = int dx/p and z = int dx/sqrt(p)
 coordinates, weight functions, potentials and superpartner potentials,
 finite-difference residuals of the rescaled eigenfunctions, and the
 Sturm-Liouville supersymmetrizations of a generic operator
--P d^2 - Q d - R.
+-P d^2 - Q d - R.  A grid is its array of nodes x.
 
 Nothing here integrates numerically.  On Poly input (deg p <= 2) the maps
 y and z, their inverses u -> x, int Q/P and the weights are closed forms,
@@ -19,13 +19,13 @@ Residual convention: ``schrodinger_residual`` reports the standard
 relative linear-algebra residual |res|_inf / (|A|_inf |Psi|_inf) where
 |A|_inf is estimated as 4/h^2 + max|V - E| for the discretized operator,
 and the convergence order is measured from the absolute residual under one
-grid halving.
+grid halving.  w, Psi and V are evaluated once, on the halved grid; the
+coarse grid reads them at its even nodes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -72,19 +72,6 @@ def _quiet():
     """np.errstate under which an overflow, 0 * inf or a negative power of
     0 is a value (inf or nan), not a warning, as in _exp."""
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
-
-
-@dataclass(frozen=True)
-class Grid:
-    nodes: np.ndarray
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, n: int) -> "Grid":
-        if not lo < hi:
-            raise ValueError("need lo < hi")
-        if n < 1:
-            raise ValueError(f"nodes (--nodes) must be >= 1, got {n}")
-        return cls(np.linspace(lo, hi, n))
 
 
 def _check_sign_definite(vals: np.ndarray):
@@ -226,9 +213,10 @@ def _over_p(p: Poly, num: Poly, x0: float) -> Callable:
     return F
 
 
-def coordinate_maps(prob: Problem, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """(y, z) with y = int dx/p and z = int dx/sqrt(p), anchored mid-grid."""
-    x = grid.nodes
+def coordinate_maps(prob: Problem,
+                    x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(y, z) at the nodes x with y = int dx/p and z = int dx/sqrt(p),
+    anchored at the mid node."""
     pv = prob.p(x)
     _check_sign_definite(pv)
     x0 = x[len(x) // 2]
@@ -325,18 +313,12 @@ def _shape(prob: Problem) -> _Shape:
                   side=(roots[1], roots[0] if p[2] < 0 else None))
 
 
-def weight_function(prob: Problem):
-    """Closed-form callable for w = exp(int (q - p')/p) as _shape writes
-    it, None where p has no real root.  Callers evaluate it under _quiet,
-    where a power term that overflows, or meets a vanishing exponential,
-    is a value (inf or nan)."""
-    return _shape(prob).w
-
-
-def weight_numeric(prob: Problem, grid: Grid) -> np.ndarray:
-    x = grid.nodes
+def weight_numeric(prob: Problem, x: np.ndarray) -> np.ndarray:
+    """w = exp(int (q - p')/p) at the nodes x: _shape's closed form, under
+    _quiet, where a power term that overflows, or meets a vanishing
+    exponential, is a value (inf or nan)."""
     _check_sign_definite(prob.p(x))
-    fn = weight_function(prob)
+    fn = _shape(prob).w
     if fn is not None:
         with _quiet():
             return fn(x)
@@ -382,17 +364,16 @@ def _assoc_schrodinger(prob: Problem, phi: Poly, m: int, x: np.ndarray,
     return psi, V, kv
 
 
-def potentials(prob: Problem, l: int, m: int, grid: Grid
+def potentials(prob: Problem, l: int, m: int, x: np.ndarray
                ) -> dict[str, np.ndarray]:
-    """The columns of ``numeric potentials`` at the grid nodes, by name in
+    """The columns of ``numeric potentials`` at the nodes x, by name in
     CSV order; s_phi_lm is the z-form psi of Phi_lm."""
     _check_range(l, m)
-    x = grid.nodes
     pv = prob.p(x)
     _check_sign_definite(pv)
     sqrtp = np.sqrt(np.abs(pv))
-    w = weight_numeric(prob, grid)
-    y, z = coordinate_maps(prob, grid)
+    w = weight_numeric(prob, x)
+    y, z = coordinate_maps(prob, x)
     lad = Ladders(prob, l)
     wl = lad.wl("minus", l)
     vl = potential_poly(prob, l, lad)
@@ -465,8 +446,8 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     with _quiet():
         u_lo, u_hi = (float(np.clip(u_of_x(end), -SPAN, SPAN))
                       for end in (lo + inset * width, hi - inset * width))
-    # the halved grid holds every node of the coarse one, and x(u) is
-    # pointwise, so one inversion serves both grids
+    # the halved grid holds every node of the coarse one, and x(u), w, psi
+    # and V are pointwise, so the coarse grid reads them at the even nodes
     u = np.linspace(u_lo, u_hi, 2 * nodes - 1)
     x = x_of_u(u)
     lad = Ladders(prob, l)
@@ -480,21 +461,23 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     # (-p, -q) has the same Phi_l and w with V -> -V and lambda -> -lambda,
     # so where p < 0 the z form reads sign(p) (V - E)
     sign = math.copysign(1.0, prob.p(x0)) if form == "z" else 1.0
+    w = weight_numeric(prob, x)
+    # a weight that left the floats gives a residual that is not finite
+    with _quiet():
+        if form == "y":
+            psi, V = np.sqrt(w) * phi(x), vl(x)
+        else:
+            psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), x, w)
     r, rels = [], []
-    for uk, xk in ((u, x), (u[::2], x[::2])):    # halved grid, then n nodes
-        w = weight_numeric(prob, Grid(xk))
-        # a weight that left the floats gives a residual that is not finite
+    for k in (1, 2):            # the halved grid, then its n even nodes
+        pk, Vk = psi[::k], V[::k]
         with _quiet():
-            if form == "y":
-                psi, V = np.sqrt(w) * phi(xk), vl(xk)
-            else:
-                psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), xk, w)
-            h = uk[1] - uk[0]
-            res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
-                + sign * (V[1:-1] - E) * psi[1:-1]
+            h = u[k] - u[0]
+            res = -(pk[2:] - 2.0 * pk[1:-1] + pk[:-2]) / h ** 2 \
+                + sign * (Vk[1:-1] - E) * pk[1:-1]
             r.append(float(np.max(np.abs(res))))
-            a_norm = 4.0 / h ** 2 + float(np.max(np.abs(V - E)))
-        rels.append(_finite(r[-1] / (a_norm * float(np.max(np.abs(psi)))),
+            a_norm = 4.0 / h ** 2 + float(np.max(np.abs(Vk - E)))
+        rels.append(_finite(r[-1] / (a_norm * float(np.max(np.abs(pk)))),
                             "the residual"))
     if max(rels) <= 16 * np.finfo(float).eps:
         return rels[1], 2.0
@@ -580,16 +563,15 @@ def orthogonality_matrix(prob: Problem, nmax: int) -> np.ndarray:
     return mu0 * np.array([[float(g) for g in row] for row in gram])
 
 
-def aux_ground_check(prob: Problem, grid: Grid) -> float:
+def aux_ground_check(prob: Problem, x: np.ndarray) -> float:
     """Numeric consistency of the auxiliary level below the ground state.
 
     Psi = w^(-1/2) int w/p dx solves (p d/dx - W0) Psi = sqrt(w); the
     integral is a cumulative trapezoid on the nodes.  Returns the maximum
     relative deviation on interior nodes.
     """
-    x = grid.nodes
     _check_sign_definite(prob.p(x))
-    w = weight_numeric(prob, grid)
+    w = weight_numeric(prob, x)
     f = w / prob.p(x)
     integral = _cumulative(0.5 * np.diff(x) * (f[1:] + f[:-1]), len(x) // 2)
     psi = integral / np.sqrt(w)
@@ -612,7 +594,7 @@ def _exact(P, Q) -> bool:
     return isinstance(P, Poly) and P.degree <= 2 and isinstance(Q, Poly)
 
 
-def sl_transform_typeI(P, Q, R, grid: Grid, E: float = 0.0,
+def sl_transform_typeI(P, Q, R, x: np.ndarray, E: float = 0.0,
                        Lambda: float = 0.0) -> dict:
     """Supersymmetrize -P d^2 - Q d - R toward the momentum -i P d/dx.
 
@@ -621,7 +603,6 @@ def sl_transform_typeI(P, Q, R, grid: Grid, E: float = 0.0,
     U = -P G' + G^2 - R - Lambda P + E, and the map u = int dx/P.
     The transformed eigenfunction is rho^(1/2) psi with eigenvalue E.
     """
-    x = grid.nodes
     Pv, Qv, Rv = (_samples(f, x) for f in (P, Q, R))
     _check_sign_definite(Pv)
     mid = len(x) // 2
@@ -639,7 +620,7 @@ def sl_transform_typeI(P, Q, R, grid: Grid, E: float = 0.0,
     return {"rho": rho, "G": G, "U": U, "u": u}
 
 
-def sl_transform_typeII(P, Q, R, grid: Grid) -> dict:
+def sl_transform_typeII(P, Q, R, x: np.ndarray) -> dict:
     """Supersymmetrize -P d^2 - Q d - R toward the momentum -i sqrt(P) d/dx.
 
     Returns W_rho = -(Q - P'/2)/(2 sqrt P), the potential
@@ -647,7 +628,6 @@ def sl_transform_typeII(P, Q, R, grid: Grid) -> dict:
     The transformed eigenfunction rho^(1/2) P^(1/4) psi keeps the original
     eigenvalue.
     """
-    x = grid.nodes
     Pv, Qv, Rv = (_samples(f, x) for f in (P, Q, R))
     _check_sign_definite(Pv)
     sq = np.sqrt(np.abs(Pv))
@@ -666,14 +646,13 @@ def sl_transform_typeII(P, Q, R, grid: Grid) -> dict:
     return {"W_rho": W, "V_rho": V, "v": v}
 
 
-def sl_full_susy_residual(P, Q, R, Q1, Lambda1: float, grid: Grid) -> float:
+def sl_full_susy_residual(P, Q, R, Q1, Lambda1: float, x: np.ndarray) -> float:
     """Max residual of P(W' + W^2) + Q W + R + Lambda1 with W = Q1/(2P).
 
     A vanishing residual certifies that -Q1 d/dx is the first-order piece
     whose partial supersymmetrization produced -R; this only checks a
     candidate, it does not solve for Q1.
     """
-    x = grid.nodes
     Pv, Qv, Rv, Q1v = (_samples(f, x) for f in (P, Q, R, Q1))
     _check_sign_definite(Pv)
     with _quiet():

@@ -79,9 +79,9 @@ def test_criterion_03_cross_path_consistency():
             phi, _ = principal.principal_eigenfunction(prob, l)
             forms.append(DiffOp([phi]))
             for m in range(1, l + 1):
-                forms = [associated.assoc_bottom_up(prob, l, m),
-                         associated.assoc_top_down(prob, l, m)]
-                ok &= proportional(forms[0], forms[1], prob) is not None
+                pair = (associated.assoc_bottom_up(prob, l, m),
+                        associated.assoc_top_down(prob, l, m))
+                ok &= proportional(*pair, prob) is not None
             for i in range(len(forms)):
                 for j in range(i + 1, len(forms)):
                     ok &= proportional(forms[i], forms[j], prob) is not None
@@ -193,18 +193,18 @@ def test_criterion_09_sturm_liouville_transforms():
     ok = True
     prob = legendre()
     entry = principal.factor_table(prob, "minus", 3)[3]
-    grid = numeric.Grid.uniform(-0.9, 0.9, 201)
+    grid = np.linspace(-0.9, 0.9, 201)
     out = numeric.sl_transform_typeI(prob.p, prob.q, Poly([]), grid,
                                      E=float(entry.E),
                                      Lambda=float(entry.lam))
-    V = numeric.potential_poly(prob, 3)(grid.nodes)
+    V = numeric.potential_poly(prob, 3)(grid)
     ok &= float(np.max(np.abs(out["U"] - V))) <= 1e-10
 
-    rgrid = numeric.Grid.uniform(0.5, 3.0, 201)
+    rgrid = np.linspace(0.5, 3.0, 201)
     out2 = numeric.sl_transform_typeII(
         lambda x: np.ones_like(x), lambda x: 1.0 / x,
         lambda x: np.zeros_like(x), rgrid)
-    ok &= float(np.max(np.abs(out2["W_rho"] + 1 / (2 * rgrid.nodes)))) \
+    ok &= float(np.max(np.abs(out2["W_rho"] + 1 / (2 * rgrid)))) \
         <= 1e-10
 
     P, Q, Q1 = Poly([0, 1]), Poly([2, -1]), Poly([3, -2])
@@ -218,7 +218,7 @@ def test_criterion_09_sturm_liouville_transforms():
         return -(P(t) * (Wp + W * W) + Q(t) * W + lam1)
 
     ok &= numeric.sl_full_susy_residual(
-        P, Q, R, Q1, lam1, numeric.Grid.uniform(0.5, 5.0, 400)) <= 1e-10
+        P, Q, R, Q1, lam1, np.linspace(0.5, 5.0, 400)) <= 1e-10
     _report(9, "Sturm-Liouville type-I/type-II transforms and the full "
                "SUSY round trip agree to 1e-10", ok)
 

@@ -639,6 +639,34 @@ def test_numeric_rejects_flags_the_task_does_not_read(tmp_path):
         code, out, err = _main(["numeric", *argv])
         assert (code, out) == (2, ""), argv
         assert json.loads(err)["error"] == "ValueError"
+    # each task's own flags pass; every other one is named in the error
+    reads = {"maps": (), "potentials": ("--l", "--m"),
+             "residual": ("--l", "--m", "--form"),
+             "sl1": ("--energy", "--eigenvalue"), "sl2": (),
+             "slcheck": ("--q1", "--lambda1")}
+    values = {"--l": "1", "--m": "0", "--form": "z", "--q1": "1,0",
+              "--lambda1": "3", "--energy": "2", "--eigenvalue": "1"}
+    grid = {"--lo": ["--lo", "-0.5", "--hi", "0.5", "--inset", "0.1"],
+            "--csv": ["--csv", str(sampled)]}
+    cases = [(task, [*legendre, flag, value], flag)
+             for task in reads for flag, value in values.items()]
+    # --inset with --lo/--hi, and the problem and grid flags with --csv
+    cases += [(task, [*legendre, *grid["--lo"]], "--inset")
+              for task in reads if task != "residual"]
+    cases += [(task, [*grid["--csv"], *extra], extra[0])
+              for task in ("sl1", "sl2", "slcheck")
+              for extra in (["--nodes", "3"], ["--family", "legendre"],
+                            ["--p", "1"], ["--q", "1"], grid["--lo"][:4],
+                            ["--inset", "0.1"])]
+    for task, argv, flag in cases:
+        code, out, err = _main(["numeric", task, *argv])
+        if flag in reads.get(task, ()):
+            assert code == 0, (task, argv, err)
+            continue
+        assert (code, out) == (2, ""), (task, argv)
+        message = json.loads(err)["message"]
+        assert message.startswith(f"numeric {task} "), message
+        assert message.endswith(f"reads no {flag}"), message
     # a whole pair still sets the grid of the tasks that read it
     code, out, _ = _main(["numeric", "maps", *legendre, "--lo", "-0.5",
                           "--hi", "0.5"])
@@ -670,11 +698,16 @@ def _argvs(draw):
         ["factorize", "eigenfunction", "verify", "classify", "numeric"]))
     l, m = str(draw(st.integers(-2, 6))), str(draw(st.integers(-8, 8)))
     if command == "numeric":
+        # only the flags the task reads, so that a CSV task can exit 0
         task = draw(st.sampled_from(["residual", *CSV_TASKS, "slcheck"]))
         nodes = 150 if task == "residual" else draw(st.integers(-2, 40))
-        return ["numeric", task, "--family", draw(st.sampled_from(PRESETS)),
-                "--l", l, "--m", m, "--form", draw(st.sampled_from("yz")),
+        argv = ["numeric", task, "--family", draw(st.sampled_from(PRESETS)),
                 "--nodes", str(nodes)]
+        if task in ("residual", "potentials"):
+            argv += ["--l", l, "--m", m]
+        if task == "residual":
+            argv += ["--form", draw(st.sampled_from("yz"))]
+        return argv
     argv = [command, *draw(_problem_args)]
     if command == "factorize":
         return argv + ["--levels", l, "--branch",
@@ -774,13 +807,13 @@ def _api_columns(task, spec, nodes):
     grid = cli._grid_from_args(prob, argparse.Namespace(
         lo=None, hi=None, inset=1e-3, nodes=nodes))
     if task == "maps":
-        return ["x", "y", "z"], (grid.nodes,
+        return ["x", "y", "z"], (grid,
                                  *numeric.coordinate_maps(prob, grid))
     if task == "potentials":
         prof = numeric.potentials(prob, 3, 1, grid)
         return (["x", "w", "y", "z", "W_l", "V_l", "V_s_l", "W_a_m", "V_a_m",
                  "psi_l", "s_phi_lm"],
-                (grid.nodes, prof["w"], prof["y"], prof["z"], prof["W_l"],
+                (grid, prof["w"], prof["y"], prof["z"], prof["W_l"],
                  prof["V_l"], prof["V_s_l"], prof["W_a_m"], prof["V_a_m"],
                  prof["psi_l"], prof["s_phi_lm"]))
     if task == "sl1":
@@ -790,7 +823,7 @@ def _api_columns(task, spec, nodes):
     else:
         out = numeric.sl_transform_typeII(prob.p, prob.q, Poly([]), grid)
         names = ["W_rho", "V_rho", "v"]
-    return ["x", *names], (grid.nodes, *(out[n] for n in names))
+    return ["x", *names], (grid, *(out[n] for n in names))
 
 
 @pytest.mark.parametrize("task", CSV_TASKS)

@@ -82,7 +82,7 @@ def _residual_on(prob, l, m, form, grids):
               else assoc_lambda(prob, l, m))
     r, rels = [], []
     for u, x in grids:
-        w = numeric.weight_numeric(prob, numeric.Grid(x))
+        w = numeric.weight_numeric(prob, x)
         if form == "y":
             psi = np.sqrt(w) * phi(x)
             V = numeric.potential_poly(prob, l)(x)
@@ -109,9 +109,8 @@ def _rel_dev(got, want):
 
 def test_coordinate_maps_legendre():
     # y = atanh(x), z = asin(x) up to constants (anchored mid-grid at 0)
-    grid = numeric.Grid.uniform(-0.9, 0.9, 201)
-    y, z = numeric.coordinate_maps(legendre(), grid)
-    x = grid.nodes
+    x = np.linspace(-0.9, 0.9, 201)
+    y, z = numeric.coordinate_maps(legendre(), x)
     assert np.max(np.abs(y - np.arctanh(x))) < 1e-10
     assert np.max(np.abs(z - np.arcsin(x))) < 1e-10
 
@@ -122,7 +121,7 @@ import numpy as np
 from susyfactor import numeric
 from susyfactor.core import Poly, Problem
 leg = Problem(Poly([1, 0, -1]), Poly([0, -2]))
-grid = numeric.Grid.uniform(-0.5, 0.5, 9)
+grid = np.linspace(-0.5, 0.5, 9)
 numeric.coordinate_maps(leg, grid)
 numeric.weight_numeric(leg, grid)
 numeric.weight_numeric(Problem(Poly([2, 0, -1]), Poly([0, -3])), grid)
@@ -131,7 +130,7 @@ numeric.schrodinger_residual(leg, 2, 0, 50, "y")
 numeric.schrodinger_residual(leg, 2, 1, 50, "z")
 numeric.orthogonality_matrix(leg, 4)
 numeric.aux_ground_check(leg, grid)
-sampled = (lambda t: 1.0 - t * t, -2.0 * grid.nodes, lambda t: 0.0 * t)
+sampled = (lambda t: 1.0 - t * t, -2.0 * grid, lambda t: 0.0 * t)
 for P, Q, R in ((leg.p, leg.q, Poly([])), sampled):
     numeric.sl_transform_typeI(P, Q, R, grid)
     numeric.sl_transform_typeII(P, Q, R, grid)
@@ -156,14 +155,13 @@ def test_scipy_loads_on_first_use():
 def test_maps_match_quadrature(family):
     lo, hi = numeric._natural_domain(family)
     width = hi - lo
-    grid = numeric.Grid.uniform(lo + 1e-3 * width, hi - 1e-3 * width, 400)
-    x = grid.nodes
+    x = np.linspace(lo + 1e-3 * width, hi - 1e-3 * width, 400)
     y_ref, z_ref = _maps_ref(family.p, x)
     rho_ref = np.exp(_cumulative_quad_ref(
         lambda t: family.q(t) / family.p(t), x, len(x) // 2)) / family.p(x)
-    y, z = numeric.coordinate_maps(family, grid)
-    sl1 = numeric.sl_transform_typeI(family.p, family.q, Poly([]), grid)
-    sl2 = numeric.sl_transform_typeII(family.p, family.q, Poly([]), grid)
+    y, z = numeric.coordinate_maps(family, x)
+    sl1 = numeric.sl_transform_typeI(family.p, family.q, Poly([]), x)
+    sl2 = numeric.sl_transform_typeII(family.p, family.q, Poly([]), x)
     for got, want in ((y, y_ref), (z, z_ref), (sl1["u"], y_ref),
                       (sl2["v"], z_ref), (sl1["rho"], rho_ref)):
         assert _rel_dev(got, want) <= 1e-13
@@ -194,9 +192,8 @@ def test_sampled_maps_match_quadrature():
                                      mid)
         rho_ref = np.exp(_cumulative_quad_ref(lambda t: Qf(t) / Pf(t), x,
                                               mid)) / P
-        grid = numeric.Grid(x)
-        sl1 = numeric.sl_transform_typeI(P, Q, np.zeros_like(x), grid)
-        sl2 = numeric.sl_transform_typeII(P, Q, np.zeros_like(x), grid)
+        sl1 = numeric.sl_transform_typeI(P, Q, np.zeros_like(x), x)
+        sl2 = numeric.sl_transform_typeII(P, Q, np.zeros_like(x), x)
         for got, want in ((sl1["u"], u_ref), (sl2["v"], v_ref),
                           (sl1["rho"], rho_ref)):
             assert _rel_dev(got, want) <= 1e-12, len(x)
@@ -233,9 +230,8 @@ def test_sl_typeII_exact_potential(family):
     # on Poly input V_rho is the z-form potential V^a_0, W' taken exactly
     lo, hi = numeric._natural_domain(family)
     width = hi - lo
-    grid = numeric.Grid.uniform(lo + 1e-3 * width, hi - 1e-3 * width, 400)
-    x = grid.nodes
-    out = numeric.sl_transform_typeII(family.p, family.q, Poly([]), grid)
+    x = np.linspace(lo + 1e-3 * width, hi - 1e-3 * width, 400)
+    out = numeric.sl_transform_typeII(family.p, family.q, Poly([]), x)
     _, V, _ = numeric._assoc_schrodinger(family, Poly([1]), 0, x,
                                          np.ones_like(x))
     assert _rel_dev(out["V_rho"], V) <= 1e-12
@@ -311,34 +307,34 @@ def test_double_root_domain_lies_on_one_side_of_the_root(prob, r, side):
     assert near == r and (far - r) * side > 0
     if prob.q(r) != prob.p.derivative()(r):
         near = r + side * np.array([1e-3, 1e-2])
-        assert np.all(numeric.weight_function(prob)(near) < 1e-50)
+        assert np.all(numeric._shape(prob).w(near) < 1e-50)
 
 
 def test_singular_grid_raises():
-    grid = numeric.Grid.uniform(-2.0, 2.0, 50)    # spans the roots of p
+    grid = np.linspace(-2.0, 2.0, 50)    # spans the roots of p
     with pytest.raises(numeric.SingularGrid):
         numeric.coordinate_maps(legendre(), grid)
 
 
 def test_weight_closed_forms():
     x = np.linspace(-0.8, 0.8, 7)
-    w = numeric.weight_function(jacobi(2, 3))
+    w = numeric._shape(jacobi(2, 3)).w
     assert w is not None
     expect = (1 - x) ** 2 * (1 + x) ** 3
     assert np.max(np.abs(w(x) - expect)) < 1e-12
 
     xl = np.linspace(0.3, 4.0, 7)
-    wl = numeric.weight_function(laguerre(1))
+    wl = numeric._shape(laguerre(1)).w
     assert np.max(np.abs(wl(xl) - xl * np.exp(-xl))) < 1e-12
 
-    wh = numeric.weight_function(hermite())
+    wh = numeric._shape(hermite()).w
     assert np.max(np.abs(wh(x) - np.exp(-x ** 2))) < 1e-12
 
 
 def test_weight_numeric_matches_closed_form():
-    grid = numeric.Grid.uniform(0.3, 4.0, 101)
+    grid = np.linspace(0.3, 4.0, 101)
     w = numeric.weight_numeric(laguerre(1), grid)
-    expect = grid.nodes * np.exp(-grid.nodes)
+    expect = grid * np.exp(-grid)
     # both normalized through the log-derivative, so compare up to scale
     ratio = w / expect
     assert np.max(np.abs(ratio / ratio[0] - 1)) < 1e-9
@@ -354,12 +350,12 @@ def test_potential_poly_partner_gap():
 
 
 def test_potentials_profile_shapes():
-    grid = numeric.Grid.uniform(-0.9, 0.9, 64)
+    grid = np.linspace(-0.9, 0.9, 64)
     prof = numeric.potentials(legendre(), 3, 1, grid)
     for arr in (prof["w"], prof["y"], prof["z"], prof["W_l"], prof["V_l"],
                 prof["V_s_l"], prof["W_a_m"], prof["V_a_m"], prof["psi_l"],
                 prof["s_phi_lm"]):
-        assert np.asarray(arr).shape == grid.nodes.shape
+        assert np.asarray(arr).shape == grid.shape
 
 
 def test_schrodinger_residual_legendre_y():
@@ -408,6 +404,35 @@ def test_residual_one_inversion_matches_two(family):
                     assert got == _residual_two_grids(family, l, m, nodes,
                                                       form), (form, l, m,
                                                               nodes)
+
+
+def test_residual_reads_the_weight_once(monkeypatch):
+    # one weight on the halved grid; the n-node grid reads its even nodes
+    calls = Counter()
+    for name in ("weight_numeric", "_shape"):
+        fn = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name,
+                            lambda *a, fn=fn, name=name:
+                            calls.update([name]) or fn(*a))
+    for prob in (legendre(), Problem(Poly([1, 0, 1]), Poly([0, -4]))):
+        for form, m in (("y", 0), ("z", 1)):
+            calls.clear()
+            numeric.schrodinger_residual(prob, 2, m, 40, form)
+            assert calls == {"weight_numeric": 1, "_shape": 2}, (form, m)
+
+
+@pytest.mark.parametrize("form, m, nodes, order", [
+    ("y", 0, 1000, 1.999823752424757), ("y", 0, 1001, 1.9997230465800762),
+    ("z", 0, 1000, 1.9999073264001355), ("z", 0, 1001, 1.999804187207767),
+    ("z", 1, 1000, 1.9988686997027394), ("z", 1, 1001, 1.999225705835019)])
+def test_residual_anchors_the_weight_once_where_p_has_no_real_root(
+        form, m, nodes, order):
+    # p = x^2 + 1: w is anchored to 1 at the halved grid's mid node, which
+    # at even nodes is not the n-node grid's mid node; both residuals
+    # behind the order read that one weight
+    prob = Problem(Poly([1, 0, 1]), Poly([1, -4]))
+    got = numeric.schrodinger_residual(prob, 2, m, nodes, form)[1]
+    assert abs(got - order) <= 1e-9
 
 
 def test_residual_matches_quadrature(family):
@@ -495,7 +520,7 @@ def test_numeric_requests_build_each_input_once(monkeypatch):
     assert raised == [1, 2, 3, 4, 5]
 
     counts.clear()
-    numeric.potentials(jacobi(2, 3), 3, 1, numeric.Grid.uniform(-0.9, 0.9, 9))
+    numeric.potentials(jacobi(2, 3), 3, 1, np.linspace(-0.9, 0.9, 9))
     assert counts["ladder_records"] == 1
 
     counts.clear()
@@ -552,7 +577,7 @@ def test_orthogonality(family):
 def _gram_ref(prob, nmax):
     """orthogonality_matrix's quad calls with Poly.__call__ callbacks."""
     lo, hi = numeric._natural_domain(prob)
-    wfn = numeric.weight_function(prob)
+    wfn = numeric._shape(prob).w
     while abs(prob.p(hi)) > 1e-9 and hi < 1e4 \
             and wfn(hi) * max(1.0, abs(hi)) ** (2 * nmax) > 1e-20:
         hi += max(1.0, 0.05 * abs(hi))
@@ -674,7 +699,7 @@ def test_weight_mass_matches_quadrature():
             lo, hi = numeric._natural_domain(prob)
             lo = lo if abs(prob.p(lo)) < 1e-12 else -np.inf
             hi = hi if abs(prob.p(hi)) < 1e-12 else np.inf
-            wfn = numeric.weight_function(prob)
+            wfn = numeric._shape(prob).w
             ref = quad(wfn, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
             assert numeric._weight_mass(prob, 0) == pytest.approx(ref,
                                                                   rel=1e-9)
@@ -740,7 +765,7 @@ def test_weight_mass_matches_quadrature_on_random_problems(prob):
               for end, s in zip(ends, (-1, 1)))
     with numeric._quiet(), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = quad(numeric.weight_function(prob), lo, hi, epsabs=0,
+        ref = quad(numeric._shape(prob).w, lo, hi, epsabs=0,
                    epsrel=1e-12, limit=200)[0]
     if not math.isfinite(ref):
         return
@@ -772,14 +797,14 @@ def test_orthogonality_weight_without_rational_roots():
     # prod |x - r_i|^e_i like the Gram matrix's mu0
     prob = Problem(Poly([2, 0, -1]), Poly([0, -3]))
     assert _off_diagonal(numeric.orthogonality_matrix(prob, 4)) < 1e-8
-    grid = numeric.Grid.uniform(-1.3, 1.3, 11)
+    grid = np.linspace(-1.3, 1.3, 11)
     w = numeric.weight_numeric(prob, grid)
-    assert np.max(np.abs(w / np.sqrt(2 - grid.nodes ** 2) - 1)) < 1e-14
+    assert np.max(np.abs(w / np.sqrt(2 - grid ** 2) - 1)) < 1e-14
     # with k != 0: p = x^2 - 2, q = 3 - 2x, w = |x - sqrt 2|^e |x + sqrt 2|^f
     beyond = Problem(Poly([-2, 0, 1]), Poly([3, -2]))
     r, e = math.sqrt(2), 3 * math.sqrt(2) / 4 - 2
     x = np.array([1.5, 2.0, 4.0])
-    assert np.max(np.abs(numeric.weight_function(beyond)(x)
+    assert np.max(np.abs(numeric._shape(beyond).w(x)
                          / ((x - r) ** e * (x + r) ** (-4 - e)) - 1)) < 1e-13
 
 
@@ -804,9 +829,9 @@ def test_orthogonality_inset_keeps_root_ends():
 
 def test_aux_ground_check_converges():
     coarse = numeric.aux_ground_check(legendre(),
-                                      numeric.Grid.uniform(-0.8, 0.8, 401))
+                                      np.linspace(-0.8, 0.8, 401))
     fine = numeric.aux_ground_check(legendre(),
-                                    numeric.Grid.uniform(-0.8, 0.8, 1601))
+                                    np.linspace(-0.8, 0.8, 1601))
     assert fine < 1e-4
     assert fine < coarse / 8        # roughly second-order in the spacing
 
@@ -815,19 +840,19 @@ def test_sl_typeI_matches_potential():
     prob = legendre()
     l = 3
     entry = factor_table(prob, "minus", l)[l]
-    grid = numeric.Grid.uniform(-0.9, 0.9, 101)
+    grid = np.linspace(-0.9, 0.9, 101)
     out = numeric.sl_transform_typeI(prob.p, prob.q, Poly([]), grid,
                                      E=float(entry.E), Lambda=float(entry.lam))
-    V = numeric.potential_poly(prob, l)(grid.nodes)
+    V = numeric.potential_poly(prob, l)(grid)
     assert np.max(np.abs(out["U"] - V)) < 1e-10
 
 
 def test_sl_typeII_radial_2d():
-    grid = numeric.Grid.uniform(0.5, 3.0, 101)
+    grid = np.linspace(0.5, 3.0, 101)
     out = numeric.sl_transform_typeII(
         lambda x: np.ones_like(x), lambda x: 1.0 / x,
         lambda x: np.zeros_like(x), grid)
-    assert np.max(np.abs(out["W_rho"] + 1.0 / (2 * grid.nodes))) < 1e-10
+    assert np.max(np.abs(out["W_rho"] + 1.0 / (2 * grid))) < 1e-10
 
 
 def test_sl_full_susy_round_trip():
@@ -841,7 +866,7 @@ def test_sl_full_susy_round_trip():
         Wp = num(t) / (2 * P(t) ** 2)
         return -(P(t) * (Wp + W * W) + Q(t) * W + lam1)
 
-    grid = numeric.Grid.uniform(0.5, 5.0, 400)
+    grid = np.linspace(0.5, 5.0, 400)
     assert numeric.sl_full_susy_residual(P, Q, R, Q1, lam1, grid) < 1e-10
 
 
@@ -852,11 +877,10 @@ def test_square_well_fixture():
     data = np.loadtxt(Path(__file__).parent / "data" / "psi-save3.dat")
     t = data[1:-1, 0]                       # p vanishes at t = 0 and t = 1
     x = np.cos(np.pi * t)
-    grid = numeric.Grid(x)
     mid = len(t) // 2
     for l in (0, 1, 4, 9):
         prof = numeric.potentials(jacobi(Fraction(1, 2), Fraction(1, 2)),
-                                  l, 0, grid)
+                                  l, 0, x)
         col = data[1:-1, l + 1]
         scale = np.dot(prof["s_phi_lm"], col) / np.dot(col, col)
         dev = np.max(np.abs(prof["s_phi_lm"] / scale - col)) \
