@@ -660,7 +660,7 @@ def test_numeric_rejects_flags_the_task_does_not_read(tmp_path):
                             ["--inset", "0.1"])]
     for task, argv, flag in cases:
         code, out, err = _main(["numeric", task, *argv])
-        if flag in reads.get(task, ()):
+        if flag in reads[task]:
             assert code == 0, (task, argv, err)
             continue
         assert (code, out) == (2, ""), (task, argv)
