@@ -325,6 +325,14 @@ class Problem:
         D = lcm(*(v.denominator for v in data))
         return (D, *(v.numerator * (D // v.denominator) for v in data))
 
+    @cached_property
+    def shape(self):
+        """The float side's exact record of (p, q), numeric._shape, worked
+        out on first use and kept as taylor is, so one Problem, one numeric
+        request, works it out once.  Only the numeric module reads it."""
+        from .numeric import _shape
+        return _shape(self)
+
 
 class QuasiFunction:
     """c(x) * p(x)**s * w(x)**e with exact data: the tests' reference.

@@ -10,10 +10,13 @@ Sturm-Liouville supersymmetrizations of a generic operator
 Nothing here integrates numerically.  On Poly input (deg p <= 2) the maps
 y and z, their inverses u -> x, int Q/P and the weights are closed forms,
 and int w Phi_i Phi_j is mu0 times a rational matrix from Pearson's moment
-recurrence.  One record per problem, _shape, decides over Fraction the
-roots of p, the weight's factors and the working side, for the weight,
-the domain and mu0 alike.  Other input is read as samples at the grid
-nodes, integrated exactly on their piecewise-linear interpolants.
+recurrence, formed in one integer pass in O(nmax^3).  One record per
+problem, _shape, decides over Fraction the roots of p, the weight's
+factors and the working side, for the weight, the domain and mu0 alike;
+it is worked out once per Problem and kept on it (Problem.shape), so once
+per request.  A request samples p at its nodes once and checks its sign
+once.  Other input is read as samples at the grid nodes, integrated
+exactly on their piecewise-linear interpolants.
 
 Residual convention: ``schrodinger_residual`` reports the standard
 relative linear-algebra residual |res|_inf / (|A|_inf |Psi|_inf) where
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -217,10 +221,14 @@ def coordinate_maps(prob: Problem,
                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(y, z) at the nodes x with y = int dx/p and z = int dx/sqrt(p),
     anchored at the mid node."""
-    pv = prob.p(x)
-    _check_sign_definite(pv)
+    _check_sign_definite(prob.p(x))
+    return _maps(prob.p, x)
+
+
+def _maps(p: Poly, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """coordinate_maps on nodes where p is known to keep its sign."""
     x0 = x[len(x) // 2]
-    return _y_map(prob.p, x0)[0](x), _z_map(prob.p, x0)[0](x)
+    return _y_map(p, x0)[0](x), _z_map(p, x0)[0](x)
 
 
 class _Shape(NamedTuple):
@@ -318,7 +326,12 @@ def weight_numeric(prob: Problem, x: np.ndarray) -> np.ndarray:
     _quiet, where a power term that overflows, or meets a vanishing
     exponential, is a value (inf or nan)."""
     _check_sign_definite(prob.p(x))
-    fn = _shape(prob).w
+    return _weight(prob, x)
+
+
+def _weight(prob: Problem, x: np.ndarray) -> np.ndarray:
+    """weight_numeric on nodes where p is known to keep its sign."""
+    fn = prob.shape.w
     if fn is not None:
         with _quiet():
             return fn(x)
@@ -347,8 +360,9 @@ def superpartner_poly(prob: Problem, l: int,
 
 
 def _assoc_schrodinger(prob: Problem, phi: Poly, m: int, x: np.ndarray,
-                       w: np.ndarray):
-    """z-form (psi, V^a_m, k_m) at the nodes x, given Phi_l and the weight.
+                       w: np.ndarray, pv: np.ndarray):
+    """z-form (psi, V^a_m, k_m) at the nodes x, given Phi_l, the weight w
+    and p's samples pv.
 
     psi = sqrt(w) |p|^((2|m|+1)/4) Phi_l^(|m|) and
     V^a_m = k_m (k_m - p')/(4 p) + k_m'/2.
@@ -356,7 +370,6 @@ def _assoc_schrodinger(prob: Problem, phi: Poly, m: int, x: np.ndarray,
     dphi = phi
     for _ in range(abs(m)):
         dphi = dphi.derivative()
-    pv = prob.p(x)
     psi = np.sqrt(w) * np.abs(pv) ** ((2 * abs(m) + 1) / 4.0) * dphi(x)
     k, kp = assoc_superpotential(prob, m)
     kv = k(x)
@@ -372,14 +385,14 @@ def potentials(prob: Problem, l: int, m: int, x: np.ndarray
     pv = prob.p(x)
     _check_sign_definite(pv)
     sqrtp = np.sqrt(np.abs(pv))
-    w = weight_numeric(prob, x)
-    y, z = coordinate_maps(prob, x)
+    w = _weight(prob, x)
+    y, z = _maps(prob.p, x)
     lad = Ladders(prob, l)
     wl = lad.wl("minus", l)
     vl = potential_poly(prob, l, lad)
     vsl = superpartner_poly(prob, l, lad)
     phi, _ = principal_eigenfunction(prob, l, lad)
-    s_phi, vam, kv = _assoc_schrodinger(prob, phi, m, x, w)
+    s_phi, vam, kv = _assoc_schrodinger(prob, phi, m, x, w, pv)
     wam = -kv / (2.0 * sqrtp)
     psi = np.sqrt(w) * phi(x)
     return {"w": w, "y": y, "z": z, "W_l": wl(x), "V_l": vl(x),
@@ -396,7 +409,7 @@ def _check_inset(inset: float) -> None:
 def _natural_domain(prob: Problem) -> tuple[float, float]:
     """Working x-interval: the ends of _shape's side, each open end cut
     where the weight falls below 1e-16."""
-    wfn, *_, (lo, hi) = _shape(prob)
+    wfn, *_, (lo, hi) = prob.shape
 
     def cutoff(start: float, direction: float) -> float:
         t = start + direction
@@ -461,13 +474,15 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     # (-p, -q) has the same Phi_l and w with V -> -V and lambda -> -lambda,
     # so where p < 0 the z form reads sign(p) (V - E)
     sign = math.copysign(1.0, prob.p(x0)) if form == "z" else 1.0
-    w = weight_numeric(prob, x)
+    pv = prob.p(x)
+    _check_sign_definite(pv)
+    w = _weight(prob, x)
     # a weight that left the floats gives a residual that is not finite
     with _quiet():
         if form == "y":
             psi, V = np.sqrt(w) * phi(x), vl(x)
         else:
-            psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), x, w)
+            psi, V, _ = _assoc_schrodinger(prob, phi, abs(m), x, w, pv)
     r, rels = [], []
     for k in (1, 2):            # the halved grid, then its n even nodes
         pk, Vk = psi[::k], V[::k]
@@ -490,6 +505,12 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
 #   (k p2 + q1) mu_{k+1} = -(k p1 + q0) mu_k - k p0 mu_{k-1}
 # for mu_k = int x^k w once x^k p w vanishes at both ends; so
 # int w Phi_i Phi_j = mu0 G_ij, G rational, mu0 a Gauss, Gamma or Beta value.
+# G is formed on integers: over 2D (prob.taylor) the recurrence reads
+#   c_k mu_{k+1} = -2 (k P1 + Q0) mu_k - 2 k P0 mu_{k-1},  c_k = k P2 + 2 Q1,
+# so M_k = md mu_k, md = prod_{k < 2 nmax} c_k, are integers, each an exact
+# division by c_k away from the two below it.  With Phi_i = n_i/den_i,
+# v_i[b] = sum_a n_ia M_{a+b} and G_ij = (n_j . v_i)/(md den_i den_j): an
+# O(nmax^3) pass of integer multiply-adds and one Fraction per entry.
 
 def _positive(a: Fraction, b: Fraction, disc: Fraction) -> bool:
     """a + b sqrt(disc) > 0, decided over Fraction (disc > 0)."""
@@ -503,7 +524,7 @@ def _weight_mass(prob: Problem, top: int) -> float:
 
     Raises ValueError unless x^top w is integrable at both ends.
     """
-    p, (_, disc, sq, roots, c2, c1, (lo, hi)) = prob.p, _shape(prob)
+    p, (_, disc, sq, roots, c2, c1, (lo, hi)) = prob.p, prob.shape
     if p.degree == 0:
         if c2 >= 0:
             raise ValueError(f"w = exp({c2} x^2 + ...) is not integrable")
@@ -535,21 +556,30 @@ def _weight_mass(prob: Problem, top: int) -> float:
 
 
 def _pearson_gram(prob: Problem, nmax: int) -> tuple[float, list]:
-    """(mu0, G) with int w Phi_i Phi_j = mu0 G_ij for i, j <= nmax."""
+    """(mu0, G) with int w Phi_i Phi_j = mu0 G_ij for i, j <= nmax, G as
+    Fractions."""
+    if nmax < 0:
+        raise ValueError(f"nmax must be >= 0, got {nmax}")
     try:
         mu0 = _finite(_weight_mass(prob, 2 * nmax), "mu0")
     except OverflowError:
         raise DomainError("mu0 = int w leaves the float range") from None
-    p, q = prob.p, prob.q
-    m = [Fraction(1)]                   # mu_k / mu0
-    # with both ends integrable, k p2 + q1 < 0 for every k < 2 nmax
-    for k in range(2 * nmax):
-        m.append(-((k * p[1] + q[0]) * m[k] + k * p[0] * m[k - 1])
-                 / (k * p[2] + q[1]))
+    _, P2, Q1, P1, Q0, P0 = prob.taylor
+    # with both ends integrable, c_k != 0 for every k < 2 nmax
+    cs = [k * P2 + 2 * Q1 for k in range(2 * nmax)]
+    md = math.prod(cs)
+    M = [md]                            # md mu_k / mu0
+    for k, c in enumerate(cs):
+        M.append((-2 * (k * P1 + Q0) * M[k] - 2 * k * P0 * M[k - 1]) // c)
     lad = Ladders(prob, nmax)
-    phis = [lad.phi(i).coeffs for i in range(nmax + 1)]
-    gram = [[sum(ca * cb * m[a + b] for a, ca in enumerate(fi)
-                 for b, cb in enumerate(fj)) for fj in phis] for fi in phis]
+    phis = [lad.phi(i) for i in range(nmax + 1)]
+    gram = [[None] * (nmax + 1) for _ in phis]
+    for i, fi in enumerate(phis):
+        v = [sum(map(mul, fi.num, M[b:])) for b in range(nmax + 1)]
+        for j in range(i, nmax + 1):
+            fj = phis[j]
+            gram[i][j] = gram[j][i] = Fraction(sum(map(mul, fj.num, v)),
+                                               md * fi.den * fj.den)
     return mu0, gram
 
 
@@ -570,14 +600,15 @@ def aux_ground_check(prob: Problem, x: np.ndarray) -> float:
     integral is a cumulative trapezoid on the nodes.  Returns the maximum
     relative deviation on interior nodes.
     """
-    _check_sign_definite(prob.p(x))
-    w = weight_numeric(prob, x)
-    f = w / prob.p(x)
+    pv = prob.p(x)
+    _check_sign_definite(pv)
+    w = _weight(prob, x)
+    f = w / pv
     integral = _cumulative(0.5 * np.diff(x) * (f[1:] + f[:-1]), len(x) // 2)
     psi = integral / np.sqrt(w)
     dpsi = _gradient(psi, x)
     w0 = superpotential_w0(prob)(x)
-    lhs = prob.p(x) * dpsi - w0 * psi
+    lhs = pv * dpsi - w0 * psi
     ref = np.sqrt(w)
     err = np.abs(lhs - ref)[2:-2]
     return float(np.max(err) / np.max(np.abs(ref)))

@@ -5,7 +5,9 @@ ladders, and ``series_phi`` is Phi_l itself, normalization included, from
 p and q alone.  ``apply`` and ``poly_ratio`` act on the package's one function
 type, p^s c held as the zeroth-order ``DiffOp([c], s)``, and on plain
 polynomials.  ``RefDiffOp`` is the operator algebra with one ``Poly`` per
-coefficient, the reference for ``DiffOp``'s integer rows.  ``taylor_data``
+coefficient, the reference for ``DiffOp``'s integer rows, and
+``pearson_gram`` the term-by-term Gram matrix of the Phi_i under the
+weight, the reference for the numeric layer's integer pass.  ``taylor_data``
 reads p'', p'(0), p(0), q' and q(0) off p and q as Fractions, the values
 ``Problem.taylor`` holds as integers over D.
 """
@@ -16,6 +18,7 @@ from typing import NamedTuple
 
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp
+from susyfactor.principal import Ladders
 
 
 class TaylorData(NamedTuple):
@@ -91,6 +94,26 @@ def series_phi(p: Poly, q: Poly, l: int) -> Poly:
                 + (k + 1) * (k + 2) * p0 * c[k + 2]) \
             / ((l - k) * ((l + k - 1) * p2 + q1))
     return Poly(c[:l + 1])
+
+
+def pearson_gram(prob: Problem, nmax: int) -> list[list[Fraction]]:
+    """G_ij = int w Phi_i Phi_j / int w for i, j <= nmax, summed term by
+    term over Fraction: G_ij = sum_ab c_ia c_jb mu_(a+b)/mu0, with the
+    moments from Pearson's recurrence
+
+        (k p2 + q1) mu_(k+1) = -(k p1 + q0) mu_k - k p0 mu_(k-1)
+
+    and c_i the coefficients of Phi_i.  O(nmax^4) Fractions: the reference
+    for numeric._pearson_gram's integer pass."""
+    p, q = prob.p, prob.q
+    m = [Fraction(1)]
+    for k in range(2 * nmax):
+        m.append(-((k * p[1] + q[0]) * m[k] + k * p[0] * m[k - 1])
+                 / (k * p[2] + q[1]))
+    lad = Ladders(prob, nmax)
+    phis = [lad.phi(i).coeffs for i in range(nmax + 1)]
+    return [[sum(ca * cb * m[a + b] for a, ca in enumerate(fi)
+                 for b, cb in enumerate(fj)) for fj in phis] for fi in phis]
 
 
 def apply(op: DiffOp, f: DiffOp, prob: Problem) -> DiffOp:

@@ -225,6 +225,30 @@ def test_conjugation_moves_common_p_into_k():
     assert 0 <= folded.k < 1
 
 
+def test_conjugate_expands_no_factor_of_p(monkeypatch):
+    # conjugate divides each row by p before it expands, so the operator it
+    # hands to reduced is no longer than the result: no power of p is
+    # multiplied out only to be divided back.  A speed-only step that no
+    # output shows; a conjugate that skips it, or keeps mu = 0, expands
+    # rows two or four degrees longer
+    lengths = []
+    reduced = DiffOp.reduced
+
+    def recorded(self, prob):
+        lengths.append(max(map(len, self.rows)))
+        return reduced(self, prob)
+    monkeypatch.setattr(DiffOp, "reduced", recorded)
+    for spec in ("legendre", "jacobi:2,3", "hypergeom:1/3,1/5,7/2"):
+        prob = cli._family_problem(spec)
+        for op, s, e in ((hamiltonian(prob), Fraction(1, 4), Fraction(1, 2)),
+                         (hamiltonian(prob), -1, 0),
+                         (principal.Ladders(prob, 3).ba("minus", 3), 0,
+                          Fraction(1, 2))):
+            lengths.clear()
+            out = op.conjugate(s, e, prob)
+            assert lengths == [max(map(len, out.rows))], (spec, s, e)
+
+
 def test_poly_mode_matches_quasi_function_mode():
     prob = laguerre(2)
     a = DiffOp([Poly([1, 1]), Poly([0, 2]), Poly([3])], Fraction(-1, 2))

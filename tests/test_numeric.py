@@ -21,6 +21,7 @@ from susyfactor.associated import assoc_lambda
 from susyfactor.principal import factor_table, principal_eigenfunction
 from susyfactor import cli, numeric, principal
 
+from oracles import pearson_gram
 from conftest import hermite, hypergeom, jacobi, laguerre, legendre
 
 
@@ -87,7 +88,8 @@ def _residual_on(prob, l, m, form, grids):
             psi = np.sqrt(w) * phi(x)
             V = numeric.potential_poly(prob, l)(x)
         else:
-            psi, V, _ = numeric._assoc_schrodinger(prob, phi, m, x, w)
+            psi, V, _ = numeric._assoc_schrodinger(prob, phi, m, x, w,
+                                                   prob.p(x))
         h = u[1] - u[0]
         sign = math.copysign(1.0, prob.p(x[0])) if form == "z" else 1.0
         res = -(psi[2:] - 2.0 * psi[1:-1] + psi[:-2]) / h ** 2 \
@@ -233,7 +235,7 @@ def test_sl_typeII_exact_potential(family):
     x = np.linspace(lo + 1e-3 * width, hi - 1e-3 * width, 400)
     out = numeric.sl_transform_typeII(family.p, family.q, Poly([]), x)
     _, V, _ = numeric._assoc_schrodinger(family, Poly([1]), 0, x,
-                                         np.ones_like(x))
+                                         np.ones_like(x), family.p(x))
     assert _rel_dev(out["V_rho"], V) <= 1e-12
 
 
@@ -407,18 +409,51 @@ def test_residual_one_inversion_matches_two(family):
 
 
 def test_residual_reads_the_weight_once(monkeypatch):
-    # one weight on the halved grid; the n-node grid reads its even nodes
+    # one weight on the halved grid; the n-node grid reads its even nodes.
+    # The record is worked out once per Problem: the domain and the weight
+    # read the one kept on it, and a second request on it works out none
     calls = Counter()
-    for name in ("weight_numeric", "_shape"):
+    for name in ("_weight", "_shape"):
         fn = getattr(numeric, name)
         monkeypatch.setattr(numeric, name,
                             lambda *a, fn=fn, name=name:
                             calls.update([name]) or fn(*a))
-    for prob in (legendre(), Problem(Poly([1, 0, 1]), Poly([0, -4]))):
+    for make in (legendre, lambda: Problem(Poly([1, 0, 1]), Poly([0, -4]))):
         for form, m in (("y", 0), ("z", 1)):
+            prob = make()
             calls.clear()
             numeric.schrodinger_residual(prob, 2, m, 40, form)
-            assert calls == {"weight_numeric": 1, "_shape": 2}, (form, m)
+            assert calls == {"_weight": 1, "_shape": 1}, (form, m)
+            numeric.schrodinger_residual(prob, 2, m, 40, form)
+            assert calls == {"_weight": 2, "_shape": 1}, (form, m)
+
+
+def test_numeric_requests_sample_p_once(monkeypatch):
+    # one request: one record, one sign check and one evaluation of p at
+    # the nodes, however many columns read them
+    calls = Counter()
+    for name in ("_shape", "_check_sign_definite"):
+        fn = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name,
+                            lambda *a, fn=fn, name=name:
+                            calls.update([name]) or fn(*a))
+    p, call = Poly([1, 0, -1]), Poly.__call__
+
+    def counted_call(self, x):
+        if isinstance(x, np.ndarray) and x.ndim and self == p:
+            calls.update(["p at the nodes"])
+        return call(self, x)
+    monkeypatch.setattr(Poly, "__call__", counted_call)
+    for argv in (["potentials", "--l", "3", "--m", "1", "--nodes", "200"],
+                 ["maps", "--nodes", "200"],
+                 ["residual", "--l", "3", "--m", "1", "--form", "z",
+                  "--nodes", "200"]):
+        calls.clear()
+        rc, out, err, _ = _cli_in_process("numeric", *argv, "--family",
+                                          "jacobi:2,3")
+        assert (rc, err) == (0, "") and out, argv
+        assert calls == {"_shape": 1, "_check_sign_definite": 1,
+                         "p at the nodes": 1}, argv
 
 
 @pytest.mark.parametrize("form, m, nodes, order", [
@@ -634,6 +669,27 @@ def test_orthogonality_mass_past_the_float_range():
     with pytest.raises(numeric.DomainError, match="mu0"):
         numeric.orthogonality_matrix(prob, 0)
 
+def test_pearson_gram_matches_the_term_by_term_sum():
+    # the integer pass against the Fraction sum it replaced, entry by
+    # entry, and the float matrix bit for bit
+    for prob in (legendre(), jacobi(2, 3), laguerre(1), hermite(),
+                 Problem(Poly([0, 1]), Poly([3, -1]))):
+        for nmax in (5, 8, 16):
+            mu0, gram = numeric._pearson_gram(prob, nmax)
+            ref = pearson_gram(prob, nmax)
+            assert gram == ref, nmax
+            got = numeric.orthogonality_matrix(prob, nmax)
+            want = mu0 * np.array([[float(g) for g in row] for row in ref])
+            assert got.tobytes() == want.tobytes(), nmax
+
+
+def test_orthogonality_rejects_a_negative_nmax():
+    for nmax in (-1, -3):
+        with pytest.raises(ValueError, match=f"nmax must be >= 0, got "
+                                             f"{nmax}"):
+            numeric.orthogonality_matrix(legendre(), nmax)
+
+
 def _check_gram_identity(prob, nmax):
     # G_ij = 0 for i != j and G_ll = prod E_j (q' - p''/2)/(q' + (l - 1/2) p'')
     _, gram = numeric._pearson_gram(prob, nmax)
@@ -685,6 +741,12 @@ def _definite_weights(draw):
 @settings(max_examples=150, deadline=None)
 def test_gram_identity_on_definite_weights(case):
     _check_gram_identity(*case)
+
+
+@given(_definite_weights())
+@settings(max_examples=100, deadline=None)
+def test_pearson_gram_matches_the_term_by_term_sum_on_definite_weights(case):
+    assert numeric._pearson_gram(*case)[1] == pearson_gram(*case)
 
 
 def test_weight_mass_matches_quadrature():
