@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 
 from .core import Poly, Problem
 from .diffop import DiffOp
@@ -261,13 +261,13 @@ def _grid_from_args(prob, args):
     domain less the share --inset of its width at each end."""
     import numpy as np
     from . import numeric
-    if args.lo is not None:
-        lo, hi = args.lo, args.hi
+    if args.lo is None:
+        lo, hi, _ = numeric._working_interval(prob, args.inset)
     else:
-        numeric._check_inset(args.inset)
-        lo, hi = numeric._natural_domain(prob)
-        width = hi - lo
-        lo, hi = lo + args.inset * width, hi - args.inset * width
+        lo, hi = args.lo, args.hi
+        for flag, end in (("lo", lo), ("hi", hi), ("hi minus --lo", hi - lo)):
+            if not isfinite(end):
+                raise ValueError(f"--{flag} must be finite, got {end}")
     if not lo < hi:
         raise ValueError("need lo < hi")
     if args.nodes < 1:

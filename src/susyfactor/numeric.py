@@ -8,15 +8,19 @@ Sturm-Liouville supersymmetrizations of a generic operator
 -P d^2 - Q d - R.  A grid is its array of nodes x.
 
 Nothing here integrates numerically.  On Poly input (deg p <= 2) the maps
-y and z, their inverses u -> x, int Q/P and the weights are closed forms,
-and int w Phi_i Phi_j is mu0 times a rational matrix from Pearson's moment
+y and z, their inverses u -> x, int Q/P and the weights are closed forms;
+one builder, _liouville, fixes the branch of p once for both maps.
+int w Phi_i Phi_j is mu0 times a rational matrix from Pearson's moment
 recurrence, formed in one integer pass in O(nmax^3).  One record per
 problem, _shape, decides over Fraction the roots of p, the weight's
 factors and the working side, for the weight, the domain and mu0 alike;
 it is worked out once per Problem and kept on it (Problem.shape), so once
 per request.  A request samples p at its nodes once and checks its sign
-once.  Other input is read as samples at the grid nodes, integrated
-exactly on their piecewise-linear interpolants.
+once; every column reads those samples.  An overflow on the nodes, in p's
+samples or a column, is a value (inf or nan), not a warning.  The natural
+domain less the inset at each end is one function, for the residual and
+the CLI's grid alike.  Other input is read as samples at the grid nodes,
+integrated exactly on their piecewise-linear interpolants.
 
 Residual convention: ``schrodinger_residual`` reports the standard
 relative linear-algebra residual |res|_inf / (|A|_inf |Psi|_inf) where
@@ -96,8 +100,19 @@ def _cumulative(pieces: np.ndarray, anchor_index: int) -> np.ndarray:
 # both come from their series.  Derivatives are second-order differences.
 
 def _samples(f, x: np.ndarray) -> np.ndarray:
-    """f at the nodes x: samples as given, or a callable evaluated once."""
-    return np.asarray(f(x) if callable(f) else f, float) * np.ones_like(x)
+    """f at the nodes x: samples as given, or a callable evaluated once,
+    under _quiet."""
+    with _quiet():
+        return np.asarray(f(x) if callable(f) else f, float) \
+            * np.ones_like(x)
+
+
+def _sample_p(p: Poly, x: np.ndarray) -> np.ndarray:
+    """p at the nodes x, under _quiet, checked to keep one sign."""
+    with _quiet():
+        pv = p(x)
+    _check_sign_definite(pv)
+    return pv
 
 
 def _gradient(f: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -131,69 +146,56 @@ def _anchored(fwd: Callable, inv: Callable,
             lambda u: inv(np.asarray(u, float) + u0))
 
 
-def _y_map(p: Poly, x0: float) -> tuple[Callable, Callable]:
-    """(y, x(y)) with y = int_x0^x dt/p(t)."""
+def _liouville(p: Poly, x0: float) -> tuple[tuple[Callable, Callable],
+                                            tuple[Callable, Callable]]:
+    """((y, x(y)), (z, x(z))) with y = int_x0^x dt/p(t) and
+    z = int_x0^x dt/sqrt|p(t)|, on one branch of p for both."""
     if p.degree == 0:
-        c = float(p[0])
-        return _anchored(lambda x: x / c, lambda y: c * y, x0)
+        c, k = float(p[0]), math.sqrt(abs(p[0]))
+        return (_anchored(lambda x: x / c, lambda y: c * y, x0),
+                _anchored(lambda x: x / k, lambda z: k * z, x0))
     a, b = float(p[p.degree]), float(p[p.degree - 1])
-    if p.degree == 1:                   # y = log|p|/a
+    if p.degree == 1:                   # y = log|p|/a, z = 2 s sqrt|p|/a
         s = math.copysign(1.0, a * x0 + b)
-        return _anchored(lambda x: np.log(np.abs(a * x + b)) / a,
-                         lambda y: (s * np.exp(a * y) - b) / a, x0)
-    disc = p[1] * p[1] - 4 * p[2] * p[0]
-    if disc == 0:                       # p = a (x - r)^2
-        r = float(-p[1] / (2 * p[2]))
-        return _anchored(lambda x: -1.0 / (a * (x - r)),
-                         lambda y: r - 1.0 / (a * y), x0)
-    sq = math.sqrt(abs(disc))           # t = (2ax + b)/sqrt|D|
-    if disc < 0:
-        fwd = lambda t: 2.0 * np.arctan(t) / sq
-        inv = lambda y: np.tan(0.5 * sq * y)
-    elif a * p(x0) < 0:                 # between the roots
-        fwd = lambda t: -2.0 * np.arctanh(t) / sq
-        inv = lambda y: -np.tanh(0.5 * sq * y)
-    else:                               # beyond both roots
-        fwd = lambda t: -2.0 * np.arctanh(1.0 / t) / sq
-        inv = lambda y: -1.0 / np.tanh(0.5 * sq * y)
-    return _anchored(lambda x: fwd((2 * a * x + b) / sq),
-                     lambda y: (sq * inv(y) - b) / (2 * a), x0)
-
-
-def _z_map(p: Poly, x0: float) -> tuple[Callable, Callable]:
-    """(z, x(z)) with z = int_x0^x dt/sqrt|p(t)|."""
-    if p.degree == 0:
-        k = math.sqrt(abs(p[0]))
-        return _anchored(lambda x: x / k, lambda z: k * z, x0)
-    a, b = float(p[p.degree]), float(p[p.degree - 1])
-    if p.degree == 1:                   # z = 2 s sqrt|p|/a
-        s = math.copysign(1.0, a * x0 + b)
-        return _anchored(lambda x: 2.0 * s * np.sqrt(np.abs(a * x + b)) / a,
-                         lambda z: (s * (0.5 * a * z) ** 2 - b) / a, x0)
+        return (_anchored(lambda x: np.log(np.abs(a * x + b)) / a,
+                          lambda y: (s * np.exp(a * y) - b) / a, x0),
+                _anchored(lambda x: 2.0 * s * np.sqrt(np.abs(a * x + b)) / a,
+                          lambda z: (s * (0.5 * a * z) ** 2 - b) / a, x0))
     disc = p[1] * p[1] - 4 * p[2] * p[0]
     ra, sa = math.sqrt(abs(a)), math.copysign(1.0, a)
-    if disc == 0:                       # |p| = |a| (x - r)^2
+    if disc == 0:                       # p = a (x - r)^2
         r = float(-p[1] / (2 * p[2]))
         s = math.copysign(1.0, x0 - r)
-        return _anchored(lambda x: s * np.log(np.abs(x - r)) / ra,
-                         lambda z: r + s * np.exp(s * ra * z), x0)
+        return (_anchored(lambda x: -1.0 / (a * (x - r)),
+                          lambda y: r - 1.0 / (a * y), x0),
+                _anchored(lambda x: s * np.log(np.abs(x - r)) / ra,
+                          lambda z: r + s * np.exp(s * ra * z), x0))
     sq = math.sqrt(abs(disc))           # t = (2ax + b)/sqrt|D|
     if disc < 0:
-        fwd, inv = np.arcsinh, np.sinh
+        y = lambda t: 2.0 * np.arctan(t) / sq, lambda v: np.tan(0.5 * sq * v)
+        z = np.arcsinh, np.sinh
     elif a * p(x0) < 0:                 # between the roots
-        fwd, inv = np.arcsin, np.sin
+        y = (lambda t: -2.0 * np.arctanh(t) / sq,
+             lambda v: -np.tanh(0.5 * sq * v))
+        z = np.arcsin, np.sin
     else:
         # beyond both roots; acosh of |t| keeps 2ax + b < 0 free of
         # cancellation
         s = math.copysign(1.0, 2 * a * x0 + b)
-        fwd = lambda t: s * np.arccosh(np.abs(t))
-        inv = lambda v: s * np.cosh(v)
-    return _anchored(lambda x: sa * fwd((2 * a * x + b) / sq) / ra,
-                     lambda z: (sq * inv(sa * ra * z) - b) / (2 * a), x0)
+        y = (lambda t: -2.0 * np.arctanh(1.0 / t) / sq,
+             lambda v: -1.0 / np.tanh(0.5 * sq * v))
+        z = lambda t: s * np.arccosh(np.abs(t)), lambda v: s * np.cosh(v)
+    (fy, iy), (fz, iz) = y, z
+    t_of = lambda x: (2 * a * x + b) / sq
+    x_of = lambda t: (sq * t - b) / (2 * a)
+    return (_anchored(lambda x: fy(t_of(x)), lambda u: x_of(iy(u)), x0),
+            _anchored(lambda x: sa * fz(t_of(x)) / ra,
+                      lambda u: x_of(iz(sa * ra * u)), x0))
 
 
-def _over_p(p: Poly, num: Poly, x0: float) -> Callable:
-    """F with F' = num/p and F(x0) = 0, for deg p <= 2.
+def _over_p(p: Poly, num: Poly, x: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """F at the nodes x with F' = num/p and F = 0 at the mid node, for
+    deg p <= 2, given p's samples pv.
 
     num = quo p + alpha p' + beta exactly, so
     F = int quo + alpha log|p/p(x0)| + beta y.
@@ -204,31 +206,29 @@ def _over_p(p: Poly, num: Poly, x0: float) -> Callable:
     alpha = rem[dp.degree] / dp[dp.degree] if p.degree else Fraction(0)
     beta = rem[0] - alpha * dp[0]
     alpha, beta = float(alpha), float(beta)
-    y = _y_map(p, x0)[0]
-
-    def F(x):
-        x = np.asarray(x, float)
-        out = poly(x) - poly(x0)
-        if alpha:
-            out = out + alpha * np.log(np.abs(p(x) / p(x0)))
-        if beta:
-            out = out + beta * y(x)
-        return out
-    return F
+    mid = len(x) // 2
+    x0 = x[mid]
+    out = poly(x) - poly(x0)
+    if alpha:
+        out = out + alpha * np.log(np.abs(pv / pv[mid]))
+    if beta:
+        out = out + beta * _liouville(p, x0)[0][0](x)
+    return out
 
 
 def coordinate_maps(prob: Problem,
                     x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(y, z) at the nodes x with y = int dx/p and z = int dx/sqrt(p),
     anchored at the mid node."""
-    _check_sign_definite(prob.p(x))
+    _sample_p(prob.p, x)
     return _maps(prob.p, x)
 
 
 def _maps(p: Poly, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """coordinate_maps on nodes where p is known to keep its sign."""
-    x0 = x[len(x) // 2]
-    return _y_map(p, x0)[0](x), _z_map(p, x0)[0](x)
+    with _quiet():
+        (y, _), (z, _) = _liouville(p, x[len(x) // 2])
+        return y(x), z(x)
 
 
 class _Shape(NamedTuple):
@@ -325,19 +325,17 @@ def weight_numeric(prob: Problem, x: np.ndarray) -> np.ndarray:
     """w = exp(int (q - p')/p) at the nodes x: _shape's closed form, under
     _quiet, where a power term that overflows, or meets a vanishing
     exponential, is a value (inf or nan)."""
-    _check_sign_definite(prob.p(x))
-    return _weight(prob, x)
+    return _weight(prob, x, _sample_p(prob.p, x))
 
 
-def _weight(prob: Problem, x: np.ndarray) -> np.ndarray:
-    """weight_numeric on nodes where p is known to keep its sign."""
+def _weight(prob: Problem, x: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """weight_numeric on nodes where p's samples pv keep their sign."""
     fn = prob.shape.w
-    if fn is not None:
-        with _quiet():
+    with _quiet():
+        if fn is not None:
             return fn(x)
-    # p without real roots: w anchored to 1 at the mid node
-    return np.exp(_over_p(prob.p, prob.q - prob.p.derivative(),
-                          x[len(x) // 2])(x))
+        # p without real roots: w anchored to 1 at the mid node
+        return np.exp(_over_p(prob.p, prob.q - prob.p.derivative(), x, pv))
 
 
 def assoc_superpotential(prob: Problem, m: int) -> tuple[Poly, Poly]:
@@ -382,28 +380,21 @@ def potentials(prob: Problem, l: int, m: int, x: np.ndarray
     """The columns of ``numeric potentials`` at the nodes x, by name in
     CSV order; s_phi_lm is the z-form psi of Phi_lm."""
     _check_range(l, m)
-    pv = prob.p(x)
-    _check_sign_definite(pv)
-    sqrtp = np.sqrt(np.abs(pv))
-    w = _weight(prob, x)
+    pv = _sample_p(prob.p, x)
+    w = _weight(prob, x, pv)
     y, z = _maps(prob.p, x)
     lad = Ladders(prob, l)
     wl = lad.wl("minus", l)
     vl = potential_poly(prob, l, lad)
     vsl = superpartner_poly(prob, l, lad)
     phi, _ = principal_eigenfunction(prob, l, lad)
-    s_phi, vam, kv = _assoc_schrodinger(prob, phi, m, x, w, pv)
-    wam = -kv / (2.0 * sqrtp)
-    psi = np.sqrt(w) * phi(x)
-    return {"w": w, "y": y, "z": z, "W_l": wl(x), "V_l": vl(x),
-            "V_s_l": vsl(x), "W_a_m": wam, "V_a_m": vam, "psi_l": psi,
-            "s_phi_lm": s_phi}
-
-
-def _check_inset(inset: float) -> None:
-    """Each end of the natural domain is cut by inset times its width."""
-    if not 0 <= inset < 0.5:
-        raise ValueError(f"inset (--inset) must lie in [0, 1/2), got {inset}")
+    with _quiet():
+        s_phi, vam, kv = _assoc_schrodinger(prob, phi, m, x, w, pv)
+        wam = -kv / (2.0 * np.sqrt(np.abs(pv)))
+        psi = np.sqrt(w) * phi(x)
+        return {"w": w, "y": y, "z": z, "W_l": wl(x), "V_l": vl(x),
+                "V_s_l": vsl(x), "W_a_m": wam, "V_a_m": vam, "psi_l": psi,
+                "s_phi_lm": s_phi}
 
 
 def _natural_domain(prob: Problem) -> tuple[float, float]:
@@ -424,6 +415,18 @@ def _natural_domain(prob: Problem) -> tuple[float, float]:
     start = float(next((end[0] for end in (lo, hi) if end), 0))
     return (float(lo[0]) if lo else cutoff(start, -1.0),
             float(hi[0]) if hi else cutoff(start, 1.0))
+
+
+def _working_interval(prob: Problem,
+                      inset: float) -> tuple[float, float, float]:
+    """(lo, hi, x0): the natural domain less the share inset of its width
+    at each end (0 <= inset < 1/2, else ValueError), and the midpoint x0 of
+    the natural domain itself."""
+    if not 0 <= inset < 0.5:
+        raise ValueError(f"inset (--inset) must lie in [0, 1/2), got {inset}")
+    lo, hi = _natural_domain(prob)
+    width = hi - lo
+    return lo + inset * width, hi - inset * width, 0.5 * (lo + hi)
 
 
 def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
@@ -449,16 +452,13 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     _check_range(l, m)
     if form == "y" and m != 0:
         raise ValueError("the y-form realizes the principal level m=0")
-    _check_inset(inset)
-    lo, hi = _natural_domain(prob)
-    width = hi - lo
-    x0 = 0.5 * (lo + hi)
-    u_of_x, x_of_u = (_y_map if form == "y" else _z_map)(prob.p, x0)
+    lo, hi, x0 = _working_interval(prob, inset)
+    u_of_x, x_of_u = _liouville(prob.p, x0)[form == "z"]
     # an end at a root of p maps to +-inf and is clipped to +-SPAN; y falls
     # with x where p < 0, so clip each end on its own side
     with _quiet():
         u_lo, u_hi = (float(np.clip(u_of_x(end), -SPAN, SPAN))
-                      for end in (lo + inset * width, hi - inset * width))
+                      for end in (lo, hi))
     # the halved grid holds every node of the coarse one, and x(u), w, psi
     # and V are pointwise, so the coarse grid reads them at the even nodes
     u = np.linspace(u_lo, u_hi, 2 * nodes - 1)
@@ -474,9 +474,8 @@ def schrodinger_residual(prob: Problem, l: int, m: int, nodes: int = 2000,
     # (-p, -q) has the same Phi_l and w with V -> -V and lambda -> -lambda,
     # so where p < 0 the z form reads sign(p) (V - E)
     sign = math.copysign(1.0, prob.p(x0)) if form == "z" else 1.0
-    pv = prob.p(x)
-    _check_sign_definite(pv)
-    w = _weight(prob, x)
+    pv = _sample_p(prob.p, x)
+    w = _weight(prob, x, pv)
     # a weight that left the floats gives a residual that is not finite
     with _quiet():
         if form == "y":
@@ -600,9 +599,8 @@ def aux_ground_check(prob: Problem, x: np.ndarray) -> float:
     integral is a cumulative trapezoid on the nodes.  Returns the maximum
     relative deviation on interior nodes.
     """
-    pv = prob.p(x)
-    _check_sign_definite(pv)
-    w = _weight(prob, x)
+    pv = _sample_p(prob.p, x)
+    w = _weight(prob, x, pv)
     f = w / pv
     integral = _cumulative(0.5 * np.diff(x) * (f[1:] + f[:-1]), len(x) // 2)
     psi = integral / np.sqrt(w)
@@ -637,17 +635,18 @@ def sl_transform_typeI(P, Q, R, x: np.ndarray, E: float = 0.0,
     Pv, Qv, Rv = (_samples(f, x) for f in (P, Q, R))
     _check_sign_definite(Pv)
     mid = len(x) // 2
-    if _exact(P, Q):
-        rho = _exp(_over_p(P, Q, x[mid])(x)) / Pv
-        G = 0.5 * (P.derivative()(x) - Qv)
-        Gp = 0.5 * (P.derivative().derivative()(x) - Q.derivative()(x))
-        u = _y_map(P, x[mid])[0](x)
-    else:
-        rho = _exp(_cumulative(_over_p_pieces(x, Pv, Qv), mid)) / Pv
-        G = 0.5 * (_gradient(Pv, x) - Qv)
-        Gp = _gradient(G, x)
-        u = _cumulative(_over_p_pieces(x, Pv, np.ones_like(x)), mid)
-    U = -Pv * Gp + G ** 2 - Rv - Lambda * Pv + E
+    with _quiet():
+        if _exact(P, Q):
+            rho = _exp(_over_p(P, Q, x, Pv)) / Pv
+            G = 0.5 * (P.derivative()(x) - Qv)
+            Gp = 0.5 * (P.derivative().derivative()(x) - Q.derivative()(x))
+            u = _liouville(P, x[mid])[0][0](x)
+        else:
+            rho = _exp(_cumulative(_over_p_pieces(x, Pv, Qv), mid)) / Pv
+            G = 0.5 * (_gradient(Pv, x) - Qv)
+            Gp = _gradient(G, x)
+            u = _cumulative(_over_p_pieces(x, Pv, np.ones_like(x)), mid)
+        U = -Pv * Gp + G ** 2 - Rv - Lambda * Pv + E
     return {"rho": rho, "G": G, "U": U, "u": u}
 
 
@@ -664,16 +663,18 @@ def sl_transform_typeII(P, Q, R, x: np.ndarray) -> dict:
     sq = np.sqrt(np.abs(Pv))
     mid = len(x) // 2
     exact = _exact(P, Q)
-    dP = P.derivative()(x) if exact else _gradient(Pv, x)
-    # W = -k/(2 sqrt|P|) with k = Q - P'/2: W' = (k P'/(2P) - k')/(2 sqrt|P|)
-    k = Qv - 0.5 * dP
-    dk = (Q - P.derivative() * Fraction(1, 2)).derivative()(x) if exact \
-        else _gradient(k, x)
-    v = _z_map(P, x[mid])[0](x) if exact \
-        else _cumulative(2.0 * np.diff(x) / (sq[1:] + sq[:-1]), mid)
-    W = -k / (2.0 * sq)
-    Wp = (k * dP / (2.0 * Pv) - dk) / (2.0 * sq)
-    V = -sq * Wp + W ** 2 - Rv
+    with _quiet():
+        dP = P.derivative()(x) if exact else _gradient(Pv, x)
+        # W = -k/(2 sqrt|P|) with k = Q - P'/2:
+        # W' = (k P'/(2P) - k')/(2 sqrt|P|)
+        k = Qv - 0.5 * dP
+        dk = (Q - P.derivative() * Fraction(1, 2)).derivative()(x) if exact \
+            else _gradient(k, x)
+        v = _liouville(P, x[mid])[1][0](x) if exact \
+            else _cumulative(2.0 * np.diff(x) / (sq[1:] + sq[:-1]), mid)
+        W = -k / (2.0 * sq)
+        Wp = (k * dP / (2.0 * Pv) - dk) / (2.0 * sq)
+        V = -sq * Wp + W ** 2 - Rv
     return {"W_rho": W, "V_rho": V, "v": v}
 
 

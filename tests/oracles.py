@@ -9,12 +9,18 @@ coefficient, the reference for ``DiffOp``'s integer rows, and
 ``pearson_gram`` the term-by-term Gram matrix of the Phi_i under the
 weight, the reference for the numeric layer's integer pass.  ``taylor_data``
 reads p'', p'(0), p(0), q' and q(0) off p and q as Fractions, the values
-``Problem.taylor`` holds as integers over D.
+``Problem.taylor`` holds as integers over D.  ``_y_map`` and ``_z_map`` are
+the closed-form Liouville maps y = int dx/p and z = int dx/sqrt|p| with
+their inverses, each with its own branch tree over p: the reference for
+the numeric layer's one builder of both, ``numeric._liouville``.
 """
 
+import math
 from fractions import Fraction
 from math import comb, prod
-from typing import NamedTuple
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from susyfactor.core import Poly, Problem
 from susyfactor.diffop import DiffOp
@@ -114,6 +120,74 @@ def pearson_gram(prob: Problem, nmax: int) -> list[list[Fraction]]:
     phis = [lad.phi(i).coeffs for i in range(nmax + 1)]
     return [[sum(ca * cb * m[a + b] for a, ca in enumerate(fi)
                  for b, cb in enumerate(fj)) for fj in phis] for fi in phis]
+
+
+def _anchored(fwd: Callable, inv: Callable,
+              x0: float) -> tuple[Callable, Callable]:
+    u0 = fwd(x0)
+    return (lambda x: fwd(np.asarray(x, float)) - u0,
+            lambda u: inv(np.asarray(u, float) + u0))
+
+
+def _y_map(p: Poly, x0: float) -> tuple[Callable, Callable]:
+    """(y, x(y)) with y = int_x0^x dt/p(t)."""
+    if p.degree == 0:
+        c = float(p[0])
+        return _anchored(lambda x: x / c, lambda y: c * y, x0)
+    a, b = float(p[p.degree]), float(p[p.degree - 1])
+    if p.degree == 1:                   # y = log|p|/a
+        s = math.copysign(1.0, a * x0 + b)
+        return _anchored(lambda x: np.log(np.abs(a * x + b)) / a,
+                         lambda y: (s * np.exp(a * y) - b) / a, x0)
+    disc = p[1] * p[1] - 4 * p[2] * p[0]
+    if disc == 0:                       # p = a (x - r)^2
+        r = float(-p[1] / (2 * p[2]))
+        return _anchored(lambda x: -1.0 / (a * (x - r)),
+                         lambda y: r - 1.0 / (a * y), x0)
+    sq = math.sqrt(abs(disc))           # t = (2ax + b)/sqrt|D|
+    if disc < 0:
+        fwd = lambda t: 2.0 * np.arctan(t) / sq
+        inv = lambda y: np.tan(0.5 * sq * y)
+    elif a * p(x0) < 0:                 # between the roots
+        fwd = lambda t: -2.0 * np.arctanh(t) / sq
+        inv = lambda y: -np.tanh(0.5 * sq * y)
+    else:                               # beyond both roots
+        fwd = lambda t: -2.0 * np.arctanh(1.0 / t) / sq
+        inv = lambda y: -1.0 / np.tanh(0.5 * sq * y)
+    return _anchored(lambda x: fwd((2 * a * x + b) / sq),
+                     lambda y: (sq * inv(y) - b) / (2 * a), x0)
+
+
+def _z_map(p: Poly, x0: float) -> tuple[Callable, Callable]:
+    """(z, x(z)) with z = int_x0^x dt/sqrt|p(t)|."""
+    if p.degree == 0:
+        k = math.sqrt(abs(p[0]))
+        return _anchored(lambda x: x / k, lambda z: k * z, x0)
+    a, b = float(p[p.degree]), float(p[p.degree - 1])
+    if p.degree == 1:                   # z = 2 s sqrt|p|/a
+        s = math.copysign(1.0, a * x0 + b)
+        return _anchored(lambda x: 2.0 * s * np.sqrt(np.abs(a * x + b)) / a,
+                         lambda z: (s * (0.5 * a * z) ** 2 - b) / a, x0)
+    disc = p[1] * p[1] - 4 * p[2] * p[0]
+    ra, sa = math.sqrt(abs(a)), math.copysign(1.0, a)
+    if disc == 0:                       # |p| = |a| (x - r)^2
+        r = float(-p[1] / (2 * p[2]))
+        s = math.copysign(1.0, x0 - r)
+        return _anchored(lambda x: s * np.log(np.abs(x - r)) / ra,
+                         lambda z: r + s * np.exp(s * ra * z), x0)
+    sq = math.sqrt(abs(disc))           # t = (2ax + b)/sqrt|D|
+    if disc < 0:
+        fwd, inv = np.arcsinh, np.sinh
+    elif a * p(x0) < 0:                 # between the roots
+        fwd, inv = np.arcsin, np.sin
+    else:
+        # beyond both roots; acosh of |t| keeps 2ax + b < 0 free of
+        # cancellation
+        s = math.copysign(1.0, 2 * a * x0 + b)
+        fwd = lambda t: s * np.arccosh(np.abs(t))
+        inv = lambda v: s * np.cosh(v)
+    return _anchored(lambda x: sa * fwd((2 * a * x + b) / sq) / ra,
+                     lambda z: (sq * inv(sa * ra * z) - b) / (2 * a), x0)
 
 
 def apply(op: DiffOp, f: DiffOp, prob: Problem) -> DiffOp:

@@ -21,7 +21,7 @@ from susyfactor.associated import assoc_lambda
 from susyfactor.principal import factor_table, principal_eigenfunction
 from susyfactor import cli, numeric, principal
 
-from oracles import pearson_gram
+from oracles import _y_map, _z_map, pearson_gram
 from conftest import hermite, hypergeom, jacobi, laguerre, legendre
 
 
@@ -286,12 +286,34 @@ def test_maps_match_quadrature_on_every_branch(case, n0, n1):
     y_ref, z_ref = _maps_ref(p, x)
     num = Poly([n0, n1])
     f_ref = _cumulative_quad_ref(lambda t: num(t) / p(t), x, 20)
-    for (fwd, inv), ref in ((numeric._y_map(p, x0), y_ref),
-                            (numeric._z_map(p, x0), z_ref)):
+    for (fwd, inv), ref in zip(numeric._liouville(p, x0), (y_ref, z_ref)):
         assert _rel_dev(fwd(x), ref) <= 1e-10
         assert np.max(np.abs(inv(fwd(x)) - x)) <= 1e-10 * np.max(np.abs(x))
     if not num.is_zero():
-        assert _rel_dev(numeric._over_p(p, num, x0)(x), f_ref) <= 1e-10
+        assert _rel_dev(numeric._over_p(p, num, x, p(x)), f_ref) <= 1e-10
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two float arrays hold the same bits, -0.0 and nan alike."""
+    return np.asarray(a, float).tobytes() == np.asarray(b, float).tobytes()
+
+
+@given(_branch_cases())
+@settings(max_examples=300, deadline=None)
+def test_one_branch_tree_gives_the_floats_of_two(case):
+    # the builder's y, x(y), z and x(z) against the two maps it replaced,
+    # each with its own branch tree over p: forward on the nodes, inverse
+    # on the images of the nodes and on a u-range around them
+    p, lo, hi = case
+    x = np.linspace(lo, hi, 41)
+    u = np.linspace(-numeric.SPAN, numeric.SPAN, 41)
+    with np.errstate(all="ignore"):
+        for (fwd, inv), (ref, ref_inv) in zip(
+                numeric._liouville(p, x[20]), (_y_map(p, x[20]),
+                                                _z_map(p, x[20]))):
+            assert _same_bits(fwd(x), ref(x))
+            for v in (ref(x), u):
+                assert _same_bits(inv(v), ref_inv(v))
 
 
 # p = p2 (x - r)^2: w ~ |x - r|^e exp(-c/(x - r)), c = (q - p')(r)/p2,
@@ -385,8 +407,7 @@ def _residual_two_grids(prob, l, m, nodes, form, span=5.0, inset=1e-3):
     before the halved grid's inversion served both grids."""
     lo, hi = numeric._natural_domain(prob)
     width = hi - lo
-    u_of_x, x_of_u = (numeric._y_map if form == "y" else numeric._z_map)(
-        prob.p, 0.5 * (lo + hi))
+    u_of_x, x_of_u = numeric._liouville(prob.p, 0.5 * (lo + hi))[form == "z"]
     u_lo, u_hi = (float(np.clip(u_of_x(end), -span, span))
                   for end in (lo + inset * width, hi - inset * width))
     grids = [(u, x_of_u(u)) for u in (np.linspace(u_lo, u_hi, n)
@@ -437,20 +458,29 @@ def test_numeric_requests_sample_p_once(monkeypatch):
         monkeypatch.setattr(numeric, name,
                             lambda *a, fn=fn, name=name:
                             calls.update([name]) or fn(*a))
-    p, call = Poly([1, 0, -1]), Poly.__call__
+    call = Poly.__call__
+    jacobi_p, rootless = Poly([1, 0, -1]), Poly([1, 0, 1])
 
     def counted_call(self, x):
         if isinstance(x, np.ndarray) and x.ndim and self == p:
             calls.update(["p at the nodes"])
         return call(self, x)
     monkeypatch.setattr(Poly, "__call__", counted_call)
-    for argv in (["potentials", "--l", "3", "--m", "1", "--nodes", "200"],
-                 ["maps", "--nodes", "200"],
-                 ["residual", "--l", "3", "--m", "1", "--form", "z",
-                  "--nodes", "200"]):
+    jacobi_argv = ["--family", "jacobi:2,3"]
+    # where p = x^2 + 1 has no real root, w reads p's samples as well
+    rootless_argv = ["--p", "1,0,1", "--q", "-4,1", "--l", "2"]
+    for p, argv in (
+            (jacobi_p, ["potentials", "--l", "3", "--m", "1", "--nodes",
+                        "200", *jacobi_argv]),
+            (jacobi_p, ["maps", "--nodes", "200", *jacobi_argv]),
+            (jacobi_p, ["residual", "--l", "3", "--m", "1", "--form", "z",
+                        "--nodes", "200", *jacobi_argv]),
+            (rootless, ["potentials", *rootless_argv, "--lo", "-1", "--hi",
+                        "1"]),
+            (rootless, ["residual", *rootless_argv, "--m", "1", "--form",
+                        "z", "--nodes", "200"])):
         calls.clear()
-        rc, out, err, _ = _cli_in_process("numeric", *argv, "--family",
-                                          "jacobi:2,3")
+        rc, out, err, _ = _cli_in_process("numeric", *argv)
         assert (rc, err) == (0, "") and out, argv
         assert calls == {"_shape": 1, "_check_sign_definite": 1,
                          "p at the nodes": 1}, argv
@@ -1035,6 +1065,39 @@ def test_numeric_commands_write_no_stray_stderr():
         "--hi", "1e200", "--nodes", "5")
     assert (rc, err, caught) == (0, "", [])
     assert json.loads(out) == {"residual": 0.0}
+
+
+# p = x^2/2 - 2x - 3/2 on [-50, 1e300]: 9 nodes, none between the roots
+# 2 -+ sqrt 7, and p overflows to inf at all but the first
+_HUGE = ["--p", "1/2,-2,-3/2", "--q", "1/2,1/2", "--nodes", "9", "--lo",
+         "-50", "--hi", "1e+300"]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["maps", "--family", "laguerre:1", "--lo", "0.5", "--hi", "inf",
+      "--nodes", "3"], "--hi must be finite, got inf"),
+    (["sl2", "--family", "hermite", "--lo", "nan", "--hi", "1"],
+     "--lo must be finite, got nan"),
+    (["potentials", "--family", "legendre", "--lo", "-1e308", "--hi",
+      "1e308"], "--hi minus --lo must be finite, got inf"),
+    (["maps", *_HUGE], None), (["potentials", *_HUGE], None),
+    (["sl1", *_HUGE], None), (["sl2", *_HUGE], None),
+    # p = x^2 + 1 has no real root: its weight reads _over_p
+    (["potentials", "--p", "1,0,1", "--q", "1/2,1/2", "--lo", "-50",
+      "--hi", "1e300", "--nodes", "9"], None),
+    (["slcheck", *_HUGE], "the residual is nan"),
+], ids=["infinite hi", "nan lo", "width overflows", "maps", "potentials",
+        "sl1", "sl2", "rootless potentials", "slcheck"])
+def test_grid_bounds_leave_no_numpy_warning(argv, error):
+    # a bound that is not finite is an input error naming its flag, and an
+    # overflow on huge finite nodes is a value (inf or nan), not a warning
+    rc, out, err, caught = _cli_in_process("numeric", *argv)
+    assert [str(w.message) for w in caught] == []
+    if error is None:
+        assert (rc, err) == (0, "") and out
+    else:
+        assert (rc, out) == (2, "") and len(err.splitlines()) == 1
+        assert error in json.loads(err)["message"]
 
 
 # w = e^(-15 x) |x + 6|^89: from x = 4997.5 the exp underflows to 0 and
